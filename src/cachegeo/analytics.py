@@ -56,6 +56,12 @@ def _fading_moment(delta: float, m: float) -> float:
     return math.exp(gammaln(delta + m) - gammaln(m) - delta * math.log(m))
 
 
+def _kappa(params: NetworkParams) -> float:
+    """pi lambda E[h^(2 delta)]: the reciprocal-gain process puts mass
+    kappa p xi^delta on [0, xi)."""
+    return math.pi * params.helper_density * _fading_moment(params.delta, params.fading_desired)
+
+
 def _probs_of(policy) -> np.ndarray:
     if isinstance(policy, CachingPolicy):
         return policy.probs
@@ -88,10 +94,10 @@ class NoiseConstants:
 
     @classmethod
     def from_params(cls, library: ContentLibrary, params: NetworkParams) -> "NoiseConstants":
-        delta = params.delta
-        kappa = math.pi * params.helper_density * _fading_moment(delta, params.fading_desired)
-        T = (params.snr / (np.power(2.0, library.rates) - 1.0)) ** delta
-        return cls(kappa=kappa, delta=delta, T=T)
+        if params.noise_power == 0:
+            raise ValueError("noise-limited analytics need noise_power > 0, i.e. a finite snr_db")
+        T = (params.snr / (np.power(2.0, library.rates) - 1.0)) ** params.delta
+        return cls(kappa=_kappa(params), delta=params.delta, T=T)
 
 
 def intensity_xi(y, p: float, params: NetworkParams):
@@ -106,9 +112,8 @@ def intensity_xi(y, p: float, params: NetworkParams):
     if p == 0:
         return np.zeros_like(y) if y.ndim else 0.0
     delta = params.delta
-    kappa = math.pi * params.helper_density * _fading_moment(delta, params.fading_desired)
     with np.errstate(divide="ignore"):
-        out = kappa * p * delta * y ** (delta - 1.0)
+        out = _kappa(params) * p * delta * y ** (delta - 1.0)
     return out if y.ndim else float(out)
 
 
@@ -117,9 +122,7 @@ def xi1_cdf(xi, p: float, params: NetworkParams):
     xi = np.asarray(xi, dtype=float)
     if np.any(xi < 0):
         raise ValueError("xi must be >= 0")
-    delta = params.delta
-    kappa = math.pi * params.helper_density * _fading_moment(delta, params.fading_desired)
-    out = -np.expm1(-kappa * p * xi**delta)
+    out = -np.expm1(-_kappa(params) * p * xi**params.delta)
     return out if xi.ndim else float(out)
 
 

@@ -13,7 +13,7 @@ import csv
 import json
 import os
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from importlib import metadata
 from pathlib import Path
 
@@ -135,15 +135,23 @@ class ExperimentConfig:
         return ContentLibrary(self.count, popularity, rates)
 
     def as_dict(self) -> dict:
-        out = {}
-        for name in self.__dataclass_fields__:
-            value = getattr(self, name)
-            out[name] = list(value) if isinstance(value, tuple) else value
-        return out
+        return asdict(self)
 
 
 def _parse_floats(text: str) -> tuple:
     return tuple(float(v) for v in text.replace(",", " ").split())
+
+
+# INI section -> keys; a key is parsed as the type of its ExperimentConfig default
+_INI_KEYS = {
+    "network": ("helper_density", "user_density", "tx_power", "snr_db", "pathloss_exp",
+                "fading_desired", "fading_interf"),
+    "library": ("count", "gamma", "rate_mode", "rho_max", "rho", "rate_seed"),
+    "policy": ("memory", "source", "probs"),
+    "experiment": ("trials", "seed", "output", "figure", "sweep", "sweep_grid", "channel",
+                   "load_mode", "c_mode", "c_value"),
+}
+_INI_RENAMES = {"source": "policy_source"}
 
 
 def load_config(path: str | None, scenario: str, **overrides) -> ExperimentConfig:
@@ -152,56 +160,23 @@ def load_config(path: str | None, scenario: str, **overrides) -> ExperimentConfi
     values: dict = {"scenario": scenario}
     if path is not None:
         parser = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
-        read = parser.read(path)
-        if not read:
+        if not parser.read(path):
             raise ConfigError(f"config file {path!r} not found or unreadable")
-        mapping = {
-            "network": (
-                ("helper_density", float),
-                ("user_density", float),
-                ("tx_power", float),
-                ("snr_db", float),
-                ("pathloss_exp", float),
-                ("fading_desired", float),
-                ("fading_interf", float),
-            ),
-            "library": (
-                ("count", int),
-                ("gamma", float),
-                ("rate_mode", str),
-                ("rho_max", float),
-                ("rho", float),
-                ("rate_seed", int),
-            ),
-            "policy": (("memory", int), ("source", str), ("probs", _parse_floats)),
-            "experiment": (
-                ("trials", int),
-                ("seed", int),
-                ("output", str),
-                ("figure", str),
-                ("sweep", str),
-                ("sweep_grid", _parse_floats),
-                ("channel", str),
-                ("load_mode", str),
-                ("c_mode", str),
-                ("c_value", float),
-            ),
-        }
-        renames = {"source": "policy_source"}
-        for section, entries in mapping.items():
+        for section, keys in _INI_KEYS.items():
             if not parser.has_section(section):
                 continue
-            known = {key for key, _ in entries}
-            stray = set(parser.options(section)) - known
+            stray = set(parser.options(section)) - set(keys)
             if stray:
                 raise ConfigError(f"unknown keys in [{section}]: {sorted(stray)}")
-            for key, cast in entries:
-                if parser.has_option(section, key):
-                    try:
-                        values[renames.get(key, key)] = cast(parser.get(section, key))
-                    except ValueError as exc:
-                        raise ConfigError(f"bad value for [{section}] {key}: {exc}") from exc
-        unknown = set(parser.sections()) - set(mapping)
+            for key in parser.options(section):
+                name = _INI_RENAMES.get(key, key)
+                default = ExperimentConfig.__dataclass_fields__[name].default
+                cast = _parse_floats if isinstance(default, tuple) else type(default)
+                try:
+                    values[name] = cast(parser.get(section, key))
+                except ValueError as exc:
+                    raise ConfigError(f"bad value for [{section}] {key}: {exc}") from exc
+        unknown = set(parser.sections()) - set(_INI_KEYS)
         if unknown:
             raise ConfigError(f"unknown config sections: {sorted(unknown)}")
     for key, value in overrides.items():
@@ -214,28 +189,54 @@ def load_config(path: str | None, scenario: str, **overrides) -> ExperimentConfi
     return config.validate()
 
 
-def _policy_for(config: ExperimentConfig, library: ContentLibrary, params: NetworkParams):
-    source = config.policy_source
-    if source == "explicit":
-        if len(config.probs) != library.count:
-            raise ConfigError("explicit probs must list one probability per content")
-        return CachingPolicy(np.array(config.probs), config.memory)
-    if source in ("mpc", "uc"):
-        return baseline_policy(source, library.count, config.memory)
-    if source == "optimize-noise":
-        return optimize_noise(library, params, config.memory).policy
-    consts = InterferenceConstants.from_library(
-        library, params.pathloss_exp, _resolve_c(config, library, params)
-    )
-    return optimize_interference(library, consts, config.memory).policy
-
-
 def _resolve_c(config: ExperimentConfig, library: ContentLibrary, params: NetworkParams) -> float:
     if config.c_mode == "fixed":
         return config.c_value
     if config.c_mode == "load":
         return max(1.0, config.memory * params.user_density / params.helper_density)
     return select_c(library, params, config.memory, trials=config.trials, seed=config.seed)
+
+
+def _interference_constants(
+    config: ExperimentConfig, library: ContentLibrary, params: NetworkParams
+) -> InterferenceConstants:
+    return InterferenceConstants.from_library(
+        library, params.pathloss_exp, _resolve_c(config, library, params)
+    )
+
+
+def _solve(source: str, config: ExperimentConfig, library: ContentLibrary, params: NetworkParams):
+    """Resolve a policy source at one point.
+
+    Returns (the optimizer's SolveReport, or the policy itself for the
+    explicit and baseline sources; the InterferenceConstants the optimizer
+    used, whose .c is the resolved load bound, or None).
+    """
+    if source == "explicit":
+        if len(config.probs) != library.count:
+            raise ConfigError("explicit probs must list one probability per content")
+        return CachingPolicy(np.array(config.probs), config.memory), None
+    if source in ("mpc", "uc"):
+        return baseline_policy(source, library.count, config.memory), None
+    if source == "optimize-noise":
+        return optimize_noise(library, params, config.memory), None
+    consts = _interference_constants(config, library, params)
+    return optimize_interference(library, consts, config.memory), consts
+
+
+def _policy_of(solved) -> CachingPolicy:
+    return solved if isinstance(solved, CachingPolicy) else solved.policy
+
+
+def _upper_limit(ref) -> float:
+    """Three-sigma upper limit on a reference's success probability.
+
+    est + 3 se, except with no success, where se = 0 would make the limit
+    0: there it is the z = 3 Wilson upper limit 9 / (n + 9).
+    """
+    if ref.successes == 0:
+        return 9.0 / (ref.trials + 9.0)
+    return ref.estimate + 3.0 * ref.stderr
 
 
 def select_c(
@@ -264,18 +265,19 @@ def select_c(
         policies.append(CachingPolicy(p, memory))
     # the distance-association reference exists only for single-slot caches
     reference_mode = "long-term-assoc" if memory == 1 else "instantaneous"
-    references = [
-        simulate_interference_limited(
-            library, params, policy, trials, seed, load_mode=reference_mode
+    limits = [
+        _upper_limit(
+            simulate_interference_limited(
+                library, params, policy, trials, seed, load_mode=reference_mode
+            )
         )
         for policy in policies
     ]
     for c in sorted(c_grid):
         consts = InterferenceConstants.from_library(library, params.pathloss_exp, c)
         ok = all(
-            rayleigh_lower_bound(library, consts, policy)
-            <= ref.estimate + 3.0 * ref.stderr
-            for policy, ref in zip(policies, references)
+            rayleigh_lower_bound(library, consts, policy) <= limit
+            for policy, limit in zip(policies, limits)
         )
         if ok:
             return c
@@ -284,11 +286,15 @@ def select_c(
     )
 
 
-def _with_sweep(config: ExperimentConfig, value: float) -> ExperimentConfig:
-    name = config.sweep
-    if name == "memory":
-        return replace(config, memory=int(value))
-    return replace(config, **{name: value})
+def _sweep_points(config: ExperimentConfig):
+    """Yield (sweep value, config at that value) per sweep point, or one
+    ("", config) point when there is no sweep."""
+    if not config.sweep:
+        yield "", config
+        return
+    for value in config.sweep_grid:
+        at = int(value) if config.sweep == "memory" else value
+        yield value, replace(config, **{config.sweep: at})
 
 
 # ---------------------------------------------------------------------------
@@ -328,71 +334,56 @@ def _run_cdf(config: ExperimentConfig):
     return ["lambda", "m_d", "xi", "analytic_cdf", "empirical_cdf", "stderr"], rows
 
 
-def _run_optimize_noise(config: ExperimentConfig):
-    fields = ["sweep", "sweep_value", "content", "popularity", "rate", "p_opt",
-              "objective", "omega", "iterations", "kkt_residual"]
-    rows = []
-    for value in config.sweep_grid or (float("nan"),):
-        cfg = _with_sweep(config, value) if config.sweep else config
-        library = cfg.make_library()
-        report = optimize_noise(library, cfg.network(), cfg.memory)
-        for i in range(library.count):
-            rows.append(
-                {
-                    "sweep": config.sweep or "",
-                    "sweep_value": value if config.sweep else "",
-                    "content": i,
-                    "popularity": float(library.popularity[i]),
-                    "rate": float(library.rates[i]),
-                    "p_opt": float(report.policy.probs[i]),
-                    "objective": report.objective,
-                    "omega": report.omega,
-                    "iterations": report.iterations,
-                    "kkt_residual": report.kkt_residual,
-                }
-            )
-    return fields, rows
+_CONTENT_FIELDS = ["content", "popularity", "rate", "p_opt", "objective", "omega",
+                   "iterations", "kkt_residual"]
 
 
-def _run_optimize_sir(config: ExperimentConfig):
-    fields = ["sweep", "sweep_value", "c", "content", "popularity", "rate", "p_opt",
-              "objective", "omega", "iterations", "kkt_residual"]
+def _optimizer_rows(source: str, points, label: str, **columns) -> list[dict]:
+    """Rows of the `source` optimizer's solution, one per content at each
+    (value, config) point: the value goes in column `label`, `columns` are
+    the same on every row, and "c" is the load bound used ("" without one)."""
     rows = []
-    for value in config.sweep_grid or (float("nan"),):
-        cfg = _with_sweep(config, value) if config.sweep else config
+    for value, cfg in points:
         library = cfg.make_library()
-        params = cfg.network()
-        c = _resolve_c(cfg, library, params)
-        consts = InterferenceConstants.from_library(library, params.pathloss_exp, c)
-        report = optimize_interference(library, consts, cfg.memory)
-        for i in range(library.count):
-            rows.append(
-                {
-                    "sweep": config.sweep or "",
-                    "sweep_value": value if config.sweep else "",
-                    "c": c,
-                    "content": i,
-                    "popularity": float(library.popularity[i]),
-                    "rate": float(library.rates[i]),
-                    "p_opt": float(report.policy.probs[i]),
-                    "objective": report.objective,
-                    "omega": report.omega,
-                    "iterations": report.iterations,
-                    "kkt_residual": report.kkt_residual,
-                }
+        report, consts = _solve(source, cfg, library, cfg.network())
+        point = {
+            **columns,
+            label: value,
+            "c": "" if consts is None else consts.c,
+            "objective": report.objective,
+            "omega": report.omega,
+            "iterations": report.iterations,
+            "kkt_residual": report.kkt_residual,
+        }
+        rows.extend(
+            {**point, "content": i, "popularity": f, "rate": rate, "p_opt": p}
+            for i, (f, rate, p) in enumerate(
+                zip(library.popularity.tolist(), library.rates.tolist(),
+                    report.policy.probs.tolist())
             )
-    return fields, rows
+        )
+    return rows
+
+
+def _run_optimizer(config: ExperimentConfig):
+    """The optimize-noise and optimize-sir scenarios; only the latter has a c column."""
+    sir = config.scenario == "optimize-sir"
+    fields = ["sweep", "sweep_value", "c"] if sir else ["sweep", "sweep_value"]
+    rows = _optimizer_rows(
+        config.scenario, _sweep_points(config), "sweep_value", sweep=config.sweep or ""
+    )
+    return fields + _CONTENT_FIELDS, rows
 
 
 def _run_simulate(config: ExperimentConfig):
     fields = ["sweep", "sweep_value", "channel", "load_mode", "policy", "analytic",
               "estimate", "stderr", "trials"]
     rows = []
-    for value in config.sweep_grid or (float("nan"),):
-        cfg = _with_sweep(config, value) if config.sweep else config
+    for value, cfg in _sweep_points(config):
         library = cfg.make_library()
         params = cfg.network()
-        policy = _policy_for(cfg, library, params)
+        solved, consts = _solve(cfg.policy_source, cfg, library, params)
+        policy = _policy_of(solved)
         if cfg.channel == "noise":
             est = simulate_noise_limited(library, params, policy, cfg.trials, cfg.seed)
             analytic = success_noise(library, params, policy)
@@ -401,14 +392,14 @@ def _run_simulate(config: ExperimentConfig):
             est = simulate_interference_limited(
                 library, params, policy, cfg.trials, cfg.seed, cfg.load_mode
             )
-            c = _resolve_c(cfg, library, params)
-            consts = InterferenceConstants.from_library(library, params.pathloss_exp, c)
+            if consts is None:
+                consts = _interference_constants(cfg, library, params)
             analytic = rayleigh_lower_bound(library, consts, policy)
             mode = cfg.load_mode
         rows.append(
             {
                 "sweep": config.sweep or "",
-                "sweep_value": value if config.sweep else "",
+                "sweep_value": value,
                 "channel": cfg.channel,
                 "load_mode": mode,
                 "policy": _policy_string(policy.probs),
@@ -434,13 +425,12 @@ class FigureEntry:
 
 
 def _figure_3(config: ExperimentConfig):
-    fields = ["lambda", "m_d", "xi", "analytic_cdf", "empirical_cdf", "stderr"]
     rows = []
     for lam, m_d in ((0.05, 1.0), (0.05, 3.0), (0.2, 1.0)):
         sub = replace(
             config, helper_density=lam, fading_desired=m_d, pathloss_exp=2.5, scenario="cdf"
         )
-        _, part = _run_cdf(sub)
+        fields, part = _run_cdf(sub)
         rows.extend(part)
     return fields, rows
 
@@ -466,23 +456,9 @@ def _figure_4(config: ExperimentConfig):
     return fields, rows
 
 
-def _optimal_policy_sweep(config: ExperimentConfig, settings, label):
-    fields = [label, "content", "popularity", "p_opt", "objective"]
-    rows = []
-    for value, cfg in settings:
-        library = cfg.make_library()
-        report = optimize_noise(library, cfg.network(), cfg.memory)
-        for i in range(library.count):
-            rows.append(
-                {
-                    label: value,
-                    "content": i,
-                    "popularity": float(library.popularity[i]),
-                    "p_opt": float(report.policy.probs[i]),
-                    "objective": report.objective,
-                }
-            )
-    return fields, rows
+def _optimal_policy_sweep(settings, label):
+    rows = _optimizer_rows("optimize-noise", settings, label)
+    return [label, "content", "popularity", "p_opt", "objective"], rows
 
 
 def _figure_5(config: ExperimentConfig):
@@ -491,17 +467,17 @@ def _figure_5(config: ExperimentConfig):
         for lam in (0.05, 0.2)
         for m in (1.0, 3.0)
     ]
-    return _optimal_policy_sweep(config, settings, "setting")
+    return _optimal_policy_sweep(settings, "setting")
 
 
 def _figure_6(config: ExperimentConfig):
     settings = [(rho_max, replace(config, rho_max=rho_max)) for rho_max in (0.5, 1.0, 2.0, 3.0)]
-    return _optimal_policy_sweep(config, settings, "rho_max")
+    return _optimal_policy_sweep(settings, "rho_max")
 
 
 def _figure_7(config: ExperimentConfig):
     settings = [(m, replace(config, memory=m)) for m in (1, 2, 3, 4, 5, 6)]
-    return _optimal_policy_sweep(config, settings, "memory")
+    return _optimal_policy_sweep(settings, "memory")
 
 
 def _approx_check_setting(config: ExperimentConfig) -> ExperimentConfig:
@@ -519,6 +495,17 @@ def _approx_check_setting(config: ExperimentConfig) -> ExperimentConfig:
     )
 
 
+def _p1_grid() -> list[CachingPolicy]:
+    """Single-slot policies on two contents, p1 = 0.1, 0.2, ..., 0.9."""
+    return [CachingPolicy(np.array([p1, 1.0 - p1]), 1) for p1 in np.arange(0.1, 0.91, 0.1)]
+
+
+def _with_numeric_c(config: ExperimentConfig) -> ExperimentConfig:
+    """config with the numeric load bound c, certified on a tenth of the
+    figure's trials (at least 200)."""
+    return replace(config, c_mode="numeric", trials=max(200, config.trials // 10))
+
+
 def _figure_approx_check(config: ExperimentConfig):
     fields = ["p1", "est_inst", "se_inst", "est_mean", "se_mean", "est_long", "se_long",
               "bound_c40"]
@@ -527,26 +514,18 @@ def _figure_approx_check(config: ExperimentConfig):
     params = cfg.network()
     consts = InterferenceConstants.from_library(library, params.pathloss_exp, 40.0)
     rows = []
-    for p1 in np.arange(0.1, 0.91, 0.1):
-        policy = CachingPolicy(np.array([p1, 1.0 - p1]), 1)
-        ests = {
-            mode: simulate_interference_limited(
+    for policy in _p1_grid():
+        row = {
+            "p1": float(policy.probs[0]),
+            "bound_c40": rayleigh_lower_bound(library, consts, policy),
+        }
+        for mode, key in (("instantaneous", "inst"), ("mean-approx", "mean"),
+                          ("long-term-assoc", "long")):
+            est = simulate_interference_limited(
                 library, params, policy, cfg.trials, cfg.seed, mode
             )
-            for mode in ("instantaneous", "mean-approx", "long-term-assoc")
-        }
-        rows.append(
-            {
-                "p1": float(p1),
-                "est_inst": ests["instantaneous"].estimate,
-                "se_inst": ests["instantaneous"].stderr,
-                "est_mean": ests["mean-approx"].estimate,
-                "se_mean": ests["mean-approx"].stderr,
-                "est_long": ests["long-term-assoc"].estimate,
-                "se_long": ests["long-term-assoc"].stderr,
-                "bound_c40": rayleigh_lower_bound(library, consts, policy),
-            }
-        )
+            row[f"est_{key}"], row[f"se_{key}"] = est.estimate, est.stderr
+        rows.append(row)
     return fields, rows
 
 
@@ -554,15 +533,13 @@ def _figure_8(config: ExperimentConfig):
     fields = ["rho", "c", "p1_opt", "est_opt", "se_opt", "p1_subopt", "est_subopt",
               "se_subopt", "bound_subopt"]
     cfg = _approx_check_setting(config)
+    grid = _p1_grid()
     rows = []
     for rho in (0.2, 0.4, 0.6, 0.8, 1.0):
         sub = replace(cfg, rho=rho)
         library = sub.make_library()
         params = sub.network()
-        c = select_c(library, params, 1, trials=max(200, sub.trials // 10), seed=sub.seed)
-        consts = InterferenceConstants.from_library(library, params.pathloss_exp, c)
-        report = optimize_interference(library, consts, 1)
-        grid = [CachingPolicy(np.array([p1, 1.0 - p1]), 1) for p1 in np.arange(0.1, 0.91, 0.1)]
+        report, consts = _solve("optimize-sir", _with_numeric_c(sub), library, params)
         ests = [
             simulate_interference_limited(library, params, g, sub.trials, sub.seed)
             for g in grid
@@ -574,7 +551,7 @@ def _figure_8(config: ExperimentConfig):
         rows.append(
             {
                 "rho": rho,
-                "c": c,
+                "c": consts.c,
                 "p1_opt": float(grid[best].probs[0]),
                 "est_opt": ests[best].estimate,
                 "se_opt": ests[best].stderr,
@@ -598,25 +575,23 @@ def _figure_9(config: ExperimentConfig):
         rho=0.001,
         helper_density=1e-5,
         user_density=2e-5,
+        c_mode="load",
     )
     for gamma in np.arange(0.0, 3.01, 0.5):
         cfg = replace(base, gamma=float(gamma))
         library = cfg.make_library()
         params = cfg.network()
-        c_numeric = select_c(library, params, 1, trials=max(200, cfg.trials // 10), seed=cfg.seed)
-        c_load = max(1.0, cfg.memory * params.user_density / params.helper_density)
-        consts_eval = InterferenceConstants.from_library(library, params.pathloss_exp, c_numeric)
         strategies = {
-            "proposed-numeric-c": optimize_interference(library, consts_eval, 1).policy,
-            "proposed-load-c": optimize_interference(
-                library,
-                InterferenceConstants.from_library(library, params.pathloss_exp, c_load),
-                1,
-            ).policy,
-            "mpc": baseline_policy("mpc", 5, 1),
-            "uc": baseline_policy("uc", 5, 1),
+            "proposed-numeric-c": _solve(
+                "optimize-sir", _with_numeric_c(cfg), library, params
+            ),
+            "proposed-load-c": _solve("optimize-sir", cfg, library, params),
+            "mpc": _solve("mpc", cfg, library, params),
+            "uc": _solve("uc", cfg, library, params),
         }
-        for name, policy in strategies.items():
+        consts_eval = strategies["proposed-numeric-c"][1]
+        for name, (solved, consts) in strategies.items():
+            policy = _policy_of(solved)
             rows.append(
                 {
                     "block": "gamma-comparison",
@@ -625,31 +600,17 @@ def _figure_9(config: ExperimentConfig):
                     "content": "",
                     "p": _policy_string(policy.probs),
                     "bound": rayleigh_lower_bound(library, consts_eval, policy),
-                    "c": c_numeric if name == "proposed-numeric-c" else
-                    (c_load if name == "proposed-load-c" else ""),
+                    "c": "" if consts is None else consts.c,
                 }
             )
     # user-density sweep block (single-slot caches, seven contents)
     dense = replace(base, count=7)
-    for lam_u in (2e-5, 5e-5, 1e-4):
-        cfg = replace(dense, user_density=lam_u)
-        library = cfg.make_library()
-        params = cfg.network()
-        c = max(1.0, cfg.memory * lam_u / params.helper_density)
-        consts = InterferenceConstants.from_library(library, params.pathloss_exp, c)
-        report = optimize_interference(library, consts, 1)
-        for i in range(library.count):
-            rows.append(
-                {
-                    "block": "user-density-sweep",
-                    "sweep_value": lam_u,
-                    "strategy": "proposed-load-c",
-                    "content": i,
-                    "p": float(report.policy.probs[i]),
-                    "bound": report.objective,
-                    "c": c,
-                }
-            )
+    sweep = [(lam_u, replace(dense, user_density=lam_u)) for lam_u in (2e-5, 5e-5, 1e-4)]
+    rows.extend(
+        {**row, "block": "user-density-sweep", "strategy": "proposed-load-c",
+         "p": row["p_opt"], "bound": row["objective"]}
+        for row in _optimizer_rows("optimize-sir", sweep, "sweep_value")
+    )
     return fields, rows
 
 
@@ -744,12 +705,10 @@ def run(config: ExperimentConfig) -> int:
         fields, rows = FIGURES[fid].runner(config)
     elif config.scenario == "cdf":
         fields, rows = _run_cdf(config)
-    elif config.scenario == "optimize-noise":
-        fields, rows = _run_optimize_noise(config)
-    elif config.scenario == "optimize-sir":
-        fields, rows = _run_optimize_sir(config)
-    else:
+    elif config.scenario == "simulate":
         fields, rows = _run_simulate(config)
+    else:
+        fields, rows = _run_optimizer(config)
     elapsed = time.perf_counter() - start
 
     out = Path(config.output)

@@ -475,6 +475,8 @@ def empirical_mean_load(
     if policy.memory != 1:
         raise ValueError("the tagged-load check is defined for M = 1")
     positive = policy.probs[policy.probs > BUDGET_TOL]
+    if positive.size == 0:
+        raise ValueError("the policy caches no content, so no helper can serve a request")
     user_radius = window_radius(float(positive.min()), params.helper_density, window_miss_prob)
     helper_radius = 2.0 * user_radius
     layout = build_block_layout(policy)

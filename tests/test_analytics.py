@@ -89,6 +89,15 @@ class TestSuccessNoise:
         params = make_params()
         assert success_noise(lib, params, np.zeros(4)) == 0.0
 
+    def test_zero_noise_power_rejected(self):
+        # an infinite SNR made kappa p T = 0 * inf, a NaN success probability
+        lib = make_library(3)
+        params = NetworkParams(0.05, 0.002, 1.0, 0.0, 3.0)
+        with pytest.raises(ValueError, match="noise_power"):
+            NoiseConstants.from_params(lib, params)
+        with pytest.raises(ValueError, match="snr_db"):
+            success_noise(lib, params, np.full(3, 0.5))
+
     def test_scalar_case_unit_exponent(self):
         params = make_params()
         consts = NoiseConstants.from_params(make_library(1), params)

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
+from cachegeo import experiments
 from cachegeo.cli import main
 from cachegeo.experiments import (
     FIGURES,
@@ -235,6 +236,38 @@ class TestSelectC:
         assert rayleigh_lower_bound(lib, consts, policy) <= ref.estimate + 3 * ref.stderr + 0.05
 
 
+    def test_zero_success_reference_does_not_block_certification(self):
+        # figure-8 setting at rho = 0.6: with 200 trials and seed 3 one random
+        # reference policy (p1 = 0.086) sees no success, so est + 3 se = 0
+        # would reject every c; its z = 3 Wilson limit 9 / (n + 9) is used instead
+        from cachegeo.model import ContentLibrary
+
+        lib = ContentLibrary(2, zipf_popularity(2, 1.0), np.array([0.6, 0.6]))
+        params = NetworkParams(1e-5, 2e-5, 1.0, 0.01, 3.0, 1.0, 1.0)
+        c = select_c(lib, params, 1, trials=200, seed=3)
+        assert c in experiments._C_GRID
+
+
+class TestSingleCResolution:
+    def test_simulate_resolves_numeric_c_once_per_point(self, tmp_path, monkeypatch):
+        calls = []
+        original = experiments.select_c
+
+        def spy(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(experiments, "select_c", spy)
+        config = ExperimentConfig(
+            scenario="simulate", count=2, memory=1, rate_mode="constant", rho=0.001,
+            helper_density=1e-5, user_density=2e-5, policy_source="optimize-sir",
+            c_mode="numeric", channel="interference", trials=40, seed=2,
+            output=str(tmp_path / "sim.csv"),
+        )
+        run(config)
+        assert len(calls) == 1
+
+
 class TestExitCodes:
     def test_numeric_failure_exits_3(self, config_file, monkeypatch):
         import cachegeo.cli as cli_module
@@ -246,6 +279,13 @@ class TestExitCodes:
         monkeypatch.setattr(cli_module, "run", exploding_run)
         result = CliRunner().invoke(main, ["simulate", "--config", str(config_file)])
         assert result.exit_code == 3
+
+    def test_infinite_snr_noise_scenario_exits_2(self, tmp_path):
+        config = tmp_path / "noiseless.ini"
+        config.write_text(BASE_CONFIG.replace("snr_db = 20.0", "snr_db = inf"))
+        result = CliRunner().invoke(main, ["optimize-noise", "--config", str(config)])
+        assert result.exit_code == 2
+        assert "noise_power" in result.output
 
     def test_unwritable_output_rejected(self, config_file):
         with pytest.raises(ConfigError):

@@ -135,6 +135,12 @@ class TestOptimizeNoise:
         with pytest.raises(ValueError):
             optimize_noise(lib, params, memory=2)
 
+    def test_rejects_zero_noise_power(self):
+        lib = library_with(1.0, 4, [0.5] * 4)
+        params = NetworkParams(0.05, 0.002, 1.0, 0.0, 3.0)
+        with pytest.raises(ValueError, match="noise_power"):
+            optimize_noise(lib, params, memory=2)
+
     def test_dominates_baselines(self):
         params = NetworkParams(0.05, 0.002, 1.0, 0.01, 3.0)
         for gamma in (0.0, 0.5, 1.0, 2.0, 3.0):

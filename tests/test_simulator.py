@@ -317,6 +317,14 @@ class TestRealizationAndLoad:
         assert got == pytest.approx(expected, rel=0.1)
 
 
+    def test_tagged_load_rejects_a_policy_caching_nothing(self):
+        lib = make_library(2, rates=[0.001, 0.001])
+        params = make_params(lam=1e-5, lam_u=2e-5)
+        policy = CachingPolicy(np.zeros(2), 1)
+        with pytest.raises(ValueError, match="caches no content"):
+            empirical_mean_load(lib, params, policy, trials=10, seed=1)
+
+
 class TestWindowRadius:
     def test_formula(self):
         got = window_radius(0.5, 0.05, miss_prob=1e-3)
