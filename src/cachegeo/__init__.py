@@ -33,14 +33,11 @@ from .optimizer import (
 )
 from .placement import BlockLayout, build_block_layout, sample_cache
 from .simulator import (
-    LinkOutcome,
     MCEstimate,
-    Realization,
     nakagami_gain,
     sample_ppp,
     simulate_interference_limited,
     simulate_noise_limited,
-    smallest_reciprocal,
 )
 
 __all__ = [
@@ -70,11 +67,8 @@ __all__ = [
     "brute_force_policy",
     "baseline_policy",
     "MCEstimate",
-    "Realization",
-    "LinkOutcome",
     "sample_ppp",
     "nakagami_gain",
-    "smallest_reciprocal",
     "simulate_noise_limited",
     "simulate_interference_limited",
     "NumericalError",

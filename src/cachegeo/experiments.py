@@ -98,6 +98,8 @@ class ExperimentConfig:
             raise ConfigError(f"sweep variable {self.sweep!r} is not one of {SWEEPABLE}")
         if self.sweep and not self.sweep_grid:
             raise ConfigError("a sweep needs a nonempty sweep_grid")
+        if self.sweep == "memory" and not all(float(v).is_integer() for v in self.sweep_grid):
+            raise ConfigError("memory sweep values must be whole numbers of cache slots")
         if self.rate_mode not in ("uniform", "constant"):
             raise ConfigError("rate_mode must be 'uniform' or 'constant'")
         if self.policy_source not in ("optimize-noise", "optimize-sir", "mpc", "uc", "explicit"):

@@ -2,13 +2,17 @@
 cache placement, strongest-channel association, helper loads, and
 delivery-success estimation.
 
-Reproducibility: one root seed; substream k draws from
-``SeedSequence(entropy=seed, spawn_key=(k,))``.  The interference engine
-keys substreams by the global trial index (so different load modes on one
-seed see identical networks); the noise engine keys them by fixed-size
-trial chunks, which it processes vectorized.  Both aggregate integer
-success counts, so estimates are bit-identical for a given seed
-regardless of execution order, and chunks may run in parallel.
+Reproducibility: one root seed; both engines process trials in fixed-size
+chunks, and chunk k draws from ``SeedSequence(entropy=seed,
+spawn_key=(k,))``.  Both aggregate integer success counts, so estimates
+are bit-identical for a given seed regardless of execution order, and
+chunks may run in parallel (``workers``).
+
+The interference engine draws a chunk as flat arrays (every helper and
+user of its trials, with per-trial counts) and reduces them per trial
+segment.  Its draws come in the same order for every load mode, and the
+fresh channel gains of the instantaneous load come last, so different
+load modes on one seed evaluate identical networks.
 
 Finite window: helpers are sampled inside a disc whose radius makes the
 probability of missing the nearest relevant helper at most
@@ -21,22 +25,18 @@ from __future__ import annotations
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from math import log, pi
-from typing import Optional
+from typing import NamedTuple
 
 import numpy as np
 
 from .analytics import mean_load_m1
 from .model import BUDGET_TOL, CachingPolicy, ContentLibrary, NetworkParams, budget_violation
-from .placement import build_block_layout, cache_matrix
+from .placement import BlockLayout, build_block_layout, cache_matrix
 
 __all__ = [
     "MCEstimate",
-    "Realization",
-    "LinkOutcome",
     "sample_ppp",
     "nakagami_gain",
-    "sample_realization",
-    "smallest_reciprocal",
     "sample_xi_min",
     "simulate_noise_limited",
     "simulate_interference_limited",
@@ -48,7 +48,10 @@ __all__ = [
 DEFAULT_WINDOW_MISS = 1e-3
 NOISE_WINDOW_MISS = 1e-6
 _NOISE_CHUNK = 4096
-_INTERF_CHUNK = 256
+_INTERF_CHUNK = 64
+# Users and candidate helpers paired per step of the instantaneous load,
+# which bounds its working set whatever the window holds.
+_PAIR_SLICE = 8192
 
 LOAD_MODES = ("instantaneous", "mean-approx", "long-term-assoc")
 
@@ -73,34 +76,6 @@ class MCEstimate:
         )
 
 
-@dataclass(frozen=True)
-class Realization:
-    """One sampled network, seen from the typical user at the origin.
-
-    desired_gains / interf_gains are the typical user's per-helper fading
-    power gains on the selection channel and on the interfering channels.
-    """
-
-    helpers: np.ndarray  # (H, 2) positions, meters
-    users: np.ndarray  # (U, 2) positions, meters
-    caches: np.ndarray  # (H, F) bool inclusion matrix
-    desired_gains: np.ndarray  # (H,)
-    interf_gains: np.ndarray  # (H,)
-    requested: np.ndarray  # (U,) content index per user
-
-
-@dataclass(frozen=True)
-class LinkOutcome:
-    """Per-trial delivery outcome for the typical user."""
-
-    xi_min: float
-    serving_helper: int
-    interference: float
-    load: float
-    rate: float
-    success: bool
-
-
 def _substream(seed: int, index: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(index,)))
 
@@ -114,16 +89,20 @@ def window_radius(p: float, helper_density: float, miss_prob: float = DEFAULT_WI
     return float(np.sqrt(log(1.0 / miss_prob) / (pi * p * helper_density)))
 
 
+def _disc_points(radius: float, count: int, rng: np.random.Generator) -> np.ndarray:
+    """(2, count) coordinates of points uniform on a disc centred at the origin."""
+    r = radius * np.sqrt(rng.random(count))
+    theta = rng.random(count) * 2.0 * pi
+    return np.array((r * np.cos(theta), r * np.sin(theta)))
+
+
 def sample_ppp(intensity: float, radius: float, rng: np.random.Generator) -> np.ndarray:
     """Homogeneous Poisson process on a disc: Poisson count, uniform positions."""
     if intensity < 0:
         raise ValueError("intensity must be >= 0")
     if radius <= 0:
         raise ValueError("radius must be > 0")
-    count = rng.poisson(intensity * pi * radius**2)
-    r = radius * np.sqrt(rng.random(count))
-    theta = rng.random(count) * 2.0 * pi
-    return np.column_stack((r * np.cos(theta), r * np.sin(theta)))
+    return np.column_stack(_disc_points(radius, rng.poisson(intensity * pi * radius**2), rng))
 
 
 def nakagami_gain(m: float, rng: np.random.Generator, size=None):
@@ -133,44 +112,6 @@ def nakagami_gain(m: float, rng: np.random.Generator, size=None):
     return rng.gamma(m, 1.0 / m, size=size)
 
 
-def sample_realization(
-    library: ContentLibrary,
-    params: NetworkParams,
-    policy: CachingPolicy,
-    radius: float,
-    rng: np.random.Generator,
-) -> Realization:
-    """Draw one network: helper/user processes, caches, and the typical
-    user's fading gains to every helper."""
-    violation = budget_violation(policy)
-    if violation is not None:
-        raise ValueError(f"infeasible policy: {violation}")
-    layout = build_block_layout(policy)
-    helpers = sample_ppp(params.helper_density, radius, rng)
-    users = sample_ppp(params.user_density, radius, rng)
-    caches = cache_matrix(layout, rng.random(len(helpers)))
-    desired = nakagami_gain(params.fading_desired, rng, len(helpers))
-    interf = nakagami_gain(params.fading_interf, rng, len(helpers))
-    requested = rng.choice(library.count, size=len(users), p=library.popularity)
-    return Realization(helpers, users, caches, desired, interf, requested)
-
-
-def smallest_reciprocal(
-    realization: Realization, content: int, alpha: float
-) -> Optional[tuple[float, int]]:
-    """Smallest reciprocal channel power gain r^alpha / |h|^2 among helpers
-    caching `content`, with its helper index (lowest index wins ties);
-    None when no helper in the window caches the content."""
-    mask = realization.caches[:, content]
-    if not np.any(mask):
-        return None
-    idx = np.nonzero(mask)[0]
-    dist = np.linalg.norm(realization.helpers[idx], axis=1)
-    xi = dist**alpha / realization.desired_gains[idx]
-    k = int(np.argmin(xi))
-    return float(xi[k]), int(idx[k])
-
-
 def _segment_minima(values: np.ndarray, counts: np.ndarray) -> np.ndarray:
     """Per-segment minima of a flat array split by counts; inf for empty segments."""
     out = np.full(counts.size, np.inf)
@@ -178,6 +119,20 @@ def _segment_minima(values: np.ndarray, counts: np.ndarray) -> np.ndarray:
     if np.any(nonzero):
         starts = np.concatenate(([0], np.cumsum(counts)))[:-1][nonzero]
         out[nonzero] = np.minimum.reduceat(values, starts)
+    return out
+
+
+def _segment_argmin(values: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """Flat index of each segment's smallest finite value (lowest index wins
+    ties); -1 for segments that are empty or hold only inf."""
+    out = np.full(counts.size, -1, dtype=np.intp)
+    nonzero = counts > 0
+    if np.any(nonzero):
+        starts = (np.cumsum(counts) - counts)[nonzero]
+        minima = np.minimum.reduceat(values, starts)
+        at_min = values == np.repeat(minima, counts[nonzero])
+        first = np.minimum.reduceat(np.where(at_min, np.arange(values.size), values.size), starts)
+        out[nonzero] = np.where(np.isfinite(minima), first, -1)
     return out
 
 
@@ -217,7 +172,7 @@ def sample_xi_min(
     return out
 
 
-def _run_chunks(trials: int, chunk: int, worker, workers: int = 1) -> int:
+def _run_chunks(trials: int, chunk: int, worker, workers: int = 1):
     """Sum worker(chunk_index, chunk_size) over the fixed chunk grid."""
     sizes = [(c, min(chunk, trials - c * chunk)) for c in range((trials + chunk - 1) // chunk)]
     if workers <= 1:
@@ -283,116 +238,151 @@ def simulate_noise_limited(
     return MCEstimate.from_counts(successes, trials)
 
 
-def _typical_link(
-    realization: Realization,
-    content: int,
-    params: NetworkParams,
-    instantaneous: bool,
-) -> Optional[tuple[float, int, float]]:
-    """(xi_min, serving index, interference) for the typical user, or None
-    when no helper in the window caches the content.
+class _Chunk(NamedTuple):
+    """The networks of a chunk of trials as flat arrays, trial-major.
 
-    With instantaneous association, non-serving helpers that cache the
-    content interfere through the gains already revealed for selection;
-    the rest interfere through independent interfering-link gains.  With
-    long-term association the serving helper is the nearest one and all
-    interferers use interfering-link gains.
+    Helper arrays are split into trials by helper_counts and user arrays
+    by user_counts; the typical user sits at the origin of every trial.
     """
-    mask = realization.caches[:, content]
-    if not np.any(mask):
-        return None
-    dist = np.linalg.norm(realization.helpers, axis=1)
-    P = params.tx_power
-    alpha = params.pathloss_exp
-    idx = np.nonzero(mask)[0]
-    if instantaneous:
-        xi_set = dist[idx] ** alpha / realization.desired_gains[idx]
-        k = int(np.argmin(xi_set))
-        serving = int(idx[k])
-        xi = float(xi_set[k])
-        others = np.delete(idx, k)
-        interference = float(np.sum(P / (dist[others] ** alpha / realization.desired_gains[others])))
-        outside = np.nonzero(~mask)[0]
-        interference += float(
-            np.sum(P * realization.interf_gains[outside] * dist[outside] ** (-alpha))
-        )
-    else:
-        k = int(np.argmin(dist[idx]))
-        serving = int(idx[k])
-        xi = float(dist[serving] ** alpha / realization.desired_gains[serving])
-        others = np.delete(np.arange(len(dist)), serving)
-        interference = float(
-            np.sum(P * realization.interf_gains[others] * dist[others] ** (-alpha))
-        )
-    return xi, serving, interference
+
+    helper_counts: np.ndarray  # (n,)
+    helper_xy: np.ndarray  # (2, H) coordinates, meters
+    helper_dist: np.ndarray  # (H,) distance to the typical user
+    caches: np.ndarray  # (H, F) bool inclusion matrix
+    content: np.ndarray  # (n,) typical user's request per trial
+    caching: np.ndarray  # (H,) caches the typical user's request of its trial
+    desired: np.ndarray  # (H,) typical user's selection-channel gains
+    interf: np.ndarray  # (H,) typical user's interfering-channel gains
+    user_counts: np.ndarray  # (n,)
+    user_xy: np.ndarray  # (2, U)
+    requested: np.ndarray  # (U,) content index per user
 
 
-def delivery_rate(xi: float, interference: float, load: float, tx_power: float) -> float:
-    """Shared-resource rate (1/N) log2(1 + P / (xi J)); infinite SIR when J = 0."""
-    sir = tx_power / (xi * interference) if interference > 0 else np.inf
-    return float(np.log2(1.0 + sir) / load)
-
-
-def _instantaneous_load(
-    realization: Realization,
-    serving: int,
-    params: NetworkParams,
+def _sample_chunk(
     rng: np.random.Generator,
-) -> int:
-    """Users on the serving helper (typical user included) when every user
-    associates with its own strongest instantaneous channel among helpers
-    caching its requested content."""
-    n_users = len(realization.users)
-    n_helpers = len(realization.helpers)
-    if n_users == 0 or n_helpers == 0:
-        return 1
-    dist = np.linalg.norm(
-        realization.users[:, None, :] - realization.helpers[None, :, :], axis=2
-    )
-    gains = nakagami_gain(params.fading_desired, rng, (n_users, n_helpers))
-    metric = gains * dist ** (-params.pathloss_exp)
-    candidates = realization.caches[:, realization.requested].T  # (U, H)
-    metric = np.where(candidates, metric, -np.inf)
-    best = np.argmax(metric, axis=1)
-    has_candidate = np.any(candidates, axis=1)
-    return 1 + int(np.sum(has_candidate & (best == serving)))
-
-
-def _interference_trial(
+    n: int,
     library: ContentLibrary,
     params: NetworkParams,
-    policy: CachingPolicy,
-    layout_radius: float,
-    load_mode: str,
-    rng: np.random.Generator,
-) -> Optional[LinkOutcome]:
-    realization = sample_realization(library, params, policy, layout_radius, rng)
-    content = int(rng.choice(library.count, p=library.popularity))
-    link = _typical_link(
-        realization, content, params, instantaneous=load_mode != "long-term-assoc"
+    layout: BlockLayout,
+    helper_radius: float,
+    user_radius: float,
+) -> _Chunk:
+    """Draw the helper and user processes, caches, typical-user gains and
+    requests of n trials, in one fixed order."""
+    helper_counts = rng.poisson(params.helper_density * pi * helper_radius**2, n)
+    user_counts = rng.poisson(params.user_density * pi * user_radius**2, n)
+    n_helpers, n_users = int(helper_counts.sum()), int(user_counts.sum())
+    helper_xy = _disc_points(helper_radius, n_helpers, rng)
+    user_xy = _disc_points(user_radius, n_users, rng)
+    caches = cache_matrix(layout, rng.random(n_helpers))
+    desired = nakagami_gain(params.fading_desired, rng, n_helpers)
+    interf = nakagami_gain(params.fading_interf, rng, n_helpers)
+    requested = rng.choice(library.count, size=n_users, p=library.popularity)
+    content = rng.choice(library.count, size=n, p=library.popularity)
+    caching = caches[np.arange(n_helpers), np.repeat(content, helper_counts)]
+    return _Chunk(
+        helper_counts, helper_xy, np.hypot(*helper_xy), caches,
+        content, caching, desired, interf, user_counts, user_xy, requested,
     )
-    if link is None:
-        return None
-    xi, serving, interference = link
-    if load_mode == "instantaneous":
-        load = float(_instantaneous_load(realization, serving, params, rng))
-    else:
-        load = mean_load_m1(
-            float(library.popularity[content]),
-            float(policy.probs[content]),
-            params.user_density,
-            params.helper_density,
-        )
-    rate = delivery_rate(xi, interference, load, params.tx_power)
-    success = bool(rate >= library.rates[content])
-    return LinkOutcome(
-        xi_min=xi,
-        serving_helper=serving,
-        interference=interference,
-        load=load,
-        rate=rate,
-        success=success,
-    )
+
+
+def _typical_links(
+    counts: np.ndarray,
+    dist: np.ndarray,
+    caching: np.ndarray,
+    desired: np.ndarray,
+    interf: np.ndarray,
+    params: NetworkParams,
+    nearest: bool,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per-trial (xi, serving helper, interference) of the typical user.
+
+    The flat helper arrays are split into trials by counts; caching marks
+    the helpers caching the trial's request.  The serving helper is the
+    caching helper with the smallest reciprocal gain dist^alpha / desired,
+    or the nearest one when `nearest` (lowest index wins ties).  Every
+    other helper interferes: under strongest-channel selection, caching
+    helpers through the gains already revealed for selection and the rest
+    through their interfering-link gains; under nearest association, all
+    through interfering-link gains.  Trials with no caching helper get
+    xi = inf and serving helper -1.
+    """
+    alpha = params.pathloss_exp
+    reciprocal = dist**alpha / desired
+    serving = _segment_argmin(np.where(caching, dist if nearest else reciprocal, np.inf), counts)
+    served = serving >= 0
+    xi = np.full(counts.size, np.inf)
+    xi[served] = reciprocal[serving[served]]
+    power = params.tx_power * interf * dist ** (-alpha)
+    if not nearest:
+        power = np.where(caching, params.tx_power / reciprocal, power)
+    power[serving[served]] = 0.0
+    trial = np.repeat(np.arange(counts.size), counts)
+    return xi, serving, np.bincount(trial, weights=power, minlength=counts.size)
+
+
+def _serving_loads(
+    chunk: _Chunk,
+    serving: np.ndarray,
+    params: NetworkParams,
+    rng: np.random.Generator | None = None,
+) -> np.ndarray:
+    """Per-trial load of the serving helper: the typical user plus every
+    user associating with it.
+
+    A user associates with one of its trial's helpers caching its request:
+    the one with the strongest instantaneous channel, on selection gains
+    drawn fresh from rng for each pair, or the nearest one without rng
+    (lowest index wins ties).  Only users whose request the serving helper
+    caches can choose it, so only they are paired, _PAIR_SLICE pairs at a
+    time.
+    """
+    n = serving.size
+    loads = np.ones(n)
+    trial = np.repeat(np.arange(n), chunk.user_counts)
+    target = serving[trial]
+    eligible = target >= 0
+    eligible[eligible] = chunk.caches[target[eligible], chunk.requested[eligible]]
+    users = np.flatnonzero(eligible)
+    # the helpers caching each (trial, content), in ascending index order
+    helper, content = np.nonzero(chunk.caches)
+    count = chunk.caches.shape[1]
+    key = np.repeat(np.arange(n), chunk.helper_counts)[helper] * count + content
+    order = np.argsort(key, kind="stable")
+    helper, key = helper[order], key[order]
+    user_key = trial[users] * count + chunk.requested[users]
+    first = np.searchsorted(key, user_key, "left")
+    width = np.searchsorted(key, user_key, "right") - first
+    ends = np.cumsum(width)
+    starts = ends - width
+    lo = 0
+    while lo < users.size:
+        # users lo..hi-1 hold at most _PAIR_SLICE pairs, or one user holds more
+        hi = max(lo + 1, int(np.searchsorted(ends, starts[lo] + _PAIR_SLICE, "right")))
+        part, w = users[lo:hi], width[lo:hi]
+        pair_user = np.repeat(part, w)
+        pair_helper = helper[
+            np.repeat(first[lo:hi] - starts[lo:hi], w) + np.arange(starts[lo], ends[hi - 1])
+        ]
+        dx = chunk.user_xy[0, pair_user] - chunk.helper_xy[0, pair_helper]
+        dy = chunk.user_xy[1, pair_user] - chunk.helper_xy[1, pair_helper]
+        metric = dx * dx + dy * dy
+        if rng is not None:
+            metric = metric ** (params.pathloss_exp / 2.0) / nakagami_gain(
+                params.fading_desired, rng, metric.size
+            )
+        chose = pair_helper[_segment_argmin(metric, w)] == target[part]
+        loads += np.bincount(trial[part[chose]], minlength=n)
+        lo = hi
+    return loads
+
+
+def _shared_rate(
+    xi: np.ndarray, interference: np.ndarray, load: np.ndarray, tx_power: float
+) -> np.ndarray:
+    """Shared-resource rate (1/N) log2(1 + P / (xi J)); infinite SIR when J = 0."""
+    with np.errstate(divide="ignore"):
+        return np.log2(1.0 + tx_power / (xi * interference)) / load
 
 
 def simulate_interference_limited(
@@ -437,20 +427,29 @@ def simulate_interference_limited(
     if positive.size == 0:
         return MCEstimate.from_counts(0, trials)
     radius = window_radius(float(positive.min()), params.helper_density, window_miss_prob)
+    layout = build_block_layout(policy)
+    if load_mode != "instantaneous":
+        # no helper caches a content of probability 0: its load is unbounded
+        mean_load = np.array([
+            mean_load_m1(float(f), float(p), params.user_density, params.helper_density)
+            if p > 0 else np.inf
+            for f, p in zip(library.popularity, policy.probs)
+        ])
 
-    # One substream per trial, keyed by the global trial index: estimates do
-    # not depend on chunking or scheduling, and different load modes on the
-    # same seed see the same sampled networks (the load-model comparison
-    # then runs on common random realizations).
     def worker(chunk_index: int, n: int) -> int:
-        successes = 0
-        base = chunk_index * _INTERF_CHUNK
-        for t in range(base, base + n):
-            rng = _substream(seed, t)
-            outcome = _interference_trial(library, params, policy, radius, load_mode, rng)
-            if outcome is not None and outcome.success:
-                successes += 1
-        return successes
+        rng = _substream(seed, chunk_index)
+        chunk = _sample_chunk(rng, n, library, params, layout, radius, radius)
+        xi, serving, interference = _typical_links(
+            chunk.helper_counts, chunk.helper_dist, chunk.caching, chunk.desired,
+            chunk.interf, params, nearest=load_mode == "long-term-assoc",
+        )
+        served = serving >= 0
+        if load_mode == "instantaneous":
+            load = _serving_loads(chunk, serving, params, rng)
+        else:
+            load = mean_load[chunk.content]
+        rate = _shared_rate(xi[served], interference[served], load[served], params.tx_power)
+        return int(np.sum(rate >= library.rates[chunk.content[served]]))
 
     successes = _run_chunks(trials, _INTERF_CHUNK, worker, workers)
     return MCEstimate.from_counts(successes, trials)
@@ -474,37 +473,25 @@ def empirical_mean_load(
     """
     if policy.memory != 1:
         raise ValueError("the tagged-load check is defined for M = 1")
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
     positive = policy.probs[policy.probs > BUDGET_TOL]
     if positive.size == 0:
         raise ValueError("the policy caches no content, so no helper can serve a request")
     user_radius = window_radius(float(positive.min()), params.helper_density, window_miss_prob)
-    helper_radius = 2.0 * user_radius
     layout = build_block_layout(policy)
-    total = 0.0
-    measured = 0
-    for trial in range(trials):
-        rng = _substream(seed, trial)
-        helpers = sample_ppp(params.helper_density, helper_radius, rng)
-        caches = cache_matrix(layout, rng.random(len(helpers)))
-        users = sample_ppp(params.user_density, user_radius, rng)
-        requested = rng.choice(library.count, size=len(users), p=library.popularity)
-        content = int(rng.choice(library.count, p=library.popularity))
-        mask = caches[:, content]
-        if not np.any(mask):
-            continue
-        dist_t = np.linalg.norm(helpers, axis=1)
-        idx = np.nonzero(mask)[0]
-        serving = int(idx[np.argmin(dist_t[idx])])
-        load = 1
-        if len(users):
-            dist = np.linalg.norm(users[:, None, :] - helpers[None, :, :], axis=2)
-            cand = caches[:, requested].T
-            dist = np.where(cand, dist, np.inf)
-            best = np.argmin(dist, axis=1)
-            has = np.any(cand, axis=1)
-            load += int(np.sum(has & (best == serving)))
-        total += load
-        measured += 1
+
+    def worker(chunk_index: int, n: int) -> np.ndarray:
+        rng = _substream(seed, chunk_index)
+        chunk = _sample_chunk(rng, n, library, params, layout, 2.0 * user_radius, user_radius)
+        _, serving, _ = _typical_links(
+            chunk.helper_counts, chunk.helper_dist, chunk.caching, chunk.desired,
+            chunk.interf, params, nearest=True,
+        )
+        served = serving >= 0
+        return np.array([_serving_loads(chunk, serving, params)[served].sum(), served.sum()])
+
+    total, measured = _run_chunks(trials, _INTERF_CHUNK, worker)
     if measured == 0:
         raise ValueError("no trial produced a serving helper; enlarge the window or trials")
-    return total / measured
+    return float(total / measured)

@@ -17,6 +17,7 @@ from cachegeo.experiments import (
     select_c,
 )
 from cachegeo.model import NetworkParams, zipf_popularity
+from cachegeo.simulator import MCEstimate
 
 
 BASE_CONFIG = """
@@ -248,6 +249,13 @@ class TestSelectC:
         assert c in experiments._C_GRID
 
 
+    def test_upper_limit_of_a_reference(self):
+        # no success: the z = 3 Wilson upper limit 9 / (n + 9); otherwise est + 3 se
+        assert experiments._upper_limit(MCEstimate.from_counts(0, 200)) == pytest.approx(9 / 209)
+        ref = MCEstimate.from_counts(50, 200)
+        assert experiments._upper_limit(ref) == pytest.approx(0.25 + 3 * ref.stderr)
+
+
 class TestSingleCResolution:
     def test_simulate_resolves_numeric_c_once_per_point(self, tmp_path, monkeypatch):
         calls = []
@@ -286,6 +294,16 @@ class TestExitCodes:
         result = CliRunner().invoke(main, ["optimize-noise", "--config", str(config)])
         assert result.exit_code == 2
         assert "noise_power" in result.output
+
+    def test_fractional_memory_sweep_exits_2(self, tmp_path):
+        config = tmp_path / "memory.ini"
+        config.write_text(BASE_CONFIG + "sweep = memory\nsweep_grid = 2.5\n")
+        result = CliRunner().invoke(
+            main, ["optimize-noise", "--config", str(config), "--out", str(tmp_path / "m.csv")]
+        )
+        assert result.exit_code == 2
+        assert "memory" in result.output
+        assert not (tmp_path / "m.csv").exists()
 
     def test_unwritable_output_rejected(self, config_file):
         with pytest.raises(ConfigError):

@@ -4,22 +4,23 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from cachegeo import simulator
 from cachegeo.analytics import mean_load_m1, success_noise, xi1_cdf
 from cachegeo.model import CachingPolicy, ContentLibrary, NetworkParams, zipf_popularity
+from cachegeo.placement import build_block_layout
 from cachegeo.simulator import (
-    LinkOutcome,
+    LOAD_MODES,
     MCEstimate,
-    Realization,
-    _typical_link,
-    delivery_rate,
+    _shared_rate,
+    _sample_chunk,
+    _serving_loads,
+    _typical_links,
     empirical_mean_load,
     nakagami_gain,
     sample_ppp,
-    sample_realization,
     sample_xi_min,
     simulate_interference_limited,
     simulate_noise_limited,
-    smallest_reciprocal,
     window_radius,
 )
 
@@ -86,35 +87,31 @@ class TestNakagamiGain:
             nakagami_gain(0.4, np.random.default_rng(0))
 
 
-def hand_realization(positions, caches, desired, interf):
-    return Realization(
-        helpers=np.asarray(positions, float),
-        users=np.zeros((0, 2)),
-        caches=np.asarray(caches, bool),
-        desired_gains=np.asarray(desired, float),
-        interf_gains=np.asarray(interf, float),
-        requested=np.zeros(0, dtype=int),
+def hand_links(dist, caching, desired, interf, nearest=False, counts=None, alpha=3.0):
+    """_typical_links on hand-made helpers (one trial unless counts is given)."""
+    dist = np.asarray(dist, float)
+    counts = np.array([dist.size] if counts is None else counts)
+    return _typical_links(
+        counts, dist, np.asarray(caching, bool), np.asarray(desired, float),
+        np.asarray(interf, float), make_params(alpha=alpha), nearest,
     )
 
 
 class TestSmallestReciprocal:
     def test_single_helper(self):
-        r = hand_realization([[2.0, 0.0]], [[True]], [0.5], [1.0])
-        xi, idx = smallest_reciprocal(r, 0, alpha=3.0)
-        assert xi == pytest.approx(16.0)
-        assert idx == 0
+        xi, serving, _ = hand_links([2.0], [True], [0.5], [1.0])
+        assert xi[0] == pytest.approx(16.0)
+        assert serving[0] == 0
 
     def test_tie_breaks_to_lower_index(self):
-        r = hand_realization(
-            [[1.0, 0.0], [2.0, 0.0]], [[True], [True]], [1.0, 8.0], [1.0, 1.0]
-        )
-        xi, idx = smallest_reciprocal(r, 0, alpha=3.0)
-        assert xi == pytest.approx(1.0)
-        assert idx == 0
+        xi, serving, _ = hand_links([1.0, 2.0], [True, True], [1.0, 8.0], [1.0, 1.0])
+        assert xi[0] == pytest.approx(1.0)
+        assert serving[0] == 0
 
     def test_absent_content_returns_none(self):
-        r = hand_realization([[1.0, 0.0]], [[False]], [1.0], [1.0])
-        assert smallest_reciprocal(r, 0, alpha=3.0) is None
+        xi, serving, _ = hand_links([1.0], [False], [1.0], [1.0])
+        assert serving[0] == -1
+        assert xi[0] == np.inf
 
 
 class TestXiMinDistribution:
@@ -180,50 +177,80 @@ class TestSimulateNoiseLimited:
 
 class TestDeliveryRate:
     def test_zero_interference_gives_infinite_rate(self):
-        assert delivery_rate(2.0, 0.0, 3.0, 1.0) == np.inf
+        rate = _shared_rate(np.array([2.0]), np.array([0.0]), np.array([3.0]), 1.0)
+        assert rate[0] == np.inf
 
     def test_finite_case(self):
         # SIR = 1/(2*0.5) = 1 -> log2(2) = 1, load 2 -> 0.5
-        assert delivery_rate(2.0, 0.5, 2.0, 1.0) == pytest.approx(0.5)
+        rate = _shared_rate(np.array([2.0]), np.array([0.5]), np.array([2.0]), 1.0)
+        assert rate[0] == pytest.approx(0.5)
 
 
 class TestTypicalLink:
-    def setup_method(self):
-        self.params = make_params(alpha=3.0)
-        self.realization = hand_realization(
-            positions=[[1.0, 0.0], [2.0, 0.0], [3.0, 0.0]],
-            caches=[[True], [True], [False]],
-            desired=[1.0, 8.0, 1.0],
-            interf=[2.0, 3.0, 4.0],
-        )
+    # helpers at distances 1, 2, 3; the first two cache the request
+    dist, caching = [1.0, 2.0, 3.0], [True, True, False]
+    desired, interf = [1.0, 8.0, 1.0], [2.0, 3.0, 4.0]
 
     def test_instantaneous_selection_and_interference(self):
-        xi, serving, J = _typical_link(self.realization, 0, self.params, instantaneous=True)
+        xi, serving, J = hand_links(self.dist, self.caching, self.desired, self.interf)
         # xi candidates: 1/1=1 and 8/8=1 -> tie, lowest index
-        assert serving == 0
-        assert xi == pytest.approx(1.0)
+        assert serving[0] == 0
+        assert xi[0] == pytest.approx(1.0)
         # interferers: helper 1 through its revealed gain, helper 2 via interf gain
         expected = 1.0 / (8.0 / 8.0) + 4.0 / 27.0
-        assert J == pytest.approx(expected)
+        assert J[0] == pytest.approx(expected)
 
     def test_long_term_selection(self):
-        xi, serving, J = _typical_link(self.realization, 0, self.params, instantaneous=False)
-        assert serving == 0  # nearest caching helper
-        assert xi == pytest.approx(1.0 / 1.0)
+        xi, serving, J = hand_links(
+            self.dist, self.caching, self.desired, self.interf, nearest=True
+        )
+        assert serving[0] == 0  # nearest caching helper
+        assert xi[0] == pytest.approx(1.0 / 1.0)
         expected = 3.0 / 8.0 + 4.0 / 27.0
-        assert J == pytest.approx(expected)
+        assert J[0] == pytest.approx(expected)
 
     def test_no_caching_helper(self):
-        r = hand_realization([[1.0, 0.0]], [[False]], [1.0], [1.0])
-        assert _typical_link(r, 0, self.params, instantaneous=True) is None
+        _, serving, _ = hand_links([1.0], [False], [1.0], [1.0])
+        assert serving[0] == -1
 
     def test_lone_helper_has_no_interference_and_always_succeeds(self):
-        r = hand_realization([[3.0, 4.0]], [[True]], [2.0], [1.0])
-        xi, serving, J = _typical_link(r, 0, self.params, instantaneous=True)
-        assert serving == 0
-        assert xi == pytest.approx(125.0 / 2.0)
-        assert J == 0.0
-        assert delivery_rate(xi, J, 5.0, 1.0) == np.inf  # succeeds for any rate
+        xi, serving, J = hand_links([5.0], [True], [2.0], [1.0])  # helper at (3, 4)
+        assert serving[0] == 0
+        assert xi[0] == pytest.approx(125.0 / 2.0)
+        assert J[0] == 0.0
+        assert _shared_rate(xi, J, np.array([5.0]), 1.0)[0] == np.inf  # succeeds for any rate
+
+    def test_trials_are_separate_segments(self):
+        # trial 0: the hand network above; trial 1: empty; trial 2: nobody caches;
+        # trial 3: the lone helper; serving indices are flat indices
+        xi, serving, J = hand_links(
+            self.dist + [1.0, 5.0], self.caching + [False, True],
+            self.desired + [1.0, 2.0], self.interf + [1.0, 1.0], counts=[3, 0, 1, 1],
+        )
+        assert serving.tolist() == [0, -1, -1, 4]
+        assert xi[[0, 3]] == pytest.approx([1.0, 62.5])
+        assert J == pytest.approx([1.0 + 4.0 / 27.0, 0.0, 1.0, 0.0])
+
+
+def brute_force_nearest_loads(chunk, serving):
+    """Per-trial load of the serving helper with a user x helper distance
+    matrix per trial (nearest caching helper, lowest index on ties)."""
+    loads = []
+    h_end, u_end = np.cumsum(chunk.helper_counts), np.cumsum(chunk.user_counts)
+    for t in range(serving.size):
+        h = np.arange(h_end[t] - chunk.helper_counts[t], h_end[t])
+        u = np.arange(u_end[t] - chunk.user_counts[t], u_end[t])
+        load = 1
+        if serving[t] >= 0 and u.size:
+            dist = np.hypot(
+                chunk.user_xy[0, u][:, None] - chunk.helper_xy[0, h][None, :],
+                chunk.user_xy[1, u][:, None] - chunk.helper_xy[1, h][None, :],
+            )
+            candidates = chunk.caches[h][:, chunk.requested[u]].T
+            best = h[np.argmin(np.where(candidates, dist, np.inf), axis=1)]
+            load += int(np.sum(candidates.any(axis=1) & (best == serving[t])))
+        loads.append(load)
+    return np.array(loads, float)
 
 
 def fig4_setting(p1=0.5):
@@ -270,6 +297,43 @@ class TestSimulateInterferenceLimited:
             mean.stderr**2 + long.stderr**2
         )
 
+    @pytest.mark.parametrize("mode", LOAD_MODES)
+    def test_workers_do_not_change_estimates(self, mode):
+        lib, params, policy = fig4_setting(0.3)
+        serial = simulate_interference_limited(lib, params, policy, 300, 12, mode)
+        threaded = simulate_interference_limited(lib, params, policy, 300, 12, mode, workers=3)
+        assert serial == threaded
+
+    def test_negligible_rate_succeeds_exactly_when_the_window_holds_a_cacher(self):
+        # at a negligible target rate a trial succeeds iff some in-window helper
+        # caches the request, whatever the load model: P = sum f_i (1 - e^(-p_i lambda pi R^2))
+        _, params, policy = fig4_setting(0.6)
+        lib = make_library(2, gamma=1.0, rates=[1e-12, 1e-12])
+        estimates = [
+            simulate_interference_limited(
+                lib, params, policy, 4000, seed=41, load_mode=mode, window_miss_prob=0.5
+            )
+            for mode in LOAD_MODES
+        ]
+        assert len({e.successes for e in estimates}) == 1
+        assert abs(estimates[0].estimate - window_presence(lib, params, policy)) <= (
+            3.0 * estimates[0].stderr
+        )
+
+    def test_multi_slot_cache_lookup_matches_window_presence(self):
+        lib = make_library(3, gamma=1.0, rates=[1e-12] * 3)
+        params = make_params(lam=1e-5, lam_u=2e-5)
+        policy = CachingPolicy(np.array([0.9, 0.7, 0.4]), 2)
+        est = simulate_interference_limited(lib, params, policy, 4000, seed=42, window_miss_prob=0.5)
+        assert abs(est.estimate - window_presence(lib, params, policy)) <= 3.0 * est.stderr
+
+
+def window_presence(library, params, policy, miss_prob=0.5):
+    """Probability that the window holds a helper caching the request."""
+    radius = window_radius(policy.probs.min(), params.helper_density, miss_prob)
+    mean = policy.probs * params.helper_density * math.pi * radius**2
+    return float(np.sum(library.popularity * (1.0 - np.exp(-mean))))
+
 
 class TestPlacementDominanceUnderInterference:
     def test_optimized_placement_beats_most_popular_caching(self):
@@ -289,21 +353,52 @@ class TestPlacementDominanceUnderInterference:
 
 
 class TestRealizationAndLoad:
+    lib = make_library(3, rates=[0.5, 0.5, 0.5])
+    params = make_params(lam=0.02, lam_u=0.01)
+    policy = CachingPolicy(np.array([0.8, 0.7, 0.5]), 2)
+
+    def chunk(self, seed, n=64, radius=15.0):
+        layout = build_block_layout(self.policy)
+        rng = np.random.default_rng(seed)
+        return _sample_chunk(rng, n, self.lib, self.params, layout, radius, radius)
+
     def test_realization_counts_and_caches(self):
-        lib = make_library(3, rates=[0.5, 0.5, 0.5])
-        params = make_params(lam=0.02, lam_u=0.01)
-        policy = CachingPolicy(np.array([0.8, 0.7, 0.5]), 2)
-        rng = np.random.default_rng(8)
-        counts = []
-        for _ in range(300):
-            r = sample_realization(lib, params, policy, radius=15.0, rng=rng)
-            counts.append(len(r.helpers))
-            assert r.caches.shape == (len(r.helpers), 3)
-            assert np.all(r.caches.sum(axis=1) <= 2)
-            assert np.all(r.desired_gains > 0) and np.all(r.interf_gains > 0)
-            assert r.requested.shape == (len(r.users),)
+        chunks = [self.chunk(seed) for seed in range(5)]
+        for c in chunks:
+            n_helpers, n_users = c.helper_counts.sum(), c.user_counts.sum()
+            assert c.caches.shape == (n_helpers, 3)
+            assert np.all(c.caches.sum(axis=1) <= 2)
+            assert np.all(c.desired > 0) and np.all(c.interf > 0)
+            assert c.requested.shape == (n_users,) and c.user_xy.shape == (2, n_users)
+            assert np.all(c.helper_dist <= 15.0)
+            trial = np.repeat(np.arange(64), c.helper_counts)
+            assert np.array_equal(c.caching, c.caches[np.arange(n_helpers), c.content[trial]])
+        counts = np.concatenate([c.helper_counts for c in chunks])
         expected = 0.02 * math.pi * 225.0
         assert np.mean(counts) == pytest.approx(expected, rel=0.1)
+
+    @pytest.mark.parametrize("pair_slice", [8192, 7])
+    def test_nearest_loads_match_brute_force(self, monkeypatch, pair_slice):
+        monkeypatch.setattr(simulator, "_PAIR_SLICE", pair_slice)
+        c = self.chunk(seed=17)
+        _, serving, _ = _typical_links(
+            c.helper_counts, c.helper_dist, c.caching, c.desired, c.interf, self.params, True
+        )
+        loads = _serving_loads(c, serving, self.params)
+        assert np.array_equal(loads, brute_force_nearest_loads(c, serving))
+        assert loads.max() > 2  # the check saw shared helpers
+
+    def test_pair_slicing_does_not_change_strongest_channel_loads(self, monkeypatch):
+        c = self.chunk(seed=17)
+        _, serving, _ = _typical_links(
+            c.helper_counts, c.helper_dist, c.caching, c.desired, c.interf, self.params, False
+        )
+        whole = _serving_loads(c, serving, self.params, np.random.default_rng(3))
+        monkeypatch.setattr(simulator, "_PAIR_SLICE", 5)
+        assert np.array_equal(
+            _serving_loads(c, serving, self.params, np.random.default_rng(3)), whole
+        )
+        assert whole.max() > 2
 
     def test_tagged_load_matches_closed_form(self):
         lib = make_library(2, rates=[0.001, 0.001])
