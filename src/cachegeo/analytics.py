@@ -1,4 +1,4 @@
-"""Closed-form and quadrature evaluation of the delivery-success analytics.
+"""Closed-form evaluation of the delivery-success analytics.
 
 Noise-limited side: the distribution of the smallest reciprocal channel
 power gain among helpers caching a content (a transformed Poisson process)
@@ -7,20 +7,30 @@ and the resulting average success probability.
 Interference-limited side: the Laplace transform of the aggregate
 interference, a general-fading lower bound on the success probability
 built from its derivatives, and the Rayleigh specialization whose
-per-content terms are the rational functions p / ((1-A) p + B).
+per-content terms are the rational functions p / ((1-A) p + B).  Every
+integral has a closed form in the regularized incomplete beta function
+I_z(a, b); with delta = 2/alpha:
+
+- A / B = I_{1/(1+tau)}(delta, 1 - delta), so C_{tau,alpha} = C_alpha I;
+- with W = x^alpha and z = W / (1 + W), the scaled radial integrals of the
+  interference exponent over (0, x) are, for n >= 1,
+  (delta/2) B(m_I + delta, n - delta) I_z(m_I + delta, n - delta), and for
+  n = 0, (1/2) [W^delta (1 - z^m_I)
+  + m_I B(m_I + delta, 1 - delta) I_z(m_I + delta, 1 - delta)];
+- at s = m_D tau r^alpha / P the exclusion radius r is a fixed multiple of
+  the characteristic radius, so success given distance is e^(a_0 y) Q(y)
+  with y = pi lambda r^2 and Q a polynomial of degree m_D - 1, and its
+  average over the nearest cacher's distance is a finite sum of Gamma
+  integrals.
 """
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
-from scipy import integrate
-from scipy.special import binom, gammaln, poch
+from scipy.special import beta, betainc, factorial, gammaln, poch
 
-from .errors import NumericalError
 from .model import CachingPolicy, ContentLibrary, NetworkParams
 
 __all__ = [
@@ -36,19 +46,6 @@ __all__ = [
     "nakagami_lower_bound",
     "mean_load_m1",
 ]
-
-_QUAD_OPTS = dict(epsabs=1e-10, epsrel=1e-10, limit=200)
-
-
-def _quad(fn, lo, hi, what: str) -> float:
-    """Adaptive quadrature with convergence failures surfaced, not ignored."""
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", integrate.IntegrationWarning)
-        try:
-            value, abserr = integrate.quad(fn, lo, hi, **_QUAD_OPTS)
-        except integrate.IntegrationWarning as exc:
-            raise NumericalError(f"quadrature for {what} on [{lo}, {hi}] failed: {exc}") from exc
-    return value
 
 
 def _fading_moment(delta: float, m: float) -> float:
@@ -151,27 +148,40 @@ def c_alpha(alpha: float) -> float:
 def c_tau_alpha(tau: float, alpha: float) -> float:
     """The integral of 1/(1 + u^(alpha/2)) over [0, tau^(-2/alpha)].
 
-    Equivalent to the Gauss hypergeometric form
-    tau^(-2/alpha) 2F1(1, 2/alpha; 1 + 2/alpha; -1/tau) but evaluated on
-    the finite interval, which stays stable as tau -> 0.
+    Equals tau^(-2/alpha) 2F1(1, 2/alpha; 1 + 2/alpha; -1/tau) and
+    C_alpha I_{1/(1+tau)}(2/alpha, 1 - 2/alpha).
     """
     if alpha <= 2:
         raise ValueError("alpha must be > 2")
     if tau <= 0:
         raise ValueError("tau must be > 0")
-    upper = tau ** (-2.0 / alpha)
-    half = alpha / 2.0
+    return c_alpha(alpha) * float(_a_over_b(tau, 2.0 / alpha))
 
-    def integrand(u):
-        return 1.0 / (1.0 + u**half)
 
-    if upper <= 10.0:
-        return _quad(integrand, 0.0, upper, "c_tau_alpha")
-    # Large interval: difference of two semi-infinite integrals keeps the
-    # adaptive rule focused where the integrand actually varies.
-    head = _quad(integrand, 0.0, np.inf, "c_tau_alpha head")
-    tail = _quad(integrand, upper, np.inf, "c_tau_alpha tail")
-    return head - tail
+def _a_over_b(tau, delta: float):
+    """A / B = I_{1/(1+tau)}(delta, 1 - delta).  Below tau = 1 it is taken as
+    1 - I_{tau/(1+tau)}(1 - delta, delta), whose argument keeps the digits of
+    tau that 1/(1+tau) rounds away as tau -> 0."""
+    tau = np.asarray(tau, dtype=float)
+    return np.where(
+        tau < 1.0,
+        1.0 - betainc(1.0 - delta, delta, tau / (1.0 + tau)),
+        betainc(delta, 1.0 - delta, 1.0 / (1.0 + tau)),
+    )
+
+
+def _sir_threshold(rates, c: float) -> np.ndarray:
+    """tau = 2^(c rho) - 1 per content, accurate for tiny c rho."""
+    if c < 1:
+        raise ValueError("load bound c must be >= 1")
+    exponent = c * np.asarray(rates, dtype=float)
+    with np.errstate(over="ignore"):
+        tau = np.expm1(exponent * math.log(2.0))
+    if not np.all(np.isfinite(tau)):
+        raise ValueError(
+            f"c * max(rate) = {np.max(exponent):g} overflows the SIR threshold 2^(c rate) - 1"
+        )
+    return tau
 
 
 @dataclass(frozen=True)
@@ -192,6 +202,8 @@ class InterferenceConstants:
         tau = np.asarray(self.tau, dtype=float)
         A = np.asarray(self.A, dtype=float)
         B = np.asarray(self.B, dtype=float)
+        if not all(np.all(np.isfinite(arr)) for arr in (tau, A, B)):
+            raise ValueError("tau, A and B must be finite")
         if np.any(tau <= 0):
             raise ValueError("tau must be positive")
         if np.any(A <= 0) or np.any(A > 1 + 1e-12):
@@ -206,15 +218,10 @@ class InterferenceConstants:
 
     @classmethod
     def from_rates(cls, rates, alpha: float, c: float) -> "InterferenceConstants":
-        if c < 1:
-            raise ValueError("load bound c must be >= 1")
-        rates = np.asarray(rates, dtype=float)
+        tau = _sir_threshold(rates, c)
         delta = 2.0 / alpha
-        tau = np.power(2.0, c * rates) - 1.0
-        scale = tau**delta
-        A = scale * np.array([c_tau_alpha(t, alpha) for t in tau])
-        B = scale * c_alpha(alpha)
-        return cls(tau=tau, A=A, B=B, c=float(c))
+        B = tau**delta * c_alpha(alpha)
+        return cls(tau=tau, A=B * _a_over_b(tau, delta), B=B, c=float(c))
 
     @classmethod
     def from_library(cls, library: ContentLibrary, alpha: float, c: float) -> "InterferenceConstants":
@@ -234,77 +241,45 @@ def rayleigh_lower_bound(library: ContentLibrary, consts: InterferenceConstants,
     return float(out) if np.ndim(out) == 0 else out
 
 
-def _scaled_integrand(alpha: float, m_i: float, n: int):
-    """Radial integrand in units of the characteristic radius (s P / m_I)^(1/alpha).
+def _radial_integrals(alpha: float, m_i: float, n: int, W):
+    """The scaled radial integral of the n-th s-derivative, split at
+    x = W^(1/alpha): (integral over (0, x), integral over (x, inf)).
 
-    n = 0 gives [1 - (1 + u^-alpha)^-m] u; n >= 1 gives
-    (1 + u^alpha)^-n (1 + u^-alpha)^-m u, the u-dependent part of the n-th
-    s-derivative.  Both are O(1) and integrable at each end for alpha > 2.
+    In units of the characteristic radius (s P / m_I)^(1/alpha) the integrand
+    is [1 - (1 + u^-alpha)^-m_I] u for n = 0 and
+    (1 + u^alpha)^-n (1 + u^-alpha)^-m_I u for n >= 1.  w = u^alpha and
+    z = w / (1 + w) turn both into incomplete beta functions (for n = 0
+    after one integration by parts); the tail takes I_{1-z}(b, a) with
+    1 - z = 1 / (1 + W), so neither piece is a difference of the other.
     """
+    delta = 2.0 / alpha
+    W = np.asarray(W, dtype=float)
+    a, b = m_i + delta, max(n, 1) - delta
+    scale = 0.5 * (m_i if n == 0 else delta) * beta(a, b)
+    head = scale * betainc(a, b, W / (1.0 + W))
+    tail = scale * betainc(b, a, 1.0 / (1.0 + W))
     if n == 0:
-
-        def integrand(u):
-            if u == 0.0:
-                return 0.0
-            return -math.expm1(-m_i * math.log1p(u ** (-alpha))) * u
-
-    else:
-
-        def integrand(u):
-            if u == 0.0:
-                return 0.0
-            return (1.0 + u**alpha) ** (-n) * (1.0 + u ** (-alpha)) ** (-m_i) * u
-
-    return integrand
+        # boundary term W^delta (1 - z^m_I) / 2 of the integration by parts
+        with np.errstate(divide="ignore"):
+            edge = -0.5 * W**delta * np.expm1(-m_i * np.log1p(1.0 / W))
+        head, tail = head + edge, tail - edge
+    return head, tail
 
 
-@lru_cache(maxsize=None)
-def _scaled_tail(alpha: float, m_i: float, n: int) -> float:
-    """The scaled radial integral over (0, inf); constant in s, cached."""
-    integrand = _scaled_integrand(alpha, m_i, n)
-    return _quad(integrand, 0.0, 1.0, "interference exponent") + _quad(
-        integrand, 1.0, np.inf, "interference exponent"
-    )
+def _exponent_coefficients(W, p, params: NetworkParams, order: int) -> np.ndarray:
+    """c_0..c_order with s^n g^(n)(s) = pi lambda v*^2 c_n.
 
-
-def _scaled_head(alpha: float, m_i: float, n: int, x: float) -> float:
-    """The scaled radial integral over (0, x)."""
-    integrand = _scaled_integrand(alpha, m_i, n)
-    if x <= 1.0:
-        return _quad(integrand, 0.0, x, "interference exclusion")
-    return _quad(integrand, 0.0, 1.0, "interference exclusion") + _quad(
-        integrand, 1.0, x, "interference exclusion"
-    )
-
-
-def _radial_integrals(s: float, r: float, params: NetworkParams, n: int) -> tuple[float, float]:
-    """n-th s-derivative of the two radial integrals in the interference exponent.
-
-    Returns (integral over (0, inf), integral over (0, r)) of
-    d^n/ds^n [1 - (1 + s P v^(-alpha)/m_I)^(-m_I)] * v dv, computed in
-    rescaled coordinates so magnitudes stay O((s P)^(2/alpha)).
+    g is the log Laplace transform of the interference, v* = (s P / m_I)^(1/alpha)
+    and W = (r / v*)^alpha: a fraction p of the helpers within r cache the
+    content, so they are candidates, not interferers.
     """
-    alpha = params.pathloss_exp
-    m_i = params.fading_interf
-    v_star = (s * params.tx_power / m_i) ** (1.0 / alpha)
-    coeff = v_star**2 * s ** (-n)
-    if n > 0:
-        coeff *= -((-1.0) ** n) * poch(m_i, n)
-    full = coeff * _scaled_tail(alpha, m_i, n)
-    inner = 0.0 if r <= 0.0 else coeff * _scaled_head(alpha, m_i, n, r / v_star)
-    return full, inner
-
-
-def _log_laplace_derivatives(
-    s: float, r: float, p: float, params: NetworkParams, order: int
-) -> np.ndarray:
-    """Derivatives 0..order of the log Laplace transform of the interference."""
-    lam = params.helper_density
-    out = np.empty(order + 1)
+    alpha, m_i = params.pathloss_exp, params.fading_interf
+    out = []
     for n in range(order + 1):
-        full, inner = _radial_integrals(s, r, params, n)
-        out[n] = -2.0 * math.pi * lam * full + 2.0 * math.pi * p * lam * inner
-    return out
+        head, tail = _radial_integrals(alpha, m_i, n, W)
+        sign = 1.0 if n == 0 else (-1.0) ** (n + 1) * poch(m_i, n)
+        out.append(-2.0 * sign * ((1.0 - p) * head + tail))
+    return np.array(out)
 
 
 def laplace_interference(s: float, r: float, p: float, params: NetworkParams) -> float:
@@ -318,30 +293,56 @@ def laplace_interference(s: float, r: float, p: float, params: NetworkParams) ->
         raise ValueError("r must be >= 0")
     if s == 0:
         return 1.0
-    g = _log_laplace_derivatives(s, r, p, params, order=0)[0]
-    return math.exp(g)
+    sp = s * params.tx_power
+    W = params.fading_interf * r**params.pathloss_exp / sp
+    c0 = _exponent_coefficients(W, p, params, order=0)[0]
+    v_star2 = (sp / params.fading_interf) ** params.delta
+    return math.exp(math.pi * params.helper_density * v_star2 * float(c0))
+
+
+def _distance_exponents(tau, p, params: NetworkParams) -> np.ndarray:
+    """a_0..a_{m_D-1} with s^n g^(n)(s) = a_n pi lambda r^2 at s = m_D tau r^alpha / P.
+
+    There r / v* = (m_I / (m_D tau))^(1/alpha) does not depend on r, so
+    neither do the a_n.
+    """
+    m_d = int(params.fading_desired)
+    W = params.fading_interf / (m_d * np.asarray(tau, dtype=float))
+    return W ** (-params.delta) * _exponent_coefficients(W, p, params, m_d - 1)
+
+
+def _success_polynomial(a: np.ndarray) -> np.ndarray:
+    """Coefficients in y of Q(y) = e^(-a_0 y) sum_k (-s)^k L^(k)(s) / k!.
+
+    With s^k L^(k)(s) = e^(a_0 y) P_k(y), the exp-composition
+    L^(k) = sum_j C(k-1, j) g^(k-j) L^(j) reads P_0 = 1 and
+    P_k = y sum_j C(k-1, j) a_{k-j} P_j on coefficient arrays.  Every term
+    of Q beyond the constant is nonnegative: no cancellation.
+    """
+    order = a.shape[0]
+    P = np.zeros((order, order) + a.shape[1:])
+    P[0, 0] = 1.0
+    q = P[0].copy()
+    for k in range(1, order):
+        for j in range(k):
+            P[k, 1 : j + 2] += math.comb(k - 1, j) * a[k - j] * P[j, : j + 1]
+        q += (-1.0) ** k / math.factorial(k) * P[k]
+    return q
 
 
 def _success_given_distance(r: float, tau: float, p: float, params: NetworkParams) -> float:
     """P[fading beats the interference threshold | serving distance r].
 
     Expands the Nakagami upper incomplete gamma into the k-sum of scaled
-    Laplace-transform derivatives evaluated at s = m_D tau r^alpha / P.
+    Laplace-transform derivatives evaluated at s = m_D tau r^alpha / P,
+    which is e^(a_0 y) Q(y) in y = pi lambda r^2.
     """
-    m_d = int(params.fading_desired)
-    s = m_d * tau * r**params.pathloss_exp / params.tx_power
+    s = params.fading_desired * tau * r**params.pathloss_exp / params.tx_power
     if s == 0.0:
         return 1.0
-    g = _log_laplace_derivatives(s, r, p, params, order=m_d - 1)
-    # exp-composition: L^(k) = sum_j C(k-1, j) g^(k-j) L^(j)
-    L = np.empty(m_d)
-    L[0] = math.exp(g[0])
-    for k in range(1, m_d):
-        L[k] = sum(binom(k - 1, j) * g[k - j] * L[j] for j in range(k))
-    total = 0.0
-    for k in range(m_d):
-        total += (-s) ** k / math.factorial(k) * L[k]
-    return total
+    a = _distance_exponents(tau, p, params)
+    y = math.pi * params.helper_density * r * r
+    return math.exp(a[0] * y) * float(np.polyval(_success_polynomial(a)[::-1], y))
 
 
 def nakagami_lower_bound(
@@ -351,31 +352,23 @@ def nakagami_lower_bound(
     shape on the desired link and a fixed load bound c >= 1.
 
     Each content contributes the k-sum of Laplace-transform derivatives
-    averaged over the distance to the nearest helper caching it.
+    averaged over the distance to the nearest helper caching it: in
+    y = pi lambda r^2 that distance has density p e^(-p y), so
+    e^(a_0 y) y^j averages to p j! / (p - a_0)^(j+1).
     """
     if params.fading_desired != int(params.fading_desired):
         raise NotImplementedError("the k-sum requires an integer desired-link fading shape")
-    if c < 1:
-        raise ValueError("load bound c must be >= 1")
+    tau = _sir_threshold(library.rates, c)
     probs = _probs_of(policy)
     if probs.ndim != 1:
         raise ValueError("nakagami_lower_bound evaluates one policy at a time")
-    lam = params.helper_density
-    tau = np.power(2.0, c * library.rates) - 1.0
-    total = 0.0
-    for i in range(library.count):
-        p = float(probs[i])
-        if p == 0.0:
-            continue
-        scale = math.pi * p * lam
-
-        def integrand(t, tau_i=tau[i], p_i=p):
-            # t = pi p lam r^2 turns the nearest-helper density into e^-t
-            r = math.sqrt(t / scale)
-            return _success_given_distance(r, tau_i, p_i, params) * math.exp(-t)
-
-        total += library.popularity[i] * _quad(integrand, 0.0, np.inf, "distance average")
-    return total
+    cached = probs > 0
+    p = probs[cached]
+    a = _distance_exponents(tau[cached], p, params)
+    q = _success_polynomial(a)
+    j = np.arange(q.shape[0])[:, None]
+    per_content = p * np.sum(q * factorial(j) / (p - a[0]) ** (j + 1), axis=0)
+    return float(np.sum(library.popularity[cached] * per_content))
 
 
 def mean_load_m1(f: float, p: float, user_density: float, helper_density: float) -> float:

@@ -5,7 +5,7 @@
     cachegeo list-figures
 
 Exit status: 0 on success, 2 for invalid configuration or arguments,
-3 when a numerical routine fails to converge.
+3 when the budget bisection or the numeric load-bound search fails.
 """
 from __future__ import annotations
 

@@ -694,7 +694,7 @@ def run(config: ExperimentConfig) -> int:
     """Execute a scenario, writing the CSV and its JSON manifest.
 
     Returns 0 on success; raises ConfigError (invalid configuration) or
-    NumericalError (quadrature/bisection failure) otherwise.
+    NumericalError (bisection or load-bound search failure) otherwise.
     """
     config.validate()
     start = time.perf_counter()

@@ -2,9 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import integrate
 from scipy.special import hyp2f1
 
+import quad_oracle
 from cachegeo.analytics import (
     InterferenceConstants,
     NoiseConstants,
@@ -182,6 +185,70 @@ class TestHypergeometricConstants:
                 assert 0.0 < A <= 1.0 + 1e-12
                 assert B > A
 
+    @pytest.mark.parametrize(
+        "rate,c", [(1e-20, 1.0), (1e-9, 1.0)], ids=["rate-1e-20", "rate-1e-9"]
+    )
+    def test_tiny_rates_give_valid_constants(self, rate, c):
+        # 2^(c rho) - 1 once rounded to 0 (rate 1e-20) or sent the tail
+        # quadrature into a convergence failure (rate 1e-9)
+        consts = InterferenceConstants.from_rates([rate], 3.0, c)
+        assert consts.tau[0] == pytest.approx(c * rate * math.log(2.0), rel=1e-9)
+        assert 0.0 < consts.A[0] <= 1.0 < consts.B[0] / consts.A[0]
+
+    def test_tiny_tau_c_tau_alpha(self):
+        tau, alpha = 1e-8, 3.0
+        delta = 2.0 / alpha
+        value = c_tau_alpha(tau, alpha)
+        A, B = tau**delta * value, tau**delta * c_alpha(alpha)
+        assert 0.0 < A <= 1.0 < B / A
+        # 1 - A/B = I_{tau/(1+tau)}(1 - delta, delta)
+        #         ~ tau^(1-delta) / ((1-delta) B(1-delta, delta))
+        leading = tau ** (1.0 - delta) / ((1.0 - delta) * math.pi / math.sin(math.pi * delta))
+        assert 1.0 - A / B == pytest.approx(leading, rel=1e-2)
+
+    def test_threshold_overflow_fails_fast(self):
+        # 2^(40 * 30) overflowed to tau = inf, A = NaN, B = inf, and the
+        # optimizer later failed on a [nan, nan] bracket
+        with pytest.raises(ValueError, match=r"c \* max\(rate\) = 1200"):
+            InterferenceConstants.from_rates(np.linspace(1.0, 30.0, 10), 3.0, 40.0)
+
+    @pytest.mark.parametrize("field", ["tau", "A", "B"])
+    def test_non_finite_constants_rejected(self, field):
+        values = dict(tau=np.array([1.0]), A=np.array([0.5]), B=np.array([1.5]))
+        values[field] = np.array([np.nan if field == "A" else np.inf])
+        with pytest.raises(ValueError, match="finite"):
+            InterferenceConstants(c=1.0, **values)
+
+    @given(
+        tau=st.floats(1e-6, 1e6),
+        alpha=st.floats(2.05, 8.0),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_a_over_b_matches_quadrature(self, tau, alpha):
+        got = c_tau_alpha(tau, alpha)
+        assert got == pytest.approx(quad_oracle.c_tau_alpha(tau, alpha), rel=1e-9)
+
+
+class TestRadialIntegrals:
+    """The incomplete-beta radial integrals T_n (over (0, inf)) and H_n(x)
+    (over (0, x)) against adaptive quadrature of their definitions."""
+
+    @given(
+        alpha=st.floats(2.05, 8.0),
+        m_i=st.floats(0.5, 5.0),
+        n=st.integers(0, 4),
+        x=st.floats(1e-3, 1e3),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_match_quadrature(self, alpha, m_i, n, x):
+        from cachegeo.analytics import _radial_integrals
+
+        head, tail = _radial_integrals(alpha, m_i, n, x**alpha)
+        oracle = quad_oracle.scaled_radial
+        assert head == pytest.approx(oracle(alpha, m_i, n, 0.0, x), rel=1e-9)
+        assert tail == pytest.approx(oracle(alpha, m_i, n, x, math.inf), rel=1e-9)
+        assert head + tail == pytest.approx(oracle(alpha, m_i, n, 0.0, math.inf), rel=1e-9)
+
 
 class TestRayleighLowerBound:
     def setup_method(self):
@@ -256,6 +323,35 @@ class TestNakagamiLowerBound:
             numeric = nakagami_lower_bound(lib, params, np.array([p]), c=1.0)
             assert numeric == pytest.approx(closed, rel=1e-3)
 
+    def test_rayleigh_reduction_is_exact(self):
+        lib = make_library(4, gamma=0.7, rates=[0.05, 0.4, 1.0, 2.5])
+        params = make_params(lam=1e-5, alpha=3.0, m_d=1.0, m_i=1.0)
+        policy = np.array([1.0, 0.45, 0.0, 1e-3])
+        for c in (1.0, 2.0, 7.5):
+            consts = InterferenceConstants.from_library(lib, alpha=3.0, c=c)
+            closed = rayleigh_lower_bound(lib, consts, policy)
+            got = nakagami_lower_bound(lib, params, policy, c=c)
+            assert got == pytest.approx(closed, rel=1e-12)
+
+    @pytest.mark.parametrize("m_d,m_i", [(1, 1), (2, 1), (3, 2), (4, 2.5), (2, 0.7), (6, 1)])
+    def test_matches_quadrature(self, m_d, m_i):
+        lib = make_library(5, gamma=0.8, rates=[0.02, 0.3, 0.7, 1.0, 1.6])
+        params = make_params(lam=1e-5, alpha=3.5, m_d=m_d, m_i=m_i)
+        policy = np.array([0.95, 0.0, 0.4, 0.05, 0.0])
+        expected = quad_oracle.nakagami_lower_bound(lib, params, policy, 2.0)
+        got = nakagami_lower_bound(lib, params, policy, c=2.0)
+        assert got == pytest.approx(expected, rel=1e-10)
+
+    def test_success_given_distance_matches_quadrature(self):
+        from cachegeo.analytics import _success_given_distance
+
+        params = make_params(lam=1e-5, alpha=3.0, m_d=4.0, m_i=2.5)
+        for r in (0.5, 40.0, 300.0):
+            for p in (0.0, 0.3, 1.0):
+                expected = quad_oracle.success_given_distance(r, 0.8, p, params)
+                got = _success_given_distance(r, 0.8, p, params)
+                assert got == pytest.approx(expected, rel=1e-10)
+
     def test_uncached_content_contributes_nothing(self):
         lib = make_library(2, rates=[0.5, 0.5])
         params = make_params(lam=1e-5, alpha=3.0)
@@ -307,11 +403,10 @@ class TestMeanLoad:
 
 class TestNumericFailureSurface:
     def test_divergent_quadrature_raises(self):
-        from cachegeo.analytics import _quad
         from cachegeo.errors import NumericalError
 
         with pytest.raises(NumericalError):
-            _quad(lambda v: 1.0 / v, 0.0, 1.0, "divergent probe")
+            quad_oracle.quad(lambda v: 1.0 / v, 0.0, 1.0, "divergent probe")
 
     def test_thresholds_decrease_with_rate(self):
         lib = make_library(4, rates=np.array([0.2, 0.5, 0.9, 1.4]))

@@ -295,6 +295,20 @@ class TestExitCodes:
         assert result.exit_code == 2
         assert "noise_power" in result.output
 
+    def test_threshold_overflow_exits_2(self, tmp_path):
+        # 2^(c rho) - 1 with c rho = 1200 overflows: a ValueError naming
+        # c * max(rate), not a late bisection failure on a [nan, nan] bracket
+        config = tmp_path / "overflow.ini"
+        config.write_text(
+            BASE_CONFIG.replace("rate_mode = uniform", "rate_mode = constant\nrho = 30.0")
+            + "c_mode = fixed\nc_value = 40\n"
+        )
+        result = CliRunner().invoke(
+            main, ["optimize-sir", "--config", str(config), "--out", str(tmp_path / "o.csv")]
+        )
+        assert result.exit_code == 2
+        assert "c * max(rate) = 1200" in result.output
+
     def test_fractional_memory_sweep_exits_2(self, tmp_path):
         config = tmp_path / "memory.ini"
         config.write_text(BASE_CONFIG + "sweep = memory\nsweep_grid = 2.5\n")
