@@ -184,6 +184,13 @@ def _sir_threshold(rates, c: float) -> np.ndarray:
     return tau
 
 
+def _require_resolvable(ok, rates, c: float, what: str) -> None:
+    """Fail fast, naming c * rate, where a tiny SIR threshold underflows the analytics."""
+    if not np.all(ok):
+        small = c * np.min(np.asarray(rates, dtype=float)[~np.asarray(ok)])
+        raise ValueError(f"c * min(rate) = {small:g} is too small: {what}")
+
+
 @dataclass(frozen=True)
 class InterferenceConstants:
     """Per-content constants of the interference-limited lower bound.
@@ -220,8 +227,10 @@ class InterferenceConstants:
     def from_rates(cls, rates, alpha: float, c: float) -> "InterferenceConstants":
         tau = _sir_threshold(rates, c)
         delta = 2.0 / alpha
+        ratio = _a_over_b(tau, delta)
+        _require_resolvable(ratio < 1.0, rates, c, "A/B rounds to 1 at tau = 2^(c rate) - 1")
         B = tau**delta * c_alpha(alpha)
-        return cls(tau=tau, A=B * _a_over_b(tau, delta), B=B, c=float(c))
+        return cls(tau=tau, A=B * ratio, B=B, c=float(c))
 
     @classmethod
     def from_library(cls, library: ContentLibrary, alpha: float, c: float) -> "InterferenceConstants":
@@ -364,6 +373,11 @@ def nakagami_lower_bound(
         raise ValueError("nakagami_lower_bound evaluates one policy at a time")
     cached = probs > 0
     p = probs[cached]
+    with np.errstate(over="ignore", divide="ignore"):
+        W = params.fading_interf / (params.fading_desired * tau[cached])
+    _require_resolvable(
+        np.isfinite(W), library.rates[cached], c, "m_I / (m_D tau) overflows at tau = 2^(c rate) - 1"
+    )
     a = _distance_exponents(tau[cached], p, params)
     q = _success_polynomial(a)
     j = np.arange(q.shape[0])[:, None]

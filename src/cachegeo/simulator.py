@@ -12,7 +12,8 @@ The interference engine draws a chunk as flat arrays (every helper and
 user of its trials, with per-trial counts) and reduces them per trial
 segment.  Its draws come in the same order for every load mode, and the
 fresh channel gains of the instantaneous load come last, so different
-load modes on one seed evaluate identical networks.
+load modes on one seed evaluate identical networks.  The noise engine makes
+four draws per chunk (requests, counts, unit-disc radii, gains) whatever F is.
 
 Finite window: helpers are sampled inside a disc whose radius makes the
 probability of missing the nearest relevant helper at most
@@ -136,6 +137,24 @@ def _segment_argmin(values: np.ndarray, counts: np.ndarray) -> np.ndarray:
     return out
 
 
+def _unit_xi_min(rng: np.random.Generator, mean_count: float, n: int, params: NetworkParams):
+    """n minima of u^(alpha/2) / g over Poisson(mean_count) helpers uniform on the
+    unit disc (+inf for empty trials); on a disc of radius R, xi_1 = R^alpha times this."""
+    counts = rng.poisson(mean_count, size=n)
+    total = int(counts.sum())
+    unit = rng.random(total) ** (params.pathloss_exp / 2.0)
+    return _segment_minima(unit / nakagami_gain(params.fading_desired, rng, total), counts)
+
+
+def _run_chunks(trials: int, chunk: int, worker, workers: int = 1, combine=sum):
+    """combine(worker(chunk_index, chunk_size)) over the fixed chunk grid, in chunk order."""
+    sizes = [(c, min(chunk, trials - c * chunk)) for c in range((trials + chunk - 1) // chunk)]
+    if workers <= 1:
+        return combine([worker(c, n) for c, n in sizes])
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        return combine(list(pool.map(lambda cn: worker(*cn), sizes)))
+
+
 def sample_xi_min(
     params: NetworkParams,
     p: float,
@@ -147,38 +166,23 @@ def sample_xi_min(
 
     Helpers caching the content form a thinned Poisson process of
     intensity p * helper_density, sampled directly inside the window
-    (+inf marks trials whose window held no helper).  The default window
-    is tight (miss 1e-6) because the whole distribution is compared, not
-    a single threshold.
+    (+inf marks trials whose window held no helper, and every trial when
+    the window radius^alpha overflows).  The default window is tight
+    (miss 1e-6) because the whole distribution is compared, not a single
+    threshold.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
     radius = window_radius(p, params.helper_density, window_miss_prob)
-    mean_count = p * params.helper_density * pi * radius**2
-    alpha = params.pathloss_exp
-    out = np.empty(trials)
-    done = 0
-    chunk_index = 0
-    while done < trials:
-        n = min(_NOISE_CHUNK, trials - done)
-        rng = _substream(seed, chunk_index)
-        counts = rng.poisson(mean_count, size=n)
-        total = int(counts.sum())
-        radii = radius * np.sqrt(rng.random(total))
-        gains = nakagami_gain(params.fading_desired, rng, total)
-        out[done : done + n] = _segment_minima(radii**alpha / gains, counts)
-        done += n
-        chunk_index += 1
-    return out
-
-
-def _run_chunks(trials: int, chunk: int, worker, workers: int = 1):
-    """Sum worker(chunk_index, chunk_size) over the fixed chunk grid."""
-    sizes = [(c, min(chunk, trials - c * chunk)) for c in range((trials + chunk - 1) // chunk)]
-    if workers <= 1:
-        return sum(worker(c, n) for c, n in sizes)
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return sum(pool.map(lambda cn: worker(*cn), sizes))
+    with np.errstate(over="ignore"):
+        scale = np.float64(radius) ** params.pathloss_exp
+    mean_count = log(1.0 / window_miss_prob)
+    unit = _run_chunks(
+        trials, _NOISE_CHUNK,
+        lambda c, n: _unit_xi_min(_substream(seed, c), mean_count, n, params),
+        combine=np.concatenate,
+    )
+    return scale * unit
 
 
 def simulate_noise_limited(
@@ -198,6 +202,12 @@ def simulate_noise_limited(
     p_i * helper_density (placement keeps caches independent across
     helpers, so the thinning is exact), with a per-content window.
 
+    Every window radius R_i satisfies p_i * helper_density * pi * R_i^2 =
+    ln(1 / window_miss_prob), so xi_1 is R_i^alpha times one content-free
+    unit-disc minimum and a chunk makes four draws (requests, counts, unit
+    radii, gains) whatever F is.  Uncached contents, and those whose
+    R_i^alpha overflows, always fail.
+
     The default window is tighter than the engine-wide 1e-3 because the
     success event compares the whole xi_1 distribution against fixed
     thresholds: at miss 1e-3 the truncation bias is a few per mille,
@@ -208,31 +218,19 @@ def simulate_noise_limited(
         raise ValueError(f"infeasible policy: {violation}")
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    probs = policy.probs
-    alpha = params.pathloss_exp
-    lam = params.helper_density
-    with np.errstate(divide="ignore"):
+    if not 0 < window_miss_prob < 1:
+        raise ValueError("window_miss_prob must lie in (0, 1)")
+    mean_count, alpha = log(1.0 / window_miss_prob), params.pathloss_exp
+    with np.errstate(divide="ignore", over="ignore"):
         thresholds = params.snr / (np.power(2.0, library.rates) - 1.0)
-    cached = probs > 0
-    radius = np.zeros(library.count)
-    radius[cached] = np.sqrt(log(1.0 / window_miss_prob) / (pi * probs[cached] * lam))
-    mean_counts = probs * lam * pi * radius**2
+        # R_i^alpha, from R_i^2 (inf for uncached contents)
+        scale = (mean_count / (pi * policy.probs * params.helper_density)) ** (alpha / 2)
 
     def worker(chunk_index: int, n: int) -> int:
         rng = _substream(seed, chunk_index)
         contents = rng.choice(library.count, size=n, p=library.popularity)
-        successes = 0
-        for i in np.unique(contents):
-            k = int(np.sum(contents == i))
-            if not cached[i]:
-                continue
-            counts = rng.poisson(mean_counts[i], size=k)
-            total = int(counts.sum())
-            radii = radius[i] * np.sqrt(rng.random(total))
-            gains = nakagami_gain(params.fading_desired, rng, total)
-            xi1 = _segment_minima(radii**alpha / gains, counts)
-            successes += int(np.sum(np.isfinite(xi1) & (xi1 <= thresholds[i])))
-        return successes
+        xi1 = scale[contents] * _unit_xi_min(rng, mean_count, n, params)
+        return int(np.count_nonzero(np.isfinite(xi1) & (xi1 <= thresholds[contents])))
 
     successes = _run_chunks(trials, _NOISE_CHUNK, worker, workers)
     return MCEstimate.from_counts(successes, trials)

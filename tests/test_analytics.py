@@ -212,6 +212,11 @@ class TestHypergeometricConstants:
         with pytest.raises(ValueError, match=r"c \* max\(rate\) = 1200"):
             InterferenceConstants.from_rates(np.linspace(1.0, 30.0, 10), 3.0, 40.0)
 
+    def test_threshold_underflow_fails_fast(self):
+        # tau ~ 7e-51 left A/B = 1, and only "B must exceed A" was raised
+        with pytest.raises(ValueError, match=r"c \* min\(rate\) = 1e-50 is too small"):
+            InterferenceConstants.from_rates([1e-50], 3.0, 1.0)
+
     @pytest.mark.parametrize("field", ["tau", "A", "B"])
     def test_non_finite_constants_rejected(self, field):
         values = dict(tau=np.array([1.0]), A=np.array([0.5]), B=np.array([1.5]))
@@ -358,6 +363,15 @@ class TestNakagamiLowerBound:
         only_first = nakagami_lower_bound(lib, params, np.array([0.6, 0.0]), c=2.0)
         scaled = nakagami_lower_bound(lib, params, np.array([0.6, 1e-12]), c=2.0)
         assert only_first == pytest.approx(scaled, abs=1e-6)
+
+    @pytest.mark.parametrize("alpha", [3.0, 2.05])
+    def test_threshold_underflow_fails_fast(self, alpha):
+        # tau ~ 7e-311 overflowed m_I / (m_D tau) and the bound came back NaN;
+        # at alpha = 2.05 A/B is still below 1 there
+        lib = make_library(1, rates=[1e-310])
+        params = make_params(lam=1e-5, alpha=alpha, m_d=2.0)
+        with pytest.raises(ValueError, match=r"c \* min\(rate\) = 1e-310 is too small"):
+            nakagami_lower_bound(lib, params, np.array([0.5]), c=1.0)
 
     def test_rejects_fractional_desired_fading(self):
         lib = make_library(1)

@@ -7,6 +7,7 @@ from scipy import stats
 from cachegeo import simulator
 from cachegeo.analytics import mean_load_m1, success_noise, xi1_cdf
 from cachegeo.model import CachingPolicy, ContentLibrary, NetworkParams, zipf_popularity
+from cachegeo.optimizer import optimize_noise
 from cachegeo.placement import build_block_layout
 from cachegeo.simulator import (
     LOAD_MODES,
@@ -115,6 +116,12 @@ class TestSmallestReciprocal:
 
 
 class TestXiMinDistribution:
+    def test_tiny_probability_gives_empty_windows(self):
+        # R^alpha overflows at p = 1e-300: every sample is +inf, without a warning
+        xi = sample_xi_min(make_params(), 1e-300, trials=5000, seed=5105)
+        assert xi.shape == (5000,)
+        assert np.all(xi == np.inf)
+
     @pytest.mark.parametrize("lam,m_d", [(0.05, 1.0), (0.2, 1.0)])
     def test_cdf_matches_closed_form(self, lam, m_d):
         params = make_params(lam=lam, alpha=2.5, m_d=m_d)
@@ -173,6 +180,67 @@ class TestSimulateNoiseLimited:
         serial = simulate_noise_limited(lib, params, policy, trials=9000, seed=9)
         threaded = simulate_noise_limited(lib, params, policy, trials=9000, seed=9, workers=4)
         assert serial == threaded
+
+    def test_tiny_probability_fails_like_an_uncached_content(self):
+        # p = 1e-300 overflowed R^alpha with a RuntimeWarning; the draws do
+        # not depend on p, so it must match the uncached content bit for bit
+        lib = make_library(3)
+        params = make_params()
+        tiny = CachingPolicy(np.array([0.6, 1e-300, 0.3]), 1)
+        uncached = CachingPolicy(np.array([0.6, 0.0, 0.3]), 1)
+        a = simulate_noise_limited(lib, params, tiny, trials=20_000, seed=5104)
+        b = simulate_noise_limited(lib, params, uncached, trials=20_000, seed=5104)
+        assert a == b
+
+    def test_chunk_draws_do_not_grow_with_the_library(self, monkeypatch):
+        calls = []
+
+        class Counting:
+            def __init__(self, rng):
+                self._rng = rng
+
+            def __getattr__(self, name):
+                calls.append(name)
+                return getattr(self._rng, name)
+
+        substream = simulator._substream
+        monkeypatch.setattr(simulator, "_substream", lambda *a: Counting(substream(*a)))
+        params = make_params()
+        for count in (20, 2000):
+            calls.clear()
+            lib = make_library(count, gamma=0.8)
+            policy = CachingPolicy(np.full(count, 5.0 / count), 5)
+            simulate_noise_limited(lib, params, policy, trials=simulator._NOISE_CHUNK, seed=1)
+            assert calls == ["choice", "poisson", "random", "gamma"]
+
+
+class TestLargeLibraryNoiseLimited:
+    """F = 10 000 under Zipf 0.8 with M = 100, about 2 000 distinct requests per chunk."""
+
+    @pytest.fixture(scope="class")
+    def setting(self):
+        lib = make_library(10_000, gamma=0.8)
+        params = make_params()
+        return lib, params, optimize_noise(lib, params, 100).policy
+
+    def test_agrees_with_analytics(self, setting):
+        lib, params, policy = setting
+        est = simulate_noise_limited(lib, params, policy, trials=50_000, seed=5101)
+        assert abs(est.estimate - success_noise(lib, params, policy)) <= 3.5 * est.stderr
+
+    def test_parallel_equals_serial(self, setting):
+        lib, params, policy = setting
+        serial = simulate_noise_limited(lib, params, policy, trials=50_000, seed=5102)
+        threaded = simulate_noise_limited(lib, params, policy, trials=50_000, seed=5102, workers=2)
+        assert serial == threaded
+
+    def test_uncached_popular_contents_agree_with_analytics(self, setting):
+        lib, params, policy = setting
+        probs = policy.probs.copy()
+        probs[:10] = 0.0  # the ten most popular contents are never cached
+        sparse = CachingPolicy(probs, policy.memory)
+        est = simulate_noise_limited(lib, params, sparse, trials=50_000, seed=5103)
+        assert abs(est.estimate - success_noise(lib, params, sparse)) <= 3.5 * est.stderr
 
 
 class TestDeliveryRate:
