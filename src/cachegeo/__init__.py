@@ -31,7 +31,6 @@ from .optimizer import (
     optimize_interference,
     optimize_noise,
 )
-from .placement import BlockLayout, build_block_layout, sample_cache
 from .simulator import (
     MCEstimate,
     nakagami_gain,
@@ -47,9 +46,6 @@ __all__ = [
     "zipf_popularity",
     "uniform_rates",
     "validate_policy",
-    "BlockLayout",
-    "build_block_layout",
-    "sample_cache",
     "NoiseConstants",
     "InterferenceConstants",
     "intensity_xi",

@@ -89,11 +89,10 @@ def figure(config_path, seed, trials, output, figure):
 
 @main.command("list-figures")
 def list_figures_cmd():
-    """Enumerate reproducible figures with parameters and expected runtimes."""
+    """Enumerate reproducible figures with their parameters."""
     for row in list_figures():
         click.echo(f"{row['figure']:>12}  {row['title']}")
         click.echo(f"{'':>12}  parameters: {row['parameters']}")
-        click.echo(f"{'':>12}  runtime: {row['runtime']}")
 
 
 if __name__ == "__main__":

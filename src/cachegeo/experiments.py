@@ -422,7 +422,6 @@ def _run_simulate(config: ExperimentConfig):
 class FigureEntry:
     title: str
     parameters: dict
-    runtime: str
     runner: object = field(repr=False, compare=False)
 
 
@@ -620,31 +619,26 @@ FIGURES: dict[str, FigureEntry] = {
     "3": FigureEntry(
         title="CDF of the smallest reciprocal channel gain, analytic vs empirical",
         parameters={"alpha": 2.5, "p": 1.0, "settings": "(lambda, m_D) in {(0.05,1),(0.05,3),(0.2,1)}"},
-        runtime="~10 s at 1e5 trials",
         runner=_figure_3,
     ),
     "4": FigureEntry(
         title="Noise-limited success probability vs popularity skew: proposed/MPC/UC",
         parameters={"count": 20, "memory": 5, "gamma": "0..3 step 0.5", "rates": "uniform(0,1]"},
-        runtime="<5 s",
         runner=_figure_4,
     ),
     "5": FigureEntry(
         title="Optimal caching probabilities for helper-density and fading sweeps",
         parameters={"lambda": "(0.05, 0.2)", "m_d": "(1, 3)", "count": 10, "memory": 3},
-        runtime="<5 s",
         runner=_figure_5,
     ),
     "6": FigureEntry(
         title="Optimal caching probabilities vs maximum target rate",
         parameters={"rho_max": "(0.5, 1, 2, 3)", "count": 10, "memory": 3},
-        runtime="<5 s",
         runner=_figure_6,
     ),
     "7": FigureEntry(
         title="Optimal caching probabilities vs cache size",
         parameters={"memory": "1..6", "count": 10},
-        runtime="<5 s",
         runner=_figure_7,
     ),
     "approx-check": FigureEntry(
@@ -653,13 +647,11 @@ FIGURES: dict[str, FigureEntry] = {
             "lambda": 1e-5, "user_density": 2e-5, "rho": 0.001, "gamma": 1.0,
             "memory": 1, "count": 2, "p1": "0.1..0.9",
         },
-        runtime="~4 min at 1e4 trials/point",
         runner=_figure_approx_check,
     ),
     "8": FigureEntry(
         title="Interference-limited: grid-search optimum vs bound-based placement vs bound, sweeping the target rate",
         parameters={"lambda": 1e-5, "memory": 1, "count": 2, "rho": "0.2..1.0"},
-        runtime="~5 min at 1e4 trials",
         runner=_figure_8,
     ),
     "9": FigureEntry(
@@ -668,7 +660,6 @@ FIGURES: dict[str, FigureEntry] = {
             "count": 5, "memory": 1, "rho": 0.001, "gamma": "0..3 step 0.5",
             "user_density": "(2e-5, 5e-5, 1e-4) in the sweep block (id 10)",
         },
-        runtime="~3 min",
         runner=_figure_9,
     ),
 }
@@ -684,7 +675,6 @@ def list_figures() -> list[dict]:
                 "figure": fid,
                 "title": entry.title,
                 "parameters": json.dumps(entry.parameters, sort_keys=True),
-                "runtime": entry.runtime,
             }
         )
     return rows

@@ -84,7 +84,9 @@ class NetworkParams:
     def __post_init__(self):
         if self.pathloss_exp <= 2:
             raise ValueError("pathloss_exp must be > 2")
-        for name in ("helper_density", "user_density", "tx_power", "noise_power"):
+        if not self.helper_density > 0:
+            raise ValueError("helper_density must be > 0")
+        for name in ("user_density", "tx_power", "noise_power"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be >= 0")
         if self.fading_desired < 0.5 or self.fading_interf < 0.5:

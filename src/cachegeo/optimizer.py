@@ -23,7 +23,6 @@ from .model import CachingPolicy, ContentLibrary, NetworkParams
 __all__ = [
     "SolveReport",
     "noise_candidate",
-    "noise_multiplier_bounds",
     "optimize_noise",
     "interference_candidate",
     "interference_multiplier_bounds",
@@ -58,27 +57,16 @@ class SolveReport:
     kkt_residual: float
 
 
-def noise_candidate(omega, mu, f, kappa, T):
-    """Caching probability solving the noise-limited stationarity condition:
-    p = (1/(kappa T)) [log(f kappa T) - log(omega + mu)]+, clipped to [0, 1].
+def noise_candidate(log_omega, log_upper, kT):
+    """Caching probability solving the noise-limited stationarity condition,
+    in log space: p = (1/(kappa T)) [log u - log(omega + mu)]+, clipped to [0, 1].
+
+    log_upper = log u = log(f kappa T) is where p reaches 0; p = 1 at and
+    below log l = log u - kappa T.  The cap multiplier mu = [l - omega]+
+    gives log(omega + mu) = max(log omega, log l), so p = 1 stays reachable
+    even when l underflows to zero in linear space.
     """
-    omega_mu = np.asarray(omega + mu, dtype=float)
-    if np.any(omega_mu <= 0):
-        raise ValueError("omega + mu must be positive")
-    f = np.asarray(f, dtype=float)
-    kT = np.asarray(kappa, dtype=float) * np.asarray(T, dtype=float)
-    with np.errstate(divide="ignore"):
-        raw = (np.log(f * kT) - np.log(omega_mu)) / kT
-    return np.clip(raw, 0.0, 1.0)
-
-
-def noise_multiplier_bounds(f, kappa, T):
-    """Multiplier range (l, u) of a content: p=1 at omega <= l, p=0 at omega >= u."""
-    f = np.asarray(f, dtype=float)
-    kT = np.asarray(kappa, dtype=float) * np.asarray(T, dtype=float)
-    upper = f * kT
-    lower = upper * np.exp(-kT)
-    return lower, upper
+    return np.clip((log_upper - np.maximum(log_omega, log_upper - kT)) / kT, 0.0, 1.0)
 
 
 def interference_candidate(omega, mu, f, A, B):
@@ -220,9 +208,7 @@ def optimize_noise(
 ) -> SolveReport:
     """Maximize the noise-limited success probability over the capped simplex.
 
-    The bisection runs on log(omega): the candidate only ever needs
-    max(omega, l_i), so log-space keeps p_i = 1 reachable even when
-    l_i = f_i kappa T_i exp(-kappa T_i) underflows to zero.
+    The bisection runs on log(omega) through noise_candidate.
     """
     _check_problem(library, memory, eps)
     consts = NoiseConstants.from_params(library, params)
@@ -230,12 +216,9 @@ def optimize_noise(
     kT = consts.kappa * consts.T
     log_upper = np.log(f) + np.log(kT)
     log_lower = log_upper - kT
-
-    def candidate(log_omega: float) -> np.ndarray:
-        return np.clip((log_upper - np.maximum(log_omega, log_lower)) / kT, 0.0, 1.0)
-
     log_omega, p, iterations = _bisect_budget(
-        float(log_lower.min()), float(log_upper.max()), candidate, float(memory), eps, max_iter
+        float(log_lower.min()), float(log_upper.max()),
+        lambda key: noise_candidate(key, log_upper, kT), float(memory), eps, max_iter,
     )
     with np.errstate(under="ignore"):
         omega = float(np.exp(log_omega))

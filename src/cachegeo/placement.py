@@ -1,80 +1,34 @@
 """Probabilistic cache placement: map a caching-probability vector to a
 random set of at most M distinct contents per helper.
 
-The cache of M unit-size slots is viewed as M blocks of length one.
-Contents fill the blocks sequentially: content i occupies the next
-``p_i`` of space, spilling into the following block on overflow.  A single
-uniform draw u then selects, from each block, the content whose interval
-contains u.  The selected set has at most M contents, never repeats a
-content, and includes content i with marginal probability exactly p_i.
+The cache of M unit-size slots is viewed as the interval [0, M) cut into
+M unit blocks.  Contents fill it in index order, content i owning
+[P_i, P_{i+1}) for the cumulative sums P of p, so an interval that
+overflows a block spills into the next one.  A single uniform draw u then
+selects, in slot m, the content whose interval contains u + m.  Since
+p_i <= 1, the selected set never repeats a content and includes content i
+with marginal probability exactly p_i.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .model import CachingPolicy, budget_violation
 
-__all__ = ["BlockLayout", "build_block_layout", "sample_cache", "cache_matrix"]
-
-_FILL_TOL = 1e-12
+__all__ = ["BlockLayout", "build_block_layout", "cache_matrix"]
 
 
-@dataclass(frozen=True)
-class Segment:
-    content: int
-    block: int
-    start: float
-    end: float
+class BlockLayout(NamedTuple):
+    """Content i owns [edges[i], edges[i + 1]) of [0, memory)."""
 
-    @property
-    def length(self) -> float:
-        return self.end - self.start
-
-
-@dataclass(frozen=True)
-class BlockLayout:
-    """Sequential-fill layout of contents over M unit blocks.
-
-    segments are ordered by (block, start); intervals within a block are
-    disjoint and half-open [start, end).  The lengths of a content's
-    segments sum to its caching probability.
-    """
-
-    segments: tuple[Segment, ...]
+    edges: np.ndarray  # (F + 1,) cumulative sums of p, from 0
     memory: int
-    count: int
-    total_mass: float
-
-    def block_tables(self):
-        """Per-block (boundaries, contents) arrays for vectorized lookup.
-
-        boundaries[k] is the sorted array of interval edges of block k and
-        contents[k] the content occupying each interval (-1 for gaps).
-        """
-        boundaries = []
-        contents = []
-        for b in range(1, self.memory + 1):
-            segs = [s for s in self.segments if s.block == b]
-            edges = [0.0]
-            occupant = []
-            for s in segs:
-                if s.start > edges[-1] + _FILL_TOL:
-                    occupant.append(-1)
-                    edges.append(s.start)
-                occupant.append(s.content)
-                edges.append(s.end)
-            if edges[-1] < 1.0 - _FILL_TOL:
-                occupant.append(-1)
-                edges.append(1.0)
-            boundaries.append(np.array(edges))
-            contents.append(np.array(occupant, dtype=int))
-        return boundaries, contents
 
 
 def build_block_layout(policy: CachingPolicy) -> BlockLayout:
-    """Fill M blocks sequentially with p_i of each content, in index order.
+    """Lay the contents end to end over M unit blocks, in index order.
 
     Only the mechanical constraints matter here (probabilities in [0, 1]
     and total mass within the budget); the fill rule is well defined even
@@ -83,54 +37,17 @@ def build_block_layout(policy: CachingPolicy) -> BlockLayout:
     violation = budget_violation(policy)
     if violation is not None:
         raise ValueError(f"infeasible policy: {violation}")
-    segments: list[Segment] = []
-    block = 1
-    offset = 0.0
-    for i, p in enumerate(policy.probs):
-        remaining = float(p)
-        while remaining > _FILL_TOL:
-            room = 1.0 - offset
-            chunk = min(remaining, room)
-            segments.append(Segment(i, block, offset, offset + chunk))
-            offset += chunk
-            remaining -= chunk
-            if offset >= 1.0 - _FILL_TOL:
-                block += 1
-                offset = 0.0
-    return BlockLayout(
-        segments=tuple(segments),
-        memory=policy.memory,
-        count=policy.count,
-        total_mass=float(policy.probs.sum()),
-    )
-
-
-def sample_cache(layout: BlockLayout, u: float) -> set[int]:
-    """Contents selected by position u in each block; empty slots select none."""
-    if not 0.0 <= u < 1.0:
-        raise ValueError("u must lie in [0, 1)")
-    selected: set[int] = set()
-    for seg in layout.segments:
-        if seg.start <= u < seg.end:
-            selected.add(seg.content)
-    return selected
+    return BlockLayout(np.concatenate(([0.0], np.cumsum(policy.probs))), policy.memory)
 
 
 def cache_matrix(layout: BlockLayout, us: np.ndarray) -> np.ndarray:
-    """Boolean (len(us), count) inclusion matrix for a batch of draws.
-
-    Row k equals sample_cache(layout, us[k]) as an indicator vector; used
-    by the simulator to place many helpers at once.
-    """
+    """(len(us), M) content index per slot for a batch of draws, -1 for an
+    empty slot; slot m of row k holds the content whose interval contains
+    us[k] + m."""
     us = np.asarray(us, dtype=float)
     if us.size and (us.min() < 0.0 or us.max() >= 1.0):
         raise ValueError("draws must lie in [0, 1)")
-    out = np.zeros((us.size, layout.count), dtype=bool)
-    boundaries, contents = layout.block_tables()
-    for edges, occupant in zip(boundaries, contents):
-        idx = np.searchsorted(edges, us, side="right") - 1
-        idx = np.clip(idx, 0, occupant.size - 1)
-        chosen = occupant[idx]
-        valid = chosen >= 0
-        out[np.nonzero(valid)[0], chosen[valid]] = True
-    return out
+    count = layout.edges.size - 1
+    slots = np.searchsorted(layout.edges, us[:, None] + np.arange(layout.memory), "right") - 1
+    slots[slots == count] = -1
+    return slots

@@ -9,11 +9,12 @@ are bit-identical for a given seed regardless of execution order, and
 chunks may run in parallel (``workers``).
 
 The interference engine draws a chunk as flat arrays (every helper and
-user of its trials, with per-trial counts) and reduces them per trial
-segment.  Its draws come in the same order for every load mode, and the
-fresh channel gains of the instantaneous load come last, so different
-load modes on one seed evaluate identical networks.  The noise engine makes
-four draws per chunk (requests, counts, unit-disc radii, gains) whatever F is.
+user of its trials, with per-trial counts, and each helper's cache as M
+content slots) and reduces them per trial segment.  Its draws come in the
+same order for every load mode, and the fresh channel gains of the
+instantaneous load come last, so different load modes on one seed
+evaluate identical networks.  The noise engine makes four draws per chunk
+(requests, counts, unit-disc radii, gains) whatever F is.
 
 Finite window: helpers are sampled inside a disc whose radius makes the
 probability of missing the nearest relevant helper at most
@@ -246,7 +247,7 @@ class _Chunk(NamedTuple):
     helper_counts: np.ndarray  # (n,)
     helper_xy: np.ndarray  # (2, H) coordinates, meters
     helper_dist: np.ndarray  # (H,) distance to the typical user
-    caches: np.ndarray  # (H, F) bool inclusion matrix
+    caches: np.ndarray  # (H, M) content per cache slot, -1 for an empty slot
     content: np.ndarray  # (n,) typical user's request per trial
     caching: np.ndarray  # (H,) caches the typical user's request of its trial
     desired: np.ndarray  # (H,) typical user's selection-channel gains
@@ -277,7 +278,7 @@ def _sample_chunk(
     interf = nakagami_gain(params.fading_interf, rng, n_helpers)
     requested = rng.choice(library.count, size=n_users, p=library.popularity)
     content = rng.choice(library.count, size=n, p=library.popularity)
-    caching = caches[np.arange(n_helpers), np.repeat(content, helper_counts)]
+    caching = (caches == np.repeat(content, helper_counts)[:, None]).any(1)
     return _Chunk(
         helper_counts, helper_xy, np.hypot(*helper_xy), caches,
         content, caching, desired, interf, user_counts, user_xy, requested,
@@ -322,6 +323,7 @@ def _typical_links(
 def _serving_loads(
     chunk: _Chunk,
     serving: np.ndarray,
+    library: ContentLibrary,
     params: NetworkParams,
     rng: np.random.Generator | None = None,
 ) -> np.ndarray:
@@ -340,12 +342,12 @@ def _serving_loads(
     trial = np.repeat(np.arange(n), chunk.user_counts)
     target = serving[trial]
     eligible = target >= 0
-    eligible[eligible] = chunk.caches[target[eligible], chunk.requested[eligible]]
+    eligible[eligible] = (chunk.caches[target[eligible]] == chunk.requested[eligible, None]).any(1)
     users = np.flatnonzero(eligible)
     # the helpers caching each (trial, content), in ascending index order
-    helper, content = np.nonzero(chunk.caches)
-    count = chunk.caches.shape[1]
-    key = np.repeat(np.arange(n), chunk.helper_counts)[helper] * count + content
+    helper, slot = np.nonzero(chunk.caches >= 0)
+    count = library.count
+    key = np.repeat(np.arange(n), chunk.helper_counts)[helper] * count + chunk.caches[helper, slot]
     order = np.argsort(key, kind="stable")
     helper, key = helper[order], key[order]
     user_key = trial[users] * count + chunk.requested[users]
@@ -443,7 +445,7 @@ def simulate_interference_limited(
         )
         served = serving >= 0
         if load_mode == "instantaneous":
-            load = _serving_loads(chunk, serving, params, rng)
+            load = _serving_loads(chunk, serving, library, params, rng)
         else:
             load = mean_load[chunk.content]
         rate = _shared_rate(xi[served], interference[served], load[served], params.tx_power)
@@ -487,7 +489,8 @@ def empirical_mean_load(
             chunk.interf, params, nearest=True,
         )
         served = serving >= 0
-        return np.array([_serving_loads(chunk, serving, params)[served].sum(), served.sum()])
+        loads = _serving_loads(chunk, serving, library, params)
+        return np.array([loads[served].sum(), served.sum()])
 
     total, measured = _run_chunks(trials, _INTERF_CHUNK, worker)
     if measured == 0:

@@ -309,6 +309,16 @@ class TestExitCodes:
         assert result.exit_code == 2
         assert "c * max(rate) = 1200" in result.output
 
+    def test_zero_helper_density_exits_2(self, tmp_path):
+        # the default c_mode = load divides by the helper density
+        config = tmp_path / "no_helpers.ini"
+        config.write_text(BASE_CONFIG.replace("helper_density = 0.05", "helper_density = 0"))
+        result = CliRunner().invoke(
+            main, ["optimize-sir", "--config", str(config), "--out", str(tmp_path / "z.csv")]
+        )
+        assert result.exit_code == 2
+        assert "helper_density" in result.output
+
     def test_fractional_memory_sweep_exits_2(self, tmp_path):
         config = tmp_path / "memory.ini"
         config.write_text(BASE_CONFIG + "sweep = memory\nsweep_grid = 2.5\n")

@@ -125,6 +125,11 @@ class TestDomainTypes:
         with pytest.raises(ValueError):
             NetworkParams(0.05, 0.002, 1.0, 0.01, pathloss_exp=2.0)
 
+    @pytest.mark.parametrize("density", [0.0, -0.05])
+    def test_params_require_positive_helper_density(self, density):
+        with pytest.raises(ValueError, match="helper_density"):
+            NetworkParams(density, 0.002, 1.0, 0.01, 3.0)
+
     def test_params_require_half_fading(self):
         with pytest.raises(ValueError):
             NetworkParams(0.05, 0.002, 1.0, 0.01, 3.0, fading_desired=0.2)

@@ -16,7 +16,6 @@ from cachegeo.optimizer import (
     interference_candidate,
     interference_multiplier_bounds,
     noise_candidate,
-    noise_multiplier_bounds,
     optimize_interference,
     optimize_noise,
 )
@@ -47,37 +46,55 @@ def params_with_kappa_T(target_kT, f_count=2, gamma=None, lam=0.05):
 
 class TestNoiseCandidate:
     def test_zero_at_upper_multiplier(self):
-        f, kappa, T = 0.6, 1.3, 2.0
-        assert noise_candidate(f * kappa * T, 0.0, f, kappa, T) == 0.0
+        log_upper, kT = math.log(0.6 * 1.3 * 2.0), 1.3 * 2.0
+        assert noise_candidate(log_upper, log_upper, kT) == 0.0
 
     def test_one_at_lower_multiplier(self):
-        f, kappa, T = 0.6, 1.3, 2.0
-        lower = f * kappa * T * math.exp(-kappa * T)
-        assert noise_candidate(lower, 0.0, f, kappa, T) == pytest.approx(1.0, abs=1e-12)
+        f, kT = 0.6, 1.3 * 2.0
+        lower = f * kT * math.exp(-kT)
+        assert noise_candidate(math.log(lower), math.log(f * kT), kT) == pytest.approx(
+            1.0, abs=1e-12
+        )
 
     def test_clamped_beyond_upper(self):
-        assert noise_candidate(10.0, 0.0, 0.6, 1.3, 2.0) == 0.0
+        assert noise_candidate(math.log(10.0), math.log(0.6 * 2.6), 2.6) == 0.0
 
-    def test_rejects_nonpositive_multiplier(self):
-        with pytest.raises(ValueError):
-            noise_candidate(0.0, 0.0, 0.6, 1.3, 2.0)
+    def test_one_reachable_when_lower_multiplier_underflows(self):
+        # l = f kT exp(-kT) is 0.0 in floating point at kT = 800
+        f, kT = 0.6, 800.0
+        assert f * kT * math.exp(-kT) == 0.0
+        log_upper = math.log(f * kT)
+        assert noise_candidate(log_upper - kT, log_upper, kT) == 1.0
+        assert noise_candidate(-math.inf, log_upper, kT) == 1.0
+        assert noise_candidate(log_upper - kT / 2, log_upper, kT) == pytest.approx(0.5)
 
 
 class TestNoiseMultiplierBounds:
+    """The multiplier range (l, u) of a content: p = 1 at omega <= l, p = 0 at omega >= u."""
+
     def test_substitution(self):
-        lower, upper = noise_multiplier_bounds(0.5, 1.0, 2.0)
-        assert upper == pytest.approx(1.0)
-        assert lower == pytest.approx(math.exp(-2.0), rel=1e-12)
+        # f = 0.5, kappa = 1, T = 2: u = f kappa T = 1 and l = u exp(-kappa T)
+        log_upper, kT = math.log(0.5 * 1.0 * 2.0), 2.0
+        assert log_upper == pytest.approx(0.0)
+        assert noise_candidate(0.0, log_upper, kT) == 0.0
+        assert noise_candidate(-2.0, log_upper, kT) == pytest.approx(1.0, abs=1e-12)
+        assert noise_candidate(-1.0, log_upper, kT) == pytest.approx(0.5, abs=1e-12)
 
     def test_ratio_tends_to_one_for_small_exponent(self):
-        lower, upper = noise_multiplier_bounds(0.5, 1e-9, 1.0)
-        assert lower / upper == pytest.approx(1.0, abs=1e-8)
+        # log(l / u) = -kappa T: p falls from 1 to 0 over a log window of 1e-9
+        f, kT = 0.5, 1e-9
+        log_upper = math.log(f * kT)
+        assert noise_candidate(log_upper - 2 * kT, log_upper, kT) == 1.0
+        assert noise_candidate(log_upper - kT, log_upper, kT) == pytest.approx(1.0, abs=1e-5)
+        assert noise_candidate(log_upper, log_upper, kT) == 0.0
 
     def test_lower_strictly_below_upper(self):
-        lower, upper = noise_multiplier_bounds(
-            np.array([0.5, 0.3, 0.2]), 0.7, np.array([1.0, 2.0, 0.5])
-        )
-        assert np.all(lower < upper)
+        f, kT = np.array([0.5, 0.3, 0.2]), 0.7 * np.array([1.0, 2.0, 0.5])
+        log_upper = np.log(f * kT)
+        np.testing.assert_allclose(noise_candidate(log_upper - kT, log_upper, kT), 1.0, atol=1e-12)
+        assert np.all(noise_candidate(log_upper, log_upper, kT) == 0.0)
+        interior = noise_candidate(log_upper - kT / 2, log_upper, kT)
+        assert np.all((interior > 0.0) & (interior < 1.0))
 
 
 class TestOptimizeNoise:
@@ -117,15 +134,10 @@ class TestOptimizeNoise:
         lib = library_with(1.0, 5, np.linspace(0.4, 1.0, 5))
         params = NetworkParams(0.05, 0.002, 1.0, 0.01, 3.0)
         consts = NoiseConstants.from_params(lib, params)
-        lower, upper = noise_multiplier_bounds(lib.popularity, consts.kappa, consts.T)
-        grid = np.linspace(lower.min(), upper.max(), 400)
-        sums = []
-        for omega in grid:
-            mu = np.maximum(lower - omega, 0.0)
-            sums.append(
-                noise_candidate(omega, mu, lib.popularity, consts.kappa, consts.T).sum()
-            )
-        sums = np.array(sums)
+        kT = consts.kappa * consts.T
+        log_upper = np.log(lib.popularity * kT)
+        grid = np.linspace((log_upper - kT).min(), log_upper.max(), 400)
+        sums = np.array([noise_candidate(x, log_upper, kT).sum() for x in grid])
         assert sums[0] == pytest.approx(5.0, abs=1e-9)
         assert sums[-1] == pytest.approx(0.0, abs=1e-9)
         assert np.all(np.diff(sums) <= 1e-12)

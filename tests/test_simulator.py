@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -314,7 +315,7 @@ def brute_force_nearest_loads(chunk, serving):
                 chunk.user_xy[0, u][:, None] - chunk.helper_xy[0, h][None, :],
                 chunk.user_xy[1, u][:, None] - chunk.helper_xy[1, h][None, :],
             )
-            candidates = chunk.caches[h][:, chunk.requested[u]].T
+            candidates = (chunk.caches[h][None] == chunk.requested[u][:, None, None]).any(2)
             best = h[np.argmin(np.where(candidates, dist, np.inf), axis=1)]
             load += int(np.sum(candidates.any(axis=1) & (best == serving[t])))
         loads.append(load)
@@ -434,16 +435,39 @@ class TestRealizationAndLoad:
         chunks = [self.chunk(seed) for seed in range(5)]
         for c in chunks:
             n_helpers, n_users = c.helper_counts.sum(), c.user_counts.sum()
-            assert c.caches.shape == (n_helpers, 3)
-            assert np.all(c.caches.sum(axis=1) <= 2)
+            assert c.caches.shape == (n_helpers, 2)
+            assert np.all((c.caches >= -1) & (c.caches < 3))
+            # no content twice in a row
+            twice = (c.caches[:, 0] == c.caches[:, 1]) & (c.caches[:, 0] >= 0)
+            assert not np.any(twice)
             assert np.all(c.desired > 0) and np.all(c.interf > 0)
             assert c.requested.shape == (n_users,) and c.user_xy.shape == (2, n_users)
             assert np.all(c.helper_dist <= 15.0)
             trial = np.repeat(np.arange(64), c.helper_counts)
-            assert np.array_equal(c.caching, c.caches[np.arange(n_helpers), c.content[trial]])
+            assert np.array_equal(
+                c.caching, [c.content[t] in row for t, row in zip(trial, c.caches.tolist())]
+            )
         counts = np.concatenate([c.helper_counts for c in chunks])
         expected = 0.02 * math.pi * 225.0
         assert np.mean(counts) == pytest.approx(expected, rel=0.1)
+
+    def test_chunk_memory_grows_with_slots_not_library(self):
+        # F = 2000, M = 10: about 89k helpers per 64-trial chunk, so a dense
+        # helpers x F cache would take 177 MB alone; M slots take 7 MB
+        count, memory = 2000, 10
+        lib = make_library(count)
+        params = make_params(lam=1e-3, alpha=4.0)
+        layout = build_block_layout(CachingPolicy(np.full(count, memory / count), memory))
+        radius = window_radius(memory / count, params.helper_density)
+        rng = np.random.default_rng(0)
+        tracemalloc.start()
+        try:
+            chunk = _sample_chunk(rng, 64, lib, params, layout, radius, radius)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 40e6
+        assert chunk.caches.shape == (chunk.helper_counts.sum(), memory)
 
     @pytest.mark.parametrize("pair_slice", [8192, 7])
     def test_nearest_loads_match_brute_force(self, monkeypatch, pair_slice):
@@ -452,7 +476,7 @@ class TestRealizationAndLoad:
         _, serving, _ = _typical_links(
             c.helper_counts, c.helper_dist, c.caching, c.desired, c.interf, self.params, True
         )
-        loads = _serving_loads(c, serving, self.params)
+        loads = _serving_loads(c, serving, self.lib, self.params)
         assert np.array_equal(loads, brute_force_nearest_loads(c, serving))
         assert loads.max() > 2  # the check saw shared helpers
 
@@ -461,10 +485,10 @@ class TestRealizationAndLoad:
         _, serving, _ = _typical_links(
             c.helper_counts, c.helper_dist, c.caching, c.desired, c.interf, self.params, False
         )
-        whole = _serving_loads(c, serving, self.params, np.random.default_rng(3))
+        whole = _serving_loads(c, serving, self.lib, self.params, np.random.default_rng(3))
         monkeypatch.setattr(simulator, "_PAIR_SLICE", 5)
         assert np.array_equal(
-            _serving_loads(c, serving, self.params, np.random.default_rng(3)), whole
+            _serving_loads(c, serving, self.lib, self.params, np.random.default_rng(3)), whole
         )
         assert whole.max() > 2
 
