@@ -82,15 +82,17 @@ class NetworkParams:
     fading_interf: float = 1.0
 
     def __post_init__(self):
-        if self.pathloss_exp <= 2:
-            raise ValueError("pathloss_exp must be > 2")
+        # written as not (x >= bound) so that NaN fails every check
+        if not self.pathloss_exp > 2:
+            raise ValueError(f"pathloss_exp must be > 2, got {self.pathloss_exp}")
         if not self.helper_density > 0:
-            raise ValueError("helper_density must be > 0")
+            raise ValueError(f"helper_density must be > 0, got {self.helper_density}")
         for name in ("user_density", "tx_power", "noise_power"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be >= 0")
-        if self.fading_desired < 0.5 or self.fading_interf < 0.5:
-            raise ValueError("Nakagami fading parameters must be >= 1/2")
+            if not getattr(self, name) >= 0:
+                raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
+        for name in ("fading_desired", "fading_interf"):
+            if not getattr(self, name) >= 0.5:
+                raise ValueError(f"{name} (Nakagami m) must be >= 1/2, got {getattr(self, name)}")
 
     @property
     def delta(self) -> float:

@@ -1,13 +1,24 @@
-"""Caching-probability optimizers: water-filling bisection on the budget
-multiplier for the noise-limited and interference-limited objectives, plus
-baseline placements and a grid-search oracle.
+"""Caching-probability optimizers: one log-space water-filling solves both
+the noise-limited objective and the Rayleigh lower bound of the
+interference-limited one; plus baseline placements and a grid-search oracle.
 
 Both problems are concave maximizations over the capped simplex
-{0 <= p_i <= 1, sum p_i <= M}.  The per-content stationarity condition
-inverts in closed form given the budget multiplier omega, and the cap
-multipliers mu_i = [l_i - omega]+ fold the p_i <= 1 constraint into the
-same one-dimensional search, so a single bisection on omega drives
-sum_i p_i(omega) to M.
+{0 <= p_i <= 1, sum p_i <= M}.  Given the budget multiplier omega, the
+per-content stationarity condition inverts in closed form, and the cap
+multiplier mu_i = [l_i - omega]+ folds p_i <= 1 into it.  In x = log omega
+both inversions are one formula,
+
+    p_i = clip(g(min(log u_i - x, w_i)) / g(w_i), 0, 1),
+
+where u_i is the multiplier at which p_i reaches 0, w_i = log(u_i / l_i)
+the width of its window and g an increasing shape with g(0) = 0:
+
+- noise-limited: log u = log(f kappa T), w = kappa T, g(t) = t;
+- interference-limited: log u = log f - log B, w = 2 log1p(k) with
+  k = (1 - A) / B, g(t) = expm1(t / 2), the root of the quadratic
+  condition; w = 0 (A = 1, a linear term) is the 0/1 step at u.
+
+sum_i p_i is nonincreasing in x, so a single bisection on x drives it to M.
 """
 from __future__ import annotations
 
@@ -22,10 +33,8 @@ from .model import CachingPolicy, ContentLibrary, NetworkParams
 
 __all__ = [
     "SolveReport",
-    "noise_candidate",
+    "water_fill",
     "optimize_noise",
-    "interference_candidate",
-    "interference_multiplier_bounds",
     "optimize_interference",
     "brute_force_policy",
     "baseline_policy",
@@ -33,9 +42,6 @@ __all__ = [
 
 DEFAULT_EPS = 1e-9
 MAX_ITERATIONS = 200
-# A content is a water-filling "step" when its interior multiplier window
-# [l, u] has relative width ~ 2 (1 - A) / B too narrow for bisection.
-_STEP_WINDOW = 1e-9
 _LATTICE_CAP = 2 * 10**10
 _CHUNK = 1 << 20
 
@@ -57,45 +63,22 @@ class SolveReport:
     kkt_residual: float
 
 
-def noise_candidate(log_omega, log_upper, kT):
-    """Caching probability solving the noise-limited stationarity condition,
-    in log space: p = (1/(kappa T)) [log u - log(omega + mu)]+, clipped to [0, 1].
+def water_fill(log_omega, log_upper, width, shape):
+    """Caching probability at the budget multiplier omega = exp(log_omega):
+    p = clip(g(min(log u - log omega, w)) / g(w), 0, 1) with g = `shape`.
 
-    log_upper = log u = log(f kappa T) is where p reaches 0; p = 1 at and
-    below log l = log u - kappa T.  The cap multiplier mu = [l - omega]+
-    gives log(omega + mu) = max(log omega, log l), so p = 1 stays reachable
-    even when l underflows to zero in linear space.
+    log_upper = log u is where p reaches 0 and width = w = log(u / l) >= 0;
+    p = 1 at and below log l = log u - w, where the cap multiplier
+    mu = [l - omega]+ binds.  Capping the argument at w, rather than
+    flooring log omega at log l, keeps p = 1 exact when w is below the
+    float spacing of log u (such a window, and w = 0, is a 0/1 step at u)
+    and when l underflows in linear space.  A subnormal or zero g(w)
+    overflows the ratio below u, which the clip takes to 0.
     """
-    return np.clip((log_upper - np.maximum(log_omega, log_upper - kT)) / kT, 0.0, 1.0)
-
-
-def interference_candidate(omega, mu, f, A, B):
-    """Caching probability solving the interference-limited stationarity
-    condition: p = (1/(1-A)) [-B + sqrt(f B / (omega + mu))]+, clipped to [0, 1].
-
-    Requires A < 1; the A -> 1 limit degenerates to a linear objective and
-    is handled inside optimize_interference.
-    """
-    omega_mu = np.asarray(omega + mu, dtype=float)
-    if np.any(omega_mu <= 0):
-        raise ValueError("omega + mu must be positive")
-    A = np.asarray(A, dtype=float)
-    if np.any(A >= 1.0):
-        raise ValueError("interference_candidate requires A < 1")
-    f = np.asarray(f, dtype=float)
-    B = np.asarray(B, dtype=float)
-    raw = (-B + np.sqrt(f * B / omega_mu)) / (1.0 - A)
-    return np.clip(raw, 0.0, 1.0)
-
-
-def interference_multiplier_bounds(f, A, B):
-    """Multiplier range (l, u) for the interference problem:
-    l = f B / (1 - A + B)^2, u = f / B; they coincide as A -> 1.
-    """
-    f = np.asarray(f, dtype=float)
-    A = np.asarray(A, dtype=float)
-    B = np.asarray(B, dtype=float)
-    return f * B / (1.0 - A + B) ** 2, f / B
+    t = np.minimum(log_upper - log_omega, width)
+    with np.errstate(over="ignore", divide="ignore"):
+        p = np.divide(shape(t), shape(width), out=np.ones_like(t), where=t < width)
+    return np.clip(p, 0.0, 1.0)
 
 
 def _bisect_budget(
@@ -108,16 +91,15 @@ def _bisect_budget(
 ):
     """Bisection over a multiplier key until sum p(key) meets the budget.
 
-    `candidate` maps the key (the budget multiplier, possibly transformed,
-    e.g. its logarithm for the noise problem) to the clipped probability
+    `candidate` maps the key (log omega) to the clipped probability
     vector; sum p is nonincreasing in the key.  The loop keeps halving past
     the requested eps down to the best float-achievable budget gap, so a
     converged solve is essentially exact and |sum p - M| < eps is demanded
     only as the acceptance threshold.  Returns (key, p, iterations).
 
-    If the bracket collapses on a jump of sum p (possible only for
-    stepwise candidates), the marginal contents get the fractional
-    remainder in index order.
+    If the bracket collapses on a jump of sum p (a content whose window
+    is narrower than the float spacing of the key is a step), the
+    marginal contents get the fractional remainder in index order.
     """
     a, b = key_lo, key_hi
     best_gap = np.inf
@@ -199,6 +181,41 @@ def _check_problem(library: ContentLibrary, memory: int, eps: float):
         raise ValueError("eps must be positive")
 
 
+def _water_fill_solve(
+    log_upper: np.ndarray,
+    width: np.ndarray,
+    shape: Callable,
+    gradient: Callable[[np.ndarray], np.ndarray],
+    objective: Callable[[CachingPolicy], float],
+    memory: int,
+    eps: float,
+    max_iter: int,
+) -> SolveReport:
+    """Bisect log omega over [min(log l), max(log u)] until sum p meets the
+    budget, then certify the water-filling with its KKT residual.
+
+    `gradient` maps p to h_i'(p_i) of the minimized objective sum_i h_i(p_i).
+    """
+    log_lower = log_upper - width
+    log_omega, p, iterations = _bisect_budget(
+        float(log_lower.min()), float(log_upper.max()),
+        lambda x: water_fill(x, log_upper, width, shape), float(memory), eps, max_iter,
+    )
+    with np.errstate(under="ignore"):
+        omega = float(np.exp(log_omega))
+        mu = np.maximum(np.exp(log_lower) - omega, 0.0)
+    residual = _kkt_residual(p, omega, mu, gradient(p), float(memory), eps)
+    policy = CachingPolicy(probs=p, memory=memory)
+    return SolveReport(
+        policy=policy,
+        omega=omega,
+        mu=mu,
+        objective=objective(policy),
+        iterations=iterations,
+        kkt_residual=residual,
+    )
+
+
 def optimize_noise(
     library: ContentLibrary,
     params: NetworkParams,
@@ -208,31 +225,17 @@ def optimize_noise(
 ) -> SolveReport:
     """Maximize the noise-limited success probability over the capped simplex.
 
-    The bisection runs on log(omega) through noise_candidate.
+    Water-filling with log u = log(f kappa T), w = kappa T and g(t) = t.
     """
     _check_problem(library, memory, eps)
     consts = NoiseConstants.from_params(library, params)
     f = library.popularity
     kT = consts.kappa * consts.T
-    log_upper = np.log(f) + np.log(kT)
-    log_lower = log_upper - kT
-    log_omega, p, iterations = _bisect_budget(
-        float(log_lower.min()), float(log_upper.max()),
-        lambda key: noise_candidate(key, log_upper, kT), float(memory), eps, max_iter,
-    )
-    with np.errstate(under="ignore"):
-        omega = float(np.exp(log_omega))
-        mu = np.maximum(np.exp(log_lower) - omega, 0.0)
-    gradient = -f * kT * np.exp(-kT * p)
-    residual = _kkt_residual(p, omega, mu, gradient, float(memory), eps)
-    policy = CachingPolicy(probs=p, memory=memory)
-    return SolveReport(
-        policy=policy,
-        omega=omega,
-        mu=mu,
-        objective=success_noise(library, params, policy),
-        iterations=iterations,
-        kkt_residual=residual,
+    return _water_fill_solve(
+        np.log(f) + np.log(kT), kT, lambda t: t,
+        lambda p: -f * kT * np.exp(-kT * p),
+        lambda policy: success_noise(library, params, policy),
+        memory, eps, max_iter,
     )
 
 
@@ -245,58 +248,35 @@ def optimize_interference(
 ) -> SolveReport:
     """Maximize the Rayleigh-fading success lower bound over the capped simplex.
 
-    Contents whose interior multiplier window is below bisection
-    resolution (relative width ~ 2 (1 - A_i) / B_i, including A_i -> 1,
-    where the objective term degenerates to the linear p_i / B_i) are
-    treated as 0/1 steps at omega = f_i / B_i; any resulting jump of
-    sum p is split fractionally by the bisection driver.
+    Water-filling with log u = log f - log B, w = 2 log1p(k) and
+    g(t) = expm1(t / 2), k = (1 - A) / B.  A may round up to just above 1
+    (InterferenceConstants admits 1 + 1e-12), which is taken as A = 1.
     """
     _check_problem(library, memory, eps)
     f = library.popularity
-    A, B = consts.A, consts.B
-    degenerate = (1.0 - A) <= _STEP_WINDOW * B
-    lower, upper = interference_multiplier_bounds(f, A, B)
-
-    def candidate(omega: float) -> np.ndarray:
-        mu = np.maximum(lower - omega, 0.0)
-        p = np.empty_like(f)
-        if np.any(~degenerate):
-            p[~degenerate] = interference_candidate(
-                omega, mu[~degenerate], f[~degenerate], A[~degenerate], B[~degenerate]
-            )
-        if np.any(degenerate):
-            p[degenerate] = np.where(omega <= upper[degenerate], 1.0, 0.0)
-        return p
-
-    omega, p, iterations = _bisect_budget(
-        float(lower.min()), float(upper.max()), candidate, float(memory), eps, max_iter
-    )
-    mu = np.maximum(lower - omega, 0.0)
-    gradient = np.where(
-        degenerate,
-        -f / B,
-        -f * B / ((1.0 - A) * p + B) ** 2,
-    )
-    residual = _kkt_residual(p, omega, mu, gradient, float(memory), eps)
-    policy = CachingPolicy(probs=p, memory=memory)
-    return SolveReport(
-        policy=policy,
-        omega=omega,
-        mu=mu,
-        objective=rayleigh_lower_bound(library, consts, policy),
-        iterations=iterations,
-        kkt_residual=residual,
+    B = consts.B
+    k = np.maximum(1.0 - consts.A, 0.0) / B
+    return _water_fill_solve(
+        np.log(f) - np.log(B), 2.0 * np.log1p(k), lambda t: np.expm1(0.5 * t),
+        lambda p: -(f / B) / (1.0 + k * p) ** 2,
+        lambda policy: rayleigh_lower_bound(library, consts, policy),
+        memory, eps, max_iter,
     )
 
 
 def _batched(objective: Callable, count: int) -> Callable[[np.ndarray], np.ndarray]:
-    """Wrap a policy objective so it maps an (n, F) batch to (n,) values."""
+    """Wrap a policy objective so it maps an (n, F) batch to (n,) values.
+
+    An objective that takes one policy at a time fails on the (2, F) probe
+    with a shape assertion, a shape mismatch or a scalar conversion; any
+    other exception is a fault of the objective and propagates.
+    """
     probe = np.zeros((2, count))
     try:
         out = np.asarray(objective(probe))
         if out.shape == (2,):
             return lambda batch: np.asarray(objective(batch), dtype=float)
-    except Exception:
+    except (AssertionError, TypeError, ValueError):
         pass
     return lambda batch: np.array([float(objective(row)) for row in batch])
 

@@ -319,6 +319,29 @@ class TestExitCodes:
         assert result.exit_code == 2
         assert "helper_density" in result.output
 
+    @pytest.mark.parametrize(
+        "field, old, command",
+        [
+            # c_mode = load used to turn a NaN user density into c = 1 and exit 0
+            ("user_density", "user_density = 0.002", "optimize-sir"),
+            # a NaN power used to fail late on a [nan, nan] bisection bracket
+            ("tx_power", "snr_db = 20.0", "optimize-noise"),
+            # a NaN path loss exponent used to be reported as "kappa must be positive"
+            ("pathloss_exp", "pathloss_exp = 3.0", "optimize-noise"),
+        ],
+        ids=["user_density", "tx_power", "pathloss_exp"],
+    )
+    def test_nan_network_parameter_exits_2(self, tmp_path, field, old, command):
+        config = tmp_path / "nan.ini"
+        new = f"{field} = nan" if old.startswith(field) else f"{field} = nan\n{old}"
+        config.write_text(BASE_CONFIG.replace(old, new))
+        result = CliRunner().invoke(
+            main, [command, "--config", str(config), "--out", str(tmp_path / "n.csv")]
+        )
+        assert result.exit_code == 2
+        assert field in result.output
+        assert not (tmp_path / "n.csv").exists()
+
     def test_fractional_memory_sweep_exits_2(self, tmp_path):
         config = tmp_path / "memory.ini"
         config.write_text(BASE_CONFIG + "sweep = memory\nsweep_grid = 2.5\n")

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -129,6 +131,18 @@ class TestDomainTypes:
     def test_params_require_positive_helper_density(self, density):
         with pytest.raises(ValueError, match="helper_density"):
             NetworkParams(density, 0.002, 1.0, 0.01, 3.0)
+
+    @pytest.mark.parametrize(
+        "field",
+        ["helper_density", "user_density", "tx_power", "noise_power", "pathloss_exp",
+         "fading_desired", "fading_interf"],
+    )
+    def test_params_reject_nan(self, field):
+        values = dict(helper_density=0.05, user_density=0.002, tx_power=1.0, noise_power=0.01,
+                      pathloss_exp=3.0, fading_desired=1.0, fading_interf=1.0)
+        values[field] = math.nan
+        with pytest.raises(ValueError, match=field):
+            NetworkParams(**values)
 
     def test_params_require_half_fading(self):
         with pytest.raises(ValueError):

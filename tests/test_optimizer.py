@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from cachegeo.analytics import (
     InterferenceConstants,
@@ -13,11 +15,9 @@ from cachegeo.model import ContentLibrary, NetworkParams, zipf_popularity
 from cachegeo.optimizer import (
     baseline_policy,
     brute_force_policy,
-    interference_candidate,
-    interference_multiplier_bounds,
-    noise_candidate,
     optimize_interference,
     optimize_noise,
+    water_fill,
 )
 
 
@@ -42,6 +42,28 @@ def params_with_kappa_T(target_kT, f_count=2, gamma=None, lam=0.05):
     gamma = math.log2(3.0) if gamma is None else gamma
     lib = library_with(gamma, f_count, [rho] * f_count)
     return lib, params, kappa
+
+
+def noise_candidate(log_omega, log_upper, kT):
+    """The noise-limited water-filling: window kappa T, linear shape."""
+    return water_fill(log_omega, log_upper, kT, lambda t: t)
+
+
+def interference_candidate(log_omega, f, A, B):
+    """The interference-limited water-filling: u = f / B, window
+    2 log1p((1 - A) / B), square-root shape."""
+    width = 2.0 * math.log1p((1.0 - A) / B)
+    return water_fill(log_omega, math.log(f) - math.log(B), width, lambda t: np.expm1(0.5 * t))
+
+
+def assert_certified(report, memory, objective):
+    """KKT certificate, budget, box and dominance over both baselines."""
+    p = report.policy.probs
+    assert report.kkt_residual <= 1e-6
+    assert abs(float(p.sum()) - memory) <= 1e-9
+    assert np.all((p >= 0.0) & (p <= 1.0))
+    for kind in ("mpc", "uc"):
+        assert report.objective >= objective(baseline_policy(kind, p.size, memory)) - 1e-12
 
 
 class TestNoiseCandidate:
@@ -142,6 +164,24 @@ class TestOptimizeNoise:
         assert sums[-1] == pytest.approx(0.0, abs=1e-9)
         assert np.all(np.diff(sums) <= 1e-12)
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        log10_kT=st.lists(st.floats(-6.0, 3.0), min_size=2, max_size=12),
+        gamma=st.floats(0.0, 2.5),
+        share=st.floats(0.0, 1.0, exclude_max=True),
+    )
+    def test_property_certified_over_kappa_T(self, log10_kT, gamma, share):
+        # rates giving kappa T_i = 10^log10_kT[i], from T = (snr / (2^rho - 1))^delta
+        count = len(log10_kT)
+        memory = 1 + int(share * (count - 1))
+        params = NetworkParams(0.05, 0.002, 1.0, 0.01, 4.0)
+        kappa = math.pi * 0.05 * math.sqrt(math.pi) / 2.0
+        T = 10.0 ** np.asarray(log10_kT) / kappa
+        rates = np.log1p(params.snr / T ** (1.0 / params.delta)) / math.log(2.0)
+        lib = library_with(gamma, count, rates)
+        report = optimize_noise(lib, params, memory)
+        assert_certified(report, memory, lambda policy: success_noise(lib, params, policy))
+
     def test_rejects_memory_not_below_library(self):
         lib, params, _ = params_with_kappa_T(2.0)
         with pytest.raises(ValueError):
@@ -169,21 +209,35 @@ class TestInterferenceCandidate:
 
     def test_zero_at_upper_multiplier(self):
         f = 0.55
-        assert interference_candidate(f / self.B, 0.0, f, self.A, self.B) == 0.0
+        assert interference_candidate(math.log(f) - math.log(self.B), f, self.A, self.B) == 0.0
 
     def test_one_at_lower_multiplier(self):
         f = 0.55
         lower = f * self.B / (1.0 - self.A + self.B) ** 2
-        assert interference_candidate(lower, 0.0, f, self.A, self.B) == pytest.approx(
+        assert interference_candidate(math.log(lower), f, self.A, self.B) == pytest.approx(
             1.0, abs=1e-12
         )
 
     def test_clamped_far_beyond_upper(self):
-        assert interference_candidate(50.0, 0.0, 0.55, self.A, self.B) == 0.0
+        assert interference_candidate(math.log(50.0), 0.55, self.A, self.B) == 0.0
 
-    def test_rejects_degenerate_a(self):
-        with pytest.raises(ValueError):
-            interference_candidate(0.1, 0.0, 0.55, 1.0, self.B)
+    def test_matches_square_root_root(self):
+        # p = (-B + sqrt(f B / omega)) / (1 - A) inside the window (l, u)
+        f = 0.55
+        lower, upper = f * self.B / (1.0 - self.A + self.B) ** 2, f / self.B
+        omega = np.geomspace(lower, upper, 50)[1:-1]
+        expected = (-self.B + np.sqrt(f * self.B / omega)) / (1.0 - self.A)
+        got = np.array([interference_candidate(x, f, self.A, self.B) for x in np.log(omega)])
+        np.testing.assert_allclose(got, expected, rtol=1e-12, atol=1e-12)
+
+    def test_degenerate_a_is_a_step_at_upper(self):
+        # A = 1 leaves the linear term p / B: w = 0 and p jumps from 1 to 0 at u = f / B
+        f = 0.55
+        log_upper = math.log(f) - math.log(self.B)
+        assert interference_candidate(log_upper - 1e-12, f, 1.0, self.B) == 1.0
+        assert interference_candidate(-math.inf, f, 1.0, self.B) == 1.0
+        assert interference_candidate(log_upper + 1e-12, f, 1.0, self.B) == 0.0
+        assert interference_candidate(math.log(50.0), f, 1.0, self.B) == 0.0
 
 
 def interference_library(f1, rates=(1.0, 1.0)):
@@ -252,6 +306,38 @@ class TestOptimizeInterference:
         assert report.kkt_residual <= 1e-6
 
 
+    def test_huge_b_does_not_overflow(self):
+        # alpha = 2.05, c rho = 1024: B ~ 2e302, so the linear-space window
+        # bound f B / (1 - A + B)^2 overflowed
+        count = 1000
+        lib = ContentLibrary(count, zipf_popularity(count, 0.8), np.full(count, 8.0))
+        consts = InterferenceConstants.from_library(lib, alpha=2.05, c=128.0)
+        assert consts.B.max() > 1e302
+        report = optimize_interference(lib, consts, memory=10)
+        assert abs(report.policy.probs.sum() - 10.0) <= 1e-9
+        assert report.kkt_residual <= 1e-6
+        # equal B: the windows order as f, so the ten most popular are cached
+        np.testing.assert_array_equal(report.policy.probs, np.r_[np.ones(10), np.zeros(count - 10)])
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        rates=st.lists(st.floats(0.01, 1.6), min_size=2, max_size=12),
+        gamma=st.floats(0.0, 2.5),
+        alpha=st.floats(2.05, 6.0),
+        c=st.floats(1.0, 60.0),
+        share=st.floats(0.0, 1.0, exclude_max=True),
+    )
+    @example(rates=[1.6] * 6 + [1.2] * 4, gamma=0.8, alpha=4.0, c=60.0, share=0.25)
+    def test_property_certified_up_to_saturated_windows(self, rates, gamma, alpha, c, share):
+        # c rho up to 96: A -> 1, A == 1 exactly, and windows below the spacing of log u
+        count = len(rates)
+        memory = 1 + int(share * (count - 1))
+        lib = library_with(gamma, count, rates)
+        consts = InterferenceConstants.from_library(lib, alpha, c)
+        report = optimize_interference(lib, consts, memory)
+        assert_certified(report, memory, lambda policy: rayleigh_lower_bound(lib, consts, policy))
+
+
 class TestBruteForce:
     def test_constant_objective_returns_origin(self):
         policy, value = brute_force_policy(lambda p: 1.0, 3, 1, grid_step=0.5)
@@ -270,6 +356,16 @@ class TestBruteForce:
         policy, value = brute_force_policy(scalar_objective, 3, 2, grid_step=0.5)
         np.testing.assert_array_equal(policy.probs, [1.0, 1.0, 0.0])
         assert value == pytest.approx(5.0)
+
+    def test_objective_faults_propagate(self):
+        # only a scalar-only objective's shape or type failure on the batch probe falls back
+        def faulty(p):
+            if np.ndim(p) == 2:
+                raise ZeroDivisionError("fault in the batched branch")
+            return float(np.sum(p))
+
+        with pytest.raises(ZeroDivisionError):
+            brute_force_policy(faulty, 3, 1, grid_step=0.5)
 
     def test_search_space_guard(self):
         with pytest.raises(ValueError):
