@@ -6,7 +6,6 @@ from .analytics import (
     InterferenceConstants,
     NoiseConstants,
     c_alpha,
-    c_tau_alpha,
     intensity_xi,
     laplace_interference,
     mean_load_m1,
@@ -21,20 +20,17 @@ from .model import (
     ContentLibrary,
     NetworkParams,
     uniform_rates,
-    validate_policy,
     zipf_popularity,
 )
 from .optimizer import (
     SolveReport,
     baseline_policy,
-    brute_force_policy,
     optimize_interference,
     optimize_noise,
 )
 from .simulator import (
     MCEstimate,
     nakagami_gain,
-    sample_ppp,
     simulate_interference_limited,
     simulate_noise_limited,
 )
@@ -45,14 +41,12 @@ __all__ = [
     "NetworkParams",
     "zipf_popularity",
     "uniform_rates",
-    "validate_policy",
     "NoiseConstants",
     "InterferenceConstants",
     "intensity_xi",
     "xi1_cdf",
     "success_noise",
     "c_alpha",
-    "c_tau_alpha",
     "rayleigh_lower_bound",
     "laplace_interference",
     "nakagami_lower_bound",
@@ -60,10 +54,8 @@ __all__ = [
     "SolveReport",
     "optimize_noise",
     "optimize_interference",
-    "brute_force_policy",
     "baseline_policy",
     "MCEstimate",
-    "sample_ppp",
     "nakagami_gain",
     "simulate_noise_limited",
     "simulate_interference_limited",

@@ -40,7 +40,6 @@ __all__ = [
     "xi1_cdf",
     "success_noise",
     "c_alpha",
-    "c_tau_alpha",
     "rayleigh_lower_bound",
     "laplace_interference",
     "nakagami_lower_bound",
@@ -145,19 +144,6 @@ def c_alpha(alpha: float) -> float:
     return x / math.sin(x)
 
 
-def c_tau_alpha(tau: float, alpha: float) -> float:
-    """The integral of 1/(1 + u^(alpha/2)) over [0, tau^(-2/alpha)].
-
-    Equals tau^(-2/alpha) 2F1(1, 2/alpha; 1 + 2/alpha; -1/tau) and
-    C_alpha I_{1/(1+tau)}(2/alpha, 1 - 2/alpha).
-    """
-    if alpha <= 2:
-        raise ValueError("alpha must be > 2")
-    if tau <= 0:
-        raise ValueError("tau must be > 0")
-    return c_alpha(alpha) * float(_a_over_b(tau, 2.0 / alpha))
-
-
 def _a_over_b(tau, delta: float):
     """A / B = I_{1/(1+tau)}(delta, 1 - delta).  Below tau = 1 it is taken as
     1 - I_{tau/(1+tau)}(1 - delta, delta), whose argument keeps the digits of
@@ -213,7 +199,7 @@ class InterferenceConstants:
             raise ValueError("tau, A and B must be finite")
         if np.any(tau <= 0):
             raise ValueError("tau must be positive")
-        if np.any(A <= 0) or np.any(A > 1 + 1e-12):
+        if np.any(A <= 0) or np.any(A > 1):
             raise ValueError("A must lie in (0, 1]")
         if np.any(B <= A):
             raise ValueError("B must exceed A")
@@ -230,7 +216,8 @@ class InterferenceConstants:
         ratio = _a_over_b(tau, delta)
         _require_resolvable(ratio < 1.0, rates, c, "A/B rounds to 1 at tau = 2^(c rate) - 1")
         B = tau**delta * c_alpha(alpha)
-        return cls(tau=tau, A=B * ratio, B=B, c=float(c))
+        # the exact A is below 1, but B * (A / B) can round above it
+        return cls(tau=tau, A=np.minimum(B * ratio, 1.0), B=B, c=float(c))
 
     @classmethod
     def from_library(cls, library: ContentLibrary, alpha: float, c: float) -> "InterferenceConstants":
@@ -337,21 +324,6 @@ def _success_polynomial(a: np.ndarray) -> np.ndarray:
             P[k, 1 : j + 2] += math.comb(k - 1, j) * a[k - j] * P[j, : j + 1]
         q += (-1.0) ** k / math.factorial(k) * P[k]
     return q
-
-
-def _success_given_distance(r: float, tau: float, p: float, params: NetworkParams) -> float:
-    """P[fading beats the interference threshold | serving distance r].
-
-    Expands the Nakagami upper incomplete gamma into the k-sum of scaled
-    Laplace-transform derivatives evaluated at s = m_D tau r^alpha / P,
-    which is e^(a_0 y) Q(y) in y = pi lambda r^2.
-    """
-    s = params.fading_desired * tau * r**params.pathloss_exp / params.tx_power
-    if s == 0.0:
-        return 1.0
-    a = _distance_exponents(tau, p, params)
-    y = math.pi * params.helper_density * r * r
-    return math.exp(a[0] * y) * float(np.polyval(_success_polynomial(a)[::-1], y))
 
 
 def nakagami_lower_bound(

@@ -11,6 +11,7 @@ from __future__ import annotations
 import configparser
 import csv
 import json
+import math
 import os
 import time
 from dataclasses import asdict, dataclass, field, replace
@@ -24,6 +25,7 @@ from .errors import NumericalError
 from .model import CachingPolicy, ContentLibrary, NetworkParams, uniform_rates, zipf_popularity
 from .optimizer import baseline_policy, optimize_interference, optimize_noise
 from .simulator import (
+    LOAD_MODES,
     sample_xi_min,
     simulate_interference_limited,
     simulate_noise_limited,
@@ -51,6 +53,8 @@ SWEEPABLE = (
     "snr_db",
 )
 _C_GRID = (1.0, 1.5, 2.0, 3.0, 4.0, 6.0, 8.0, 12.0, 16.0, 24.0, 32.0, 40.0, 48.0, 64.0, 96.0, 128.0)
+# select_c's reference set: the two baselines plus seeded random policies
+_N_REFERENCE_POLICIES = 6
 
 
 class ConfigError(ValueError):
@@ -108,6 +112,8 @@ class ExperimentConfig:
             raise ConfigError("c_mode must be 'load', 'fixed', or 'numeric'")
         if self.channel not in ("noise", "interference"):
             raise ConfigError("channel must be 'noise' or 'interference'")
+        if self.load_mode not in LOAD_MODES:
+            raise ConfigError(f"unknown load_mode {self.load_mode!r}, expected one of {LOAD_MODES}")
         out = Path(self.output)
         parent = out.parent if str(out.parent) else Path(".")
         if not parent.exists():
@@ -117,7 +123,17 @@ class ExperimentConfig:
         return self
 
     def network(self) -> NetworkParams:
-        noise_power = self.tx_power / 10.0 ** (self.snr_db / 10.0)
+        try:
+            snr = 10.0 ** (self.snr_db / 10.0)
+        except OverflowError:  # beyond the float range: noiseless, as snr_db = inf
+            snr = math.inf
+        noise_power = self.tx_power / snr if snr > 0 else math.inf
+        # a non-finite tx_power is NetworkParams' to report
+        if math.isfinite(self.tx_power) and not math.isfinite(noise_power):
+            raise ConfigError(
+                f"snr_db = {self.snr_db} gives a noise power tx_power / 10^(snr_db/10) "
+                f"of {noise_power}; it must be finite"
+            )
         return NetworkParams(
             helper_density=self.helper_density,
             user_density=self.user_density,
@@ -247,8 +263,6 @@ def select_c(
     memory: int,
     trials: int,
     seed: int,
-    c_grid: tuple = _C_GRID,
-    n_reference_policies: int = 6,
 ) -> float:
     """Smallest load bound c on a grid keeping the Rayleigh bound below a
     Monte Carlo reference (distance association, mean load) on a set of
@@ -259,7 +273,7 @@ def select_c(
     policies = [baseline_policy("uc", library.count, memory)]
     if memory < library.count:
         policies.append(baseline_policy("mpc", library.count, memory))
-    while len(policies) < n_reference_policies:
+    while len(policies) < _N_REFERENCE_POLICIES:
         p = rng.random(library.count)
         p *= min(1.0, memory / p.sum())
         p = np.maximum(p, 0.05)  # keep windows and loads finite
@@ -275,7 +289,7 @@ def select_c(
         )
         for policy in policies
     ]
-    for c in sorted(c_grid):
+    for c in _C_GRID:
         consts = InterferenceConstants.from_library(library, params.pathloss_exp, c)
         ok = all(
             rayleigh_lower_bound(library, consts, policy) <= limit
@@ -284,7 +298,7 @@ def select_c(
         if ok:
             return c
     raise NumericalError(
-        f"no c in {c_grid} certifies the lower bound on the reference policy set"
+        f"no c in {_C_GRID} certifies the lower bound on the reference policy set"
     )
 
 

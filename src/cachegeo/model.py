@@ -16,7 +16,6 @@ __all__ = [
     "CachingPolicy",
     "zipf_popularity",
     "uniform_rates",
-    "validate_policy",
     "budget_violation",
     "BUDGET_TOL",
 ]
@@ -87,7 +86,9 @@ class NetworkParams:
             raise ValueError(f"pathloss_exp must be > 2, got {self.pathloss_exp}")
         if not self.helper_density > 0:
             raise ValueError(f"helper_density must be > 0, got {self.helper_density}")
-        for name in ("user_density", "tx_power", "noise_power"):
+        if not 0 < self.tx_power < np.inf:
+            raise ValueError(f"tx_power must be > 0 and finite, got {self.tx_power}")
+        for name in ("user_density", "noise_power"):
             if not getattr(self, name) >= 0:
                 raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
         for name in ("fading_desired", "fading_interf"):
@@ -110,9 +111,9 @@ class NetworkParams:
 class CachingPolicy:
     """Per-content caching probabilities under a cache of `memory` slots.
 
-    Construction only checks shape; feasibility (probabilities in [0, 1],
-    budget, memory smaller than the library) is reported by
-    :func:`validate_policy` so infeasible candidates can be inspected.
+    Construction only checks shape; feasibility (probabilities in [0, 1]
+    and the budget) is reported by :func:`budget_violation` so infeasible
+    candidates can be inspected.
     """
 
     probs: np.ndarray
@@ -176,15 +177,3 @@ def budget_violation(policy: CachingPolicy) -> str | None:
     if total > policy.memory + BUDGET_TOL:
         return f"sum(p)={total} exceeds the memory budget M={policy.memory}"
     return None
-
-
-def validate_policy(policy: CachingPolicy) -> str | None:
-    """Return None when the policy is feasible, else the first violation.
-
-    Feasible means 0 <= p_i <= 1 for all i, sum(p) <= memory (with a small
-    numerical slack), and memory strictly smaller than the library size,
-    the regime the placement optimizers are posed in.
-    """
-    if policy.memory >= policy.probs.size:
-        return f"memory M={policy.memory} must be smaller than the library size F={policy.probs.size}"
-    return budget_violation(policy)

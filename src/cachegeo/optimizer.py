@@ -1,6 +1,6 @@
 """Caching-probability optimizers: one log-space water-filling solves both
 the noise-limited objective and the Rayleigh lower bound of the
-interference-limited one; plus baseline placements and a grid-search oracle.
+interference-limited one; plus the MPC and UC baseline placements.
 
 Both problems are concave maximizations over the capped simplex
 {0 <= p_i <= 1, sum p_i <= M}.  Given the budget multiplier omega, the
@@ -36,14 +36,11 @@ __all__ = [
     "water_fill",
     "optimize_noise",
     "optimize_interference",
-    "brute_force_policy",
     "baseline_policy",
 ]
 
 DEFAULT_EPS = 1e-9
 MAX_ITERATIONS = 200
-_LATTICE_CAP = 2 * 10**10
-_CHUNK = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -86,16 +83,14 @@ def _bisect_budget(
     key_hi: float,
     candidate: Callable[[float], np.ndarray],
     budget: float,
-    eps: float,
-    max_iter: int,
 ):
     """Bisection over a multiplier key until sum p(key) meets the budget.
 
     `candidate` maps the key (log omega) to the clipped probability
     vector; sum p is nonincreasing in the key.  The loop keeps halving past
-    the requested eps down to the best float-achievable budget gap, so a
-    converged solve is essentially exact and |sum p - M| < eps is demanded
-    only as the acceptance threshold.  Returns (key, p, iterations).
+    DEFAULT_EPS down to the best float-achievable budget gap, so a
+    converged solve is essentially exact and |sum p - M| < DEFAULT_EPS is
+    demanded only as the acceptance threshold.  Returns (key, p, iterations).
 
     If the bracket collapses on a jump of sum p (a content whose window
     is narrower than the float spacing of the key is a step), the
@@ -104,7 +99,7 @@ def _bisect_budget(
     a, b = key_lo, key_hi
     best_gap = np.inf
     best = None
-    for iteration in range(1, max_iter + 1):
+    for iteration in range(1, MAX_ITERATIONS + 1):
         key = 0.5 * (a + b)
         p = candidate(key)
         total = float(p.sum())
@@ -120,7 +115,7 @@ def _bisect_budget(
             b = key
         if np.nextafter(a, np.inf) >= b:
             break
-    if best is not None and best_gap < eps:
+    if best is not None and best_gap < DEFAULT_EPS:
         return best
     # Collapsed bracket: resolve a discontinuity of sum p, if any.  The
     # immediate neighbours of the bracket see the two sides of the jump
@@ -130,17 +125,17 @@ def _bisect_budget(
     if float(p_high.sum()) >= budget >= float(p_low.sum()):
         p = p_low.copy()
         remainder = budget - float(p.sum())
-        jumpers = np.nonzero(p_high > p_low + eps)[0]
+        jumpers = np.nonzero(p_high > p_low + DEFAULT_EPS)[0]
         for i in jumpers:
             add = min(p_high[i] - p[i], remainder)
             p[i] += add
             remainder -= add
-            if remainder <= eps:
+            if remainder <= DEFAULT_EPS:
                 break
-        if abs(float(p.sum()) - budget) < eps:
-            return 0.5 * (a + b), p, max_iter
+        if abs(float(p.sum()) - budget) < DEFAULT_EPS:
+            return 0.5 * (a + b), p, MAX_ITERATIONS
     raise NumericalError(
-        f"budget bisection did not converge in {max_iter} iterations: "
+        f"budget bisection did not converge in {MAX_ITERATIONS} iterations: "
         f"bracket [{a}, {b}], best |sum(p) - M| = {best_gap}, target {budget}"
     )
 
@@ -151,7 +146,6 @@ def _kkt_residual(
     mu: np.ndarray,
     gradient: np.ndarray,
     budget: float,
-    eps: float,
 ) -> float:
     """Largest violation of stationarity, dual feasibility at p=0, and
     complementary slackness for min_p sum_i h_i(p_i) s.t. the capped simplex.
@@ -160,7 +154,7 @@ def _kkt_residual(
     gradient + omega + mu = 0 wherever p_i > 0 and >= 0 at p_i = 0.
     """
     station = gradient + omega + mu
-    active = p > eps
+    active = p > DEFAULT_EPS
     residual = 0.0
     if np.any(active):
         residual = float(np.abs(station[active]).max())
@@ -172,13 +166,11 @@ def _kkt_residual(
     return residual
 
 
-def _check_problem(library: ContentLibrary, memory: int, eps: float):
+def _check_problem(library: ContentLibrary, memory: int):
     if not 1 <= memory < library.count:
         raise ValueError("memory must satisfy 1 <= M < F")
     if int(memory) != memory:
         raise ValueError("memory must be an integer")
-    if eps <= 0:
-        raise ValueError("eps must be positive")
 
 
 def _water_fill_solve(
@@ -188,8 +180,6 @@ def _water_fill_solve(
     gradient: Callable[[np.ndarray], np.ndarray],
     objective: Callable[[CachingPolicy], float],
     memory: int,
-    eps: float,
-    max_iter: int,
 ) -> SolveReport:
     """Bisect log omega over [min(log l), max(log u)] until sum p meets the
     budget, then certify the water-filling with its KKT residual.
@@ -199,12 +189,12 @@ def _water_fill_solve(
     log_lower = log_upper - width
     log_omega, p, iterations = _bisect_budget(
         float(log_lower.min()), float(log_upper.max()),
-        lambda x: water_fill(x, log_upper, width, shape), float(memory), eps, max_iter,
+        lambda x: water_fill(x, log_upper, width, shape), float(memory),
     )
     with np.errstate(under="ignore"):
         omega = float(np.exp(log_omega))
         mu = np.maximum(np.exp(log_lower) - omega, 0.0)
-    residual = _kkt_residual(p, omega, mu, gradient(p), float(memory), eps)
+    residual = _kkt_residual(p, omega, mu, gradient(p), float(memory))
     policy = CachingPolicy(probs=p, memory=memory)
     return SolveReport(
         policy=policy,
@@ -216,18 +206,12 @@ def _water_fill_solve(
     )
 
 
-def optimize_noise(
-    library: ContentLibrary,
-    params: NetworkParams,
-    memory: int,
-    eps: float = DEFAULT_EPS,
-    max_iter: int = MAX_ITERATIONS,
-) -> SolveReport:
+def optimize_noise(library: ContentLibrary, params: NetworkParams, memory: int) -> SolveReport:
     """Maximize the noise-limited success probability over the capped simplex.
 
     Water-filling with log u = log(f kappa T), w = kappa T and g(t) = t.
     """
-    _check_problem(library, memory, eps)
+    _check_problem(library, memory)
     consts = NoiseConstants.from_params(library, params)
     f = library.popularity
     kT = consts.kappa * consts.T
@@ -235,96 +219,28 @@ def optimize_noise(
         np.log(f) + np.log(kT), kT, lambda t: t,
         lambda p: -f * kT * np.exp(-kT * p),
         lambda policy: success_noise(library, params, policy),
-        memory, eps, max_iter,
+        memory,
     )
 
 
 def optimize_interference(
-    library: ContentLibrary,
-    consts: InterferenceConstants,
-    memory: int,
-    eps: float = DEFAULT_EPS,
-    max_iter: int = MAX_ITERATIONS,
+    library: ContentLibrary, consts: InterferenceConstants, memory: int
 ) -> SolveReport:
     """Maximize the Rayleigh-fading success lower bound over the capped simplex.
 
     Water-filling with log u = log f - log B, w = 2 log1p(k) and
-    g(t) = expm1(t / 2), k = (1 - A) / B.  A may round up to just above 1
-    (InterferenceConstants admits 1 + 1e-12), which is taken as A = 1.
+    g(t) = expm1(t / 2), k = (1 - A) / B.
     """
-    _check_problem(library, memory, eps)
+    _check_problem(library, memory)
     f = library.popularity
     B = consts.B
-    k = np.maximum(1.0 - consts.A, 0.0) / B
+    k = (1.0 - consts.A) / B
     return _water_fill_solve(
         np.log(f) - np.log(B), 2.0 * np.log1p(k), lambda t: np.expm1(0.5 * t),
         lambda p: -(f / B) / (1.0 + k * p) ** 2,
         lambda policy: rayleigh_lower_bound(library, consts, policy),
-        memory, eps, max_iter,
+        memory,
     )
-
-
-def _batched(objective: Callable, count: int) -> Callable[[np.ndarray], np.ndarray]:
-    """Wrap a policy objective so it maps an (n, F) batch to (n,) values.
-
-    An objective that takes one policy at a time fails on the (2, F) probe
-    with a shape assertion, a shape mismatch or a scalar conversion; any
-    other exception is a fault of the objective and propagates.
-    """
-    probe = np.zeros((2, count))
-    try:
-        out = np.asarray(objective(probe))
-        if out.shape == (2,):
-            return lambda batch: np.asarray(objective(batch), dtype=float)
-    except (AssertionError, TypeError, ValueError):
-        pass
-    return lambda batch: np.array([float(objective(row)) for row in batch])
-
-
-def brute_force_policy(
-    objective: Callable,
-    count: int,
-    memory: int,
-    grid_step: float,
-) -> tuple[CachingPolicy, float]:
-    """Exhaustive search over the grid {0, step, ..., 1}^F cut to sum <= M.
-
-    The oracle companion of the bisection solvers: no structure of the
-    objective is used beyond evaluating it.  Ties keep the lexicographically
-    first grid point.  The lattice is scanned in flat-index chunks, so the
-    objective may be called with an (n, F) batch when it supports it.
-    """
-    if grid_step <= 0 or grid_step > 1:
-        raise ValueError("grid_step must lie in (0, 1]")
-    per_axis = int(round(1.0 / grid_step)) + 1
-    step = 1.0 / (per_axis - 1)
-    total = per_axis**count
-    if total > _LATTICE_CAP:
-        raise ValueError(
-            f"search space too large: {per_axis}^{count} grid points exceeds {_LATTICE_CAP}"
-        )
-    budget_units = int(round(memory / step))
-    evaluate = _batched(objective, count)
-
-    best_value = -np.inf
-    best_row = None
-    for start in range(0, total, _CHUNK):
-        flat = np.arange(start, min(start + _CHUNK, total), dtype=np.int64)
-        digits = np.empty((flat.size, count), dtype=np.int64)
-        rem = flat
-        for axis in range(count - 1, -1, -1):
-            rem, digits[:, axis] = np.divmod(rem, per_axis)
-        feasible = digits.sum(axis=1) <= budget_units
-        if not np.any(feasible):
-            continue
-        rows = digits[feasible].astype(float) * step
-        values = evaluate(rows)
-        k = int(np.argmax(values))
-        if values[k] > best_value:
-            best_value = float(values[k])
-            best_row = rows[k]
-    policy = CachingPolicy(probs=best_row, memory=memory)
-    return policy, best_value
 
 
 def baseline_policy(kind: str, count: int, memory: int) -> CachingPolicy:

@@ -16,11 +16,12 @@ instantaneous load come last, so different load modes on one seed
 evaluate identical networks.  The noise engine makes four draws per chunk
 (requests, counts, unit-disc radii, gains) whatever F is.
 
-Finite window: helpers are sampled inside a disc whose radius makes the
-probability of missing the nearest relevant helper at most
-``window_miss_prob`` (default 1e-3); trials with no helper caching the
-requested content inside the window count as delivery failures, and
-interference from beyond the window is truncated.
+Finite window: helpers are sampled inside a disc sized so the nearest
+relevant helper is missed with probability at most ``window_miss_prob``
+in the interference engine (default 1e-3) and NOISE_WINDOW_MISS
+elsewhere; trials with no helper caching the requested content inside
+the window count as delivery failures, and interference from beyond the
+window is truncated.
 """
 from __future__ import annotations
 
@@ -37,7 +38,6 @@ from .placement import BlockLayout, build_block_layout, cache_matrix
 
 __all__ = [
     "MCEstimate",
-    "sample_ppp",
     "nakagami_gain",
     "sample_xi_min",
     "simulate_noise_limited",
@@ -48,6 +48,9 @@ __all__ = [
 ]
 
 DEFAULT_WINDOW_MISS = 1e-3
+# Window of the noise engine, the xi_1 sampler and the empirical mean load:
+# their estimates are checked against closed forms at a resolution where
+# the 1e-3 truncation bias would show.
 NOISE_WINDOW_MISS = 1e-6
 _NOISE_CHUNK = 4096
 _INTERF_CHUNK = 64
@@ -96,15 +99,6 @@ def _disc_points(radius: float, count: int, rng: np.random.Generator) -> np.ndar
     r = radius * np.sqrt(rng.random(count))
     theta = rng.random(count) * 2.0 * pi
     return np.array((r * np.cos(theta), r * np.sin(theta)))
-
-
-def sample_ppp(intensity: float, radius: float, rng: np.random.Generator) -> np.ndarray:
-    """Homogeneous Poisson process on a disc: Poisson count, uniform positions."""
-    if intensity < 0:
-        raise ValueError("intensity must be >= 0")
-    if radius <= 0:
-        raise ValueError("radius must be > 0")
-    return np.column_stack(_disc_points(radius, rng.poisson(intensity * pi * radius**2), rng))
 
 
 def nakagami_gain(m: float, rng: np.random.Generator, size=None):
@@ -156,28 +150,22 @@ def _run_chunks(trials: int, chunk: int, worker, workers: int = 1, combine=sum):
         return combine(list(pool.map(lambda cn: worker(*cn), sizes)))
 
 
-def sample_xi_min(
-    params: NetworkParams,
-    p: float,
-    trials: int,
-    seed: int,
-    window_miss_prob: float = 1e-6,
-) -> np.ndarray:
+def sample_xi_min(params: NetworkParams, p: float, trials: int, seed: int) -> np.ndarray:
     """Draw `trials` samples of the smallest reciprocal gain for one content.
 
     Helpers caching the content form a thinned Poisson process of
     intensity p * helper_density, sampled directly inside the window
     (+inf marks trials whose window held no helper, and every trial when
-    the window radius^alpha overflows).  The default window is tight
-    (miss 1e-6) because the whole distribution is compared, not a single
-    threshold.
+    the window radius^alpha overflows).  The window misses with
+    probability NOISE_WINDOW_MISS, because the whole distribution is
+    compared, not a single threshold.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    radius = window_radius(p, params.helper_density, window_miss_prob)
+    radius = window_radius(p, params.helper_density, NOISE_WINDOW_MISS)
     with np.errstate(over="ignore"):
         scale = np.float64(radius) ** params.pathloss_exp
-    mean_count = log(1.0 / window_miss_prob)
+    mean_count = log(1.0 / NOISE_WINDOW_MISS)
     unit = _run_chunks(
         trials, _NOISE_CHUNK,
         lambda c, n: _unit_xi_min(_substream(seed, c), mean_count, n, params),
@@ -192,7 +180,6 @@ def simulate_noise_limited(
     policy: CachingPolicy,
     trials: int,
     seed: int,
-    window_miss_prob: float = NOISE_WINDOW_MISS,
     workers: int = 1,
 ) -> MCEstimate:
     """Estimate the success probability without interference or load sharing.
@@ -204,14 +191,14 @@ def simulate_noise_limited(
     helpers, so the thinning is exact), with a per-content window.
 
     Every window radius R_i satisfies p_i * helper_density * pi * R_i^2 =
-    ln(1 / window_miss_prob), so xi_1 is R_i^alpha times one content-free
+    ln(1 / NOISE_WINDOW_MISS), so xi_1 is R_i^alpha times one content-free
     unit-disc minimum and a chunk makes four draws (requests, counts, unit
     radii, gains) whatever F is.  Uncached contents, and those whose
     R_i^alpha overflows, always fail.
 
-    The default window is tighter than the engine-wide 1e-3 because the
-    success event compares the whole xi_1 distribution against fixed
-    thresholds: at miss 1e-3 the truncation bias is a few per mille,
+    The window is tighter than the interference engine's default 1e-3
+    because the success event compares the whole xi_1 distribution against
+    fixed thresholds: at miss 1e-3 the truncation bias is a few per mille,
     visible against the closed form at 1e5 trials.
     """
     violation = budget_violation(policy)
@@ -219,9 +206,7 @@ def simulate_noise_limited(
         raise ValueError(f"infeasible policy: {violation}")
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    if not 0 < window_miss_prob < 1:
-        raise ValueError("window_miss_prob must lie in (0, 1)")
-    mean_count, alpha = log(1.0 / window_miss_prob), params.pathloss_exp
+    mean_count, alpha = log(1.0 / NOISE_WINDOW_MISS), params.pathloss_exp
     with np.errstate(divide="ignore", over="ignore"):
         thresholds = params.snr / (np.power(2.0, library.rates) - 1.0)
         # R_i^alpha, from R_i^2 (inf for uncached contents)
@@ -461,7 +446,6 @@ def empirical_mean_load(
     policy: CachingPolicy,
     trials: int,
     seed: int,
-    window_miss_prob: float = 1e-6,
 ) -> float:
     """Mean observed load of the typical user's serving helper under
     distance association (single-slot caches), for checking the closed-form
@@ -478,7 +462,7 @@ def empirical_mean_load(
     positive = policy.probs[policy.probs > BUDGET_TOL]
     if positive.size == 0:
         raise ValueError("the policy caches no content, so no helper can serve a request")
-    user_radius = window_radius(float(positive.min()), params.helper_density, window_miss_prob)
+    user_radius = window_radius(float(positive.min()), params.helper_density, NOISE_WINDOW_MISS)
     layout = build_block_layout(policy)
 
     def worker(chunk_index: int, n: int) -> np.ndarray:

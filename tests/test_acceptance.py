@@ -9,6 +9,7 @@ import time
 import numpy as np
 import pytest
 
+from grid_oracle import brute_force_policy
 from cachegeo.analytics import (
     InterferenceConstants,
     nakagami_lower_bound,
@@ -23,12 +24,7 @@ from cachegeo.model import (
     uniform_rates,
     zipf_popularity,
 )
-from cachegeo.optimizer import (
-    baseline_policy,
-    brute_force_policy,
-    optimize_interference,
-    optimize_noise,
-)
+from cachegeo.optimizer import baseline_policy, optimize_interference, optimize_noise
 from cachegeo.placement import build_block_layout, cache_matrix
 from cachegeo.simulator import (
     sample_xi_min,

@@ -11,8 +11,9 @@ import quad_oracle
 from cachegeo.analytics import (
     InterferenceConstants,
     NoiseConstants,
+    _distance_exponents,
+    _success_polynomial,
     c_alpha,
-    c_tau_alpha,
     intensity_xi,
     laplace_interference,
     mean_load_m1,
@@ -148,6 +149,22 @@ class TestSuccessNoise:
             assert fup - 2 * f0 + fdown <= 1e-12  # concavity
 
 
+def constants_at(tau, alpha):
+    """InterferenceConstants for one content with SIR threshold tau (c = 1):
+    A = tau^delta C_{tau,alpha} = 2F1(1, delta; 1 + delta; -1/tau)."""
+    rates = np.log1p(np.asarray(tau, dtype=float)) / math.log(2.0)
+    return InterferenceConstants.from_rates(np.atleast_1d(rates), alpha, 1.0)
+
+
+def success_given_distance(r, tau, p, params):
+    """P[fading beats the interference threshold | serving distance r]:
+    e^(a_0 y) Q(y) at y = pi lambda r^2, the integrand of the distance
+    average in nakagami_lower_bound."""
+    a = _distance_exponents(tau, p, params)
+    y = math.pi * params.helper_density * r * r
+    return math.exp(a[0] * y) * float(np.polyval(_success_polynomial(a)[::-1], y))
+
+
 class TestHypergeometricConstants:
     def test_c_alpha_at_four(self):
         assert c_alpha(4.0) == pytest.approx(math.pi / 2.0, rel=1e-12)
@@ -157,33 +174,41 @@ class TestHypergeometricConstants:
             c_alpha(2.0)
 
     def test_arctangent_identity(self):
-        # 2F1(1, 1/2; 3/2; -1) = arctan(1) = pi/4
-        assert c_tau_alpha(1.0, 4.0) == pytest.approx(math.pi / 4.0, rel=1e-10)
+        # tau = 1, alpha = 4: 2F1(1, 1/2; 3/2; -1) = arctan(1) = pi/4
+        consts = constants_at(1.0, 4.0)
+        assert consts.tau[0] == pytest.approx(1.0, rel=1e-15)
+        assert consts.A[0] == pytest.approx(math.pi / 4.0, rel=1e-10)
 
     def test_matches_hypergeometric_series(self):
-        for tau in (0.2, 1.0, 3.0, 40.0):
-            for alpha in (2.5, 3.0, 4.0, 6.0):
-                delta = 2.0 / alpha
-                expected = tau ** (-delta) * hyp2f1(1.0, delta, 1.0 + delta, -1.0 / tau)
-                assert c_tau_alpha(tau, alpha) == pytest.approx(expected, rel=1e-9)
+        for alpha in (2.5, 3.0, 4.0, 6.0):
+            delta = 2.0 / alpha
+            consts = constants_at([0.2, 1.0, 3.0, 40.0], alpha)
+            expected = hyp2f1(1.0, delta, 1.0 + delta, -1.0 / consts.tau)
+            np.testing.assert_allclose(consts.A, expected, rtol=1e-9)
+            np.testing.assert_allclose(consts.B, consts.tau**delta * c_alpha(alpha), rtol=1e-15)
 
     def test_large_tau_saturates_a_to_one(self):
-        tau = 1e9
-        alpha = 3.0
-        A = tau ** (2.0 / alpha) * c_tau_alpha(tau, alpha)
-        assert A == pytest.approx(1.0, abs=1e-3)
+        assert constants_at(1e9, 3.0).A[0] == pytest.approx(1.0, abs=1e-3)
 
     def test_a_in_unit_interval_and_below_b(self):
         taus = np.geomspace(1e-4, 1e4, 50)
-        alphas = np.linspace(2.05, 8.0, 50)
-        for alpha in alphas:
-            ca = c_alpha(alpha)
-            delta = 2.0 / alpha
-            for tau in taus:
-                A = tau**delta * c_tau_alpha(tau, alpha)
-                B = tau**delta * ca
-                assert 0.0 < A <= 1.0 + 1e-12
-                assert B > A
+        for alpha in np.linspace(2.05, 8.0, 50):
+            consts = constants_at(taus, alpha)
+            assert np.all((consts.A > 0.0) & (consts.A <= 1.0))
+            assert np.all(consts.B > consts.A)
+
+    @pytest.mark.parametrize("alpha", [2.5, 3.0, 3.5, 4.0, 5.0, 6.0])
+    def test_a_never_rounds_above_one(self, alpha):
+        # B * (A / B) rounded to as much as 1 + 6.7e-16 at c rho >= 8 (369
+        # of these 400 contents at alpha = 6, c = 128)
+        rates = np.linspace(0.02, 8.0, 400)
+        for c in (1.0, 8.0, 16.0, 32.0, 64.0, 128.0):
+            assert np.all(InterferenceConstants.from_rates(rates, alpha, c).A <= 1.0)
+
+    def test_a_above_one_rejected(self):
+        with pytest.raises(ValueError, match="A must lie"):
+            InterferenceConstants(tau=np.array([5.0]), A=np.array([1.0 + 2e-16]),
+                                  B=np.array([2.0]), c=1.0)
 
     @pytest.mark.parametrize(
         "rate,c", [(1e-20, 1.0), (1e-9, 1.0)], ids=["rate-1e-20", "rate-1e-9"]
@@ -196,10 +221,11 @@ class TestHypergeometricConstants:
         assert 0.0 < consts.A[0] <= 1.0 < consts.B[0] / consts.A[0]
 
     def test_tiny_tau_c_tau_alpha(self):
-        tau, alpha = 1e-8, 3.0
+        alpha = 3.0
         delta = 2.0 / alpha
-        value = c_tau_alpha(tau, alpha)
-        A, B = tau**delta * value, tau**delta * c_alpha(alpha)
+        consts = constants_at(1e-8, alpha)
+        tau, A, B = consts.tau[0], consts.A[0], consts.B[0]
+        assert tau == pytest.approx(1e-8, rel=1e-12)
         assert 0.0 < A <= 1.0 < B / A
         # 1 - A/B = I_{tau/(1+tau)}(1 - delta, delta)
         #         ~ tau^(1-delta) / ((1-delta) B(1-delta, delta))
@@ -230,8 +256,10 @@ class TestHypergeometricConstants:
     )
     @settings(max_examples=60, deadline=None)
     def test_a_over_b_matches_quadrature(self, tau, alpha):
-        got = c_tau_alpha(tau, alpha)
-        assert got == pytest.approx(quad_oracle.c_tau_alpha(tau, alpha), rel=1e-9)
+        consts = constants_at(tau, alpha)
+        tau = consts.tau[0]
+        expected = tau ** (2.0 / alpha) * quad_oracle.c_tau_alpha(tau, alpha)
+        assert consts.A[0] == pytest.approx(expected, rel=1e-9)
 
 
 class TestRadialIntegrals:
@@ -348,13 +376,11 @@ class TestNakagamiLowerBound:
         assert got == pytest.approx(expected, rel=1e-10)
 
     def test_success_given_distance_matches_quadrature(self):
-        from cachegeo.analytics import _success_given_distance
-
         params = make_params(lam=1e-5, alpha=3.0, m_d=4.0, m_i=2.5)
         for r in (0.5, 40.0, 300.0):
             for p in (0.0, 0.3, 1.0):
                 expected = quad_oracle.success_given_distance(r, 0.8, p, params)
-                got = _success_given_distance(r, 0.8, p, params)
+                got = success_given_distance(r, 0.8, p, params)
                 assert got == pytest.approx(expected, rel=1e-10)
 
     def test_uncached_content_contributes_nothing(self):
@@ -453,8 +479,6 @@ class TestInterferenceOracle:
     def test_laplace_and_success_term_match_sampling(self, m_d, m_i, c_rho):
         from scipy.special import gammaincc
 
-        from cachegeo.analytics import _success_given_distance
-
         lam, alpha, P, r, p = 1e-5, 4.0, 1.0, 150.0, 0.6
         params = NetworkParams(lam, 2e-5, P, 0.0, alpha, m_d, m_i)
         samples = self.interference_samples(lam, alpha, p, r, m_i, R=3e4, draws=1500, seed=99)
@@ -468,7 +492,7 @@ class TestInterferenceOracle:
         )
 
         conditional = gammaincc(m_d, m_d * tau * r**alpha * samples / P)
-        analytic = _success_given_distance(r, tau, p, params)
+        analytic = success_given_distance(r, tau, p, params)
         assert abs(conditional.mean() - analytic) <= 3.0 * conditional.std() / math.sqrt(
             samples.size
         )

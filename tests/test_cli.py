@@ -342,6 +342,61 @@ class TestExitCodes:
         assert field in result.output
         assert not (tmp_path / "n.csv").exists()
 
+    @pytest.mark.parametrize("command", ["optimize-noise", "simulate"])
+    def test_zero_tx_power_exits_2(self, tmp_path, command):
+        # optimize-noise blamed snr_db, and interference-channel simulate of
+        # the uc baseline wrote estimate 0 under a 0/0 RuntimeWarning
+        config = tmp_path / "silent.ini"
+        config.write_text(
+            BASE_CONFIG.replace("snr_db = 20.0", "tx_power = 0\nsnr_db = 20.0")
+            .replace("source = optimize-noise", "source = uc")
+            + "channel = interference\n"
+        )
+        result = CliRunner().invoke(
+            main, [command, "--config", str(config), "--out", str(tmp_path / "t.csv")]
+        )
+        assert result.exit_code == 2
+        assert "tx_power must be > 0" in result.output
+        assert not (tmp_path / "t.csv").exists()
+
+    @pytest.mark.parametrize("snr_db", ["-inf", "-3500", "nan"])
+    def test_non_finite_noise_power_exits_2(self, tmp_path, snr_db):
+        # 10^(snr_db/10) rounds to 0 (or is NaN): a ZeroDivisionError traceback before
+        config = tmp_path / "loud.ini"
+        config.write_text(BASE_CONFIG.replace("snr_db = 20.0", f"snr_db = {snr_db}"))
+        result = CliRunner().invoke(
+            main, ["optimize-noise", "--config", str(config), "--out", str(tmp_path / "l.csv")]
+        )
+        assert result.exit_code == 2
+        assert "snr_db" in result.output
+        assert not (tmp_path / "l.csv").exists()
+
+    def test_unrepresentable_snr_acts_as_noiseless(self, tmp_path):
+        # 10^310 overflowed with an OverflowError traceback; it is +inf, noise power 0
+        assert ExperimentConfig(scenario="simulate", snr_db=3100.0).network().noise_power == 0.0
+        config = tmp_path / "huge.ini"
+        config.write_text(BASE_CONFIG.replace("snr_db = 20.0", "snr_db = 3100"))
+        noise = CliRunner().invoke(
+            main, ["optimize-noise", "--config", str(config), "--out", str(tmp_path / "n.csv")]
+        )
+        assert noise.exit_code == 2
+        assert "noise_power" in noise.output
+        sir = CliRunner().invoke(
+            main, ["optimize-sir", "--config", str(config), "--out", str(tmp_path / "s.csv")]
+        )
+        assert sir.exit_code == 0, sir.output
+
+    def test_unknown_load_mode_exits_2(self, tmp_path):
+        # the noise channel ignores load_mode, so a bogus one reached the manifest
+        config = tmp_path / "mode.ini"
+        config.write_text(BASE_CONFIG + "load_mode = bogus\n")
+        result = CliRunner().invoke(
+            main, ["simulate", "--config", str(config), "--out", str(tmp_path / "b.csv")]
+        )
+        assert result.exit_code == 2
+        assert "load_mode" in result.output
+        assert not (tmp_path / "b.csv").exists()
+
     def test_fractional_memory_sweep_exits_2(self, tmp_path):
         config = tmp_path / "memory.ini"
         config.write_text(BASE_CONFIG + "sweep = memory\nsweep_grid = 2.5\n")
@@ -404,7 +459,7 @@ seed = 4
             4, zipf_popularity(4, 1.0), np.full(4, 0.001)
         )
         params = NetworkParams(1e-5, 2e-5, 1.0, 0.0, 3.0, 1.0, 1.0)
-        c = select_c(lib, params, memory=2, trials=120, seed=9, n_reference_policies=3)
+        c = select_c(lib, params, memory=2, trials=120, seed=9)
         assert c >= 1.0
 
 

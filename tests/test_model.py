@@ -5,14 +5,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cachegeo.analytics import InterferenceConstants
 from cachegeo.model import (
     CachingPolicy,
     ContentLibrary,
     NetworkParams,
+    budget_violation,
     uniform_rates,
-    validate_policy,
     zipf_popularity,
 )
+from cachegeo.optimizer import optimize_interference
 
 
 class TestZipfPopularity:
@@ -72,27 +74,34 @@ class TestUniformRates:
 
 
 class TestValidatePolicy:
+    """Policy feasibility as placement and both engines check it: budget_violation."""
+
     def test_memory_must_be_below_library_size(self):
+        # a full cache is a feasible placement; only the optimization
+        # problem is posed for M < F
         policy = CachingPolicy(probs=np.ones(3), memory=3)
-        msg = validate_policy(policy)
-        assert msg is not None and "M=3" in msg
+        assert budget_violation(policy) is None
+        lib = ContentLibrary(3, zipf_popularity(3, 1.0), np.full(3, 0.5))
+        consts = InterferenceConstants.from_library(lib, 3.0, 1.0)
+        with pytest.raises(ValueError, match="M < F"):
+            optimize_interference(lib, consts, memory=3)
 
     def test_budget_violation(self):
         policy = CachingPolicy(probs=np.array([0.5, 0.5, 0.5]), memory=1)
-        msg = validate_policy(policy)
+        msg = budget_violation(policy)
         assert msg is not None and "budget" in msg
 
     def test_feasible_policy_passes(self):
         policy = CachingPolicy(probs=np.array([0.6, 0.3, 0.1]), memory=1)
-        assert validate_policy(policy) is None
+        assert budget_violation(policy) is None
 
     def test_negative_and_oversized_probabilities(self):
-        assert validate_policy(CachingPolicy(np.array([-0.1, 0.5, 0.1]), 1)) is not None
-        assert validate_policy(CachingPolicy(np.array([1.2, 0.5, 0.1]), 2)) is not None
+        assert "negative" in budget_violation(CachingPolicy(np.array([-0.1, 0.5, 0.1]), 1))
+        assert "exceeds 1" in budget_violation(CachingPolicy(np.array([1.2, 0.5, 0.1]), 2))
 
     def test_budget_tolerance_accepts_bisection_output(self):
         policy = CachingPolicy(probs=np.array([0.5, 0.5 + 5e-10, 0.0]), memory=1)
-        assert validate_policy(policy) is None
+        assert budget_violation(policy) is None
 
     @given(
         probs=st.lists(
@@ -106,8 +115,8 @@ class TestValidatePolicy:
     def test_accepts_exactly_the_feasible_set(self, probs, memory):
         p = np.array(probs)
         policy = CachingPolicy(probs=p, memory=memory)
-        feasible = memory < p.size and p.sum() <= memory + 1e-9
-        assert (validate_policy(policy) is None) == feasible
+        feasible = p.sum() <= memory + 1e-9
+        assert (budget_violation(policy) is None) == feasible
 
 
 class TestDomainTypes:
@@ -143,6 +152,12 @@ class TestDomainTypes:
         values[field] = math.nan
         with pytest.raises(ValueError, match=field):
             NetworkParams(**values)
+
+    @pytest.mark.parametrize("power", [0.0, -1.0, math.inf])
+    def test_params_require_positive_finite_tx_power(self, power):
+        # tx_power = 0 used to surface as an snr_db complaint or a 0/0 estimate
+        with pytest.raises(ValueError, match="tx_power"):
+            NetworkParams(0.05, 0.002, power, 0.01, 3.0)
 
     def test_params_require_half_fading(self):
         with pytest.raises(ValueError):

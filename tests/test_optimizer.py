@@ -5,6 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from grid_oracle import brute_force_policy
 from cachegeo.analytics import (
     InterferenceConstants,
     NoiseConstants,
@@ -12,13 +13,7 @@ from cachegeo.analytics import (
     success_noise,
 )
 from cachegeo.model import ContentLibrary, NetworkParams, zipf_popularity
-from cachegeo.optimizer import (
-    baseline_policy,
-    brute_force_policy,
-    optimize_interference,
-    optimize_noise,
-    water_fill,
-)
+from cachegeo.optimizer import baseline_policy, optimize_interference, optimize_noise, water_fill
 
 
 def library_with(gamma, count, rates):
@@ -340,32 +335,13 @@ class TestOptimizeInterference:
 
 class TestBruteForce:
     def test_constant_objective_returns_origin(self):
-        policy, value = brute_force_policy(lambda p: 1.0, 3, 1, grid_step=0.5)
+        policy, value = brute_force_policy(lambda p: np.ones(len(p)), 3, 1, grid_step=0.5)
         np.testing.assert_array_equal(policy.probs, np.zeros(3))
         assert value == 1.0
 
     def test_respects_budget(self):
         policy, _ = brute_force_policy(lambda p: np.sum(p, axis=-1), 3, 1, grid_step=0.25)
         assert policy.probs.sum() <= 1.0 + 1e-12
-
-    def test_scalar_only_objectives_are_supported(self):
-        def scalar_objective(p):
-            assert np.ndim(p) == 1
-            return float(np.dot([3.0, 2.0, 1.0], p))
-
-        policy, value = brute_force_policy(scalar_objective, 3, 2, grid_step=0.5)
-        np.testing.assert_array_equal(policy.probs, [1.0, 1.0, 0.0])
-        assert value == pytest.approx(5.0)
-
-    def test_objective_faults_propagate(self):
-        # only a scalar-only objective's shape or type failure on the batch probe falls back
-        def faulty(p):
-            if np.ndim(p) == 2:
-                raise ZeroDivisionError("fault in the batched branch")
-            return float(np.sum(p))
-
-        with pytest.raises(ZeroDivisionError):
-            brute_force_policy(faulty, 3, 1, grid_step=0.5)
 
     def test_search_space_guard(self):
         with pytest.raises(ValueError):

@@ -13,13 +13,13 @@ from cachegeo.placement import build_block_layout
 from cachegeo.simulator import (
     LOAD_MODES,
     MCEstimate,
+    _disc_points,
     _shared_rate,
     _sample_chunk,
     _serving_loads,
     _typical_links,
     empirical_mean_load,
     nakagami_gain,
-    sample_ppp,
     sample_xi_min,
     simulate_interference_limited,
     simulate_noise_limited,
@@ -36,21 +36,32 @@ def make_library(count, gamma=1.0, rates=None):
     return ContentLibrary(count, zipf_popularity(count, gamma), rates)
 
 
+def sample_networks(n, lam, lam_u, radius, seed):
+    """One chunk of n interference-engine networks on discs of one radius."""
+    lib = make_library(3)
+    layout = build_block_layout(CachingPolicy(np.array([0.5, 0.3, 0.2]), 1))
+    rng = np.random.default_rng(seed)
+    return _sample_chunk(rng, n, lib, make_params(lam=lam, lam_u=lam_u), layout, radius, radius)
+
+
 class TestSamplePpp:
+    """The helper and user processes of _sample_chunk: Poisson counts and
+    positions uniform on the window disc."""
+
     def test_null_process(self):
-        rng = np.random.default_rng(0)
-        assert sample_ppp(0.0, 10.0, rng).shape == (0, 2)
+        chunk = sample_networks(50, 0.02, 0.0, 10.0, seed=0)
+        assert chunk.user_counts.sum() == 0
+        assert chunk.user_xy.shape == (2, 0) and chunk.requested.shape == (0,)
 
     def test_mean_count(self):
-        rng = np.random.default_rng(1)
-        counts = [len(sample_ppp(0.05, 20.0, rng)) for _ in range(10_000)]
-        expected = 0.05 * math.pi * 400.0
-        assert np.mean(counts) == pytest.approx(expected, abs=3 * math.sqrt(expected / 10_000))
+        chunk = sample_networks(10_000, 0.05, 0.01, 20.0, seed=1)
+        for counts, lam in ((chunk.helper_counts, 0.05), (chunk.user_counts, 0.01)):
+            expected = lam * math.pi * 400.0
+            assert np.mean(counts) == pytest.approx(expected, abs=3 * math.sqrt(expected / 10_000))
 
     def test_counts_are_poisson(self):
-        rng = np.random.default_rng(2)
+        counts = sample_networks(10_000, 0.02, 0.0, 10.0, seed=2).helper_counts
         mean = 0.02 * math.pi * 100.0  # ~6.28
-        counts = np.array([len(sample_ppp(0.02, 10.0, rng)) for _ in range(10_000)])
         kmax = int(counts.max())
         observed = np.bincount(counts, minlength=kmax + 1).astype(float)
         pmf = stats.poisson.pmf(np.arange(kmax + 1), mean)
@@ -61,9 +72,11 @@ class TestSamplePpp:
         _, pvalue = stats.chisquare(obs, exp * obs.sum() / exp.sum())
         assert pvalue > 0.01
 
-    def test_rejects_negative_intensity(self):
-        with pytest.raises(ValueError):
-            sample_ppp(-1.0, 10.0, np.random.default_rng(0))
+    def test_disc_points_are_uniform(self):
+        # uniform on a disc of radius R: r^2 / R^2 ~ U(0, 1), angle ~ U(-pi, pi)
+        x, y = _disc_points(7.0, 20_000, np.random.default_rng(3))
+        assert stats.kstest((x * x + y * y) / 49.0, "uniform").pvalue > 0.01
+        assert stats.kstest(np.arctan2(y, x), "uniform", args=(-math.pi, 2 * math.pi)).pvalue > 0.01
 
 
 class TestNakagamiGain:
