@@ -158,8 +158,8 @@ def _a_over_b(tau, delta: float):
 
 def _sir_threshold(rates, c: float) -> np.ndarray:
     """tau = 2^(c rho) - 1 per content, accurate for tiny c rho."""
-    if c < 1:
-        raise ValueError("load bound c must be >= 1")
+    if not 1 <= c < math.inf:  # NaN fails too
+        raise ValueError(f"load bound c must be >= 1 and finite, got {c}")
     exponent = c * np.asarray(rates, dtype=float)
     with np.errstate(over="ignore"):
         tau = np.expm1(exponent * math.log(2.0))
@@ -203,8 +203,8 @@ class InterferenceConstants:
             raise ValueError("A must lie in (0, 1]")
         if np.any(B <= A):
             raise ValueError("B must exceed A")
-        if self.c < 1:
-            raise ValueError("load bound c must be >= 1")
+        if not 1 <= self.c < math.inf:
+            raise ValueError(f"load bound c must be >= 1 and finite, got {self.c}")
         for name, arr in (("tau", tau), ("A", A), ("B", B)):
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)

@@ -89,10 +89,11 @@ def figure(config_path, seed, trials, output, figure):
 
 @main.command("list-figures")
 def list_figures_cmd():
-    """Enumerate reproducible figures with their parameters."""
+    """Enumerate reproducible figures with their fixed setting and sweeps."""
     for row in list_figures():
         click.echo(f"{row['figure']:>12}  {row['title']}")
-        click.echo(f"{'':>12}  parameters: {row['parameters']}")
+        click.echo(f"{'':>12}  setting: {row['setting']}")
+        click.echo(f"{'':>12}  sweeps: {row['sweeps']}")
 
 
 if __name__ == "__main__":

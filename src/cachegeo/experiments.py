@@ -110,6 +110,8 @@ class ExperimentConfig:
             raise ConfigError(f"unknown policy source {self.policy_source!r}")
         if self.c_mode not in ("load", "fixed", "numeric"):
             raise ConfigError("c_mode must be 'load', 'fixed', or 'numeric'")
+        if self.c_mode == "fixed" and not 1 <= self.c_value < math.inf:
+            raise ConfigError(f"c_value must be >= 1 and finite, got {self.c_value}")
         if self.channel not in ("noise", "interference"):
             raise ConfigError("channel must be 'noise' or 'interference'")
         if self.load_mode not in LOAD_MODES:
@@ -434,40 +436,40 @@ def _run_simulate(config: ExperimentConfig):
 
 @dataclass(frozen=True)
 class FigureEntry:
+    """A figure: `setting` holds the ExperimentConfig fields it fixes (the
+    rest come from the config and flags), `sweeps` the values of its axes.
+    runner(config with the setting applied, sweeps) -> (fieldnames, rows)."""
+
     title: str
-    parameters: dict
+    setting: dict
+    sweeps: dict
     runner: object = field(repr=False, compare=False)
 
 
-def _figure_3(config: ExperimentConfig):
+def _figure_3(config: ExperimentConfig, sweeps: dict):
     rows = []
-    for lam, m_d in ((0.05, 1.0), (0.05, 3.0), (0.2, 1.0)):
-        sub = replace(
-            config, helper_density=lam, fading_desired=m_d, pathloss_exp=2.5, scenario="cdf"
-        )
-        fields, part = _run_cdf(sub)
+    for lam, m_d in sweeps["(helper_density, fading_desired)"]:
+        fields, part = _run_cdf(replace(config, helper_density=lam, fading_desired=m_d))
         rows.extend(part)
     return fields, rows
 
 
-def _figure_4(config: ExperimentConfig):
+def _figure_4(config: ExperimentConfig, sweeps: dict):
     fields = ["gamma", "ps_proposed", "ps_mpc", "ps_uc", "policy_proposed"]
     rows = []
-    base = replace(config, count=20, memory=5)
-    params = base.network()
-    for gamma in np.arange(0.0, 3.01, 0.5):
-        cfg = replace(base, gamma=float(gamma))
-        library = cfg.make_library()
-        report = optimize_noise(library, params, cfg.memory)
-        rows.append(
-            {
-                "gamma": float(gamma),
-                "ps_proposed": report.objective,
-                "ps_mpc": success_noise(library, params, baseline_policy("mpc", 20, 5)),
-                "ps_uc": success_noise(library, params, baseline_policy("uc", 20, 5)),
-                "policy_proposed": _policy_string(report.policy.probs),
-            }
-        )
+    params = config.network()
+    for gamma in sweeps["gamma"]:
+        library = replace(config, gamma=gamma).make_library()
+        report = optimize_noise(library, params, config.memory)
+        row = {
+            "gamma": gamma,
+            "ps_proposed": report.objective,
+            "policy_proposed": _policy_string(report.policy.probs),
+        }
+        for name in ("mpc", "uc"):
+            baseline = baseline_policy(name, config.count, config.memory)
+            row[f"ps_{name}"] = success_noise(library, params, baseline)
+        rows.append(row)
     return fields, rows
 
 
@@ -476,43 +478,24 @@ def _optimal_policy_sweep(settings, label):
     return [label, "content", "popularity", "p_opt", "objective"], rows
 
 
-def _figure_5(config: ExperimentConfig):
+def _figure_5(config: ExperimentConfig, sweeps: dict):
     settings = [
         (f"lambda={lam};m_d={m}", replace(config, helper_density=lam, fading_desired=m))
-        for lam in (0.05, 0.2)
-        for m in (1.0, 3.0)
+        for lam in sweeps["helper_density"]
+        for m in sweeps["fading_desired"]
     ]
     return _optimal_policy_sweep(settings, "setting")
 
 
-def _figure_6(config: ExperimentConfig):
-    settings = [(rho_max, replace(config, rho_max=rho_max)) for rho_max in (0.5, 1.0, 2.0, 3.0)]
-    return _optimal_policy_sweep(settings, "rho_max")
+def _policy_vs_one_field(config: ExperimentConfig, sweeps: dict):
+    """Figures 6 and 7: the optimal policy at each value of one swept field."""
+    ((name, values),) = sweeps.items()
+    return _optimal_policy_sweep([(v, replace(config, **{name: v})) for v in values], name)
 
 
-def _figure_7(config: ExperimentConfig):
-    settings = [(m, replace(config, memory=m)) for m in (1, 2, 3, 4, 5, 6)]
-    return _optimal_policy_sweep(settings, "memory")
-
-
-def _approx_check_setting(config: ExperimentConfig) -> ExperimentConfig:
-    return replace(
-        config,
-        count=2,
-        gamma=1.0,
-        memory=1,
-        rate_mode="constant",
-        rho=0.001,
-        helper_density=1e-5,
-        user_density=2e-5,
-        fading_desired=1.0,
-        fading_interf=1.0,
-    )
-
-
-def _p1_grid() -> list[CachingPolicy]:
-    """Single-slot policies on two contents, p1 = 0.1, 0.2, ..., 0.9."""
-    return [CachingPolicy(np.array([p1, 1.0 - p1]), 1) for p1 in np.arange(0.1, 0.91, 0.1)]
+def _p1_grid(config: ExperimentConfig, sweeps: dict) -> list[CachingPolicy]:
+    """Policies on two contents caching the first with each swept p1."""
+    return [CachingPolicy(np.array([p1, 1.0 - p1]), config.memory) for p1 in sweeps["p1"]]
 
 
 def _with_numeric_c(config: ExperimentConfig) -> ExperimentConfig:
@@ -521,15 +504,14 @@ def _with_numeric_c(config: ExperimentConfig) -> ExperimentConfig:
     return replace(config, c_mode="numeric", trials=max(200, config.trials // 10))
 
 
-def _figure_approx_check(config: ExperimentConfig):
+def _figure_approx_check(config: ExperimentConfig, sweeps: dict):
     fields = ["p1", "est_inst", "se_inst", "est_mean", "se_mean", "est_long", "se_long",
               "bound_c40"]
-    cfg = _approx_check_setting(config)
-    library = cfg.make_library()
-    params = cfg.network()
-    consts = InterferenceConstants.from_library(library, params.pathloss_exp, 40.0)
+    library = config.make_library()
+    params = config.network()
+    consts = _interference_constants(config, library, params)
     rows = []
-    for policy in _p1_grid():
+    for policy in _p1_grid(config, sweeps):
         row = {
             "p1": float(policy.probs[0]),
             "bound_c40": rayleigh_lower_bound(library, consts, policy),
@@ -537,21 +519,20 @@ def _figure_approx_check(config: ExperimentConfig):
         for mode, key in (("instantaneous", "inst"), ("mean-approx", "mean"),
                           ("long-term-assoc", "long")):
             est = simulate_interference_limited(
-                library, params, policy, cfg.trials, cfg.seed, mode
+                library, params, policy, config.trials, config.seed, mode
             )
             row[f"est_{key}"], row[f"se_{key}"] = est.estimate, est.stderr
         rows.append(row)
     return fields, rows
 
 
-def _figure_8(config: ExperimentConfig):
+def _figure_8(config: ExperimentConfig, sweeps: dict):
     fields = ["rho", "c", "p1_opt", "est_opt", "se_opt", "p1_subopt", "est_subopt",
               "se_subopt", "bound_subopt"]
-    cfg = _approx_check_setting(config)
-    grid = _p1_grid()
+    grid = _p1_grid(config, sweeps)
     rows = []
-    for rho in (0.2, 0.4, 0.6, 0.8, 1.0):
-        sub = replace(cfg, rho=rho)
+    for rho in sweeps["rho"]:
+        sub = replace(config, rho=rho)
         library = sub.make_library()
         params = sub.network()
         report, consts = _solve("optimize-sir", _with_numeric_c(sub), library, params)
@@ -579,21 +560,11 @@ def _figure_8(config: ExperimentConfig):
     return fields, rows
 
 
-def _figure_9(config: ExperimentConfig):
+def _figure_9(config: ExperimentConfig, sweeps: dict):
     fields = ["block", "sweep_value", "strategy", "content", "p", "bound", "c"]
     rows = []
-    base = replace(
-        config,
-        count=5,
-        memory=1,
-        rate_mode="constant",
-        rho=0.001,
-        helper_density=1e-5,
-        user_density=2e-5,
-        c_mode="load",
-    )
-    for gamma in np.arange(0.0, 3.01, 0.5):
-        cfg = replace(base, gamma=float(gamma))
+    for gamma in sweeps["gamma"]:
+        cfg = replace(config, gamma=gamma)
         library = cfg.make_library()
         params = cfg.network()
         strategies = {
@@ -610,7 +581,7 @@ def _figure_9(config: ExperimentConfig):
             rows.append(
                 {
                     "block": "gamma-comparison",
-                    "sweep_value": float(gamma),
+                    "sweep_value": gamma,
                     "strategy": name,
                     "content": "",
                     "p": _policy_string(policy.probs),
@@ -618,9 +589,10 @@ def _figure_9(config: ExperimentConfig):
                     "c": "" if consts is None else consts.c,
                 }
             )
-    # user-density sweep block (single-slot caches, seven contents)
-    dense = replace(base, count=7)
-    sweep = [(lam_u, replace(dense, user_density=lam_u)) for lam_u in (2e-5, 5e-5, 1e-4)]
+    sweep = [
+        (lam_u, replace(config, count=count, user_density=lam_u))
+        for count, lam_u in sweeps["(count, user_density)"]
+    ]
     rows.extend(
         {**row, "block": "user-density-sweep", "strategy": "proposed-load-c",
          "p": row["p_opt"], "bound": row["objective"]}
@@ -629,50 +601,67 @@ def _figure_9(config: ExperimentConfig):
     return fields, rows
 
 
+_GAMMA_GRID = np.arange(0.0, 3.01, 0.5).tolist()
+# the sparse single-slot network of the interference-limited figures
+_SPARSE_SINGLE_SLOT = {
+    "memory": 1, "rate_mode": "constant", "rho": 0.001,
+    "helper_density": 1e-5, "user_density": 2e-5,
+}
+_TWO_CONTENTS = {
+    **_SPARSE_SINGLE_SLOT, "count": 2, "gamma": 1.0, "fading_desired": 1.0, "fading_interf": 1.0,
+}
+_P1_GRID = np.arange(0.1, 0.91, 0.1).tolist()
+
 FIGURES: dict[str, FigureEntry] = {
     "3": FigureEntry(
         title="CDF of the smallest reciprocal channel gain, analytic vs empirical",
-        parameters={"alpha": 2.5, "p": 1.0, "settings": "(lambda, m_D) in {(0.05,1),(0.05,3),(0.2,1)}"},
+        setting={"pathloss_exp": 2.5},
+        sweeps={"(helper_density, fading_desired)": ((0.05, 1.0), (0.05, 3.0), (0.2, 1.0))},
         runner=_figure_3,
     ),
     "4": FigureEntry(
         title="Noise-limited success probability vs popularity skew: proposed/MPC/UC",
-        parameters={"count": 20, "memory": 5, "gamma": "0..3 step 0.5", "rates": "uniform(0,1]"},
+        setting={"count": 20, "memory": 5},
+        sweeps={"gamma": _GAMMA_GRID},
         runner=_figure_4,
     ),
     "5": FigureEntry(
         title="Optimal caching probabilities for helper-density and fading sweeps",
-        parameters={"lambda": "(0.05, 0.2)", "m_d": "(1, 3)", "count": 10, "memory": 3},
+        setting={},
+        sweeps={"helper_density": (0.05, 0.2), "fading_desired": (1.0, 3.0)},
         runner=_figure_5,
     ),
     "6": FigureEntry(
         title="Optimal caching probabilities vs maximum target rate",
-        parameters={"rho_max": "(0.5, 1, 2, 3)", "count": 10, "memory": 3},
-        runner=_figure_6,
+        setting={},
+        sweeps={"rho_max": (0.5, 1.0, 2.0, 3.0)},
+        runner=_policy_vs_one_field,
     ),
     "7": FigureEntry(
         title="Optimal caching probabilities vs cache size",
-        parameters={"memory": "1..6", "count": 10},
-        runner=_figure_7,
+        setting={},
+        sweeps={"memory": (1, 2, 3, 4, 5, 6)},
+        runner=_policy_vs_one_field,
     ),
     "approx-check": FigureEntry(
         title="Load-model chain: instantaneous vs mean-load vs distance association, with the c=40 bound",
-        parameters={
-            "lambda": 1e-5, "user_density": 2e-5, "rho": 0.001, "gamma": 1.0,
-            "memory": 1, "count": 2, "p1": "0.1..0.9",
-        },
+        setting={**_TWO_CONTENTS, "c_mode": "fixed", "c_value": 40.0},
+        sweeps={"p1": _P1_GRID},
         runner=_figure_approx_check,
     ),
     "8": FigureEntry(
         title="Interference-limited: grid-search optimum vs bound-based placement vs bound, sweeping the target rate",
-        parameters={"lambda": 1e-5, "memory": 1, "count": 2, "rho": "0.2..1.0"},
+        setting={k: v for k, v in _TWO_CONTENTS.items() if k != "rho"},
+        sweeps={"rho": (0.2, 0.4, 0.6, 0.8, 1.0), "p1": _P1_GRID},
         runner=_figure_8,
     ),
     "9": FigureEntry(
         title="Interference-limited strategy comparison (numeric c and c = M user_density/helper_density) plus the user-density sweep",
-        parameters={
-            "count": 5, "memory": 1, "rho": 0.001, "gamma": "0..3 step 0.5",
-            "user_density": "(2e-5, 5e-5, 1e-4) in the sweep block (id 10)",
+        setting={**_SPARSE_SINGLE_SLOT, "count": 5, "c_mode": "load"},
+        sweeps={
+            "gamma": _GAMMA_GRID,
+            # the sweep block (id 10)
+            "(count, user_density)": ((7, 2e-5), (7, 5e-5), (7, 1e-4)),
         },
         runner=_figure_9,
     ),
@@ -682,16 +671,15 @@ _FIGURE_ALIASES = {"10": "9"}
 
 def list_figures() -> list[dict]:
     """Rows describing every reproducible figure, straight from the registry."""
-    rows = []
-    for fid, entry in FIGURES.items():
-        rows.append(
-            {
-                "figure": fid,
-                "title": entry.title,
-                "parameters": json.dumps(entry.parameters, sort_keys=True),
-            }
-        )
-    return rows
+    return [
+        {
+            "figure": fid,
+            "title": entry.title,
+            "setting": json.dumps(entry.setting, sort_keys=True),
+            "sweeps": json.dumps(entry.sweeps),  # in loop-nesting order
+        }
+        for fid, entry in FIGURES.items()
+    ]
 
 
 def run(config: ExperimentConfig) -> int:
@@ -708,7 +696,9 @@ def run(config: ExperimentConfig) -> int:
             raise ConfigError(
                 f"unknown figure id {config.figure!r}; known: {sorted(FIGURES) + sorted(_FIGURE_ALIASES)}"
             )
-        fields, rows = FIGURES[fid].runner(config)
+        entry = FIGURES[fid]
+        config = replace(config, **entry.setting)
+        fields, rows = entry.runner(config, entry.sweeps)
     elif config.scenario == "cdf":
         fields, rows = _run_cdf(config)
     elif config.scenario == "simulate":

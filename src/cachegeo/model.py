@@ -84,13 +84,13 @@ class NetworkParams:
         # written as not (x >= bound) so that NaN fails every check
         if not self.pathloss_exp > 2:
             raise ValueError(f"pathloss_exp must be > 2, got {self.pathloss_exp}")
-        if not self.helper_density > 0:
-            raise ValueError(f"helper_density must be > 0, got {self.helper_density}")
-        if not 0 < self.tx_power < np.inf:
-            raise ValueError(f"tx_power must be > 0 and finite, got {self.tx_power}")
-        for name in ("user_density", "noise_power"):
-            if not getattr(self, name) >= 0:
-                raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
+        for name in ("helper_density", "tx_power"):
+            if not 0 < getattr(self, name) < np.inf:
+                raise ValueError(f"{name} must be > 0 and finite, got {getattr(self, name)}")
+        if not 0 <= self.user_density < np.inf:
+            raise ValueError(f"user_density must be >= 0 and finite, got {self.user_density}")
+        if not self.noise_power >= 0:
+            raise ValueError(f"noise_power must be >= 0, got {self.noise_power}")
         for name in ("fading_desired", "fading_interf"):
             if not getattr(self, name) >= 0.5:
                 raise ValueError(f"{name} (Nakagami m) must be >= 1/2, got {getattr(self, name)}")

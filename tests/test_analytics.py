@@ -243,6 +243,14 @@ class TestHypergeometricConstants:
         with pytest.raises(ValueError, match=r"c \* min\(rate\) = 1e-50 is too small"):
             InterferenceConstants.from_rates([1e-50], 3.0, 1.0)
 
+    @pytest.mark.parametrize("c", [math.nan, math.inf, 0.5])
+    def test_load_bound_must_be_finite_and_at_least_one(self, c):
+        # c = nan passed `c < 1` and was blamed on the rate as an overflow
+        with pytest.raises(ValueError, match="load bound c must be >= 1 and finite"):
+            InterferenceConstants.from_rates([0.5], 3.0, c)
+        with pytest.raises(ValueError, match="load bound c must be >= 1 and finite"):
+            InterferenceConstants(tau=np.array([1.0]), A=np.array([0.5]), B=np.array([1.5]), c=c)
+
     @pytest.mark.parametrize("field", ["tau", "A", "B"])
     def test_non_finite_constants_rejected(self, field):
         values = dict(tau=np.array([1.0]), A=np.array([0.5]), B=np.array([1.5]))

@@ -1,4 +1,6 @@
 import json
+import math
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -11,7 +13,6 @@ from cachegeo.experiments import (
     FIGURES,
     ConfigError,
     ExperimentConfig,
-    list_figures,
     load_config,
     run,
     select_c,
@@ -158,14 +159,61 @@ class TestFigureRegistry:
         assert set(FIGURES) == {"3", "4", "5", "6", "7", "approx-check", "8", "9"}
 
     def test_list_matches_registry(self):
-        rows = list_figures()
-        assert len(rows) == 8
-        for row in rows:
-            entry = FIGURES[row["figure"]]
-            assert row["title"] == entry.title
-            assert json.loads(row["parameters"]) == {
-                k: v for k, v in entry.parameters.items()
-            }
+        result = CliRunner().invoke(main, ["list-figures"])
+        assert result.exit_code == 0
+        lines = result.output.splitlines()
+        assert len(lines) == 3 * len(FIGURES)
+        for title, setting, sweeps in zip(lines[::3], lines[1::3], lines[2::3]):
+            fid, title = title.split(maxsplit=1)
+            entry = FIGURES[fid]
+            assert title == entry.title
+            assert json.loads(setting.split("setting: ", 1)[1]) == entry.setting
+            # tuples print as JSON lists
+            assert json.loads(sweeps.split("sweeps: ", 1)[1]) == json.loads(
+                json.dumps(entry.sweeps)
+            )
+
+    @pytest.mark.parametrize("fid", sorted(FIGURES))
+    def test_setting_is_a_valid_config(self, fid, tmp_path):
+        setting = FIGURES[fid].setting
+        assert set(setting) <= set(ExperimentConfig.__dataclass_fields__)
+        base = ExperimentConfig("figure", output=str(tmp_path / "x.csv"))
+        replace(base, **setting).validate()
+
+    @pytest.mark.parametrize(
+        "fid, header, rows",
+        [
+            ("3", "lambda,m_d,xi,analytic_cdf,empirical_cdf,stderr", 3 * 40),
+            ("4", "gamma,ps_proposed,ps_mpc,ps_uc,policy_proposed", 7),
+            ("5", "setting,content,popularity,p_opt,objective", 4 * 10),
+            ("6", "rho_max,content,popularity,p_opt,objective", 4 * 10),
+            ("7", "memory,content,popularity,p_opt,objective", 6 * 10),
+            ("approx-check",
+             "p1,est_inst,se_inst,est_mean,se_mean,est_long,se_long,bound_c40", 9),
+            ("8", "rho,c,p1_opt,est_opt,se_opt,p1_subopt,est_subopt,se_subopt,bound_subopt", 5),
+            ("9", "block,sweep_value,strategy,content,p,bound,c", 7 * 4 + 3 * 7),
+        ],
+    )
+    def test_every_figure_runs_and_records_its_setting(self, fid, header, rows, tmp_path):
+        out = tmp_path / "fig.csv"
+        run(ExperimentConfig(scenario="figure", figure=fid, output=str(out), trials=60, seed=1))
+        lines = out.read_text().splitlines()
+        assert lines[0] == header
+        assert len(lines) == 1 + rows
+        manifest = json.loads(Path(str(out) + ".manifest.json").read_text())
+        entry = FIGURES[fid]
+        assert manifest["config"] == {**manifest["config"], **entry.setting}
+        assert manifest["rows"] == rows
+
+    def test_approx_check_manifest_records_the_run(self, tmp_path):
+        # the manifest used to record the config defaults (count 10, memory 3, ...)
+        out = tmp_path / "approx.csv"
+        run(ExperimentConfig(scenario="figure", figure="approx-check", output=str(out),
+                             trials=60, seed=1))
+        config = json.loads(Path(str(out) + ".manifest.json").read_text())["config"]
+        assert (config["count"], config["memory"], config["rate_mode"]) == (2, 1, "constant")
+        assert (config["helper_density"], config["user_density"]) == (1e-5, 2e-5)
+        assert (config["c_mode"], config["c_value"]) == ("fixed", 40.0)
 
     def test_figure_4_runs_small(self, tmp_path):
         out = tmp_path / "fig4.csv"
@@ -341,6 +389,45 @@ class TestExitCodes:
         assert result.exit_code == 2
         assert field in result.output
         assert not (tmp_path / "n.csv").exists()
+
+    @pytest.mark.parametrize(
+        "field, old, command",
+        [
+            # optimize-sir wrote c = 1 and a policy for an infinite density
+            ("helper_density", "helper_density = 0.05", "optimize-sir"),
+            # a late bisection failure on a [nan, inf] bracket (exit 3)
+            ("helper_density", "helper_density = 0.05", "optimize-noise"),
+            # c = M inf blamed "c * max(rate) = inf"
+            ("user_density", "user_density = 0.002", "optimize-sir"),
+        ],
+        ids=["helper_density-sir", "helper_density-noise", "user_density-sir"],
+    )
+    def test_infinite_density_exits_2(self, tmp_path, field, old, command):
+        config = tmp_path / "inf.ini"
+        config.write_text(BASE_CONFIG.replace(old, f"{field} = inf"))
+        result = CliRunner().invoke(
+            main, [command, "--config", str(config), "--out", str(tmp_path / "i.csv")]
+        )
+        assert result.exit_code == 2
+        assert f"{field} must be" in result.output
+        assert not (tmp_path / "i.csv").exists()
+
+    @pytest.mark.parametrize("c_value", ["nan", "inf", "0.5"])
+    def test_bad_fixed_c_value_exits_2(self, tmp_path, c_value):
+        # c_value = nan was reported as "c * max(rate) = nan overflows ..."
+        config = tmp_path / "c.ini"
+        config.write_text(BASE_CONFIG + f"c_mode = fixed\nc_value = {c_value}\n")
+        result = CliRunner().invoke(
+            main, ["optimize-sir", "--config", str(config), "--out", str(tmp_path / "c.csv")]
+        )
+        assert result.exit_code == 2
+        assert "c_value must be >= 1 and finite" in result.output
+        assert not (tmp_path / "c.csv").exists()
+
+    def test_c_value_is_checked_only_when_fixed(self):
+        ExperimentConfig(scenario="optimize-sir", c_mode="load", c_value=math.nan).validate()
+        with pytest.raises(ConfigError, match="c_value"):
+            ExperimentConfig(scenario="optimize-sir", c_mode="fixed", c_value=math.nan).validate()
 
     @pytest.mark.parametrize("command", ["optimize-noise", "simulate"])
     def test_zero_tx_power_exits_2(self, tmp_path, command):

@@ -142,14 +142,18 @@ class TestDomainTypes:
             NetworkParams(density, 0.002, 1.0, 0.01, 3.0)
 
     @pytest.mark.parametrize(
-        "field",
-        ["helper_density", "user_density", "tx_power", "noise_power", "pathloss_exp",
-         "fading_desired", "fading_interf"],
+        "field, value",
+        [pytest.param(name, math.nan, id=name)
+         for name in ("helper_density", "user_density", "tx_power", "noise_power",
+                      "pathloss_exp", "fading_desired", "fading_interf")]
+        # an infinite density gave c = 1 or a [nan, inf] bisection bracket
+        + [pytest.param(name, math.inf, id=f"{name}-inf")
+           for name in ("helper_density", "user_density")],
     )
-    def test_params_reject_nan(self, field):
+    def test_params_reject_nan(self, field, value):
         values = dict(helper_density=0.05, user_density=0.002, tx_power=1.0, noise_power=0.01,
                       pathloss_exp=3.0, fading_desired=1.0, fading_interf=1.0)
-        values[field] = math.nan
+        values[field] = value
         with pytest.raises(ValueError, match=field):
             NetworkParams(**values)
 
