@@ -13,9 +13,11 @@ import csv
 import json
 import math
 import os
+import platform
 import time
 from dataclasses import asdict, dataclass, field, replace
 from importlib import metadata
+from itertools import repeat
 from pathlib import Path
 
 import numpy as np
@@ -98,6 +100,9 @@ class ExperimentConfig:
             raise ConfigError(f"unknown scenario {self.scenario!r}, expected one of {SCENARIOS}")
         if self.trials < 1:
             raise ConfigError("trials must be >= 1")
+        for name in ("seed", "rate_seed"):
+            if getattr(self, name) < 0:
+                raise ConfigError(f"{name} must be >= 0, got {getattr(self, name)}")
         if self.sweep and self.sweep not in SWEEPABLE:
             raise ConfigError(f"sweep variable {self.sweep!r} is not one of {SWEEPABLE}")
         if self.sweep and not self.sweep_grid:
@@ -316,13 +321,14 @@ def _sweep_points(config: ExperimentConfig):
 
 
 # ---------------------------------------------------------------------------
-# scenario runners: each returns (fieldnames, rows)
+# scenario runners: each returns (fieldnames, rows); an array in a row spans CSV lines
 
 
-def _fmt(x) -> str:
-    if isinstance(x, float):
-        return format(x, ".12g")
-    return str(x)
+def _column(value, lines: int):
+    """A column's cells: an array's entries, or one value `lines` times."""
+    if isinstance(value, np.ndarray):
+        return map(format, value.tolist(), repeat(".12g" if value.dtype.kind == "f" else ""))
+    return repeat(format(value, ".12g" if isinstance(value, float) else ""), lines)
 
 
 def _policy_string(probs: np.ndarray) -> str:
@@ -331,25 +337,21 @@ def _policy_string(probs: np.ndarray) -> str:
 
 def _run_cdf(config: ExperimentConfig):
     params = config.network()
-    rows = []
     # xi grid through the analytic quantiles so curves are well resolved
     kp = -np.log1p(-xi1_cdf(1.0, 1.0, params))
     quantiles = np.linspace(0.02, 0.99, 40)
     xi_grid = (-np.log1p(-quantiles) / kp) ** (1.0 / params.delta)
     samples = np.sort(sample_xi_min(params, 1.0, config.trials, config.seed))
-    for xi in xi_grid:
-        empirical = float(np.searchsorted(samples, xi, side="right")) / samples.size
-        rows.append(
-            {
-                "lambda": params.helper_density,
-                "m_d": params.fading_desired,
-                "xi": float(xi),
-                "analytic_cdf": xi1_cdf(float(xi), 1.0, params),
-                "empirical_cdf": empirical,
-                "stderr": float(np.sqrt(empirical * (1 - empirical) / samples.size)),
-            }
-        )
-    return ["lambda", "m_d", "xi", "analytic_cdf", "empirical_cdf", "stderr"], rows
+    empirical = np.searchsorted(samples, xi_grid, side="right") / samples.size
+    row = {
+        "lambda": params.helper_density,
+        "m_d": params.fading_desired,
+        "xi": xi_grid,
+        "analytic_cdf": np.array([xi1_cdf(xi, 1.0, params) for xi in xi_grid.tolist()]),
+        "empirical_cdf": empirical,
+        "stderr": np.sqrt(empirical * (1 - empirical) / samples.size),
+    }
+    return ["lambda", "m_d", "xi", "analytic_cdf", "empirical_cdf", "stderr"], [row]
 
 
 _CONTENT_FIELDS = ["content", "popularity", "rate", "p_opt", "objective", "omega",
@@ -357,14 +359,15 @@ _CONTENT_FIELDS = ["content", "popularity", "rate", "p_opt", "objective", "omega
 
 
 def _optimizer_rows(source: str, points, label: str, **columns) -> list[dict]:
-    """Rows of the `source` optimizer's solution, one per content at each
-    (value, config) point: the value goes in column `label`, `columns` are
-    the same on every row, and "c" is the load bound used ("" without one)."""
+    """Rows of the `source` optimizer's solution, one per (value, config)
+    point: the value goes in column `label`, `columns` are the same at every
+    point, "c" is the load bound used ("" without one), and the per-content
+    columns are arrays."""
     rows = []
     for value, cfg in points:
         library = cfg.make_library()
         report, consts = _solve(source, cfg, library, cfg.network())
-        point = {
+        rows.append({
             **columns,
             label: value,
             "c": "" if consts is None else consts.c,
@@ -372,14 +375,11 @@ def _optimizer_rows(source: str, points, label: str, **columns) -> list[dict]:
             "omega": report.omega,
             "iterations": report.iterations,
             "kkt_residual": report.kkt_residual,
-        }
-        rows.extend(
-            {**point, "content": i, "popularity": f, "rate": rate, "p_opt": p}
-            for i, (f, rate, p) in enumerate(
-                zip(library.popularity.tolist(), library.rates.tolist(),
-                    report.policy.probs.tolist())
-            )
-        )
+            "content": np.arange(library.count),
+            "popularity": library.popularity,
+            "rate": library.rates,
+            "p_opt": report.policy.probs,
+        })
     return rows
 
 
@@ -708,17 +708,24 @@ def run(config: ExperimentConfig) -> int:
     elapsed = time.perf_counter() - start
 
     out = Path(config.output)
+    lines = 0
     with out.open("w", newline="") as handle:
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(fields)
         for row in rows:
-            writer.writerow([_fmt(row[name]) for name in fields])
+            cells = [row[name] for name in fields]
+            lines += (n := np.broadcast(*cells).size)
+            writer.writerows(zip(*(_column(v, n) for v in cells)))
+    write_s = time.perf_counter() - start - elapsed
     manifest = {
         "config": config.as_dict(),
         "seed": config.seed,
-        "version": _version(),
+        "version": _version("cachegeo"),
+        "versions": {"python": platform.python_version(), "numpy": _version("numpy"),
+                     "scipy": _version("scipy")},
         "wall_time_s": elapsed,
-        "rows": len(rows),
+        "write_s": write_s,
+        "rows": lines,
         "output": str(out),
         "notes": {
             "snr": "snr_db is converted to linear watts internally (noise_power = tx_power / 10^(snr_db/10))",
@@ -731,8 +738,9 @@ def run(config: ExperimentConfig) -> int:
     return 0
 
 
-def _version() -> str:
+def _version(package: str) -> str:
+    """An installed package's version, read without importing it."""
     try:
-        return metadata.version("cachegeo")
+        return metadata.version(package)
     except metadata.PackageNotFoundError:
         return "unknown"

@@ -165,8 +165,12 @@ def budget_violation(policy: CachingPolicy) -> str | None:
 
     Checks only what placement and simulation mechanically require:
     0 <= p_i <= 1 and sum(p) <= memory (with a small numerical slack).
+    NaN, which fails no comparison, is reported first.
     """
     p = policy.probs
+    if np.any(np.isnan(p)):
+        i = int(np.argmax(np.isnan(p)))
+        return f"p[{i}]={p[i]} is not a number"
     if np.any(p < 0):
         i = int(np.argmax(p < 0))
         return f"p[{i}]={p[i]} is negative"

@@ -1,18 +1,23 @@
+import csv
 import json
 import math
+import platform
 from dataclasses import replace
+from importlib import metadata
 from pathlib import Path
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
+import csv_oracle
 from cachegeo import experiments
 from cachegeo.cli import main
 from cachegeo.experiments import (
     FIGURES,
     ConfigError,
     ExperimentConfig,
+    FigureEntry,
     load_config,
     run,
     select_c,
@@ -106,6 +111,12 @@ class TestRun:
         assert manifest["seed"] == 7
         assert manifest["config"]["trials"] == 400
         assert "snr" in manifest["notes"]
+        assert manifest["write_s"] >= 0.0 and manifest["wall_time_s"] >= 0.0
+        assert manifest["versions"] == {
+            "python": platform.python_version(),
+            "numpy": metadata.version("numpy"),
+            "scipy": metadata.version("scipy"),
+        }
 
     def test_reruns_are_byte_identical(self, config_file, tmp_path):
         out1 = tmp_path / "a.csv"
@@ -151,6 +162,86 @@ class TestRun:
         config = ExperimentConfig(scenario="figure", figure="99")
         with pytest.raises(ConfigError):
             run(config)
+
+
+def _manifest_rows(out: Path) -> int:
+    return json.loads(Path(str(out) + ".manifest.json").read_text())["rows"]
+
+
+# (the runner to capture: an experiments function or a figure id, config fields);
+# their rows hold per-content arrays or only single values
+WRITER_CASES = {
+    "optimize-noise-sweep": ("_run_optimizer", dict(
+        scenario="optimize-noise", count=2000, memory=20, sweep="rho_max",
+        sweep_grid=(0.5, 2.0))),
+    "optimize-sir-fixed-c": ("_run_optimizer", dict(
+        scenario="optimize-sir", count=300, memory=5, c_mode="fixed", c_value=10.0,
+        sweep="gamma", sweep_grid=(0.0, 1.5))),
+    "optimize-sir-load-c": ("_run_optimizer", dict(
+        scenario="optimize-sir", count=300, memory=5, sweep="rho_max",
+        sweep_grid=(0.5, 2.0))),
+    "figure-9": ("9", dict(scenario="figure", figure="9", trials=60)),
+    "cdf": ("_run_cdf", dict(scenario="cdf", trials=500)),
+    "simulate": ("_run_simulate", dict(
+        scenario="simulate", sweep="gamma", sweep_grid=(0.5, 1.0), trials=300)),
+}
+
+
+class TestColumnarWriter:
+    """run writes each row column by column; the per-cell writer is the reference."""
+
+    @pytest.mark.parametrize("target, settings", WRITER_CASES.values(), ids=WRITER_CASES)
+    def test_matches_the_per_cell_oracle(self, target, settings, tmp_path, monkeypatch):
+        captured = []
+
+        def capture(runner):
+            def spy(*args):
+                captured.append(runner(*args))
+                return captured[-1]
+            return spy
+
+        if target in FIGURES:
+            entry = FIGURES[target]
+            monkeypatch.setitem(FIGURES, target, replace(entry, runner=capture(entry.runner)))
+        else:
+            monkeypatch.setattr(experiments, target, capture(getattr(experiments, target)))
+        out = tmp_path / "run.csv"
+        run(ExperimentConfig(output=str(out), seed=1, **settings))
+        ((header, rows),) = captured
+        lines = csv_oracle.write_csv(tmp_path / "oracle.csv", header, rows)
+        assert out.read_bytes() == (tmp_path / "oracle.csv").read_bytes()
+        assert _manifest_rows(out) == lines == len(out.read_text().splitlines()) - 1
+
+    def test_synthetic_rows_match_the_oracle(self, tmp_path, monkeypatch):
+        header = ["label", "note", "big", "x", "k", "tiny", "zero"]
+        rows = [
+            {"label": 'a,b "quoted"', "note": "", "big": 10**13,
+             "x": np.array([-0.0, math.inf, -math.inf, 5e-324, 1 / 3, 1e300]),
+             "k": np.array([0, 2**40, 10**15, -7, 123456789012345, 5]),
+             "tiny": 5e-324, "zero": -0.0},
+            {"label": "single values", "note": "two\nlines", "big": 2**45,
+             "x": np.float64(1 / 3), "k": np.int64(10**13), "tiny": 2.5e-310, "zero": 0.0},
+            {"label": "", "note": ",", "big": -(10**12) - 1, "x": np.array([math.inf]),
+             "k": np.array([-1]), "tiny": math.inf, "zero": -0.0},
+        ]
+        entry = FigureEntry("synthetic rows", {}, {}, runner=lambda config, sweeps: (header, rows))
+        monkeypatch.setitem(FIGURES, "synthetic", entry)
+        out = tmp_path / "run.csv"
+        run(ExperimentConfig(scenario="figure", figure="synthetic", output=str(out)))
+        lines = csv_oracle.write_csv(tmp_path / "oracle.csv", header, rows)
+        assert out.read_bytes() == (tmp_path / "oracle.csv").read_bytes()
+        assert _manifest_rows(out) == lines == 6 + 1 + 1
+        with out.open(newline="") as handle:
+            records = list(csv.reader(handle))[1:]
+        assert len(records) == lines
+        assert records[0] == ['a,b "quoted"', "", "10000000000000", "-0", "0",
+                              "4.94065645841e-324", "-0"]
+        assert [r[3] for r in records[1:4]] == ["inf", "-inf", "4.94065645841e-324"]
+        assert [r[4] for r in records[1:5]] == ["1099511627776", "1000000000000000", "-7",
+                                               "123456789012345"]
+        assert records[6][:5] == ["single values", "two\nlines", "35184372088832",
+                                  "0.333333333333", "10000000000000"]
+        assert records[7][:2] == ["", ","]
 
 
 class TestFigureRegistry:
@@ -493,6 +584,43 @@ class TestExitCodes:
         assert result.exit_code == 2
         assert "memory" in result.output
         assert not (tmp_path / "m.csv").exists()
+
+    @pytest.mark.parametrize("channel", ["noise", "interference"])
+    def test_nan_caching_probability_exits_2(self, tmp_path, channel):
+        # every comparison with NaN is False, so p = (nan, 0.5, 0.5) passed the
+        # bound checks and wrote analytic = nan beside a finite estimate
+        config = tmp_path / "nanp.ini"
+        config.write_text(
+            BASE_CONFIG.replace("count = 6", "count = 3")
+            .replace("memory = 2\nsource = optimize-noise",
+                     "memory = 1\nsource = explicit\nprobs = nan, 0.5, 0.5")
+            + f"channel = {channel}\n"
+        )
+        result = CliRunner().invoke(
+            main, ["simulate", "--config", str(config), "--out", str(tmp_path / "p.csv")]
+        )
+        assert result.exit_code == 2
+        assert "p[0]=nan is not a number" in result.output
+        assert not (tmp_path / "p.csv").exists()
+
+    @pytest.mark.parametrize(
+        "field, ini, flags",
+        [
+            ("seed", BASE_CONFIG, ["--seed", "-1"]),
+            ("rate_seed", BASE_CONFIG.replace("rate_seed = 3", "rate_seed = -3"), []),
+        ],
+        ids=["seed", "rate_seed"],
+    )
+    def test_negative_seed_exits_2(self, tmp_path, field, ini, flags):
+        # numpy's "expected non-negative integer" named no field
+        config = tmp_path / "seed.ini"
+        config.write_text(ini)
+        result = CliRunner().invoke(
+            main, ["simulate", "--config", str(config), *flags, "--out", str(tmp_path / "s.csv")]
+        )
+        assert result.exit_code == 2
+        assert f"error: {field} must be >= 0" in result.output
+        assert not (tmp_path / "s.csv").exists()
 
     def test_unwritable_output_rejected(self, config_file):
         with pytest.raises(ConfigError):

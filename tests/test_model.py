@@ -98,6 +98,9 @@ class TestValidatePolicy:
     def test_negative_and_oversized_probabilities(self):
         assert "negative" in budget_violation(CachingPolicy(np.array([-0.1, 0.5, 0.1]), 1))
         assert "exceeds 1" in budget_violation(CachingPolicy(np.array([1.2, 0.5, 0.1]), 2))
+        # NaN fails every comparison: reported before the bound checks
+        msg = budget_violation(CachingPolicy(np.array([0.5, np.nan, -0.1]), 1))
+        assert msg == "p[1]=nan is not a number"
 
     def test_budget_tolerance_accepts_bisection_output(self):
         policy = CachingPolicy(probs=np.array([0.5, 0.5 + 5e-10, 0.0]), memory=1)
