@@ -6,8 +6,6 @@ from .analytics import (
     InterferenceConstants,
     NoiseConstants,
     c_alpha,
-    intensity_xi,
-    laplace_interference,
     mean_load_m1,
     nakagami_lower_bound,
     rayleigh_lower_bound,
@@ -43,12 +41,10 @@ __all__ = [
     "uniform_rates",
     "NoiseConstants",
     "InterferenceConstants",
-    "intensity_xi",
     "xi1_cdf",
     "success_noise",
     "c_alpha",
     "rayleigh_lower_bound",
-    "laplace_interference",
     "nakagami_lower_bound",
     "mean_load_m1",
     "SolveReport",

@@ -36,12 +36,10 @@ from .model import CachingPolicy, ContentLibrary, NetworkParams
 __all__ = [
     "NoiseConstants",
     "InterferenceConstants",
-    "intensity_xi",
     "xi1_cdf",
     "success_noise",
     "c_alpha",
     "rayleigh_lower_bound",
-    "laplace_interference",
     "nakagami_lower_bound",
     "mean_load_m1",
 ]
@@ -94,23 +92,6 @@ class NoiseConstants:
             raise ValueError("noise-limited analytics need noise_power > 0, i.e. a finite snr_db")
         T = (params.snr / (np.power(2.0, library.rates) - 1.0)) ** params.delta
         return cls(kappa=_kappa(params), delta=params.delta, T=T)
-
-
-def intensity_xi(y, p: float, params: NetworkParams):
-    """Intensity of the process of reciprocal channel power gains at y.
-
-    Equals p * lambda * pi * delta * y^(delta-1) * E[h^(2 delta)]; its
-    integral over [0, xi) is kappa * p * xi^delta.
-    """
-    y = np.asarray(y, dtype=float)
-    if np.any(y < 0):
-        raise ValueError("y must be >= 0")
-    if p == 0:
-        return np.zeros_like(y) if y.ndim else 0.0
-    delta = params.delta
-    with np.errstate(divide="ignore"):
-        out = _kappa(params) * p * delta * y ** (delta - 1.0)
-    return out if y.ndim else float(out)
 
 
 def xi1_cdf(xi, p: float, params: NetworkParams):
@@ -276,24 +257,6 @@ def _exponent_coefficients(W, p, params: NetworkParams, order: int) -> np.ndarra
         sign = 1.0 if n == 0 else (-1.0) ** (n + 1) * poch(m_i, n)
         out.append(-2.0 * sign * ((1.0 - p) * head + tail))
     return np.array(out)
-
-
-def laplace_interference(s: float, r: float, p: float, params: NetworkParams) -> float:
-    """Laplace transform at s of the interference seen by a user served from
-    distance r, when a fraction p of helpers cache the requested content
-    (those within r are excluded as candidates, not interferers beyond r).
-    """
-    if s < 0:
-        raise ValueError("s must be >= 0")
-    if r < 0:
-        raise ValueError("r must be >= 0")
-    if s == 0:
-        return 1.0
-    sp = s * params.tx_power
-    W = params.fading_interf * r**params.pathloss_exp / sp
-    c0 = _exponent_coefficients(W, p, params, order=0)[0]
-    v_star2 = (sp / params.fading_interf) ** params.delta
-    return math.exp(math.pi * params.helper_density * v_star2 * float(c0))
 
 
 def _distance_exponents(tau, p, params: NetworkParams) -> np.ndarray:

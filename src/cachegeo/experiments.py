@@ -154,6 +154,8 @@ class ExperimentConfig:
     def make_library(self) -> ContentLibrary:
         popularity = zipf_popularity(self.count, self.gamma)
         if self.rate_mode == "constant":
+            if not 0 < self.rho < math.inf:  # NaN fails too
+                raise ConfigError(f"rho must be > 0 and finite, got {self.rho}")
             rates = np.full(self.count, self.rho)
         else:
             rates = uniform_rates(self.rho_max, self.count, self.rate_seed)

@@ -137,14 +137,18 @@ def zipf_popularity(count: int, gamma: float) -> np.ndarray:
     """Zipf request probabilities f_i = (1/i^gamma) / sum_j (1/j^gamma).
 
     gamma = 0 gives the uniform distribution; larger gamma skews requests
-    toward low-index contents.
+    toward low-index contents.  A gamma so large that count^-gamma
+    underflows to 0 leaves the last content with no requests and is
+    rejected.
     """
     if count < 1:
         raise ValueError("count must be >= 1")
-    if gamma < 0:
-        raise ValueError("gamma must be >= 0")
+    if not 0 <= gamma < np.inf:  # NaN fails too
+        raise ValueError(f"gamma must be >= 0 and finite, got {gamma}")
     ranks = np.arange(1, count + 1, dtype=float)
     weights = ranks ** (-gamma)
+    if weights[-1] == 0:
+        raise ValueError(f"gamma = {gamma} is too large: {count}^-gamma underflows to 0")
     return weights / weights.sum()
 
 
@@ -153,8 +157,8 @@ def uniform_rates(rho_max: float, count: int, seed: int) -> np.ndarray:
 
     Deterministic for a given seed.
     """
-    if rho_max <= 0:
-        raise ValueError("rho_max must be > 0")
+    if not 0 < rho_max < np.inf:  # NaN fails too
+        raise ValueError(f"rho_max must be > 0 and finite, got {rho_max}")
     rng = np.random.default_rng(seed)
     # 1 - U maps [0, 1) onto (0, 1], keeping every rate strictly positive.
     return rho_max * (1.0 - rng.random(count))

@@ -5,8 +5,8 @@ delivery-success estimation.
 Reproducibility: one root seed; both engines process trials in fixed-size
 chunks, and chunk k draws from ``SeedSequence(entropy=seed,
 spawn_key=(k,))``.  Both aggregate integer success counts, so estimates
-are bit-identical for a given seed regardless of execution order, and
-chunks may run in parallel (``workers``).
+are bit-identical for a given seed, and a chunk's draws do not depend on
+how many chunks follow it.
 
 The interference engine draws a chunk as flat arrays (every helper and
 user of its trials, with per-trial counts, and each helper's cache as M
@@ -25,7 +25,6 @@ window is truncated.
 """
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from math import log, pi
 from typing import NamedTuple
@@ -42,15 +41,14 @@ __all__ = [
     "sample_xi_min",
     "simulate_noise_limited",
     "simulate_interference_limited",
-    "empirical_mean_load",
     "window_radius",
     "LOAD_MODES",
 ]
 
 DEFAULT_WINDOW_MISS = 1e-3
-# Window of the noise engine, the xi_1 sampler and the empirical mean load:
-# their estimates are checked against closed forms at a resolution where
-# the 1e-3 truncation bias would show.
+# Window of the noise engine and the xi_1 sampler: their estimates are
+# checked against closed forms at a resolution where the 1e-3 truncation
+# bias would show.
 NOISE_WINDOW_MISS = 1e-6
 _NOISE_CHUNK = 4096
 _INTERF_CHUNK = 64
@@ -141,13 +139,9 @@ def _unit_xi_min(rng: np.random.Generator, mean_count: float, n: int, params: Ne
     return _segment_minima(unit / nakagami_gain(params.fading_desired, rng, total), counts)
 
 
-def _run_chunks(trials: int, chunk: int, worker, workers: int = 1, combine=sum):
-    """combine(worker(chunk_index, chunk_size)) over the fixed chunk grid, in chunk order."""
-    sizes = [(c, min(chunk, trials - c * chunk)) for c in range((trials + chunk - 1) // chunk)]
-    if workers <= 1:
-        return combine([worker(c, n) for c, n in sizes])
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return combine(list(pool.map(lambda cn: worker(*cn), sizes)))
+def _chunk_grid(trials: int, chunk: int) -> list[tuple[int, int]]:
+    """(chunk index, size) pairs of the fixed chunk grid, in chunk order."""
+    return [(c, min(chunk, trials - c * chunk)) for c in range(-(-trials // chunk))]
 
 
 def sample_xi_min(params: NetworkParams, p: float, trials: int, seed: int) -> np.ndarray:
@@ -166,11 +160,10 @@ def sample_xi_min(params: NetworkParams, p: float, trials: int, seed: int) -> np
     with np.errstate(over="ignore"):
         scale = np.float64(radius) ** params.pathloss_exp
     mean_count = log(1.0 / NOISE_WINDOW_MISS)
-    unit = _run_chunks(
-        trials, _NOISE_CHUNK,
-        lambda c, n: _unit_xi_min(_substream(seed, c), mean_count, n, params),
-        combine=np.concatenate,
-    )
+    unit = np.concatenate([
+        _unit_xi_min(_substream(seed, c), mean_count, n, params)
+        for c, n in _chunk_grid(trials, _NOISE_CHUNK)
+    ])
     return scale * unit
 
 
@@ -180,7 +173,6 @@ def simulate_noise_limited(
     policy: CachingPolicy,
     trials: int,
     seed: int,
-    workers: int = 1,
 ) -> MCEstimate:
     """Estimate the success probability without interference or load sharing.
 
@@ -218,7 +210,7 @@ def simulate_noise_limited(
         xi1 = scale[contents] * _unit_xi_min(rng, mean_count, n, params)
         return int(np.count_nonzero(np.isfinite(xi1) & (xi1 <= thresholds[contents])))
 
-    successes = _run_chunks(trials, _NOISE_CHUNK, worker, workers)
+    successes = sum(worker(c, n) for c, n in _chunk_grid(trials, _NOISE_CHUNK))
     return MCEstimate.from_counts(successes, trials)
 
 
@@ -378,7 +370,6 @@ def simulate_interference_limited(
     seed: int,
     load_mode: str = "instantaneous",
     window_miss_prob: float = DEFAULT_WINDOW_MISS,
-    workers: int = 1,
 ) -> MCEstimate:
     """Estimate the SIR-based success probability under resource sharing.
 
@@ -436,47 +427,5 @@ def simulate_interference_limited(
         rate = _shared_rate(xi[served], interference[served], load[served], params.tx_power)
         return int(np.sum(rate >= library.rates[chunk.content[served]]))
 
-    successes = _run_chunks(trials, _INTERF_CHUNK, worker, workers)
+    successes = sum(worker(c, n) for c, n in _chunk_grid(trials, _INTERF_CHUNK))
     return MCEstimate.from_counts(successes, trials)
-
-
-def empirical_mean_load(
-    library: ContentLibrary,
-    params: NetworkParams,
-    policy: CachingPolicy,
-    trials: int,
-    seed: int,
-) -> float:
-    """Mean observed load of the typical user's serving helper under
-    distance association (single-slot caches), for checking the closed-form
-    mean; trials without an in-window helper are skipped.
-
-    Users are sampled on half the helper window so every counted user sees
-    its true nearest caching helper; otherwise edge users would pile onto
-    interior cells and bias the load upward.
-    """
-    if policy.memory != 1:
-        raise ValueError("the tagged-load check is defined for M = 1")
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-    positive = policy.probs[policy.probs > BUDGET_TOL]
-    if positive.size == 0:
-        raise ValueError("the policy caches no content, so no helper can serve a request")
-    user_radius = window_radius(float(positive.min()), params.helper_density, NOISE_WINDOW_MISS)
-    layout = build_block_layout(policy)
-
-    def worker(chunk_index: int, n: int) -> np.ndarray:
-        rng = _substream(seed, chunk_index)
-        chunk = _sample_chunk(rng, n, library, params, layout, 2.0 * user_radius, user_radius)
-        _, serving, _ = _typical_links(
-            chunk.helper_counts, chunk.helper_dist, chunk.caching, chunk.desired,
-            chunk.interf, params, nearest=True,
-        )
-        served = serving >= 0
-        loads = _serving_loads(chunk, serving, library, params)
-        return np.array([loads[served].sum(), served.sum()])
-
-    total, measured = _run_chunks(trials, _INTERF_CHUNK, worker)
-    if measured == 0:
-        raise ValueError("no trial produced a serving helper; enlarge the window or trials")
-    return float(total / measured)

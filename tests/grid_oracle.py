@@ -18,30 +18,35 @@ CHUNK = 1 << 20
 def brute_force_policy(objective, count: int, memory: int, grid_step: float):
     """(best grid policy, its value) for an objective mapping an (n, F)
     batch of policies to (n,) values.  Ties keep the lexicographically
-    first grid point; the lattice is scanned in flat-index chunks."""
+    first grid point.  The trailing axes whose lattice holds at most CHUNK
+    points are built once with np.indices; the scan loops over the
+    leading axes' points in order and evaluates that block under each."""
     if grid_step <= 0 or grid_step > 1:
         raise ValueError("grid_step must lie in (0, 1]")
     per_axis = int(round(1.0 / grid_step)) + 1
     step = 1.0 / (per_axis - 1)
-    total = per_axis**count
-    if total > LATTICE_CAP:
+    if per_axis**count > LATTICE_CAP:
         raise ValueError(
             f"search space too large: {per_axis}^{count} grid points exceeds {LATTICE_CAP}"
         )
     budget_units = int(round(memory / step))
 
+    lead = 0
+    while lead < count - 1 and per_axis ** (count - lead) > CHUNK:
+        lead += 1
+    # C order of np.indices is lexicographic order
+    tail = np.indices((per_axis,) * (count - lead)).reshape(count - lead, -1).T
+    tail_units = tail.sum(axis=1)
+    tail_rows = tail * step
     best_value = -np.inf
     best_row = None
-    for start in range(0, total, CHUNK):
-        flat = np.arange(start, min(start + CHUNK, total), dtype=np.int64)
-        digits = np.empty((flat.size, count), dtype=np.int64)
-        rem = flat
-        for axis in range(count - 1, -1, -1):
-            rem, digits[:, axis] = np.divmod(rem, per_axis)
-        feasible = digits.sum(axis=1) <= budget_units
+    for head in np.ndindex(*(per_axis,) * lead):
+        feasible = tail_units <= budget_units - sum(head)
         if not np.any(feasible):
             continue
-        rows = digits[feasible].astype(float) * step
+        rows = np.empty((int(np.count_nonzero(feasible)), count))
+        rows[:, :lead] = np.array(head) * step
+        rows[:, lead:] = tail_rows[feasible]
         values = np.asarray(objective(rows), dtype=float)
         k = int(np.argmax(values))
         if values[k] > best_value:

@@ -12,10 +12,9 @@ from cachegeo.analytics import (
     InterferenceConstants,
     NoiseConstants,
     _distance_exponents,
+    _exponent_coefficients,
     _success_polynomial,
     c_alpha,
-    intensity_xi,
-    laplace_interference,
     mean_load_m1,
     nakagami_lower_bound,
     rayleigh_lower_bound,
@@ -44,23 +43,31 @@ def make_library(count, gamma=1.0, rates=None):
     return ContentLibrary(count, pop, np.asarray(rates, dtype=float))
 
 
+def laplace_interference(s: float, r: float, p: float, params: NetworkParams) -> float:
+    """Laplace transform at s of the interference seen by a user served from
+    distance r when a fraction p of helpers cache the request, through the
+    zeroth exponent coefficient: exp(pi lambda v*^2 c_0)."""
+    if s == 0:
+        return 1.0
+    sp = s * params.tx_power
+    W = params.fading_interf * r**params.pathloss_exp / sp
+    c0 = _exponent_coefficients(W, p, params, order=0)[0]
+    v_star2 = (sp / params.fading_interf) ** params.delta
+    return math.exp(math.pi * params.helper_density * v_star2 * float(c0))
+
+
 class TestIntensity:
-    def test_zero_probability_gives_null_process(self):
-        params = make_params()
-        assert intensity_xi(1.3, 0.0, params) == 0.0
-
-    def test_prefactor_rayleigh_alpha4(self):
-        # Gamma(1.5)/Gamma(1) = sqrt(pi)/2
-        params = make_params(alpha=4.0, m_d=1.0)
-        y = 1.0
-        expected = params.helper_density * math.pi * 0.5 * math.sqrt(math.pi) / 2.0
-        assert intensity_xi(y, 1.0, params) == pytest.approx(expected, rel=1e-12)
-
     @pytest.mark.parametrize("xi", [0.1, 1.0, 10.0])
     def test_integral_matches_cdf_exponent(self, xi):
         params = make_params(alpha=2.5, m_d=3.0)
-        p = 0.7
-        val, _ = integrate.quad(lambda y: intensity_xi(y, p, params), 0.0, xi, epsabs=1e-12)
+        p, delta, m = 0.7, params.delta, params.fading_desired
+
+        def intensity(y):
+            # of the reciprocal-gain process, from its definition
+            moment = math.gamma(m + delta) / (math.gamma(m) * m**delta)
+            return p * params.helper_density * math.pi * delta * y ** (delta - 1.0) * moment
+
+        val, _ = integrate.quad(intensity, 0.0, xi, epsabs=1e-12)
         kappa = NoiseConstants.from_params(make_library(1), params).kappa
         assert val == pytest.approx(kappa * p * xi**params.delta, abs=1e-10)
 

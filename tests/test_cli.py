@@ -575,6 +575,25 @@ class TestExitCodes:
         assert "load_mode" in result.output
         assert not (tmp_path / "b.csv").exists()
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [("gamma", v) for v in ("nan", "inf", "2000", "1e300")]
+        + [("rho_max", v) for v in ("nan", "inf")]
+        + [("rho", v) for v in ("nan", "inf")],
+    )
+    def test_bad_library_field_exits_2(self, tmp_path, field, value):
+        # these failed in ContentLibrary, naming the popularity or rate array
+        old = {"gamma": "gamma = 1.0", "rho_max": "rho_max = 1.0", "rho": "rate_mode = uniform"}
+        new = f"{field} = {value}" if field != "rho" else f"rate_mode = constant\nrho = {value}"
+        config = tmp_path / "library.ini"
+        config.write_text(BASE_CONFIG.replace(old[field], new))
+        result = CliRunner().invoke(
+            main, ["optimize-noise", "--config", str(config), "--out", str(tmp_path / "r.csv")]
+        )
+        assert result.exit_code == 2
+        assert f"{field} " in result.stderr
+        assert not (tmp_path / "r.csv").exists()
+
     def test_fractional_memory_sweep_exits_2(self, tmp_path):
         config = tmp_path / "memory.ini"
         config.write_text(BASE_CONFIG + "sweep = memory\nsweep_grid = 2.5\n")

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from load_oracle import empirical_mean_load
 from cachegeo import simulator
 from cachegeo.analytics import mean_load_m1, success_noise, xi1_cdf
 from cachegeo.model import CachingPolicy, ContentLibrary, NetworkParams, zipf_popularity
@@ -18,7 +19,6 @@ from cachegeo.simulator import (
     _sample_chunk,
     _serving_loads,
     _typical_links,
-    empirical_mean_load,
     nakagami_gain,
     sample_xi_min,
     simulate_interference_limited,
@@ -136,6 +136,17 @@ class TestXiMinDistribution:
         assert xi.shape == (5000,)
         assert np.all(xi == np.inf)
 
+    @pytest.mark.parametrize("n", [1, simulator._NOISE_CHUNK, simulator._NOISE_CHUNK + 1])
+    def test_returns_one_sample_per_trial(self, n):
+        assert sample_xi_min(make_params(), 0.5, trials=n, seed=3).shape == (n,)
+
+    def test_a_chunk_does_not_depend_on_the_chunks_after_it(self):
+        # chunk k draws from SeedSequence(entropy=seed, spawn_key=(k,)) alone
+        chunk = simulator._NOISE_CHUNK
+        one = sample_xi_min(make_params(), 0.5, trials=chunk, seed=3)
+        two = sample_xi_min(make_params(), 0.5, trials=chunk + 1, seed=3)
+        assert np.array_equal(two[:chunk], one)
+
     @pytest.mark.parametrize("lam,m_d", [(0.05, 1.0), (0.2, 1.0)])
     def test_cdf_matches_closed_form(self, lam, m_d):
         params = make_params(lam=lam, alpha=2.5, m_d=m_d)
@@ -187,14 +198,6 @@ class TestSimulateNoiseLimited:
         b = simulate_noise_limited(lib, params, policy, trials=5000, seed=42)
         assert a == b
 
-    def test_parallel_equals_serial(self):
-        lib = make_library(4)
-        params = make_params()
-        policy = CachingPolicy(np.array([0.6, 0.5, 0.3, 0.1]), 2)
-        serial = simulate_noise_limited(lib, params, policy, trials=9000, seed=9)
-        threaded = simulate_noise_limited(lib, params, policy, trials=9000, seed=9, workers=4)
-        assert serial == threaded
-
     def test_tiny_probability_fails_like_an_uncached_content(self):
         # p = 1e-300 overflowed R^alpha with a RuntimeWarning; the draws do
         # not depend on p, so it must match the uncached content bit for bit
@@ -241,12 +244,6 @@ class TestLargeLibraryNoiseLimited:
         lib, params, policy = setting
         est = simulate_noise_limited(lib, params, policy, trials=50_000, seed=5101)
         assert abs(est.estimate - success_noise(lib, params, policy)) <= 3.5 * est.stderr
-
-    def test_parallel_equals_serial(self, setting):
-        lib, params, policy = setting
-        serial = simulate_noise_limited(lib, params, policy, trials=50_000, seed=5102)
-        threaded = simulate_noise_limited(lib, params, policy, trials=50_000, seed=5102, workers=2)
-        assert serial == threaded
 
     def test_uncached_popular_contents_agree_with_analytics(self, setting):
         lib, params, policy = setting
@@ -378,13 +375,6 @@ class TestSimulateInterferenceLimited:
         assert mean.estimate >= long.estimate - 3.0 * math.sqrt(
             mean.stderr**2 + long.stderr**2
         )
-
-    @pytest.mark.parametrize("mode", LOAD_MODES)
-    def test_workers_do_not_change_estimates(self, mode):
-        lib, params, policy = fig4_setting(0.3)
-        serial = simulate_interference_limited(lib, params, policy, 300, 12, mode)
-        threaded = simulate_interference_limited(lib, params, policy, 300, 12, mode, workers=3)
-        assert serial == threaded
 
     def test_negligible_rate_succeeds_exactly_when_the_window_holds_a_cacher(self):
         # at a negligible target rate a trial succeeds iff some in-window helper
