@@ -62,6 +62,15 @@ def _probs_of(policy) -> np.ndarray:
     return np.asarray(policy, dtype=float)
 
 
+def _snr_factor(rates) -> np.ndarray:
+    """2^rate - 1 per content: the SNR a link needs to clear its rate alone."""
+    with np.errstate(over="ignore"):
+        factor = np.power(2.0, rates) - 1.0
+    if not np.all(np.isfinite(factor)):
+        raise ValueError(f"max(rate) = {np.max(rates):g} overflows the SNR threshold 2^rate - 1")
+    return factor
+
+
 @dataclass(frozen=True)
 class NoiseConstants:
     """Constants of the noise-limited success formula.
@@ -90,7 +99,7 @@ class NoiseConstants:
     def from_params(cls, library: ContentLibrary, params: NetworkParams) -> "NoiseConstants":
         if params.noise_power == 0:
             raise ValueError("noise-limited analytics need noise_power > 0, i.e. a finite snr_db")
-        T = (params.snr / (np.power(2.0, library.rates) - 1.0)) ** params.delta
+        T = (params.snr / _snr_factor(library.rates)) ** params.delta
         return cls(kappa=_kappa(params), delta=params.delta, T=T)
 
 

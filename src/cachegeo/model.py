@@ -92,8 +92,9 @@ class NetworkParams:
         if not self.noise_power >= 0:
             raise ValueError(f"noise_power must be >= 0, got {self.noise_power}")
         for name in ("fading_desired", "fading_interf"):
-            if not getattr(self, name) >= 0.5:
-                raise ValueError(f"{name} (Nakagami m) must be >= 1/2, got {getattr(self, name)}")
+            m = getattr(self, name)
+            if not 0.5 <= m < np.inf:
+                raise ValueError(f"{name} (Nakagami m) must be >= 1/2 and finite, got {m}")
 
     @property
     def delta(self) -> float:

@@ -12,9 +12,10 @@ The interference engine draws a chunk as flat arrays (every helper and
 user of its trials, with per-trial counts, and each helper's cache as M
 content slots) and reduces them per trial segment.  Its draws come in the
 same order for every load mode, and the fresh channel gains of the
-instantaneous load come last, so different load modes on one seed
-evaluate identical networks.  The noise engine makes four draws per chunk
-(requests, counts, unit-disc radii, gains) whatever F is.
+instantaneous load come last, so load modes on one seed evaluate
+identical networks; that load is counted only in trials whose outcome
+it decides, and every gain is still drawn.  The noise engine makes four
+draws per chunk (requests, counts, unit-disc radii, gains) whatever F is.
 
 Finite window: helpers are sampled inside a disc sized so the nearest
 relevant helper is missed with probability at most ``window_miss_prob``
@@ -31,7 +32,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .analytics import mean_load_m1
+from .analytics import _snr_factor, mean_load_m1
 from .model import BUDGET_TOL, CachingPolicy, ContentLibrary, NetworkParams, budget_violation
 from .placement import BlockLayout, build_block_layout, cache_matrix
 
@@ -93,9 +94,12 @@ def window_radius(p: float, helper_density: float, miss_prob: float = DEFAULT_WI
 
 
 def _disc_points(radius: float, count: int, rng: np.random.Generator) -> np.ndarray:
-    """(2, count) coordinates of points uniform on a disc centred at the origin."""
-    r = radius * np.sqrt(rng.random(count))
-    theta = rng.random(count) * 2.0 * pi
+    """(2, count) radii and angles of points uniform on a disc centred at the origin."""
+    return np.array((radius * np.sqrt(rng.random(count)), rng.random(count) * 2.0 * pi))
+
+
+def _cartesian(r: np.ndarray, theta: np.ndarray) -> np.ndarray:
+    """(2, count) coordinates of the radii and angles that _disc_points draws."""
     return np.array((r * np.cos(theta), r * np.sin(theta)))
 
 
@@ -103,6 +107,8 @@ def nakagami_gain(m: float, rng: np.random.Generator, size=None):
     """Unit-mean Nakagami-m channel power gain(s): Gamma(m, 1/m)."""
     if m < 0.5:
         raise ValueError("Nakagami shape must be >= 1/2")
+    if m == 1:  # Rayleigh: the bits of gamma(1, 1), drawn faster
+        return rng.standard_exponential(size)
     return rng.gamma(m, 1.0 / m, size=size)
 
 
@@ -200,7 +206,7 @@ def simulate_noise_limited(
         raise ValueError("trials must be >= 1")
     mean_count, alpha = log(1.0 / NOISE_WINDOW_MISS), params.pathloss_exp
     with np.errstate(divide="ignore", over="ignore"):
-        thresholds = params.snr / (np.power(2.0, library.rates) - 1.0)
+        thresholds = params.snr / _snr_factor(library.rates)
         # R_i^alpha, from R_i^2 (inf for uncached contents)
         scale = (mean_count / (pi * policy.probs * params.helper_density)) ** (alpha / 2)
 
@@ -230,7 +236,7 @@ class _Chunk(NamedTuple):
     desired: np.ndarray  # (H,) typical user's selection-channel gains
     interf: np.ndarray  # (H,) typical user's interfering-channel gains
     user_counts: np.ndarray  # (n,)
-    user_xy: np.ndarray  # (2, U)
+    user_polar: np.ndarray  # (2, U) radii and angles, for _cartesian
     requested: np.ndarray  # (U,) content index per user
 
 
@@ -248,8 +254,8 @@ def _sample_chunk(
     helper_counts = rng.poisson(params.helper_density * pi * helper_radius**2, n)
     user_counts = rng.poisson(params.user_density * pi * user_radius**2, n)
     n_helpers, n_users = int(helper_counts.sum()), int(user_counts.sum())
-    helper_xy = _disc_points(helper_radius, n_helpers, rng)
-    user_xy = _disc_points(user_radius, n_users, rng)
+    helper_xy = _cartesian(*_disc_points(helper_radius, n_helpers, rng))
+    user_polar = _disc_points(user_radius, n_users, rng)
     caches = cache_matrix(layout, rng.random(n_helpers))
     desired = nakagami_gain(params.fading_desired, rng, n_helpers)
     interf = nakagami_gain(params.fading_interf, rng, n_helpers)
@@ -258,7 +264,7 @@ def _sample_chunk(
     caching = (caches == np.repeat(content, helper_counts)[:, None]).any(1)
     return _Chunk(
         helper_counts, helper_xy, np.hypot(*helper_xy), caches,
-        content, caching, desired, interf, user_counts, user_xy, requested,
+        content, caching, desired, interf, user_counts, user_polar, requested,
     )
 
 
@@ -303,6 +309,7 @@ def _serving_loads(
     library: ContentLibrary,
     params: NetworkParams,
     rng: np.random.Generator | None = None,
+    cap: np.ndarray | None = None,
 ) -> np.ndarray:
     """Per-trial load of the serving helper: the typical user plus every
     user associating with it.
@@ -310,17 +317,25 @@ def _serving_loads(
     A user associates with one of its trial's helpers caching its request:
     the one with the strongest instantaneous channel, on selection gains
     drawn fresh from rng for each pair, or the nearest one without rng
-    (lowest index wins ties).  Only users whose request the serving helper
-    caches can choose it, so only they are paired, _PAIR_SLICE pairs at a
-    time.
+    (lowest index wins ties).  Only the e users whose request the serving
+    helper caches can choose it, so the load lies in [1, 1 + e].  Given each
+    trial's rate at load 1 (cap), a trial whose outcome cap / load >= rate
+    is the same at both bounds gets the load 1 + e; only the users of the
+    other trials are paired, _PAIR_SLICE pairs at a time.  Every pair's gain
+    is drawn all the same, so the draws do not depend on cap.
     """
     n = serving.size
-    loads = np.ones(n)
     trial = np.repeat(np.arange(n), chunk.user_counts)
     target = serving[trial]
     eligible = target >= 0
     eligible[eligible] = (chunk.caches[target[eligible]] == chunk.requested[eligible, None]).any(1)
     users = np.flatnonzero(eligible)
+    upper = 1.0 + np.bincount(trial[users], minlength=n)
+    need = library.rates[chunk.content]
+    undecided = np.ones(n, bool) if cap is None else (cap >= need) & (cap / upper < need)
+    loads = np.where(undecided, 1.0, upper)
+    paired = np.flatnonzero(undecided[trial[users]])  # indices into users
+    xy = _cartesian(*chunk.user_polar[:, users[paired]])
     # the helpers caching each (trial, content), in ascending index order
     helper, slot = np.nonzero(chunk.caches >= 0)
     count = library.count
@@ -336,20 +351,23 @@ def _serving_loads(
     while lo < users.size:
         # users lo..hi-1 hold at most _PAIR_SLICE pairs, or one user holds more
         hi = max(lo + 1, int(np.searchsorted(ends, starts[lo] + _PAIR_SLICE, "right")))
-        part, w = users[lo:hi], width[lo:hi]
-        pair_user = np.repeat(part, w)
-        pair_helper = helper[
-            np.repeat(first[lo:hi] - starts[lo:hi], w) + np.arange(starts[lo], ends[hi - 1])
-        ]
-        dx = chunk.user_xy[0, pair_user] - chunk.helper_xy[0, pair_helper]
-        dy = chunk.user_xy[1, pair_user] - chunk.helper_xy[1, pair_helper]
+        if rng is not None:
+            gain = nakagami_gain(params.fading_desired, rng, ends[hi - 1] - starts[lo])
+        a, b = np.searchsorted(paired, (lo, hi))
+        part = paired[a:b]
+        w = width[part]
+        rank = np.arange(w.sum()) - np.repeat(np.cumsum(w) - w, w)  # pair rank within its user
+        pair_user = np.repeat(np.arange(a, b), w)
+        pair_helper = helper[np.repeat(first[part], w) + rank]
+        dx = xy[0, pair_user] - chunk.helper_xy[0, pair_helper]
+        dy = xy[1, pair_user] - chunk.helper_xy[1, pair_helper]
         metric = dx * dx + dy * dy
         if rng is not None:
-            metric = metric ** (params.pathloss_exp / 2.0) / nakagami_gain(
-                params.fading_desired, rng, metric.size
-            )
-        chose = pair_helper[_segment_argmin(metric, w)] == target[part]
-        loads += np.bincount(trial[part[chose]], minlength=n)
+            metric = metric ** (params.pathloss_exp / 2.0) / gain[
+                np.repeat(starts[part] - starts[lo], w) + rank
+            ]
+        chose = pair_helper[_segment_argmin(metric, w)] == target[users[part]]
+        loads += np.bincount(trial[users[part[chose]]], minlength=n)
         lo = hi
     return loads
 
@@ -420,12 +438,14 @@ def simulate_interference_limited(
             chunk.interf, params, nearest=load_mode == "long-term-assoc",
         )
         served = serving >= 0
+        # rate at load 1; a trial without a serving helper fails at any load
+        cap = np.zeros(n)
+        cap[served] = _shared_rate(xi[served], interference[served], 1.0, params.tx_power)
         if load_mode == "instantaneous":
-            load = _serving_loads(chunk, serving, library, params, rng)
+            load = _serving_loads(chunk, serving, library, params, rng, cap)
         else:
             load = mean_load[chunk.content]
-        rate = _shared_rate(xi[served], interference[served], load[served], params.tx_power)
-        return int(np.sum(rate >= library.rates[chunk.content[served]]))
+        return int(np.count_nonzero(cap / load >= library.rates[chunk.content]))
 
     successes = sum(worker(c, n) for c, n in _chunk_grid(trials, _INTERF_CHUNK))
     return MCEstimate.from_counts(successes, trials)

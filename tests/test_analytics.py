@@ -109,6 +109,13 @@ class TestSuccessNoise:
         with pytest.raises(ValueError, match="snr_db"):
             success_noise(lib, params, np.full(3, 0.5))
 
+    def test_overflowing_rate_names_the_rate(self):
+        # 2^rate overflowed with a RuntimeWarning, then T = 0 failed as
+        # "threshold factors must be positive"
+        lib = make_library(2, rates=[1.0, 2000.0])
+        with pytest.raises(ValueError, match=r"max\(rate\) = 2000 overflows"):
+            NoiseConstants.from_params(lib, make_params())
+
     def test_scalar_case_unit_exponent(self):
         params = make_params()
         consts = NoiseConstants.from_params(make_library(1), params)

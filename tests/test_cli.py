@@ -22,7 +22,7 @@ from cachegeo.experiments import (
     run,
     select_c,
 )
-from cachegeo.model import NetworkParams, zipf_popularity
+from cachegeo.model import NetworkParams, uniform_rates, zipf_popularity
 from cachegeo.simulator import MCEstimate
 
 
@@ -593,6 +593,31 @@ class TestExitCodes:
         assert result.exit_code == 2
         assert f"{field} " in result.stderr
         assert not (tmp_path / "r.csv").exists()
+
+    @pytest.mark.parametrize("scenario", ["optimize-noise", "simulate"])
+    def test_overflowing_rate_exits_2(self, tmp_path, scenario):
+        # 2^rate overflowed and the run failed with "threshold factors must be
+        # positive", naming neither the rate nor rho_max
+        config = tmp_path / "rate.ini"
+        config.write_text(BASE_CONFIG.replace("rho_max = 1.0", "rho_max = 1e300"))
+        result = CliRunner().invoke(
+            main, [scenario, "--config", str(config), "--out", str(tmp_path / "r.csv")]
+        )
+        assert result.exit_code == 2
+        largest = uniform_rates(1e300, 6, 3).max()
+        assert f"max(rate) = {largest:g} overflows" in result.stderr
+        assert not (tmp_path / "r.csv").exists()
+
+    def test_infinite_fading_exits_2(self, tmp_path):
+        # passed NetworkParams and died on a RuntimeWarning in _fading_moment
+        config = tmp_path / "fading.ini"
+        config.write_text(BASE_CONFIG.replace("fading_desired = 1.0", "fading_desired = inf"))
+        result = CliRunner().invoke(
+            main, ["optimize-noise", "--config", str(config), "--out", str(tmp_path / "f.csv")]
+        )
+        assert result.exit_code == 2
+        assert "fading_desired" in result.stderr
+        assert not (tmp_path / "f.csv").exists()
 
     def test_fractional_memory_sweep_exits_2(self, tmp_path):
         config = tmp_path / "memory.ini"

@@ -170,6 +170,11 @@ class TestDomainTypes:
         with pytest.raises(ValueError):
             NetworkParams(0.05, 0.002, 1.0, 0.01, 3.0, fading_desired=0.2)
 
+    @pytest.mark.parametrize("field", ["fading_desired", "fading_interf"])
+    def test_params_require_finite_fading(self, field):
+        with pytest.raises(ValueError, match=f"{field} .* finite"):
+            NetworkParams(0.05, 0.002, 1.0, 0.01, 3.0, **{field: math.inf})
+
     def test_snr_with_zero_noise_is_infinite(self):
         params = NetworkParams(0.05, 0.002, 1.0, 0.0, 3.0)
         assert params.snr == np.inf

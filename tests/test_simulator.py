@@ -14,6 +14,7 @@ from cachegeo.placement import build_block_layout
 from cachegeo.simulator import (
     LOAD_MODES,
     MCEstimate,
+    _cartesian,
     _disc_points,
     _shared_rate,
     _sample_chunk,
@@ -51,7 +52,7 @@ class TestSamplePpp:
     def test_null_process(self):
         chunk = sample_networks(50, 0.02, 0.0, 10.0, seed=0)
         assert chunk.user_counts.sum() == 0
-        assert chunk.user_xy.shape == (2, 0) and chunk.requested.shape == (0,)
+        assert chunk.user_polar.shape == (2, 0) and chunk.requested.shape == (0,)
 
     def test_mean_count(self):
         chunk = sample_networks(10_000, 0.05, 0.01, 20.0, seed=1)
@@ -74,12 +75,19 @@ class TestSamplePpp:
 
     def test_disc_points_are_uniform(self):
         # uniform on a disc of radius R: r^2 / R^2 ~ U(0, 1), angle ~ U(-pi, pi)
-        x, y = _disc_points(7.0, 20_000, np.random.default_rng(3))
+        x, y = _cartesian(*_disc_points(7.0, 20_000, np.random.default_rng(3)))
         assert stats.kstest((x * x + y * y) / 49.0, "uniform").pvalue > 0.01
         assert stats.kstest(np.arctan2(y, x), "uniform", args=(-math.pi, 2 * math.pi)).pvalue > 0.01
 
 
 class TestNakagamiGain:
+    def test_rayleigh_draws_the_bits_of_gamma_one(self):
+        # m = 1 takes the exponential draw; seeded estimates must not move
+        fast, reference = np.random.default_rng(8), np.random.default_rng(8)
+        assert nakagami_gain(1.0, fast) == reference.gamma(1.0, 1.0)
+        assert np.array_equal(nakagami_gain(1.0, fast, 10**5), reference.gamma(1.0, 1.0, 10**5))
+        assert fast.random() == reference.random()
+
     def test_rayleigh_moments(self):
         rng = np.random.default_rng(3)
         g = nakagami_gain(1.0, rng, 10**6)
@@ -209,6 +217,13 @@ class TestSimulateNoiseLimited:
         b = simulate_noise_limited(lib, params, uncached, trials=20_000, seed=5104)
         assert a == b
 
+    def test_overflowing_rate_names_the_rate(self):
+        # an infinite 2^rate made every threshold 0, so every trial failed silently
+        lib = make_library(2, rates=[1.0, 2000.0])
+        policy = CachingPolicy(np.array([0.5, 0.5]), 1)
+        with pytest.raises(ValueError, match=r"max\(rate\) = 2000 overflows"):
+            simulate_noise_limited(lib, make_params(), policy, trials=10, seed=1)
+
     def test_chunk_draws_do_not_grow_with_the_library(self, monkeypatch):
         calls = []
 
@@ -228,7 +243,7 @@ class TestSimulateNoiseLimited:
             lib = make_library(count, gamma=0.8)
             policy = CachingPolicy(np.full(count, 5.0 / count), 5)
             simulate_noise_limited(lib, params, policy, trials=simulator._NOISE_CHUNK, seed=1)
-            assert calls == ["choice", "poisson", "random", "gamma"]
+            assert calls == ["choice", "poisson", "random", "standard_exponential"]
 
 
 class TestLargeLibraryNoiseLimited:
@@ -316,14 +331,15 @@ def brute_force_nearest_loads(chunk, serving):
     matrix per trial (nearest caching helper, lowest index on ties)."""
     loads = []
     h_end, u_end = np.cumsum(chunk.helper_counts), np.cumsum(chunk.user_counts)
+    user_xy = _cartesian(*chunk.user_polar)
     for t in range(serving.size):
         h = np.arange(h_end[t] - chunk.helper_counts[t], h_end[t])
         u = np.arange(u_end[t] - chunk.user_counts[t], u_end[t])
         load = 1
         if serving[t] >= 0 and u.size:
             dist = np.hypot(
-                chunk.user_xy[0, u][:, None] - chunk.helper_xy[0, h][None, :],
-                chunk.user_xy[1, u][:, None] - chunk.helper_xy[1, h][None, :],
+                user_xy[0, u][:, None] - chunk.helper_xy[0, h][None, :],
+                user_xy[1, u][:, None] - chunk.helper_xy[1, h][None, :],
             )
             candidates = (chunk.caches[h][None] == chunk.requested[u][:, None, None]).any(2)
             best = h[np.argmin(np.where(candidates, dist, np.inf), axis=1)]
@@ -444,7 +460,7 @@ class TestRealizationAndLoad:
             twice = (c.caches[:, 0] == c.caches[:, 1]) & (c.caches[:, 0] >= 0)
             assert not np.any(twice)
             assert np.all(c.desired > 0) and np.all(c.interf > 0)
-            assert c.requested.shape == (n_users,) and c.user_xy.shape == (2, n_users)
+            assert c.requested.shape == (n_users,) and c.user_polar.shape == (2, n_users)
             assert np.all(c.helper_dist <= 15.0)
             trial = np.repeat(np.arange(64), c.helper_counts)
             assert np.array_equal(
@@ -513,6 +529,63 @@ class TestRealizationAndLoad:
         policy = CachingPolicy(np.zeros(2), 1)
         with pytest.raises(ValueError, match="caches no content"):
             empirical_mean_load(lib, params, policy, trials=10, seed=1)
+
+
+class TestDecidedTrials:
+    """The instantaneous load lies in [1, 1 + e] for e users whose request
+    the serving helper caches, so _serving_loads pairs only the trials whose
+    outcome those bounds leave open."""
+
+    lib = make_library(4, rates=[0.3, 0.8, 1.5, 3.0])
+    params = make_params(lam=0.02, lam_u=0.01)
+    policies = {1: [0.4, 0.3, 0.2, 0.1], 3: [0.9, 0.8, 0.7, 0.6]}
+
+    @pytest.mark.parametrize("pair_slice", [8192, 5])
+    @pytest.mark.parametrize("memory", [1, 3])
+    def test_bounded_loads_keep_outcomes_and_draws(self, monkeypatch, memory, pair_slice):
+        monkeypatch.setattr(simulator, "_PAIR_SLICE", pair_slice)
+        layout = build_block_layout(CachingPolicy(np.array(self.policies[memory]), memory))
+        c = _sample_chunk(np.random.default_rng(29), 64, self.lib, self.params, layout, 15.0, 15.0)
+        xi, serving, J = _typical_links(
+            c.helper_counts, c.helper_dist, c.caching, c.desired, c.interf, self.params, False
+        )
+        served = serving >= 0
+        cap = np.zeros(serving.size)
+        cap[served] = _shared_rate(xi[served], J[served], 1.0, self.params.tx_power)
+        exact_rng, bounded_rng = np.random.default_rng(3), np.random.default_rng(3)
+        exact = _serving_loads(c, serving, self.lib, self.params, exact_rng)
+        bounded = _serving_loads(c, serving, self.lib, self.params, bounded_rng, cap)
+        assert exact_rng.random() == bounded_rng.random()  # every pair's gain was drawn
+        need = self.lib.rates[c.content]
+        shared = _shared_rate(xi[served], J[served], bounded[served], self.params.tx_power)
+        exact_shared = _shared_rate(xi[served], J[served], exact[served], self.params.tx_power)
+        assert np.array_equal(shared >= need[served], exact_shared >= need[served])
+        trial = np.repeat(np.arange(serving.size), c.user_counts)
+        target = serving[trial]
+        eligible = (target >= 0) & (c.caches[target] == c.requested[:, None]).any(1)
+        upper = 1.0 + np.bincount(trial[eligible], minlength=serving.size)
+        undecided = (cap >= need) & (cap / upper < need)
+        assert np.array_equal(bounded[undecided], exact[undecided])
+        assert np.array_equal(bounded[~undecided], upper[~undecided])
+        # the chunk holds trials of every kind: open, and decided with a load that differs
+        assert np.any(undecided & (exact > 1)) and np.any(~undecided & (exact < upper))
+
+    def test_approx_check_grid_matches_all_trial_loads(self, monkeypatch):
+        def run_grid():
+            return [
+                simulate_interference_limited(*fig4_setting(p1), trials=600, seed=1).successes
+                for p1 in np.arange(0.1, 0.91, 0.1)
+            ]
+
+        bounded = run_grid()
+        exact_loads = simulator._serving_loads
+        monkeypatch.setattr(
+            simulator, "_serving_loads",
+            lambda chunk, serving, library, params, rng, cap: exact_loads(
+                chunk, serving, library, params, rng
+            ),
+        )
+        assert bounded == run_grid()
 
 
 class TestWindowRadius:
