@@ -9,7 +9,6 @@ manifest).  Densities are per square meter, rates bits/s/Hz.
 from __future__ import annotations
 
 import configparser
-import csv
 import json
 import math
 import os
@@ -17,7 +16,6 @@ import platform
 import time
 from dataclasses import asdict, dataclass, field, replace
 from importlib import metadata
-from itertools import repeat
 from pathlib import Path
 
 import numpy as np
@@ -326,15 +324,18 @@ def _sweep_points(config: ExperimentConfig):
 # scenario runners: each returns (fieldnames, rows); an array in a row spans CSV lines
 
 
-def _column(value, lines: int):
-    """A column's cells: an array's entries, or one value `lines` times."""
-    if isinstance(value, np.ndarray):
-        return map(format, value.tolist(), repeat(".12g" if value.dtype.kind == "f" else ""))
-    return repeat(format(value, ".12g" if isinstance(value, float) else ""), lines)
+def _cell(value, alone: bool = False) -> str:
+    """A value's CSV cell as csv's QUOTE_MINIMAL writes it, `alone` on a one-column line."""
+    text = format(value, ".12g") if isinstance(value, float) else str(value)
+    if (alone and not text) or any(c in text for c in ',"\n'):
+        return '"' + text.replace('"', '""') + '"'
+    return text
 
 
 def _policy_string(probs: np.ndarray) -> str:
-    return ";".join(format(p, ".9g") for p in probs)
+    # %-formatted 512 at a time: one tuple of all F probabilities raised the peak RSS
+    return ";".join(";".join(["%.9g"] * p.size) % tuple(p.tolist())
+                    for p in np.split(probs, range(512, probs.size, 512)))
 
 
 def _run_cdf(config: ExperimentConfig):
@@ -710,14 +711,9 @@ def run(config: ExperimentConfig) -> int:
     elapsed = time.perf_counter() - start
 
     out = Path(config.output)
-    lines = 0
     with out.open("w", newline="") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(fields)
-        for row in rows:
-            cells = [row[name] for name in fields]
-            lines += (n := np.broadcast(*cells).size)
-            writer.writerows(zip(*(_column(v, n) for v in cells)))
+        handle.write(",".join(_cell(name, len(fields) == 1) for name in fields) + "\n")
+        lines = sum(_write_row(handle, fields, row) for row in rows)
     write_s = time.perf_counter() - start - elapsed
     manifest = {
         "config": config.as_dict(),
@@ -738,6 +734,24 @@ def run(config: ExperimentConfig) -> int:
         json.dump(manifest, handle, indent=2, sort_keys=True)
         handle.write("\n")
     return 0
+
+
+def _write_row(handle, fields: list[str], row: dict) -> int:
+    """Write a row's lines through one %-template holding its single values; return how many."""
+    alone, parts, columns = len(fields) == 1, [], []
+    for value in map(row.__getitem__, fields):
+        if not isinstance(value, np.ndarray):
+            parts.append(_cell(value, alone).replace("%", "%%"))
+            continue
+        kind = value.dtype.kind
+        parts.append("%.12g" if kind == "f" else "%d" if kind in "iu" else "%s")
+        columns.append(value.tolist() if kind in "fiu" else [_cell(v, alone) for v in value.tolist()])
+    if len(lengths := {len(c) for c in columns} or {1}) > 1:
+        arrays = {name: row[name].size for name in fields if isinstance(row[name], np.ndarray)}
+        raise ValueError(f"a row's arrays differ in length: {arrays}")
+    template = ",".join(parts) + "\n"
+    handle.writelines(map(template.__mod__, zip(*columns) if columns else [()]))
+    return lengths.pop()
 
 
 def _version(package: str) -> str:

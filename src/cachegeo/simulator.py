@@ -354,20 +354,21 @@ def _serving_loads(
         if rng is not None:
             gain = nakagami_gain(params.fading_desired, rng, ends[hi - 1] - starts[lo])
         a, b = np.searchsorted(paired, (lo, hi))
-        part = paired[a:b]
-        w = width[part]
-        rank = np.arange(w.sum()) - np.repeat(np.cumsum(w) - w, w)  # pair rank within its user
-        pair_user = np.repeat(np.arange(a, b), w)
-        pair_helper = helper[np.repeat(first[part], w) + rank]
-        dx = xy[0, pair_user] - chunk.helper_xy[0, pair_helper]
-        dy = xy[1, pair_user] - chunk.helper_xy[1, pair_helper]
-        metric = dx * dx + dy * dy
-        if rng is not None:
-            metric = metric ** (params.pathloss_exp / 2.0) / gain[
-                np.repeat(starts[part] - starts[lo], w) + rank
-            ]
-        chose = pair_helper[_segment_argmin(metric, w)] == target[users[part]]
-        loads += np.bincount(trial[users[part[chose]]], minlength=n)
+        if a < b:  # the slice holds undecided users
+            part = paired[a:b]
+            w = width[part]
+            rank = np.arange(w.sum()) - np.repeat(np.cumsum(w) - w, w)  # pair rank within its user
+            pair_user = np.repeat(np.arange(a, b), w)
+            pair_helper = helper[np.repeat(first[part], w) + rank]
+            dx = xy[0, pair_user] - chunk.helper_xy[0, pair_helper]
+            dy = xy[1, pair_user] - chunk.helper_xy[1, pair_helper]
+            metric = dx * dx + dy * dy
+            if rng is not None:
+                metric = metric ** (params.pathloss_exp / 2.0) / gain[
+                    np.repeat(starts[part] - starts[lo], w) + rank
+                ]
+            chose = pair_helper[_segment_argmin(metric, w)] == target[users[part]]
+            loads += np.bincount(trial[users[part[chose]]], minlength=n)
         lo = hi
     return loads
 

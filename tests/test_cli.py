@@ -5,10 +5,13 @@ import platform
 from dataclasses import replace
 from importlib import metadata
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import csv_oracle
 from cachegeo import experiments
@@ -180,6 +183,11 @@ WRITER_CASES = {
     "optimize-sir-load-c": ("_run_optimizer", dict(
         scenario="optimize-sir", count=300, memory=5, sweep="rho_max",
         sweep_grid=(0.5, 2.0))),
+    "figure-3": ("3", dict(scenario="figure", figure="3", trials=500)),
+    "figure-4": ("4", dict(scenario="figure", figure="4")),
+    "figure-5": ("5", dict(scenario="figure", figure="5")),
+    "figure-approx-check": ("approx-check", dict(scenario="figure", figure="approx-check",
+                                                 trials=60)),
     "figure-9": ("9", dict(scenario="figure", figure="9", trials=60)),
     "cdf": ("_run_cdf", dict(scenario="cdf", trials=500)),
     "simulate": ("_run_simulate", dict(
@@ -187,8 +195,49 @@ WRITER_CASES = {
 }
 
 
+def _run_rows(tmp_path, header: list, rows: list) -> Path:
+    """The CSV run writes for a figure whose runner returns (header, rows)."""
+    entry = FigureEntry("synthetic rows", {}, {}, runner=lambda config, sweeps: (header, rows))
+    out = tmp_path / "run.csv"
+    with mock.patch.dict(FIGURES, synthetic=entry):
+        run(ExperimentConfig(scenario="figure", figure="synthetic", output=str(out)))
+    return out
+
+
+_EDGE_FLOATS = (math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, 2.5e-310, 1 / 3, 1e300)
+_FLOATS = st.one_of(st.sampled_from(_EDGE_FLOATS), st.floats())
+# csv quotes a cell holding a comma, quote or newline; the template must keep % literal
+_TEXT = st.text(alphabet=st.sampled_from(list('ab ,"\n%d.-')), max_size=6)
+_SINGLE_VALUES = st.one_of(
+    _FLOATS, _TEXT, st.booleans(), st.integers(-(2**70), 2**70),
+    _FLOATS.map(np.float64), st.integers(-(2**63), 2**63 - 1).map(np.int64),
+)
+
+
+def _array_column(lines: int):
+    """Arrays of `lines` entries of every kind a runner may hand the writer."""
+    def of(elements, dtype):
+        return st.lists(elements, min_size=lines, max_size=lines).map(
+            lambda v: np.array(v, dtype=dtype))
+    return st.one_of(
+        of(_FLOATS, np.float64), of(st.integers(-(2**63), 2**63 - 1), np.int64),
+        of(st.integers(0, 2**64 - 1), np.uint64), of(st.booleans(), bool), of(_TEXT, str),
+    )
+
+
+@st.composite
+def _tables(draw):
+    """A header and rows of single values and arrays, each row its own line count."""
+    header = draw(st.lists(_TEXT, min_size=1, max_size=4))
+    rows = []
+    for lines in draw(st.lists(st.integers(0, 3), max_size=3)):
+        column = st.one_of(_SINGLE_VALUES, _array_column(lines))
+        rows.append({name: draw(column) for name in header})
+    return header, rows
+
+
 class TestColumnarWriter:
-    """run writes each row column by column; the per-cell writer is the reference."""
+    """run writes each row through one %-template; the per-cell writer is the reference."""
 
     @pytest.mark.parametrize("target, settings", WRITER_CASES.values(), ids=WRITER_CASES)
     def test_matches_the_per_cell_oracle(self, target, settings, tmp_path, monkeypatch):
@@ -212,7 +261,7 @@ class TestColumnarWriter:
         assert out.read_bytes() == (tmp_path / "oracle.csv").read_bytes()
         assert _manifest_rows(out) == lines == len(out.read_text().splitlines()) - 1
 
-    def test_synthetic_rows_match_the_oracle(self, tmp_path, monkeypatch):
+    def test_synthetic_rows_match_the_oracle(self, tmp_path):
         header = ["label", "note", "big", "x", "k", "tiny", "zero"]
         rows = [
             {"label": 'a,b "quoted"', "note": "", "big": 10**13,
@@ -224,10 +273,7 @@ class TestColumnarWriter:
             {"label": "", "note": ",", "big": -(10**12) - 1, "x": np.array([math.inf]),
              "k": np.array([-1]), "tiny": math.inf, "zero": -0.0},
         ]
-        entry = FigureEntry("synthetic rows", {}, {}, runner=lambda config, sweeps: (header, rows))
-        monkeypatch.setitem(FIGURES, "synthetic", entry)
-        out = tmp_path / "run.csv"
-        run(ExperimentConfig(scenario="figure", figure="synthetic", output=str(out)))
+        out = _run_rows(tmp_path, header, rows)
         lines = csv_oracle.write_csv(tmp_path / "oracle.csv", header, rows)
         assert out.read_bytes() == (tmp_path / "oracle.csv").read_bytes()
         assert _manifest_rows(out) == lines == 6 + 1 + 1
@@ -242,6 +288,40 @@ class TestColumnarWriter:
         assert records[6][:5] == ["single values", "two\nlines", "35184372088832",
                                   "0.333333333333", "10000000000000"]
         assert records[7][:2] == ["", ","]
+
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(table=_tables())
+    def test_random_rows_match_the_oracle(self, table, tmp_path):
+        header, rows = table
+        out = _run_rows(tmp_path, header, rows)
+        lines = csv_oracle.write_csv(tmp_path / "oracle.csv", header, rows)
+        assert out.read_bytes() == (tmp_path / "oracle.csv").read_bytes()
+        assert _manifest_rows(out) == lines
+
+    @pytest.mark.parametrize("cell", ["", np.array(["", "x", ""])], ids=["single", "array"])
+    def test_empty_cell_of_a_one_column_line_is_quoted(self, cell, tmp_path):
+        rows = [{"": cell}]
+        out = _run_rows(tmp_path, [""], rows)
+        csv_oracle.write_csv(tmp_path / "oracle.csv", [""], rows)
+        assert out.read_bytes() == (tmp_path / "oracle.csv").read_bytes()
+        assert out.read_text().splitlines()[:2] == ['""', '""']
+
+    def test_arrays_of_unequal_length_raise(self, tmp_path):
+        row = {"label": "x", "short": np.array([1.0]), "long": np.arange(6)}
+        with pytest.raises(ValueError, match=r"differ in length: \{'short': 1, 'long': 6\}"):
+            _run_rows(tmp_path, ["label", "short", "long"], [row])
+        assert not Path(str(tmp_path / "run.csv") + ".manifest.json").exists()
+        with pytest.raises(ValueError):
+            csv_oracle.expand(row)
+
+    def test_policy_string_matches_per_value_format(self):
+        probs = np.concatenate([
+            np.random.default_rng(4).random(10_000), [0.0, 1.0, 5e-324, 1e-10, 1 / 3]
+        ])
+        expected = ";".join(format(p, ".9g") for p in probs)
+        assert experiments._policy_string(probs) == expected
+        assert experiments._policy_string(np.array([])) == ""
 
 
 class TestFigureRegistry:
