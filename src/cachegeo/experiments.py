@@ -26,6 +26,7 @@ from .model import CachingPolicy, ContentLibrary, NetworkParams, uniform_rates, 
 from .optimizer import baseline_policy, optimize_interference, optimize_noise
 from .simulator import (
     LOAD_MODES,
+    _simulate_interference_pass,
     sample_xi_min,
     simulate_interference_limited,
     simulate_noise_limited,
@@ -515,15 +516,17 @@ def _figure_approx_check(config: ExperimentConfig, sweeps: dict):
     consts = _interference_constants(config, library, params)
     rows = []
     for policy in _p1_grid(config, sweeps):
+        # the three load models on one set of sampled networks
+        ests = _simulate_interference_pass(
+            library, params, policy, config.trials, config.seed, LOAD_MODES, library.rates[None]
+        )
         row = {
             "p1": float(policy.probs[0]),
             "bound_c40": rayleigh_lower_bound(library, consts, policy),
         }
         for mode, key in (("instantaneous", "inst"), ("mean-approx", "mean"),
                           ("long-term-assoc", "long")):
-            est = simulate_interference_limited(
-                library, params, policy, config.trials, config.seed, mode
-            )
+            (est,) = ests[mode]
             row[f"est_{key}"], row[f"se_{key}"] = est.estimate, est.stderr
         rows.append(row)
     return fields, rows
@@ -532,24 +535,29 @@ def _figure_approx_check(config: ExperimentConfig, sweeps: dict):
 def _figure_8(config: ExperimentConfig, sweeps: dict):
     fields = ["rho", "c", "p1_opt", "est_opt", "se_opt", "p1_subopt", "est_subopt",
               "se_subopt", "bound_subopt"]
+    points = [replace(config, rho=rho) for rho in sweeps["rho"]]
+    libraries = [sub.make_library() for sub in points]
+    params = config.network()
+    # the sampled networks do not depend on the target rate, so one pass
+    # per grid policy serves every rho
     grid = _p1_grid(config, sweeps)
+    rates = np.array([library.rates for library in libraries])
+    by_policy = [
+        _simulate_interference_pass(
+            libraries[0], params, g, config.trials, config.seed, ("instantaneous",), rates
+        )["instantaneous"]
+        for g in grid
+    ]
     rows = []
-    for rho in sweeps["rho"]:
-        sub = replace(config, rho=rho)
-        library = sub.make_library()
-        params = sub.network()
+    for sub, library, ests in zip(points, libraries, zip(*by_policy)):
         report, consts = _solve("optimize-sir", _with_numeric_c(sub), library, params)
-        ests = [
-            simulate_interference_limited(library, params, g, sub.trials, sub.seed)
-            for g in grid
-        ]
         best = int(np.argmax([e.estimate for e in ests]))
         sub_est = simulate_interference_limited(
             library, params, report.policy, sub.trials, sub.seed
         )
         rows.append(
             {
-                "rho": rho,
+                "rho": sub.rho,
                 "c": consts.c,
                 "p1_opt": float(grid[best].probs[0]),
                 "est_opt": ests[best].estimate,
@@ -711,9 +719,16 @@ def run(config: ExperimentConfig) -> int:
     elapsed = time.perf_counter() - start
 
     out = Path(config.output)
-    with out.open("w", newline="") as handle:
-        handle.write(",".join(_cell(name, len(fields) == 1) for name in fields) + "\n")
-        lines = sum(_write_row(handle, fields, row) for row in rows)
+    # written beside the output and moved onto it whole, so a row that
+    # fails leaves no partial CSV and keeps any earlier one
+    partial = out.with_name(f".{out.name}.{os.getpid()}.tmp")
+    try:
+        with partial.open("w", newline="") as handle:
+            handle.write(",".join(_cell(name, len(fields) == 1) for name in fields) + "\n")
+            lines = sum(_write_row(handle, fields, row) for row in rows)
+        os.replace(partial, out)
+    finally:
+        partial.unlink(missing_ok=True)
     write_s = time.perf_counter() - start - elapsed
     manifest = {
         "config": config.as_dict(),

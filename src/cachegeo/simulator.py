@@ -13,9 +13,13 @@ user of its trials, with per-trial counts, and each helper's cache as M
 content slots) and reduces them per trial segment.  Its draws come in the
 same order for every load mode, and the fresh channel gains of the
 instantaneous load come last, so load modes on one seed evaluate
-identical networks; that load is counted only in trials whose outcome
-it decides, and every gain is still drawn.  The noise engine makes four
-draws per chunk (requests, counts, unit-disc radii, gains) whatever F is.
+identical networks.  Rates enter only when a trial's rate is compared
+with its target, so one pass over the chunks serves every load mode and
+every row of a matrix of rate targets, with the counts of separate calls.
+The instantaneous load is counted only in trials whose outcome it decides
+for some row, and its gains are drawn only up to the last such trial's
+users.  The noise engine makes four draws per chunk (requests, counts,
+unit-disc radii, gains) whatever F is.
 
 Finite window: helpers are sampled inside a disc sized so the nearest
 relevant helper is missed with probability at most ``window_miss_prob``
@@ -56,6 +60,9 @@ _INTERF_CHUNK = 64
 # Users and candidate helpers paired per step of the instantaneous load,
 # which bounds its working set whatever the window holds.
 _PAIR_SLICE = 8192
+# Mean helpers plus users of one interference chunk above which a call is
+# refused before any draw (see _check_chunk_population).
+_CHUNK_POPULATION = 4_000_000
 
 LOAD_MODES = ("instantaneous", "mean-approx", "long-term-assoc")
 
@@ -268,6 +275,24 @@ def _sample_chunk(
     )
 
 
+def _check_chunk_population(params: NetworkParams, p_min: float, miss_prob: float) -> None:
+    """Refuse a window whose chunk would hold more than _CHUNK_POPULATION
+    helpers and users on average.
+
+    The window holds ln(1 / miss_prob) / p_min helpers per trial on average,
+    and user_density / helper_density users per helper.
+    """
+    ratio = params.user_density / params.helper_density
+    population = _INTERF_CHUNK * log(1.0 / miss_prob) / p_min * (1.0 + ratio)
+    if population > _CHUNK_POPULATION:
+        raise ValueError(
+            f"a {_INTERF_CHUNK}-trial chunk would hold {population:.3g} helpers and users on "
+            f"average, above the ceiling of {_CHUNK_POPULATION:.3g}: lower user_density / "
+            f"helper_density (now {ratio:.3g}) or raise the smallest caching probability "
+            f"(now {p_min:.3g})"
+        )
+
+
 def _typical_links(
     counts: np.ndarray,
     dist: np.ndarray,
@@ -310,6 +335,7 @@ def _serving_loads(
     params: NetworkParams,
     rng: np.random.Generator | None = None,
     cap: np.ndarray | None = None,
+    need: np.ndarray | None = None,
 ) -> np.ndarray:
     """Per-trial load of the serving helper: the typical user plus every
     user associating with it.
@@ -319,10 +345,13 @@ def _serving_loads(
     drawn fresh from rng for each pair, or the nearest one without rng
     (lowest index wins ties).  Only the e users whose request the serving
     helper caches can choose it, so the load lies in [1, 1 + e].  Given each
-    trial's rate at load 1 (cap), a trial whose outcome cap / load >= rate
-    is the same at both bounds gets the load 1 + e; only the users of the
-    other trials are paired, _PAIR_SLICE pairs at a time.  Every pair's gain
-    is drawn all the same, so the draws do not depend on cap.
+    trial's rate at load 1 (cap) and the (k, n) rate targets it must clear
+    (need), a trial whose outcome cap / load >= need is the same at both
+    bounds for every target gets the load 1 + e; only the users of the
+    other trials are paired, _PAIR_SLICE pairs at a time.  The gains are
+    drawn slice by slice in user order up to the slice of the last paired
+    user, so a pair's gain does not depend on cap, and nothing is drawn
+    when no trial is paired.
     """
     n = serving.size
     trial = np.repeat(np.arange(n), chunk.user_counts)
@@ -331,10 +360,11 @@ def _serving_loads(
     eligible[eligible] = (chunk.caches[target[eligible]] == chunk.requested[eligible, None]).any(1)
     users = np.flatnonzero(eligible)
     upper = 1.0 + np.bincount(trial[users], minlength=n)
-    need = library.rates[chunk.content]
-    undecided = np.ones(n, bool) if cap is None else (cap >= need) & (cap / upper < need)
+    undecided = np.ones(n, bool) if cap is None else ((cap >= need) & (cap / upper < need)).any(0)
     loads = np.where(undecided, 1.0, upper)
     paired = np.flatnonzero(undecided[trial[users]])  # indices into users
+    if paired.size == 0:
+        return loads
     xy = _cartesian(*chunk.user_polar[:, users[paired]])
     # the helpers caching each (trial, content), in ascending index order
     helper, slot = np.nonzero(chunk.caches >= 0)
@@ -348,7 +378,7 @@ def _serving_loads(
     ends = np.cumsum(width)
     starts = ends - width
     lo = 0
-    while lo < users.size:
+    while lo <= paired[-1]:
         # users lo..hi-1 hold at most _PAIR_SLICE pairs, or one user holds more
         hi = max(lo + 1, int(np.searchsorted(ends, starts[lo] + _PAIR_SLICE, "right")))
         if rng is not None:
@@ -405,48 +435,90 @@ def simulate_interference_limited(
     R^(2 - alpha)).  Comparisons between load modes at one seed share the
     truncation and the sampled networks.
     """
-    if load_mode not in LOAD_MODES:
-        raise ValueError(f"unknown load_mode {load_mode!r}, expected one of {LOAD_MODES}")
+    estimates = _simulate_interference_pass(
+        library, params, policy, trials, seed, (load_mode,), library.rates[None], window_miss_prob
+    )
+    return estimates[load_mode][0]
+
+
+def _simulate_interference_pass(
+    library: ContentLibrary,
+    params: NetworkParams,
+    policy: CachingPolicy,
+    trials: int,
+    seed: int,
+    load_modes,
+    rates: np.ndarray,
+    window_miss_prob: float = DEFAULT_WINDOW_MISS,
+) -> dict[str, list[MCEstimate]]:
+    """simulate_interference_limited for several load modes and a (k, F)
+    matrix of rate targets on one set of sampled networks: the estimate of
+    every (mode, row) pair, per mode in row order.
+
+    Each chunk is drawn once; the typical user's links are found once per
+    association rule (strongest channel for 'instantaneous' and
+    'mean-approx', nearest helper for 'long-term-assoc'), and the
+    instantaneous load, whose fresh gains are the chunk's last draws, comes
+    last.  Every count equals that of a separate call per (mode, row).
+    """
+    for mode in load_modes:
+        if mode not in LOAD_MODES:
+            raise ValueError(f"unknown load_mode {mode!r}, expected one of {LOAD_MODES}")
     violation = budget_violation(policy)
     if violation is not None:
         raise ValueError(f"infeasible policy: {violation}")
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    if load_mode != "instantaneous" and policy.memory != 1:
+    mean_modes = set(load_modes) - {"instantaneous"}
+    if mean_modes and policy.memory != 1:
         raise ValueError("mean-load modes require M = 1 (no closed-form mean load beyond it)")
+    if rates.ndim != 2 or rates.shape[1] != library.count:
+        raise ValueError(f"rates must be a (k, {library.count}) matrix, got shape {rates.shape}")
     # Probabilities at the feasibility-tolerance scale (clip residue from
     # the optimizers) cannot place a helper inside any practical window;
     # requests for such contents fail naturally, so the window is sized by
     # the smallest probability that actually matters.
     positive = policy.probs[policy.probs > BUDGET_TOL]
+    successes = {mode: np.zeros(len(rates), np.int64) for mode in load_modes}
     if positive.size == 0:
-        return MCEstimate.from_counts(0, trials)
+        return {mode: [MCEstimate.from_counts(0, trials)] * len(rates) for mode in successes}
     radius = window_radius(float(positive.min()), params.helper_density, window_miss_prob)
+    _check_chunk_population(params, float(positive.min()), window_miss_prob)
     layout = build_block_layout(policy)
-    if load_mode != "instantaneous":
+    if mean_modes:
         # no helper caches a content of probability 0: its load is unbounded
         mean_load = np.array([
             mean_load_m1(float(f), float(p), params.user_density, params.helper_density)
             if p > 0 else np.inf
             for f, p in zip(library.popularity, policy.probs)
         ])
+    # the instantaneous load draws, so it goes last
+    modes = sorted(successes, key=lambda mode: mode == "instantaneous")
 
-    def worker(chunk_index: int, n: int) -> int:
+    for chunk_index, n in _chunk_grid(trials, _INTERF_CHUNK):
         rng = _substream(seed, chunk_index)
         chunk = _sample_chunk(rng, n, library, params, layout, radius, radius)
-        xi, serving, interference = _typical_links(
-            chunk.helper_counts, chunk.helper_dist, chunk.caching, chunk.desired,
-            chunk.interf, params, nearest=load_mode == "long-term-assoc",
-        )
-        served = serving >= 0
-        # rate at load 1; a trial without a serving helper fails at any load
-        cap = np.zeros(n)
-        cap[served] = _shared_rate(xi[served], interference[served], 1.0, params.tx_power)
-        if load_mode == "instantaneous":
-            load = _serving_loads(chunk, serving, library, params, rng, cap)
-        else:
-            load = mean_load[chunk.content]
-        return int(np.count_nonzero(cap / load >= library.rates[chunk.content]))
-
-    successes = sum(worker(c, n) for c, n in _chunk_grid(trials, _INTERF_CHUNK))
-    return MCEstimate.from_counts(successes, trials)
+        need = rates[:, chunk.content]
+        links = {}  # association rule (nearest) -> (serving helper, rate at load 1)
+        for mode in modes:
+            nearest = mode == "long-term-assoc"
+            if nearest not in links:
+                xi, serving, interference = _typical_links(
+                    chunk.helper_counts, chunk.helper_dist, chunk.caching, chunk.desired,
+                    chunk.interf, params, nearest,
+                )
+                served = serving >= 0
+                # a trial without a serving helper fails at any load
+                cap = np.zeros(n)
+                cap[served] = _shared_rate(xi[served], interference[served], 1.0, params.tx_power)
+                links[nearest] = serving, cap
+            serving, cap = links[nearest]
+            if mode == "instantaneous":
+                load = _serving_loads(chunk, serving, library, params, rng, cap, need)
+            else:
+                load = mean_load[chunk.content]
+            successes[mode] += np.count_nonzero(cap / load >= need, axis=1)
+    return {
+        mode: [MCEstimate.from_counts(int(s), trials) for s in counts]
+        for mode, counts in successes.items()
+    }

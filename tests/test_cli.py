@@ -2,6 +2,7 @@ import csv
 import json
 import math
 import platform
+import tracemalloc
 from dataclasses import replace
 from importlib import metadata
 from pathlib import Path
@@ -312,8 +313,19 @@ class TestColumnarWriter:
         with pytest.raises(ValueError, match=r"differ in length: \{'short': 1, 'long': 6\}"):
             _run_rows(tmp_path, ["label", "short", "long"], [row])
         assert not Path(str(tmp_path / "run.csv") + ".manifest.json").exists()
+        assert list(tmp_path.iterdir()) == []  # no run.csv, no partial file
         with pytest.raises(ValueError):
             csv_oracle.expand(row)
+
+    def test_failed_run_keeps_an_earlier_csv(self, tmp_path):
+        out = tmp_path / "run.csv"
+        out.write_bytes(b"earlier,result\r\n1,2\n")
+        good = {"label": "x", "value": np.arange(3), "other": np.ones(3)}
+        bad = {"label": "y", "value": np.array([1.0]), "other": np.arange(2)}
+        with pytest.raises(ValueError, match="differ in length"):
+            _run_rows(tmp_path, ["label", "value", "other"], [good, bad])
+        assert out.read_bytes() == b"earlier,result\r\n1,2\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["run.csv"]
 
     def test_policy_string_matches_per_value_format(self):
         probs = np.concatenate([
@@ -643,6 +655,28 @@ class TestExitCodes:
             main, ["optimize-sir", "--config", str(config), "--out", str(tmp_path / "s.csv")]
         )
         assert sir.exit_code == 0, sir.output
+
+    @pytest.mark.parametrize("helper_density", ["1e-300", "1e-9"])
+    def test_overpopulated_chunk_exits_2_before_drawing(self, tmp_path, helper_density):
+        # 1e-300 failed with numpy's bare "lam value too large"; 1e-9 asked for
+        # gigabytes in one chunk
+        config = tmp_path / "crowded.ini"
+        config.write_text(
+            BASE_CONFIG.replace("helper_density = 0.05", f"helper_density = {helper_density}")
+            .replace("source = optimize-noise", "source = uc") + "channel = interference\n"
+        )
+        tracemalloc.start()
+        try:
+            result = CliRunner().invoke(
+                main, ["simulate", "--config", str(config), "--out", str(tmp_path / "c.csv")]
+            )
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert result.exit_code == 2
+        assert "user_density / helper_density" in result.output
+        assert peak < 5e6
+        assert not (tmp_path / "c.csv").exists()
 
     def test_unknown_load_mode_exits_2(self, tmp_path):
         # the noise channel ignores load_mode, so a bogus one reached the manifest

@@ -3,6 +3,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from load_oracle import empirical_mean_load
@@ -552,11 +554,22 @@ class TestDecidedTrials:
         served = serving >= 0
         cap = np.zeros(serving.size)
         cap[served] = _shared_rate(xi[served], J[served], 1.0, self.params.tx_power)
-        exact_rng, bounded_rng = np.random.default_rng(3), np.random.default_rng(3)
-        exact = _serving_loads(c, serving, self.lib, self.params, exact_rng)
-        bounded = _serving_loads(c, serving, self.lib, self.params, bounded_rng, cap)
-        assert exact_rng.random() == bounded_rng.random()  # every pair's gain was drawn
+        drawn, gain = [], simulator.nakagami_gain
+        monkeypatch.setattr(
+            simulator, "nakagami_gain", lambda m, rng, size: drawn.append(size) or gain(m, rng, size)
+        )
+        exact = _serving_loads(c, serving, self.lib, self.params, np.random.default_rng(3))
+        exact_sizes = drawn.copy()
+        drawn.clear()
+        bounded_rng = np.random.default_rng(3)
         need = self.lib.rates[c.content]
+        bounded = _serving_loads(c, serving, self.lib, self.params, bounded_rng, cap, need[None])
+        # the bounded call draws the exact call's first slices of gains, and nothing else
+        assert drawn == exact_sizes[: len(drawn)]
+        replay = np.random.default_rng(3)
+        for size in drawn:
+            gain(self.params.fading_desired, replay, size)
+        assert replay.random() == bounded_rng.random()
         shared = _shared_rate(xi[served], J[served], bounded[served], self.params.tx_power)
         exact_shared = _shared_rate(xi[served], J[served], exact[served], self.params.tx_power)
         assert np.array_equal(shared >= need[served], exact_shared >= need[served])
@@ -570,6 +583,20 @@ class TestDecidedTrials:
         # the chunk holds trials of every kind: open, and decided with a load that differs
         assert np.any(undecided & (exact > 1)) and np.any(~undecided & (exact < upper))
 
+    def test_chunk_with_every_trial_decided_draws_nothing(self):
+        layout = build_block_layout(CachingPolicy(np.array(self.policies[3]), 3))
+        c = _sample_chunk(np.random.default_rng(29), 64, self.lib, self.params, layout, 15.0, 15.0)
+        xi, serving, J = _typical_links(
+            c.helper_counts, c.helper_dist, c.caching, c.desired, c.interf, self.params, False
+        )
+        cap = np.zeros(serving.size)
+        cap[serving >= 0] = _shared_rate(xi[serving >= 0], J[serving >= 0], 1.0, 1.0)
+        rng = np.random.default_rng(3)
+        # a vanishing target is met at any load, and a trial with no server fails at any load
+        loads = _serving_loads(c, serving, self.lib, self.params, rng, cap, np.full((2, 64), 1e-12))
+        assert rng.random() == np.random.default_rng(3).random()
+        assert np.all(loads >= 1) and loads.max() > 2
+
     def test_approx_check_grid_matches_all_trial_loads(self, monkeypatch):
         def run_grid():
             return [
@@ -581,11 +608,61 @@ class TestDecidedTrials:
         exact_loads = simulator._serving_loads
         monkeypatch.setattr(
             simulator, "_serving_loads",
-            lambda chunk, serving, library, params, rng, cap: exact_loads(
+            lambda chunk, serving, library, params, rng, cap, need: exact_loads(
                 chunk, serving, library, params, rng
             ),
         )
         assert bounded == run_grid()
+
+
+class TestSharedPass:
+    """One pass over several load modes and rate rows counts what separate
+    simulate_interference_limited calls count, bit for bit."""
+
+    params = make_params(lam=0.02, lam_u=0.01)
+    popularity = zipf_popularity(4, 0.8)
+
+    @pytest.mark.parametrize(
+        "memory, probs",
+        [(1, [0.4, 0.3, 0.2, 0.1]), (1, [0.6, 0.0, 0.3, 0.1]),
+         (3, [0.9, 0.8, 0.7, 0.6]), (3, [1.0, 0.0, 1.0, 1.0])],
+        ids=["M1", "M1-zero", "M3", "M3-zero"],
+    )
+    @settings(max_examples=12, deadline=None)
+    @given(
+        modes=st.lists(st.sampled_from(LOAD_MODES), min_size=1, max_size=3, unique=True),
+        rates=st.integers(1, 5).flatmap(
+            lambda k: st.lists(
+                st.lists(st.floats(0.01, 3.0), min_size=4, max_size=4), min_size=k, max_size=k
+            )
+        ),
+        trials=st.integers(1, 200),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_one_pass_equals_separate_calls(self, memory, probs, modes, rates, trials, seed):
+        if memory != 1:  # the mean-load modes need M = 1
+            modes = ["instantaneous"]
+        policy = CachingPolicy(np.array(probs), memory)
+        rates = np.array(rates)
+        library = ContentLibrary(4, self.popularity, rates[0])
+        shared = simulator._simulate_interference_pass(
+            library, self.params, policy, trials, seed, modes, rates
+        )
+        assert sorted(shared) == sorted(modes)
+        for mode in modes:
+            assert shared[mode] == [
+                simulate_interference_limited(
+                    ContentLibrary(4, self.popularity, row), self.params, policy, trials, seed, mode
+                )
+                for row in rates
+            ]
+
+    def test_rates_must_match_the_library(self):
+        lib, params, policy = fig4_setting()
+        with pytest.raises(ValueError, match=r"rates must be a \(k, 2\) matrix"):
+            simulator._simulate_interference_pass(
+                lib, params, policy, 10, 1, LOAD_MODES, np.ones((2, 3))
+            )
 
 
 class TestWindowRadius:
