@@ -68,6 +68,8 @@ def _snr_factor(rates) -> np.ndarray:
         factor = np.power(2.0, rates) - 1.0
     if not np.all(np.isfinite(factor)):
         raise ValueError(f"max(rate) = {np.max(rates):g} overflows the SNR threshold 2^rate - 1")
+    if not np.all(factor > 0):
+        raise ValueError(f"min(rate) = {np.min(rates):g} is too small: 2^rate - 1 rounds to 0")
     return factor
 
 

@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .analytics import InterferenceConstants, rayleigh_lower_bound, success_noise, xi1_cdf
+from .analytics import InterferenceConstants, _kappa, rayleigh_lower_bound, success_noise, xi1_cdf
 from .errors import NumericalError
 from .model import CachingPolicy, ContentLibrary, NetworkParams, uniform_rates, zipf_popularity
 from .optimizer import baseline_policy, optimize_interference, optimize_noise
@@ -342,9 +342,8 @@ def _policy_string(probs: np.ndarray) -> str:
 def _run_cdf(config: ExperimentConfig):
     params = config.network()
     # xi grid through the analytic quantiles so curves are well resolved
-    kp = -np.log1p(-xi1_cdf(1.0, 1.0, params))
     quantiles = np.linspace(0.02, 0.99, 40)
-    xi_grid = (-np.log1p(-quantiles) / kp) ** (1.0 / params.delta)
+    xi_grid = (-np.log1p(-quantiles) / _kappa(params)) ** (1.0 / params.delta)
     samples = np.sort(sample_xi_min(params, 1.0, config.trials, config.seed))
     empirical = np.searchsorted(samples, xi_grid, side="right") / samples.size
     row = {

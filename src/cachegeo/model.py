@@ -20,8 +20,8 @@ __all__ = [
     "BUDGET_TOL",
 ]
 
-# Slack on the cache budget so bisection output within eps of the budget
-# is not rejected as infeasible.
+# Slack on the cache budget for the rounding of sum(p), and the level at
+# or below which a caching probability counts as zero.
 BUDGET_TOL = 1e-9
 
 
@@ -68,8 +68,9 @@ class NetworkParams:
     """Physical layer and geometry parameters.
 
     Densities are per square meter, powers linear watts.  The path loss
-    exponent must exceed 2 so that delta = 2/alpha lies in (0, 1); fading
-    shapes are Nakagami-m parameters for the desired and interfering links.
+    exponent must be finite and exceed 2 so that delta = 2/alpha lies in
+    (0, 1); fading shapes are Nakagami-m parameters for the desired and
+    interfering links.
     """
 
     helper_density: float
@@ -82,8 +83,8 @@ class NetworkParams:
 
     def __post_init__(self):
         # written as not (x >= bound) so that NaN fails every check
-        if not self.pathloss_exp > 2:
-            raise ValueError(f"pathloss_exp must be > 2, got {self.pathloss_exp}")
+        if not 2 < self.pathloss_exp < np.inf:
+            raise ValueError(f"pathloss_exp must be > 2 and finite, got {self.pathloss_exp}")
         for name in ("helper_density", "tx_power"):
             if not 0 < getattr(self, name) < np.inf:
                 raise ValueError(f"{name} must be > 0 and finite, got {getattr(self, name)}")

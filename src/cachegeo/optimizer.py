@@ -18,7 +18,9 @@ the width of its window and g an increasing shape with g(0) = 0:
   k = (1 - A) / B, g(t) = expm1(t / 2), the root of the quadratic
   condition; w = 0 (A = 1, a linear term) is the 0/1 step at u.
 
-sum_i p_i is nonincreasing in x, so a single bisection on x drives it to M.
+sum_i p_i is nonincreasing in x, so a single bisection on x drives it to M;
+its endgame splits what is left of the budget at adjacent floats, so every
+solve ends on sum p = M up to rounding.
 """
 from __future__ import annotations
 
@@ -29,7 +31,7 @@ import numpy as np
 
 from .analytics import InterferenceConstants, NoiseConstants, rayleigh_lower_bound, success_noise
 from .errors import NumericalError
-from .model import CachingPolicy, ContentLibrary, NetworkParams
+from .model import BUDGET_TOL, CachingPolicy, ContentLibrary, NetworkParams
 
 __all__ = [
     "SolveReport",
@@ -39,7 +41,6 @@ __all__ = [
     "baseline_policy",
 ]
 
-DEFAULT_EPS = 1e-9
 MAX_ITERATIONS = 200
 
 
@@ -87,57 +88,37 @@ def _bisect_budget(
     """Bisection over a multiplier key until sum p(key) meets the budget.
 
     `candidate` maps the key (log omega) to the clipped probability
-    vector; sum p is nonincreasing in the key.  The loop keeps halving past
-    DEFAULT_EPS down to the best float-achievable budget gap, so a
-    converged solve is essentially exact and |sum p - M| < DEFAULT_EPS is
-    demanded only as the acceptance threshold.  Returns (key, p, iterations).
-
-    If the bracket collapses on a jump of sum p (a content whose window
-    is narrower than the float spacing of the key is a step), the
-    marginal contents get the fractional remainder in index order.
+    vector; each p_i, and so sum p, is nonincreasing in the key.  The
+    bracket [a, b] starts one float outside [key_lo, key_hi], so that
+    sum p(a) >= M >= sum p(b) even with a step at either end, and halves
+    until sum p is M exactly or a and b are adjacent floats.  The budget
+    left over at b then goes in index order to the contents whose p is
+    larger at a: a jump of sum p (a window narrower than the float
+    spacing of the key is a step) is split there, and a continuous sum
+    is topped up by its last rounding gap.  Returns (key, p, iterations).
     """
-    a, b = key_lo, key_hi
-    best_gap = np.inf
-    best = None
-    for iteration in range(1, MAX_ITERATIONS + 1):
+    a, b = np.nextafter(key_lo, -np.inf), np.nextafter(key_hi, np.inf)
+    p_a, p_b = candidate(a), candidate(b)
+    iterations = 0
+    while np.nextafter(a, np.inf) < b and iterations < MAX_ITERATIONS:
+        iterations += 1
         key = 0.5 * (a + b)
         p = candidate(key)
         total = float(p.sum())
-        gap = abs(total - budget)
-        if gap < best_gap:
-            best_gap = gap
-            best = (key, p, iteration)
-        if gap == 0.0:
-            break
+        if total == budget:
+            return key, p, iterations
         if total > budget:
-            a = key
+            a, p_a = key, p
         else:
-            b = key
-        if np.nextafter(a, np.inf) >= b:
-            break
-    if best is not None and best_gap < DEFAULT_EPS:
-        return best
-    # Collapsed bracket: resolve a discontinuity of sum p, if any.  The
-    # immediate neighbours of the bracket see the two sides of the jump
-    # even when a == b lands exactly on a step threshold.
-    p_high = candidate(np.nextafter(a, -np.inf))
-    p_low = candidate(np.nextafter(b, np.inf))
-    if float(p_high.sum()) >= budget >= float(p_low.sum()):
-        p = p_low.copy()
-        remainder = budget - float(p.sum())
-        jumpers = np.nonzero(p_high > p_low + DEFAULT_EPS)[0]
-        for i in jumpers:
-            add = min(p_high[i] - p[i], remainder)
-            p[i] += add
-            remainder -= add
-            if remainder <= DEFAULT_EPS:
-                break
-        if abs(float(p.sum()) - budget) < DEFAULT_EPS:
-            return 0.5 * (a + b), p, MAX_ITERATIONS
-    raise NumericalError(
-        f"budget bisection did not converge in {MAX_ITERATIONS} iterations: "
-        f"bracket [{a}, {b}], best |sum(p) - M| = {best_gap}, target {budget}"
-    )
+            b, p_b = key, p
+    step = p_a - p_b
+    p = p_b + np.clip(budget - p_b.sum() - (np.cumsum(step) - step), 0.0, step)
+    if not (np.nextafter(a, np.inf) >= b and np.isfinite(p.sum())):
+        raise NumericalError(
+            f"budget bisection failed after {iterations} iterations: "
+            f"bracket [{a}, {b}], sum(p) = {p.sum()}, target {budget}"
+        )
+    return b, p, iterations
 
 
 def _kkt_residual(
@@ -154,7 +135,7 @@ def _kkt_residual(
     gradient + omega + mu = 0 wherever p_i > 0 and >= 0 at p_i = 0.
     """
     station = gradient + omega + mu
-    active = p > DEFAULT_EPS
+    active = p > BUDGET_TOL
     residual = 0.0
     if np.any(active):
         residual = float(np.abs(station[active]).max())
@@ -166,8 +147,8 @@ def _kkt_residual(
     return residual
 
 
-def _check_problem(library: ContentLibrary, memory: int):
-    if not 1 <= memory < library.count:
+def _check_problem(count: int, memory: int):
+    if not 1 <= memory < count:
         raise ValueError("memory must satisfy 1 <= M < F")
     if int(memory) != memory:
         raise ValueError("memory must be an integer")
@@ -211,7 +192,7 @@ def optimize_noise(library: ContentLibrary, params: NetworkParams, memory: int) 
 
     Water-filling with log u = log(f kappa T), w = kappa T and g(t) = t.
     """
-    _check_problem(library, memory)
+    _check_problem(library.count, memory)
     consts = NoiseConstants.from_params(library, params)
     f = library.popularity
     kT = consts.kappa * consts.T
@@ -231,7 +212,7 @@ def optimize_interference(
     Water-filling with log u = log f - log B, w = 2 log1p(k) and
     g(t) = expm1(t / 2), k = (1 - A) / B.
     """
-    _check_problem(library, memory)
+    _check_problem(library.count, memory)
     f = library.popularity
     B = consts.B
     k = (1.0 - consts.A) / B
@@ -246,8 +227,7 @@ def optimize_interference(
 def baseline_policy(kind: str, count: int, memory: int) -> CachingPolicy:
     """Reference placements: 'mpc' caches the M most popular contents with
     probability one, 'uc' spreads the budget uniformly as M/F."""
-    if not 1 <= memory < count:
-        raise ValueError("memory must satisfy 1 <= M < F")
+    _check_problem(count, memory)
     kind = kind.lower()
     if kind == "mpc":
         probs = np.zeros(count)

@@ -551,20 +551,22 @@ class TestExitCodes:
         assert "helper_density" in result.output
 
     @pytest.mark.parametrize(
-        "field, old, command",
+        "field, value, old, command",
         [
             # c_mode = load used to turn a NaN user density into c = 1 and exit 0
-            ("user_density", "user_density = 0.002", "optimize-sir"),
+            ("user_density", "nan", "user_density = 0.002", "optimize-sir"),
             # a NaN power used to fail late on a [nan, nan] bisection bracket
-            ("tx_power", "snr_db = 20.0", "optimize-noise"),
+            ("tx_power", "nan", "snr_db = 20.0", "optimize-noise"),
             # a NaN path loss exponent used to be reported as "kappa must be positive"
-            ("pathloss_exp", "pathloss_exp = 3.0", "optimize-noise"),
+            ("pathloss_exp", "nan", "pathloss_exp = 3.0", "optimize-noise"),
+            # an infinite one passed NetworkParams and raised ZeroDivisionError in cdf
+            ("pathloss_exp", "inf", "pathloss_exp = 3.0", "cdf"),
         ],
-        ids=["user_density", "tx_power", "pathloss_exp"],
+        ids=["user_density", "tx_power", "pathloss_exp", "pathloss_exp-inf"],
     )
-    def test_nan_network_parameter_exits_2(self, tmp_path, field, old, command):
+    def test_nan_network_parameter_exits_2(self, tmp_path, field, value, old, command):
         config = tmp_path / "nan.ini"
-        new = f"{field} = nan" if old.startswith(field) else f"{field} = nan\n{old}"
+        new = f"{field} = {value}" if old.startswith(field) else f"{field} = {value}\n{old}"
         config.write_text(BASE_CONFIG.replace(old, new))
         result = CliRunner().invoke(
             main, [command, "--config", str(config), "--out", str(tmp_path / "n.csv")]
@@ -708,18 +710,27 @@ class TestExitCodes:
         assert f"{field} " in result.stderr
         assert not (tmp_path / "r.csv").exists()
 
-    @pytest.mark.parametrize("scenario", ["optimize-noise", "simulate"])
-    def test_overflowing_rate_exits_2(self, tmp_path, scenario):
+    @pytest.mark.parametrize(
+        "scenario, rho_max",
+        [(scenario, rho_max) for rho_max in ("1e300", "1e-300")
+         for scenario in ("optimize-noise", "simulate")],
+        ids=["optimize-noise", "simulate", "optimize-noise-tiny", "simulate-tiny"],
+    )
+    def test_overflowing_rate_exits_2(self, tmp_path, scenario, rho_max):
         # 2^rate overflowed and the run failed with "threshold factors must be
-        # positive", naming neither the rate nor rho_max
+        # positive", naming neither the rate nor rho_max; at 1e-300, 2^rate - 1
+        # rounded to 0 and the thresholds divided by zero
         config = tmp_path / "rate.ini"
-        config.write_text(BASE_CONFIG.replace("rho_max = 1.0", "rho_max = 1e300"))
+        config.write_text(BASE_CONFIG.replace("rho_max = 1.0", f"rho_max = {rho_max}"))
         result = CliRunner().invoke(
             main, [scenario, "--config", str(config), "--out", str(tmp_path / "r.csv")]
         )
         assert result.exit_code == 2
-        largest = uniform_rates(1e300, 6, 3).max()
-        assert f"max(rate) = {largest:g} overflows" in result.stderr
+        rates = uniform_rates(float(rho_max), 6, 3)
+        if float(rho_max) > 1:
+            assert f"max(rate) = {rates.max():g} overflows" in result.stderr
+        else:
+            assert f"min(rate) = {rates.min():g} is too small" in result.stderr
         assert not (tmp_path / "r.csv").exists()
 
     def test_infinite_fading_exits_2(self, tmp_path):

@@ -323,6 +323,8 @@ class TestOptimizeInterference:
         share=st.floats(0.0, 1.0, exclude_max=True),
     )
     @example(rates=[1.6] * 6 + [1.2] * 4, gamma=0.8, alpha=4.0, c=60.0, share=0.25)
+    # two equal windows 1e-6 wide: one float step of log omega moves sum p by 7e-10
+    @example(rates=[1.125, 1.125], gamma=0.0, alpha=3.0625, c=9.80078125, share=0.0)
     def test_property_certified_up_to_saturated_windows(self, rates, gamma, alpha, c, share):
         # c rho up to 96: A -> 1, A == 1 exactly, and windows below the spacing of log u
         count = len(rates)
