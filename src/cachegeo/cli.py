@@ -10,11 +10,12 @@ Exit status: 0 on success, 2 for invalid configuration or arguments,
 from __future__ import annotations
 
 import sys
+from functools import partial
 
 import click
 
 from .errors import NumericalError
-from .experiments import list_figures, load_config, run
+from .experiments import SCENARIOS, list_figures, load_config, run
 
 _COMMON = [
     click.option("--config", "config_path", type=click.Path(), default=None,
@@ -51,40 +52,12 @@ def main():
     """Caching placement analytics, optimizers, and Monte Carlo validation."""
 
 
-@main.command()
-@_common
-def cdf(config_path, seed, trials, output):
-    """Analytic vs empirical CDF of the smallest reciprocal channel gain."""
-    _dispatch("cdf", config_path, seed=seed, trials=trials, output=output)
-
-
-@main.command("optimize-noise")
-@_common
-def optimize_noise_cmd(config_path, seed, trials, output):
-    """Optimal caching probabilities for the noise-limited objective."""
-    _dispatch("optimize-noise", config_path, seed=seed, trials=trials, output=output)
-
-
-@main.command("optimize-sir")
-@_common
-def optimize_sir_cmd(config_path, seed, trials, output):
-    """Near-optimal caching probabilities for the interference-limited bound."""
-    _dispatch("optimize-sir", config_path, seed=seed, trials=trials, output=output)
-
-
-@main.command()
-@_common
-def simulate(config_path, seed, trials, output):
-    """Monte Carlo delivery-success estimation for a configured policy."""
-    _dispatch("simulate", config_path, seed=seed, trials=trials, output=output)
-
-
-@main.command()
-@_common
-@click.option("--figure", "figure", default=None, help="Figure id (see list-figures).")
-def figure(config_path, seed, trials, output, figure):
-    """Reproduce the data behind one registered figure."""
-    _dispatch("figure", config_path, seed=seed, trials=trials, output=output, figure=figure)
+for _name, _scenario in SCENARIOS.items():
+    _command = partial(_dispatch, _name)
+    if _name == "figure":
+        _command = click.option("--figure", "figure", default=None,
+                                help="Figure id (see list-figures).")(_command)
+    main.command(_name, help=_scenario.help)(_common(_command))
 
 
 @main.command("list-figures")

@@ -14,9 +14,10 @@ import math
 import os
 import platform
 import time
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import MISSING, asdict, dataclass, field, fields, replace
 from importlib import metadata
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -42,17 +43,23 @@ __all__ = [
     "FIGURES",
 ]
 
-SCENARIOS = ("cdf", "optimize-noise", "optimize-sir", "simulate", "figure")
-SWEEPABLE = (
-    "gamma",
-    "memory",
-    "rho_max",
-    "rho",
-    "helper_density",
-    "user_density",
-    "fading_desired",
-    "snr_db",
-)
+
+class Scenario(NamedTuple):
+    """A CLI command: its help text and whether a sweep may vary its config."""
+
+    help: str
+    sweeps: bool
+
+
+SCENARIOS = {
+    "cdf": Scenario("Analytic vs empirical CDF of the smallest reciprocal channel gain.", False),
+    "optimize-noise": Scenario("Optimal caching probabilities for the noise-limited objective.",
+                               True),
+    "optimize-sir": Scenario("Near-optimal caching probabilities for the interference-limited "
+                             "bound.", True),
+    "simulate": Scenario("Monte Carlo delivery-success estimation for a configured policy.", True),
+    "figure": Scenario("Reproduce the data behind one registered figure.", False),
+}
 _C_GRID = (1.0, 1.5, 2.0, 3.0, 4.0, 6.0, 8.0, 12.0, 16.0, 24.0, 32.0, 40.0, 48.0, 64.0, 96.0, 128.0)
 # select_c's reference set: the two baselines plus seeded random policies
 _N_REFERENCE_POLICIES = 6
@@ -62,64 +69,68 @@ class ConfigError(ValueError):
     """The experiment configuration is invalid (CLI exit status 2)."""
 
 
+def _declare(default=MISSING, section: str = "", *, key: str = "", choices: tuple = (),
+             minimum: int | None = None, sweep: bool = False):
+    """A config field: its INI [section] and key (the field name unless
+    given), the values it may take, and whether a sweep may vary it.  The
+    network and library fields are checked by the library's constructors."""
+    return field(default=default, metadata={"section": section, "key": key, "choices": choices,
+                                            "minimum": minimum, "sweep": sweep})
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Everything one run needs; built by load_config, overridable by flags."""
 
-    scenario: str
-    helper_density: float = 0.05
-    user_density: float = 0.002
-    tx_power: float = 1.0
-    snr_db: float = 20.0
-    pathloss_exp: float = 3.0
-    fading_desired: float = 1.0
-    fading_interf: float = 1.0
-    count: int = 10
-    gamma: float = 1.0
-    rate_mode: str = "uniform"
-    rho_max: float = 1.0
-    rho: float = 0.001
-    rate_seed: int = 1
-    memory: int = 3
-    policy_source: str = "optimize-noise"
-    probs: tuple = ()
-    sweep: str = ""
-    sweep_grid: tuple = ()
-    trials: int = 10_000
-    seed: int = 1
-    output: str = "cachegeo_out.csv"
-    figure: str = ""
-    channel: str = "noise"
-    load_mode: str = "instantaneous"
-    c_mode: str = "load"
-    c_value: float = 40.0
+    scenario: str = _declare(choices=tuple(SCENARIOS))
+    helper_density: float = _declare(0.05, "network", sweep=True)
+    user_density: float = _declare(0.002, "network", sweep=True)
+    tx_power: float = _declare(1.0, "network")
+    snr_db: float = _declare(20.0, "network", sweep=True)
+    pathloss_exp: float = _declare(3.0, "network")
+    fading_desired: float = _declare(1.0, "network", sweep=True)
+    fading_interf: float = _declare(1.0, "network")
+    count: int = _declare(10, "library")
+    gamma: float = _declare(1.0, "library", sweep=True)
+    rate_mode: str = _declare("uniform", "library", choices=("uniform", "constant"))
+    rho_max: float = _declare(1.0, "library", sweep=True)
+    rho: float = _declare(0.001, "library", sweep=True)
+    rate_seed: int = _declare(1, "library", minimum=0)
+    memory: int = _declare(3, "policy", sweep=True)
+    policy_source: str = _declare("optimize-noise", "policy", key="source", choices=(
+        "optimize-noise", "optimize-sir", "mpc", "uc", "explicit"))
+    probs: tuple = _declare((), "policy")
+    sweep: str = _declare("", "experiment")
+    sweep_grid: tuple = _declare((), "experiment")
+    trials: int = _declare(10_000, "experiment", minimum=1)
+    seed: int = _declare(1, "experiment", minimum=0)
+    output: str = _declare("cachegeo_out.csv", "experiment")
+    figure: str = _declare("", "experiment")
+    channel: str = _declare("noise", "experiment", choices=("noise", "interference"))
+    load_mode: str = _declare("instantaneous", "experiment", choices=LOAD_MODES)
+    c_mode: str = _declare("load", "experiment", choices=("load", "fixed", "numeric"))
+    c_value: float = _declare(40.0, "experiment")
 
     def validate(self) -> "ExperimentConfig":
-        if self.scenario not in SCENARIOS:
-            raise ConfigError(f"unknown scenario {self.scenario!r}, expected one of {SCENARIOS}")
-        if self.trials < 1:
-            raise ConfigError("trials must be >= 1")
-        for name in ("seed", "rate_seed"):
-            if getattr(self, name) < 0:
-                raise ConfigError(f"{name} must be >= 0, got {getattr(self, name)}")
-        if self.sweep and self.sweep not in SWEEPABLE:
-            raise ConfigError(f"sweep variable {self.sweep!r} is not one of {SWEEPABLE}")
-        if self.sweep and not self.sweep_grid:
-            raise ConfigError("a sweep needs a nonempty sweep_grid")
-        if self.sweep == "memory" and not all(float(v).is_integer() for v in self.sweep_grid):
-            raise ConfigError("memory sweep values must be whole numbers of cache slots")
-        if self.rate_mode not in ("uniform", "constant"):
-            raise ConfigError("rate_mode must be 'uniform' or 'constant'")
-        if self.policy_source not in ("optimize-noise", "optimize-sir", "mpc", "uc", "explicit"):
-            raise ConfigError(f"unknown policy source {self.policy_source!r}")
-        if self.c_mode not in ("load", "fixed", "numeric"):
-            raise ConfigError("c_mode must be 'load', 'fixed', or 'numeric'")
+        for f in fields(self):
+            value, meta = getattr(self, f.name), f.metadata
+            if meta["choices"] and value not in meta["choices"]:
+                raise ConfigError(f"{f.name} must be one of {meta['choices']}, got {value!r}")
+            if meta["minimum"] is not None and not value >= meta["minimum"]:
+                raise ConfigError(f"{f.name} must be >= {meta['minimum']}, got {value}")
+        if self.sweep:
+            takers = tuple(name for name, s in SCENARIOS.items() if s.sweeps)
+            if self.scenario not in takers:
+                raise ConfigError(f"sweep = {self.sweep!r}: {self.scenario} takes no sweep, "
+                                  f"only {', '.join(takers)} do")
+            if self.sweep not in SWEEPABLE:
+                raise ConfigError(f"sweep variable {self.sweep!r} is not one of {SWEEPABLE}")
+            if not self.sweep_grid:
+                raise ConfigError("a sweep needs a nonempty sweep_grid")
+            if self.sweep == "memory" and not all(float(v).is_integer() for v in self.sweep_grid):
+                raise ConfigError("memory sweep values must be whole numbers of cache slots")
         if self.c_mode == "fixed" and not 1 <= self.c_value < math.inf:
             raise ConfigError(f"c_value must be >= 1 and finite, got {self.c_value}")
-        if self.channel not in ("noise", "interference"):
-            raise ConfigError("channel must be 'noise' or 'interference'")
-        if self.load_mode not in LOAD_MODES:
-            raise ConfigError(f"unknown load_mode {self.load_mode!r}, expected one of {LOAD_MODES}")
         out = Path(self.output)
         parent = out.parent if str(out.parent) else Path(".")
         if not parent.exists():
@@ -164,20 +175,11 @@ class ExperimentConfig:
         return asdict(self)
 
 
+SWEEPABLE = tuple(f.name for f in fields(ExperimentConfig) if f.metadata["sweep"])
+
+
 def _parse_floats(text: str) -> tuple:
     return tuple(float(v) for v in text.replace(",", " ").split())
-
-
-# INI section -> keys; a key is parsed as the type of its ExperimentConfig default
-_INI_KEYS = {
-    "network": ("helper_density", "user_density", "tx_power", "snr_db", "pathloss_exp",
-                "fading_desired", "fading_interf"),
-    "library": ("count", "gamma", "rate_mode", "rho_max", "rho", "rate_seed"),
-    "policy": ("memory", "source", "probs"),
-    "experiment": ("trials", "seed", "output", "figure", "sweep", "sweep_grid", "channel",
-                   "load_mode", "c_mode", "c_value"),
-}
-_INI_RENAMES = {"source": "policy_source"}
 
 
 def load_config(path: str | None, scenario: str, **overrides) -> ExperimentConfig:
@@ -188,23 +190,25 @@ def load_config(path: str | None, scenario: str, **overrides) -> ExperimentConfi
         parser = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
         if not parser.read(path):
             raise ConfigError(f"config file {path!r} not found or unreadable")
-        for section, keys in _INI_KEYS.items():
-            if not parser.has_section(section):
-                continue
-            stray = set(parser.options(section)) - set(keys)
+        declared: dict = {}  # INI section -> key -> field
+        for f in fields(ExperimentConfig):
+            if f.metadata["section"]:
+                declared.setdefault(f.metadata["section"], {})[f.metadata["key"] or f.name] = f
+        unknown = set(parser.sections()) - set(declared)
+        if unknown:
+            raise ConfigError(f"unknown config sections: {sorted(unknown)}")
+        for section in parser.sections():
+            stray = set(parser.options(section)) - set(declared[section])
             if stray:
                 raise ConfigError(f"unknown keys in [{section}]: {sorted(stray)}")
             for key in parser.options(section):
-                name = _INI_RENAMES.get(key, key)
-                default = ExperimentConfig.__dataclass_fields__[name].default
-                cast = _parse_floats if isinstance(default, tuple) else type(default)
+                f = declared[section][key]
+                # a key is parsed as the type of its default
+                cast = _parse_floats if isinstance(f.default, tuple) else type(f.default)
                 try:
-                    values[name] = cast(parser.get(section, key))
+                    values[f.name] = cast(parser.get(section, key))
                 except ValueError as exc:
                     raise ConfigError(f"bad value for [{section}] {key}: {exc}") from exc
-        unknown = set(parser.sections()) - set(_INI_KEYS)
-        if unknown:
-            raise ConfigError(f"unknown config sections: {sorted(unknown)}")
     for key, value in overrides.items():
         if value is not None:
             values[key] = value
@@ -350,7 +354,7 @@ def _run_cdf(config: ExperimentConfig):
         "lambda": params.helper_density,
         "m_d": params.fading_desired,
         "xi": xi_grid,
-        "analytic_cdf": np.array([xi1_cdf(xi, 1.0, params) for xi in xi_grid.tolist()]),
+        "analytic_cdf": xi1_cdf(xi_grid, 1.0, params),
         "empirical_cdf": empirical,
         "stderr": np.sqrt(empirical * (1 - empirical) / samples.size),
     }

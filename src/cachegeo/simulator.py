@@ -464,9 +464,7 @@ def _simulate_interference_pass(
     for mode in load_modes:
         if mode not in LOAD_MODES:
             raise ValueError(f"unknown load_mode {mode!r}, expected one of {LOAD_MODES}")
-    violation = budget_violation(policy)
-    if violation is not None:
-        raise ValueError(f"infeasible policy: {violation}")
+    layout = build_block_layout(policy)  # raises on an infeasible policy
     if trials < 1:
         raise ValueError("trials must be >= 1")
     mean_modes = set(load_modes) - {"instantaneous"}
@@ -484,7 +482,6 @@ def _simulate_interference_pass(
         return {mode: [MCEstimate.from_counts(0, trials)] * len(rates) for mode in successes}
     radius = window_radius(float(positive.min()), params.helper_density, window_miss_prob)
     _check_chunk_population(params, float(positive.min()), window_miss_prob)
-    layout = build_block_layout(policy)
     if mean_modes:
         # no helper caches a content of probability 0: its load is unbounded
         mean_load = np.array([

@@ -1,9 +1,10 @@
+import configparser
 import csv
 import json
 import math
 import platform
 import tracemalloc
-from dataclasses import replace
+from dataclasses import fields, replace
 from importlib import metadata
 from pathlib import Path
 from unittest import mock
@@ -507,6 +508,23 @@ class TestSingleCResolution:
         assert len(calls) == 1
 
 
+def _declared_domain_cases() -> list:
+    """(field, INI section, INI key, text) just outside each field's declared
+    domain: an unknown choice, one below a lower bound, and non-integer text
+    for an int field.  The scenario is the command itself, so it has no key."""
+    cases = []
+    for f in fields(ExperimentConfig):
+        section, key = f.metadata["section"], f.metadata["key"] or f.name
+        texts = ["bogus"] if f.metadata["choices"] else []
+        if f.metadata["minimum"] is not None:
+            texts.append(str(f.metadata["minimum"] - 1))
+        if type(f.default) is int:
+            texts += ["nan", "inf", "1e300", "2.5"]
+        cases += [pytest.param(f.name, section, key, text, id=f"{key}={text}")
+                  for text in texts if section]
+    return cases
+
+
 class TestExitCodes:
     def test_numeric_failure_exits_3(self, config_file, monkeypatch):
         import cachegeo.cli as cli_module
@@ -790,6 +808,37 @@ class TestExitCodes:
         assert result.exit_code == 2
         assert f"error: {field} must be >= 0" in result.output
         assert not (tmp_path / "s.csv").exists()
+
+    @pytest.mark.parametrize("command", ["cdf", "figure"])
+    def test_sweep_on_a_scenario_without_one_exits_2(self, tmp_path, command):
+        # both ignored the sweep: cdf wrote one curve at the file's density
+        config = tmp_path / "sweep.ini"
+        config.write_text(BASE_CONFIG + "sweep = helper_density\nsweep_grid = 0.05 0.2\n")
+        figure = ["--figure", "6"] if command == "figure" else []
+        result = CliRunner().invoke(
+            main, [command, "--config", str(config), *figure, "--out", str(tmp_path / "s.csv")]
+        )
+        assert result.exit_code == 2
+        assert "sweep" in result.output
+        for taker in ("optimize-noise", "optimize-sir", "simulate"):
+            assert taker in result.output
+        assert not (tmp_path / "s.csv").exists()
+
+    @pytest.mark.parametrize("name, section, key, text", _declared_domain_cases())
+    def test_value_outside_a_declared_domain_exits_2(self, tmp_path, name, section, key, text):
+        parser = configparser.ConfigParser()
+        parser.read_string(BASE_CONFIG)
+        parser["experiment"]["trials"] = "64"
+        parser[section][key] = text
+        config = tmp_path / "domain.ini"
+        with config.open("w") as handle:
+            parser.write(handle)
+        result = CliRunner().invoke(
+            main, ["simulate", "--config", str(config), "--out", str(tmp_path / "d.csv")]
+        )
+        assert result.exit_code == 2
+        assert name in result.output or key in result.output
+        assert not (tmp_path / "d.csv").exists()
 
     def test_unwritable_output_rejected(self, config_file):
         with pytest.raises(ConfigError):
