@@ -4,7 +4,6 @@ optimizers, and a Poisson Monte Carlo simulator that validates them.
 """
 from .analytics import (
     InterferenceConstants,
-    NoiseConstants,
     c_alpha,
     mean_load_m1,
     nakagami_lower_bound,
@@ -39,7 +38,6 @@ __all__ = [
     "NetworkParams",
     "zipf_popularity",
     "uniform_rates",
-    "NoiseConstants",
     "InterferenceConstants",
     "xi1_cdf",
     "success_noise",

@@ -34,7 +34,6 @@ from scipy.special import beta, betainc, factorial, gammaln, poch
 from .model import CachingPolicy, ContentLibrary, NetworkParams
 
 __all__ = [
-    "NoiseConstants",
     "InterferenceConstants",
     "xi1_cdf",
     "success_noise",
@@ -46,8 +45,16 @@ __all__ = [
 
 
 def _fading_moment(delta: float, m: float) -> float:
-    """E[h^(2 delta)] for a unit-mean Nakagami-m power gain h."""
-    return math.exp(gammaln(delta + m) - gammaln(m) - delta * math.log(m))
+    """E[h^(2 delta)] = Gamma(m + delta) / (Gamma(m) m^delta) for a unit-mean
+    Nakagami-m power gain h.  From m = 10 on the two log Gammas cancel, so
+    their difference comes from Stirling's series with the large terms
+    merged; its first omitted term is below 1e-12 at m = 10."""
+    if m < 10:
+        return math.exp(gammaln(delta + m) - gammaln(m) - delta * math.log(m))
+    x = m + delta  # Stirling's coefficients B_2k / (2k (2k - 1)) for log Gamma
+    tail = sum(c * (x ** (1 - 2 * k) - m ** (1 - 2 * k))
+               for k, c in enumerate((1 / 12, -1 / 360, 1 / 1260, -1 / 1680), 1))
+    return math.exp((x - 0.5) * math.log1p(delta / m) - delta + tail)
 
 
 def _kappa(params: NetworkParams) -> float:
@@ -73,40 +80,22 @@ def _snr_factor(rates) -> np.ndarray:
     return factor
 
 
-@dataclass(frozen=True)
-class NoiseConstants:
-    """Constants of the noise-limited success formula.
-
-    kappa scales the intensity of the reciprocal-gain process, delta is
-    2/alpha, and T[i] = (snr / (2^rho_i - 1))^delta is the per-content
-    threshold factor, decreasing in the target rate.
-    """
-
-    kappa: float
-    delta: float
-    T: np.ndarray
-
-    def __post_init__(self):
-        if not self.kappa > 0:
-            raise ValueError("kappa must be positive")
-        if not 0 < self.delta < 1:
-            raise ValueError("delta must lie in (0, 1)")
-        T = np.asarray(self.T, dtype=float)
-        if np.any(T <= 0):
-            raise ValueError("threshold factors must be positive")
-        T.setflags(write=False)
-        object.__setattr__(self, "T", T)
-
-    @classmethod
-    def from_params(cls, library: ContentLibrary, params: NetworkParams) -> "NoiseConstants":
-        if params.noise_power == 0:
-            raise ValueError("noise-limited analytics need noise_power > 0, i.e. a finite snr_db")
-        T = (params.snr / _snr_factor(library.rates)) ** params.delta
-        return cls(kappa=_kappa(params), delta=params.delta, T=T)
+def _noise_thresholds(library: ContentLibrary, params: NetworkParams) -> np.ndarray:
+    """theta_i = snr / (2^rho_i - 1): content i is delivered without
+    interference when the smallest reciprocal gain among its cachers is at
+    most theta_i."""
+    if params.noise_power == 0:
+        raise ValueError("noise-limited analytics need noise_power > 0, i.e. a finite snr_db")
+    theta = params.snr / _snr_factor(library.rates)
+    if not np.all(theta > 0):
+        raise ValueError(f"tx_power / noise_power = {params.snr:g} is too small: "
+                         "the SNR threshold snr / (2^rate - 1) rounds to 0")
+    return theta
 
 
-def xi1_cdf(xi, p: float, params: NetworkParams):
-    """CDF of the smallest reciprocal channel power gain: 1 - exp(-kappa p xi^delta)."""
+def xi1_cdf(xi, p: float | np.ndarray, params: NetworkParams):
+    """CDF of the smallest reciprocal channel power gain: 1 - exp(-kappa p xi^delta).
+    xi and the caching probability p may be arrays that broadcast together."""
     xi = np.asarray(xi, dtype=float)
     if np.any(xi < 0):
         raise ValueError("xi must be >= 0")
@@ -117,13 +106,12 @@ def xi1_cdf(xi, p: float, params: NetworkParams):
 def success_noise(library: ContentLibrary, params: NetworkParams, policy):
     """Average delivery success probability without interference.
 
-    sum_i f_i (1 - exp(-kappa p_i T_i)).  `policy` may be a CachingPolicy
-    or an array whose last axis indexes contents; leading axes broadcast,
-    so a batch of policies evaluates in one call.
+    sum_i f_i F_xi1(theta_i; p_i), the CDF of the smallest reciprocal gain
+    at each content's SNR threshold.  `policy` may be a CachingPolicy or an
+    array whose last axis indexes contents; leading axes broadcast, so a
+    batch of policies evaluates in one call.
     """
-    consts = NoiseConstants.from_params(library, params)
-    probs = _probs_of(policy)
-    per_content = -np.expm1(-consts.kappa * probs * consts.T)
+    per_content = xi1_cdf(_noise_thresholds(library, params), _probs_of(policy), params)
     out = np.sum(library.popularity * per_content, axis=-1)
     return float(out) if np.ndim(out) == 0 else out
 

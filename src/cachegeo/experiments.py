@@ -187,8 +187,13 @@ def load_config(path: str | None, scenario: str, **overrides) -> ExperimentConfi
     (None overrides are ignored)."""
     values: dict = {"scenario": scenario}
     if path is not None:
-        parser = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
-        if not parser.read(path):
+        # no interpolation: a value such as "50%.csv" is taken as written
+        parser = configparser.ConfigParser(inline_comment_prefixes=(";", "#"), interpolation=None)
+        try:
+            read = parser.read(path)
+        except configparser.Error as exc:  # a repeated key or section, no section header
+            raise ConfigError(f"config file {path!r}: {exc}") from exc
+        if not read:
             raise ConfigError(f"config file {path!r} not found or unreadable")
         declared: dict = {}  # INI section -> key -> field
         for f in fields(ExperimentConfig):
@@ -347,7 +352,11 @@ def _run_cdf(config: ExperimentConfig):
     params = config.network()
     # xi grid through the analytic quantiles so curves are well resolved
     quantiles = np.linspace(0.02, 0.99, 40)
-    xi_grid = (-np.log1p(-quantiles) / _kappa(params)) ** (1.0 / params.delta)
+    with np.errstate(over="ignore"):
+        xi_grid = (-np.log1p(-quantiles) / _kappa(params)) ** (1.0 / params.delta)
+    if not (np.all(np.isfinite(xi_grid)) and xi_grid[0] > 0 and np.all(np.diff(xi_grid) > 0)):
+        raise ConfigError(f"pathloss_exp = {params.pathloss_exp:g} puts the xi grid of the CDF "
+                          "outside the float range (0s, infs or repeated values)")
     samples = np.sort(sample_xi_min(params, 1.0, config.trials, config.seed))
     empirical = np.searchsorted(samples, xi_grid, side="right") / samples.size
     row = {

@@ -29,7 +29,7 @@ from typing import Callable
 
 import numpy as np
 
-from .analytics import InterferenceConstants, NoiseConstants, rayleigh_lower_bound, success_noise
+from .analytics import InterferenceConstants, _kappa, _noise_thresholds, rayleigh_lower_bound, success_noise
 from .errors import NumericalError
 from .model import BUDGET_TOL, CachingPolicy, ContentLibrary, NetworkParams
 
@@ -190,12 +190,12 @@ def _water_fill_solve(
 def optimize_noise(library: ContentLibrary, params: NetworkParams, memory: int) -> SolveReport:
     """Maximize the noise-limited success probability over the capped simplex.
 
-    Water-filling with log u = log(f kappa T), w = kappa T and g(t) = t.
+    Water-filling with log u = log(f kappa T), w = kappa T and g(t) = t,
+    where T = theta^delta at the SNR threshold theta of each content.
     """
     _check_problem(library.count, memory)
-    consts = NoiseConstants.from_params(library, params)
     f = library.popularity
-    kT = consts.kappa * consts.T
+    kT = _kappa(params) * _noise_thresholds(library, params) ** params.delta
     return _water_fill_solve(
         np.log(f) + np.log(kT), kT, lambda t: t,
         lambda p: -f * kT * np.exp(-kT * p),

@@ -10,9 +10,11 @@ from scipy.special import hyp2f1
 import quad_oracle
 from cachegeo.analytics import (
     InterferenceConstants,
-    NoiseConstants,
     _distance_exponents,
     _exponent_coefficients,
+    _fading_moment,
+    _kappa,
+    _noise_thresholds,
     _success_polynomial,
     c_alpha,
     mean_load_m1,
@@ -56,6 +58,15 @@ def laplace_interference(s: float, r: float, p: float, params: NetworkParams) ->
     return math.exp(math.pi * params.helper_density * v_star2 * float(c0))
 
 
+def test_package_exports_no_noise_constants_class():
+    # kappa and the SNR thresholds are private helpers; the CDF is the API
+    import cachegeo
+
+    assert "NoiseConstants" not in cachegeo.__all__
+    assert not hasattr(cachegeo, "NoiseConstants")
+    assert len(cachegeo.__all__) == 21
+
+
 class TestIntensity:
     @pytest.mark.parametrize("xi", [0.1, 1.0, 10.0])
     def test_integral_matches_cdf_exponent(self, xi):
@@ -68,8 +79,23 @@ class TestIntensity:
             return p * params.helper_density * math.pi * delta * y ** (delta - 1.0) * moment
 
         val, _ = integrate.quad(intensity, 0.0, xi, epsabs=1e-12)
-        kappa = NoiseConstants.from_params(make_library(1), params).kappa
+        kappa = _kappa(params)
         assert val == pytest.approx(kappa * p * xi**params.delta, abs=1e-10)
+
+    @pytest.mark.parametrize("alpha", [2.5, 3.0, 4.0, 6.0])
+    def test_fading_moment_matches_high_precision(self, alpha):
+        # the log-Gamma difference cancelled as m grew: 0.049 at m = 1e15 and
+        # 4.6e-12 at m = 1e17, where the moment is 1 to double precision
+        import mpmath
+
+        delta = 2.0 / alpha
+        for m in [0.5, 0.75, 1.0, 1.5, 2.0, 3.0, 5.0, 9.99, 10.0, 30.0, 1e2, 1e3, 1e4,
+                  1e6, 1e10, 1e15, 1e17, 1e50, 1e100, 1e200, 1e300]:
+            # the reference cancels too unless its digits outgrow log10(m)
+            with mpmath.workdps(int(math.log10(m)) + 40):
+                M, D = mpmath.mpf(m), mpmath.mpf(delta)
+                ref = float(mpmath.exp(mpmath.loggamma(M + D) - mpmath.loggamma(M) - D * mpmath.log(M)))
+            assert _fading_moment(delta, m) == pytest.approx(ref, rel=1e-11, abs=0), m
 
 
 class TestXi1Cdf:
@@ -80,7 +106,7 @@ class TestXi1Cdf:
 
     def test_unit_exponent_point(self):
         params = make_params(alpha=2.5, m_d=1.0)
-        kappa = NoiseConstants.from_params(make_library(1), params).kappa
+        kappa = _kappa(params)
         xi = 2.0
         p = 1.0 / (kappa * xi**params.delta)
         assert xi1_cdf(xi, p, params) == pytest.approx(1.0 - math.exp(-1.0), rel=1e-12)
@@ -105,7 +131,7 @@ class TestSuccessNoise:
         lib = make_library(3)
         params = NetworkParams(0.05, 0.002, 1.0, 0.0, 3.0)
         with pytest.raises(ValueError, match="noise_power"):
-            NoiseConstants.from_params(lib, params)
+            _noise_thresholds(lib, params)
         with pytest.raises(ValueError, match="snr_db"):
             success_noise(lib, params, np.full(3, 0.5))
 
@@ -114,13 +140,13 @@ class TestSuccessNoise:
         # "threshold factors must be positive"
         lib = make_library(2, rates=[1.0, 2000.0])
         with pytest.raises(ValueError, match=r"max\(rate\) = 2000 overflows"):
-            NoiseConstants.from_params(lib, make_params())
+            _noise_thresholds(lib, make_params())
 
     def test_scalar_case_unit_exponent(self):
         params = make_params()
-        consts = NoiseConstants.from_params(make_library(1), params)
+        kappa = _kappa(params)
         # solve for the rate that makes kappa * T = 1
-        ratio = (1.0 / consts.kappa) ** (1.0 / params.delta)
+        ratio = (1.0 / kappa) ** (1.0 / params.delta)
         rho = math.log2(1.0 + params.snr / ratio)
         lib = make_library(1, rates=[rho])
         got = success_noise(lib, params, np.ones(1))
@@ -137,6 +163,23 @@ class TestSuccessNoise:
             lib.popularity[i] * xi1_cdf(thresholds[i], p[i], params) for i in range(6)
         )
         assert direct == pytest.approx(via_cdf, rel=1e-12)
+
+    def test_is_the_xi1_cdf_at_each_threshold_bit_for_bit(self):
+        lib = make_library(5, gamma=0.7, rates=np.linspace(0.3, 1.5, 5))
+        params = make_params(alpha=2.5, m_d=3.0)
+        theta = _noise_thresholds(lib, params)
+        batch = np.random.default_rng(11).random((4, 5))
+        for policy in (batch[0], batch):
+            expected = np.sum(lib.popularity * xi1_cdf(theta, policy, params), axis=-1)
+            assert np.array_equal(success_noise(lib, params, policy), expected)
+
+    def test_threshold_rounding_to_zero_rejected(self):
+        # tx_power / noise_power underflows to 0; the message named only
+        # "threshold factors"
+        lib = make_library(3)
+        params = NetworkParams(0.05, 0.002, 1e-300, 1e300, 3.0)
+        with pytest.raises(ValueError, match="rounds to 0"):
+            success_noise(lib, params, np.full(3, 0.5))
 
     def test_batched_policies_broadcast(self):
         lib = make_library(3)
@@ -472,8 +515,9 @@ class TestNumericFailureSurface:
 
     def test_thresholds_decrease_with_rate(self):
         lib = make_library(4, rates=np.array([0.2, 0.5, 0.9, 1.4]))
-        consts = NoiseConstants.from_params(lib, make_params())
-        assert np.all(np.diff(consts.T) < 0)
+        params = make_params()
+        T = _noise_thresholds(lib, params) ** params.delta
+        assert np.all(np.diff(T) < 0)
 
 
 class TestInterferenceOracle:

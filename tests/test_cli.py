@@ -4,6 +4,7 @@ import json
 import math
 import platform
 import tracemalloc
+import warnings
 from dataclasses import fields, replace
 from importlib import metadata
 from pathlib import Path
@@ -840,9 +841,95 @@ class TestExitCodes:
         assert name in result.output or key in result.output
         assert not (tmp_path / "d.csv").exists()
 
+    @pytest.mark.parametrize(
+        "text",
+        [
+            BASE_CONFIG.replace("count = 6", "count = 6\ncount = 7"),
+            BASE_CONFIG + "\n[library]\ngamma = 0.5\n",
+            "count = 6\n" + BASE_CONFIG,
+        ],
+        ids=["repeated-key", "repeated-section", "missing-header"],
+    )
+    def test_config_file_parse_error_exits_2(self, tmp_path, text):
+        # configparser's own exceptions escaped with a traceback and exit 1
+        config = tmp_path / "parse.ini"
+        config.write_text(text)
+        result = CliRunner().invoke(
+            main, ["simulate", "--config", str(config), "--out", str(tmp_path / "p.csv")]
+        )
+        assert result.exit_code == 2
+        assert isinstance(result.exception, SystemExit)
+        assert "Traceback" not in result.output
+        assert str(config) in result.stderr
+        assert not (tmp_path / "p.csv").exists()
+
+    def test_percent_in_a_value_is_literal(self, tmp_path):
+        # the default interpolation read "50%.csv" as a broken %(name)s reference
+        out = tmp_path / "50%.csv"
+        config = tmp_path / "percent.ini"
+        config.write_text(BASE_CONFIG + f"output = {out}\n")
+        result = CliRunner().invoke(main, ["optimize-noise", "--config", str(config)])
+        assert result.exit_code == 0, result.output
+        assert out.exists()
+
+    @pytest.mark.parametrize("alpha", ["500", "1e300"])
+    def test_cdf_grid_outside_the_float_range_exits_2(self, tmp_path, alpha):
+        # (-log1p(-q) / kappa)^(1 / delta) overflowed with a RuntimeWarning at
+        # alpha = 500, and at 1e300 wrote an xi column of 0s and infs
+        config = tmp_path / "alpha.ini"
+        config.write_text(BASE_CONFIG.replace("pathloss_exp = 3.0", f"pathloss_exp = {alpha}"))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            result = CliRunner().invoke(
+                main, ["cdf", "--config", str(config), "--out", str(tmp_path / "c.csv")]
+            )
+        assert result.exit_code == 2
+        assert "pathloss_exp" in result.stderr
+        assert not (tmp_path / "c.csv").exists()
+
+    def test_default_cdf_grid_is_the_analytic_quantiles(self, config_file, tmp_path):
+        out = tmp_path / "cdf.csv"
+        result = CliRunner().invoke(main, ["cdf", "--config", str(config_file), "--out", str(out)])
+        assert result.exit_code == 0
+        body = np.genfromtxt(out, delimiter=",", names=True)
+        assert np.all(np.diff(body["xi"]) > 0)
+        assert np.allclose(body["analytic_cdf"], np.linspace(0.02, 0.99, 40), rtol=1e-11, atol=0)
+
     def test_unwritable_output_rejected(self, config_file):
         with pytest.raises(ConfigError):
             load_config(str(config_file), "simulate", output="/missing-dir/x.csv")
+
+
+class TestLargeFadingShape:
+    """m_D = 1e17: the Nakagami moment behind kappa lost every digit to a
+    log-Gamma difference, giving analytic 4.7e-11 against estimate 0.600 in
+    noise simulate and an analytic CDF of 0.02 where the empirical one is 1."""
+
+    @pytest.fixture
+    def config(self, tmp_path):
+        path = tmp_path / "steady.ini"
+        path.write_text(BASE_CONFIG.replace("fading_desired = 1.0", "fading_desired = 1e17")
+                        .replace("count = 6", "count = 10"))
+        return path
+
+    def test_noise_simulate_agrees_with_its_analytic(self, config, tmp_path):
+        out = tmp_path / "sim.csv"
+        result = CliRunner().invoke(
+            main, ["simulate", "--config", str(config), "--trials", "10000", "--out", str(out)]
+        )
+        assert result.exit_code == 0, result.output
+        (row,) = csv.DictReader(out.open())
+        gap = abs(float(row["estimate"]) - float(row["analytic"]))
+        assert gap <= 3.0 * float(row["stderr"])
+
+    def test_cdf_agrees_with_the_samples(self, config, tmp_path):
+        out = tmp_path / "cdf.csv"
+        result = CliRunner().invoke(
+            main, ["cdf", "--config", str(config), "--trials", "100000", "--out", str(out)]
+        )
+        assert result.exit_code == 0, result.output
+        body = np.genfromtxt(out, delimiter=",", names=True)
+        assert np.max(np.abs(body["analytic_cdf"] - body["empirical_cdf"])) < 0.01
 
 
 class TestInterferenceScenario:

@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 from grid_oracle import brute_force_policy
 from cachegeo.analytics import (
     InterferenceConstants,
-    NoiseConstants,
+    _kappa,
+    _noise_thresholds,
     rayleigh_lower_bound,
     success_noise,
 )
@@ -150,8 +151,7 @@ class TestOptimizeNoise:
     def test_budget_multiplier_sweep_is_monotone(self):
         lib = library_with(1.0, 5, np.linspace(0.4, 1.0, 5))
         params = NetworkParams(0.05, 0.002, 1.0, 0.01, 3.0)
-        consts = NoiseConstants.from_params(lib, params)
-        kT = consts.kappa * consts.T
+        kT = _kappa(params) * _noise_thresholds(lib, params) ** params.delta
         log_upper = np.log(lib.popularity * kT)
         grid = np.linspace((log_upper - kT).min(), log_upper.max(), 400)
         sums = np.array([noise_candidate(x, log_upper, kT).sum() for x in grid])
