@@ -86,7 +86,11 @@ def _noise_thresholds(library: ContentLibrary, params: NetworkParams) -> np.ndar
     most theta_i."""
     if params.noise_power == 0:
         raise ValueError("noise-limited analytics need noise_power > 0, i.e. a finite snr_db")
-    theta = params.snr / _snr_factor(library.rates)
+    with np.errstate(over="ignore"):
+        theta = params.snr / _snr_factor(library.rates)
+    if not np.all(np.isfinite(theta)):
+        raise ValueError(f"the SNR threshold snr / (2^rate - 1) overflows at snr = {params.snr:g} "
+                         f"and min(rate) = {np.min(library.rates):g}")
     if not np.all(theta > 0):
         raise ValueError(f"tx_power / noise_power = {params.snr:g} is too small: "
                          "the SNR threshold snr / (2^rate - 1) rounds to 0")
@@ -297,7 +301,9 @@ def nakagami_lower_bound(
     Each content contributes the k-sum of Laplace-transform derivatives
     averaged over the distance to the nearest helper caching it: in
     y = pi lambda r^2 that distance has density p e^(-p y), so
-    e^(a_0 y) y^j averages to p j! / (p - a_0)^(j+1).
+    e^(a_0 y) y^j averages to p j! / (p - a_0)^(j+1).  The coefficient q_j
+    of y^j is of degree j in the a_n, so the sum is taken in units of
+    1 / (p - a_0), where the powers (p - a_0)^(j+1) cannot overflow.
     """
     if params.fading_desired != int(params.fading_desired):
         raise NotImplementedError("the k-sum requires an integer desired-link fading shape")
@@ -313,9 +319,10 @@ def nakagami_lower_bound(
         np.isfinite(W), library.rates[cached], c, "m_I / (m_D tau) overflows at tau = 2^(c rate) - 1"
     )
     a = _distance_exponents(tau[cached], p, params)
-    q = _success_polynomial(a)
+    unit = p - a[0]
+    q = _success_polynomial(a / unit)
     j = np.arange(q.shape[0])[:, None]
-    per_content = p * np.sum(q * factorial(j) / (p - a[0]) ** (j + 1), axis=0)
+    per_content = p / unit * np.sum(q * factorial(j), axis=0)
     return float(np.sum(library.popularity[cached] * per_content))
 
 

@@ -24,7 +24,7 @@ import numpy as np
 from .analytics import InterferenceConstants, _kappa, rayleigh_lower_bound, success_noise, xi1_cdf
 from .errors import NumericalError
 from .model import CachingPolicy, ContentLibrary, NetworkParams, uniform_rates, zipf_popularity
-from .optimizer import baseline_policy, optimize_interference, optimize_noise
+from .optimizer import SolveReport, baseline_policy, optimize_interference, optimize_noise
 from .simulator import (
     LOAD_MODES,
     _simulate_interference_pass,
@@ -171,9 +171,6 @@ class ExperimentConfig:
             rates = uniform_rates(self.rho_max, self.count, self.rate_seed)
         return ContentLibrary(self.count, popularity, rates)
 
-    def as_dict(self) -> dict:
-        return asdict(self)
-
 
 SWEEPABLE = tuple(f.name for f in fields(ExperimentConfig) if f.metadata["sweep"])
 
@@ -224,43 +221,44 @@ def load_config(path: str | None, scenario: str, **overrides) -> ExperimentConfi
     return config.validate()
 
 
-def _resolve_c(config: ExperimentConfig, library: ContentLibrary, params: NetworkParams) -> float:
+def _interference_constants(config: ExperimentConfig, library: ContentLibrary,
+                            params: NetworkParams) -> InterferenceConstants:
+    """The Rayleigh-bound constants at the config's load bound c: c_value,
+    max(1, M user_density / helper_density), or select_c's."""
     if config.c_mode == "fixed":
-        return config.c_value
-    if config.c_mode == "load":
-        return max(1.0, config.memory * params.user_density / params.helper_density)
-    return select_c(library, params, config.memory, trials=config.trials, seed=config.seed)
+        c = config.c_value
+    elif config.c_mode == "load":
+        c = max(1.0, config.memory * params.user_density / params.helper_density)
+    else:
+        c = select_c(library, params, config.memory, trials=config.trials, seed=config.seed)
+    return InterferenceConstants.from_library(library, params.pathloss_exp, c)
 
 
-def _interference_constants(
-    config: ExperimentConfig, library: ContentLibrary, params: NetworkParams
-) -> InterferenceConstants:
-    return InterferenceConstants.from_library(
-        library, params.pathloss_exp, _resolve_c(config, library, params)
-    )
+class Solved(NamedTuple):
+    """A policy source resolved at one point: the policy, the optimizer's
+    SolveReport and the InterferenceConstants it designed on (.c is the
+    resolved load bound); None where the source has none."""
+
+    policy: CachingPolicy
+    report: SolveReport | None
+    consts: InterferenceConstants | None
 
 
-def _solve(source: str, config: ExperimentConfig, library: ContentLibrary, params: NetworkParams):
-    """Resolve a policy source at one point.
-
-    Returns (the optimizer's SolveReport, or the policy itself for the
-    explicit and baseline sources; the InterferenceConstants the optimizer
-    used, whose .c is the resolved load bound, or None).
-    """
+def _solve(source: str, config: ExperimentConfig, library: ContentLibrary,
+           params: NetworkParams) -> Solved:
+    """Resolve a policy source at one point."""
     if source == "explicit":
         if len(config.probs) != library.count:
             raise ConfigError("explicit probs must list one probability per content")
-        return CachingPolicy(np.array(config.probs), config.memory), None
+        return Solved(CachingPolicy(np.array(config.probs), config.memory), None, None)
     if source in ("mpc", "uc"):
-        return baseline_policy(source, library.count, config.memory), None
+        return Solved(baseline_policy(source, library.count, config.memory), None, None)
     if source == "optimize-noise":
-        return optimize_noise(library, params, config.memory), None
+        report = optimize_noise(library, params, config.memory)
+        return Solved(report.policy, report, None)
     consts = _interference_constants(config, library, params)
-    return optimize_interference(library, consts, config.memory), consts
-
-
-def _policy_of(solved) -> CachingPolicy:
-    return solved if isinstance(solved, CachingPolicy) else solved.policy
+    report = optimize_interference(library, consts, config.memory)
+    return Solved(report.policy, report, consts)
 
 
 def _upper_limit(ref) -> float:
@@ -274,13 +272,8 @@ def _upper_limit(ref) -> float:
     return ref.estimate + 3.0 * ref.stderr
 
 
-def select_c(
-    library: ContentLibrary,
-    params: NetworkParams,
-    memory: int,
-    trials: int,
-    seed: int,
-) -> float:
+def select_c(library: ContentLibrary, params: NetworkParams, memory: int, trials: int,
+             seed: int) -> float:
     """Smallest load bound c on a grid keeping the Rayleigh bound below a
     Monte Carlo reference (distance association, mean load) on a set of
     feasible policies.  The certificate is only as strong as the finite
@@ -298,36 +291,29 @@ def select_c(
         policies.append(CachingPolicy(p, memory))
     # the distance-association reference exists only for single-slot caches
     reference_mode = "long-term-assoc" if memory == 1 else "instantaneous"
-    limits = [
-        _upper_limit(
-            simulate_interference_limited(
-                library, params, policy, trials, seed, load_mode=reference_mode
-            )
-        )
-        for policy in policies
-    ]
+    limits = np.array([_upper_limit(simulate_interference_limited(
+        library, params, policy, trials, seed, load_mode=reference_mode)) for policy in policies])
+    probs = np.array([policy.probs for policy in policies])
     for c in _C_GRID:
         consts = InterferenceConstants.from_library(library, params.pathloss_exp, c)
-        ok = all(
-            rayleigh_lower_bound(library, consts, policy) <= limit
-            for policy, limit in zip(policies, limits)
-        )
-        if ok:
+        if np.all(rayleigh_lower_bound(library, consts, probs) <= limits):
             return c
-    raise NumericalError(
-        f"no c in {_C_GRID} certifies the lower bound on the reference policy set"
-    )
+    raise NumericalError(f"no c in {_C_GRID} certifies the lower bound on the reference policy set")
 
 
-def _sweep_points(config: ExperimentConfig):
-    """Yield (sweep value, config at that value) per sweep point, or one
-    ("", config) point when there is no sweep."""
-    if not config.sweep:
-        yield "", config
-        return
-    for value in config.sweep_grid:
-        at = int(value) if config.sweep == "memory" else value
-        yield value, replace(config, **{config.sweep: at})
+def _sweep_points(config: ExperimentConfig, axis: str, values) -> list:
+    """(value, config at that value) per value of a sweep axis, or one
+    ("", config) point on no axis.  An axis is a field name, or "(a, b)"
+    whose values are (a, b) pairs; memory is set as whole slots."""
+    if not axis:
+        return [("", config)]
+    names = axis.strip("()").split(", ")
+    points = []
+    for value in values:
+        at = zip(names, value if len(names) > 1 else (value,))
+        points.append((value, replace(config, **{n: int(v) if n == "memory" else v
+                                                  for n, v in at})))
+    return points
 
 
 # ---------------------------------------------------------------------------
@@ -335,9 +321,10 @@ def _sweep_points(config: ExperimentConfig):
 
 
 def _cell(value, alone: bool = False) -> str:
-    """A value's CSV cell as csv's QUOTE_MINIMAL writes it, `alone` on a one-column line."""
+    """A value's CSV cell as csv's QUOTE_MINIMAL writes it, `alone` on a one-column line
+    (a cell holding a carriage return is quoted, as csv does from Python 3.13 on)."""
     text = format(value, ".12g") if isinstance(value, float) else str(value)
-    if (alone and not text) or any(c in text for c in ',"\n'):
+    if (alone and not text) or any(c in text for c in ',"\n\r'):
         return '"' + text.replace('"', '""') + '"'
     return text
 
@@ -382,7 +369,7 @@ def _optimizer_rows(source: str, points, label: str, **columns) -> list[dict]:
     rows = []
     for value, cfg in points:
         library = cfg.make_library()
-        report, consts = _solve(source, cfg, library, cfg.network())
+        _, report, consts = _solve(source, cfg, library, cfg.network())
         rows.append({
             **columns,
             label: value,
@@ -403,9 +390,8 @@ def _run_optimizer(config: ExperimentConfig):
     """The optimize-noise and optimize-sir scenarios; only the latter has a c column."""
     sir = config.scenario == "optimize-sir"
     fields = ["sweep", "sweep_value", "c"] if sir else ["sweep", "sweep_value"]
-    rows = _optimizer_rows(
-        config.scenario, _sweep_points(config), "sweep_value", sweep=config.sweep or ""
-    )
+    points = _sweep_points(config, config.sweep, config.sweep_grid)
+    rows = _optimizer_rows(config.scenario, points, "sweep_value", sweep=config.sweep)
     return fields + _CONTENT_FIELDS, rows
 
 
@@ -413,36 +399,32 @@ def _run_simulate(config: ExperimentConfig):
     fields = ["sweep", "sweep_value", "channel", "load_mode", "policy", "analytic",
               "estimate", "stderr", "trials"]
     rows = []
-    for value, cfg in _sweep_points(config):
+    for value, cfg in _sweep_points(config, config.sweep, config.sweep_grid):
         library = cfg.make_library()
         params = cfg.network()
-        solved, consts = _solve(cfg.policy_source, cfg, library, params)
-        policy = _policy_of(solved)
-        if cfg.channel == "noise":
-            est = simulate_noise_limited(library, params, policy, cfg.trials, cfg.seed)
-            analytic = success_noise(library, params, policy)
-            mode = ""
-        else:
+        interference = cfg.channel == "interference"
+        policy, _, consts = _solve(cfg.policy_source, cfg, library, params)
+        if interference:
             est = simulate_interference_limited(
                 library, params, policy, cfg.trials, cfg.seed, cfg.load_mode
             )
-            if consts is None:
+            if consts is None:  # resolved after the draw, which may refuse the network first
                 consts = _interference_constants(cfg, library, params)
             analytic = rayleigh_lower_bound(library, consts, policy)
-            mode = cfg.load_mode
-        rows.append(
-            {
-                "sweep": config.sweep or "",
-                "sweep_value": value,
-                "channel": cfg.channel,
-                "load_mode": mode,
-                "policy": _policy_string(policy.probs),
-                "analytic": analytic,
-                "estimate": est.estimate,
-                "stderr": est.stderr,
-                "trials": est.trials,
-            }
-        )
+        else:
+            est = simulate_noise_limited(library, params, policy, cfg.trials, cfg.seed)
+            analytic = success_noise(library, params, policy)
+        rows.append({
+            "sweep": config.sweep,
+            "sweep_value": value,
+            "channel": cfg.channel,
+            "load_mode": cfg.load_mode if interference else "",
+            "policy": _policy_string(policy.probs),
+            "analytic": analytic,
+            "estimate": est.estimate,
+            "stderr": est.stderr,
+            "trials": est.trials,
+        })
     return fields, rows
 
 
@@ -464,8 +446,9 @@ class FigureEntry:
 
 def _figure_3(config: ExperimentConfig, sweeps: dict):
     rows = []
-    for lam, m_d in sweeps["(helper_density, fading_desired)"]:
-        fields, part = _run_cdf(replace(config, helper_density=lam, fading_desired=m_d))
+    axis = "(helper_density, fading_desired)"
+    for _, cfg in _sweep_points(config, axis, sweeps[axis]):
+        fields, part = _run_cdf(cfg)
         rows.extend(part)
     return fields, rows
 
@@ -473,17 +456,16 @@ def _figure_3(config: ExperimentConfig, sweeps: dict):
 def _figure_4(config: ExperimentConfig, sweeps: dict):
     fields = ["gamma", "ps_proposed", "ps_mpc", "ps_uc", "policy_proposed"]
     rows = []
-    params = config.network()
-    for gamma in sweeps["gamma"]:
-        library = replace(config, gamma=gamma).make_library()
-        report = optimize_noise(library, params, config.memory)
+    for gamma, cfg in _sweep_points(config, "gamma", sweeps["gamma"]):
+        library, params = cfg.make_library(), cfg.network()
+        report = _solve("optimize-noise", cfg, library, params).report
         row = {
             "gamma": gamma,
             "ps_proposed": report.objective,
             "policy_proposed": _policy_string(report.policy.probs),
         }
         for name in ("mpc", "uc"):
-            baseline = baseline_policy(name, config.count, config.memory)
+            baseline = _solve(name, cfg, library, params).policy
             row[f"ps_{name}"] = success_noise(library, params, baseline)
         rows.append(row)
     return fields, rows
@@ -496,9 +478,9 @@ def _optimal_policy_sweep(settings, label):
 
 def _figure_5(config: ExperimentConfig, sweeps: dict):
     settings = [
-        (f"lambda={lam};m_d={m}", replace(config, helper_density=lam, fading_desired=m))
-        for lam in sweeps["helper_density"]
-        for m in sweeps["fading_desired"]
+        (f"lambda={lam};m_d={m}", cfg)
+        for lam, at in _sweep_points(config, "helper_density", sweeps["helper_density"])
+        for m, cfg in _sweep_points(at, "fading_desired", sweeps["fading_desired"])
     ]
     return _optimal_policy_sweep(settings, "setting")
 
@@ -506,7 +488,7 @@ def _figure_5(config: ExperimentConfig, sweeps: dict):
 def _policy_vs_one_field(config: ExperimentConfig, sweeps: dict):
     """Figures 6 and 7: the optimal policy at each value of one swept field."""
     ((name, values),) = sweeps.items()
-    return _optimal_policy_sweep([(v, replace(config, **{name: v})) for v in values], name)
+    return _optimal_policy_sweep(_sweep_points(config, name, values), name)
 
 
 def _p1_grid(config: ExperimentConfig, sweeps: dict) -> list[CachingPolicy]:
@@ -547,7 +529,7 @@ def _figure_approx_check(config: ExperimentConfig, sweeps: dict):
 def _figure_8(config: ExperimentConfig, sweeps: dict):
     fields = ["rho", "c", "p1_opt", "est_opt", "se_opt", "p1_subopt", "est_subopt",
               "se_subopt", "bound_subopt"]
-    points = [replace(config, rho=rho) for rho in sweeps["rho"]]
+    points = [cfg for _, cfg in _sweep_points(config, "rho", sweeps["rho"])]
     libraries = [sub.make_library() for sub in points]
     params = config.network()
     # the sampled networks do not depend on the target rate, so one pass
@@ -562,60 +544,50 @@ def _figure_8(config: ExperimentConfig, sweeps: dict):
     ]
     rows = []
     for sub, library, ests in zip(points, libraries, zip(*by_policy)):
-        report, consts = _solve("optimize-sir", _with_numeric_c(sub), library, params)
+        _, report, consts = _solve("optimize-sir", _with_numeric_c(sub), library, params)
         best = int(np.argmax([e.estimate for e in ests]))
         sub_est = simulate_interference_limited(
             library, params, report.policy, sub.trials, sub.seed
         )
-        rows.append(
-            {
-                "rho": sub.rho,
-                "c": consts.c,
-                "p1_opt": float(grid[best].probs[0]),
-                "est_opt": ests[best].estimate,
-                "se_opt": ests[best].stderr,
-                "p1_subopt": float(report.policy.probs[0]),
-                "est_subopt": sub_est.estimate,
-                "se_subopt": sub_est.stderr,
-                "bound_subopt": report.objective,
-            }
-        )
+        rows.append({
+            "rho": sub.rho,
+            "c": consts.c,
+            "p1_opt": float(grid[best].probs[0]),
+            "est_opt": ests[best].estimate,
+            "se_opt": ests[best].stderr,
+            "p1_subopt": float(report.policy.probs[0]),
+            "est_subopt": sub_est.estimate,
+            "se_subopt": sub_est.stderr,
+            "bound_subopt": report.objective,
+        })
     return fields, rows
 
 
 def _figure_9(config: ExperimentConfig, sweeps: dict):
     fields = ["block", "sweep_value", "strategy", "content", "p", "bound", "c"]
     rows = []
-    for gamma in sweeps["gamma"]:
-        cfg = replace(config, gamma=gamma)
+    for gamma, cfg in _sweep_points(config, "gamma", sweeps["gamma"]):
         library = cfg.make_library()
         params = cfg.network()
         strategies = {
-            "proposed-numeric-c": _solve(
-                "optimize-sir", _with_numeric_c(cfg), library, params
-            ),
+            "proposed-numeric-c": _solve("optimize-sir", _with_numeric_c(cfg), library, params),
             "proposed-load-c": _solve("optimize-sir", cfg, library, params),
             "mpc": _solve("mpc", cfg, library, params),
             "uc": _solve("uc", cfg, library, params),
         }
-        consts_eval = strategies["proposed-numeric-c"][1]
-        for name, (solved, consts) in strategies.items():
-            policy = _policy_of(solved)
-            rows.append(
-                {
-                    "block": "gamma-comparison",
-                    "sweep_value": gamma,
-                    "strategy": name,
-                    "content": "",
-                    "p": _policy_string(policy.probs),
-                    "bound": rayleigh_lower_bound(library, consts_eval, policy),
-                    "c": "" if consts is None else consts.c,
-                }
-            )
-    sweep = [
-        (lam_u, replace(config, count=count, user_density=lam_u))
-        for count, lam_u in sweeps["(count, user_density)"]
-    ]
+        consts_eval = strategies["proposed-numeric-c"].consts
+        for name, (policy, _, consts) in strategies.items():
+            rows.append({
+                "block": "gamma-comparison",
+                "sweep_value": gamma,
+                "strategy": name,
+                "content": "",
+                "p": _policy_string(policy.probs),
+                "bound": rayleigh_lower_bound(library, consts_eval, policy),
+                "c": "" if consts is None else consts.c,
+            })
+    axis = "(count, user_density)"
+    sweep = [(cfg.user_density, cfg) for _, cfg in _sweep_points(config, axis, sweeps[axis])]
     rows.extend(
         {**row, "block": "user-density-sweep", "strategy": "proposed-load-c",
          "p": row["p_opt"], "bound": row["objective"]}
@@ -705,6 +677,20 @@ def list_figures() -> list[dict]:
     ]
 
 
+def _figure(config: ExperimentConfig) -> FigureEntry:
+    fid = _FIGURE_ALIASES.get(config.figure, config.figure)
+    if fid not in FIGURES:
+        raise ConfigError(
+            f"unknown figure id {config.figure!r}; known: {sorted(FIGURES) + sorted(_FIGURE_ALIASES)}"
+        )
+    return FIGURES[fid]
+
+
+def _run_figure(config: ExperimentConfig):
+    entry = _figure(config)
+    return entry.runner(config, entry.sweeps)
+
+
 def run(config: ExperimentConfig) -> int:
     """Execute a scenario, writing the CSV and its JSON manifest.
 
@@ -713,21 +699,11 @@ def run(config: ExperimentConfig) -> int:
     """
     config.validate()
     start = time.perf_counter()
-    if config.scenario == "figure":
-        fid = _FIGURE_ALIASES.get(config.figure, config.figure)
-        if fid not in FIGURES:
-            raise ConfigError(
-                f"unknown figure id {config.figure!r}; known: {sorted(FIGURES) + sorted(_FIGURE_ALIASES)}"
-            )
-        entry = FIGURES[fid]
-        config = replace(config, **entry.setting)
-        fields, rows = entry.runner(config, entry.sweeps)
-    elif config.scenario == "cdf":
-        fields, rows = _run_cdf(config)
-    elif config.scenario == "simulate":
-        fields, rows = _run_simulate(config)
-    else:
-        fields, rows = _run_optimizer(config)
+    if config.scenario == "figure":  # run at, and record, the figure's setting
+        config = replace(config, **_figure(config).setting)
+    runner = {"cdf": _run_cdf, "optimize-noise": _run_optimizer, "optimize-sir": _run_optimizer,
+              "simulate": _run_simulate, "figure": _run_figure}[config.scenario]
+    fields, rows = runner(config)
     elapsed = time.perf_counter() - start
 
     out = Path(config.output)
@@ -743,7 +719,7 @@ def run(config: ExperimentConfig) -> int:
         partial.unlink(missing_ok=True)
     write_s = time.perf_counter() - start - elapsed
     manifest = {
-        "config": config.as_dict(),
+        "config": asdict(config),
         "seed": config.seed,
         "version": _version("cachegeo"),
         "versions": {"python": platform.python_version(), "numpy": _version("numpy"),

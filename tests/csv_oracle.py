@@ -10,6 +10,7 @@ its file must be byte-identical to this one.
 from __future__ import annotations
 
 import csv
+import io
 
 import numpy as np
 
@@ -32,8 +33,11 @@ def write_csv(path, fields: list[str], rows: list[dict]) -> int:
     """Write the header and every row cell by cell; returns the data lines written."""
     records = [record for row in rows for record in expand(row)]
     with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(fields)
-        for record in records:
-            writer.writerow([_fmt(record[name]) for name in fields])
+        for cells in [fields] + [[_fmt(record[name]) for name in fields] for record in records]:
+            # csv quotes a cell holding a character of the line terminator, and
+            # from Python 3.13 on one holding \r or \n whatever the terminator:
+            # "\r\n" gives the same quoting on every version
+            line = io.StringIO()
+            csv.writer(line, lineterminator="\r\n").writerow(cells)
+            handle.write(line.getvalue().removesuffix("\r\n") + "\n")
     return len(records)

@@ -464,6 +464,37 @@ class TestNakagamiLowerBound:
         with pytest.raises(ValueError, match=r"c \* min\(rate\) = 1e-310 is too small"):
             nakagami_lower_bound(lib, params, np.array([0.5]), c=1.0)
 
+    @pytest.mark.parametrize("m_d,rho", [(4, 20), (3, 28), (2, 40), (3, 40), (4, 28), (4, 40)])
+    def test_large_thresholds_match_high_precision(self, m_d, rho):
+        # the powers (p - a_0)^(j+1) overflowed: the bound was 11-40 % low
+        # at the first three settings and NaN at the last three
+        import warnings
+
+        import mpmath
+
+        lib = make_library(4, gamma=0.0, rates=[float(rho)] * 4)
+        params = make_params(lam=1e-5, alpha=3.0, m_d=float(m_d), m_i=1.0)
+        policy = np.full(4, 0.25)  # UC with M = 1
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = nakagami_lower_bound(lib, params, policy, c=20.0)
+        # the same k-sum at 80 digits, from the same double-precision a_n
+        a = _distance_exponents(np.expm1(20.0 * rho * math.log(2.0)), 0.25, params)
+        with mpmath.workdps(80):
+            a = [mpmath.mpf(float(x)) for x in np.ravel(a)]
+            P = [[mpmath.mpf(k == 0)] + [mpmath.mpf(0)] * (m_d - 1) for k in range(m_d)]
+            for k in range(1, m_d):
+                for j in range(k):
+                    for d in range(j + 1):
+                        P[k][d + 1] += math.comb(k - 1, j) * a[k - j] * P[j][d]
+            p = mpmath.mpf(0.25)
+            expected = float(sum(
+                (-1) ** k / mpmath.factorial(k) * P[k][j] * p * mpmath.factorial(j)
+                / (p - a[0]) ** (j + 1)
+                for k in range(m_d) for j in range(m_d)
+            ))
+        assert got == pytest.approx(expected, rel=1e-12)
+
     def test_rejects_fractional_desired_fading(self):
         lib = make_library(1)
         params = make_params(m_d=1.5)

@@ -209,8 +209,8 @@ def _run_rows(tmp_path, header: list, rows: list) -> Path:
 
 _EDGE_FLOATS = (math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, 2.5e-310, 1 / 3, 1e300)
 _FLOATS = st.one_of(st.sampled_from(_EDGE_FLOATS), st.floats())
-# csv quotes a cell holding a comma, quote or newline; the template must keep % literal
-_TEXT = st.text(alphabet=st.sampled_from(list('ab ,"\n%d.-')), max_size=6)
+# csv quotes a cell holding a comma, quote, \n or \r; the template must keep % literal
+_TEXT = st.text(alphabet=st.sampled_from(list('ab ,"\n\r%d.-')), max_size=6)
 _SINGLE_VALUES = st.one_of(
     _FLOATS, _TEXT, st.booleans(), st.integers(-(2**70), 2**70),
     _FLOATS.map(np.float64), st.integers(-(2**63), 2**63 - 1).map(np.int64),
@@ -730,26 +730,37 @@ class TestExitCodes:
         assert not (tmp_path / "r.csv").exists()
 
     @pytest.mark.parametrize(
-        "scenario, rho_max",
-        [(scenario, rho_max) for rho_max in ("1e300", "1e-300")
+        "scenario, case",
+        [(scenario, case) for case in ("huge", "tiny", "snr")
          for scenario in ("optimize-noise", "simulate")],
-        ids=["optimize-noise", "simulate", "optimize-noise-tiny", "simulate-tiny"],
+        ids=["optimize-noise", "simulate", "optimize-noise-tiny", "simulate-tiny",
+             "optimize-noise-snr", "simulate-snr"],
     )
-    def test_overflowing_rate_exits_2(self, tmp_path, scenario, rho_max):
+    def test_overflowing_rate_exits_2(self, tmp_path, scenario, case):
         # 2^rate overflowed and the run failed with "threshold factors must be
         # positive", naming neither the rate nor rho_max; at 1e-300, 2^rate - 1
-        # rounded to 0 and the thresholds divided by zero
+        # rounded to 0 and the thresholds divided by zero; at snr_db = 3000 and
+        # rho = 1e-10 the threshold snr / (2^rho - 1) overflowed, optimize-noise
+        # exited 3 on a [nan, inf] bracket and simulate exited 0
+        edits, message = {
+            "huge": ({"rho_max = 1.0": "rho_max = 1e300"},
+                     f"max(rate) = {uniform_rates(1e300, 6, 3).max():g} overflows"),
+            "tiny": ({"rho_max = 1.0": "rho_max = 1e-300"},
+                     f"min(rate) = {uniform_rates(1e-300, 6, 3).min():g} is too small"),
+            "snr": ({"snr_db = 20.0": "snr_db = 3000",
+                     "rate_mode = uniform": "rate_mode = constant\nrho = 1e-10"},
+                    "snr / (2^rate - 1) overflows at snr = 1e+300 and min(rate) = 1e-10"),
+        }[case]
+        text = BASE_CONFIG
+        for old, new in edits.items():
+            text = text.replace(old, new)
         config = tmp_path / "rate.ini"
-        config.write_text(BASE_CONFIG.replace("rho_max = 1.0", f"rho_max = {rho_max}"))
+        config.write_text(text)
         result = CliRunner().invoke(
             main, [scenario, "--config", str(config), "--out", str(tmp_path / "r.csv")]
         )
         assert result.exit_code == 2
-        rates = uniform_rates(float(rho_max), 6, 3)
-        if float(rho_max) > 1:
-            assert f"max(rate) = {rates.max():g} overflows" in result.stderr
-        else:
-            assert f"min(rate) = {rates.min():g} is too small" in result.stderr
+        assert message in result.stderr
         assert not (tmp_path / "r.csv").exists()
 
     def test_infinite_fading_exits_2(self, tmp_path):
