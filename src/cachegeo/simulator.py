@@ -36,7 +36,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .analytics import _snr_factor, mean_load_m1
+from .analytics import _noise_thresholds, mean_load_m1
 from .model import BUDGET_TOL, CachingPolicy, ContentLibrary, NetworkParams, budget_violation
 from .placement import BlockLayout, build_block_layout, cache_matrix
 
@@ -55,6 +55,9 @@ DEFAULT_WINDOW_MISS = 1e-3
 # checked against closed forms at a resolution where the 1e-3 truncation
 # bias would show.
 NOISE_WINDOW_MISS = 1e-6
+# Mean helper count of every noise window: pi p lambda R^2 for caching
+# probability p.
+_NOISE_WINDOW_COUNT = log(1.0 / NOISE_WINDOW_MISS)
 _NOISE_CHUNK = 4096
 _INTERF_CHUNK = 64
 # Users and candidate helpers paired per step of the instantaneous load,
@@ -143,10 +146,19 @@ def _segment_argmin(values: np.ndarray, counts: np.ndarray) -> np.ndarray:
     return out
 
 
-def _unit_xi_min(rng: np.random.Generator, mean_count: float, n: int, params: NetworkParams):
-    """n minima of u^(alpha/2) / g over Poisson(mean_count) helpers uniform on the
-    unit disc (+inf for empty trials); on a disc of radius R, xi_1 = R^alpha times this."""
-    counts = rng.poisson(mean_count, size=n)
+def _noise_scale(p, params: NetworkParams) -> np.ndarray:
+    """R^alpha of the noise window of caching probability p (scalar or
+    array): +inf for p = 0 and where it overflows."""
+    with np.errstate(divide="ignore", over="ignore"):
+        r2 = _NOISE_WINDOW_COUNT / (pi * np.asarray(p, dtype=float) * params.helper_density)
+        return r2 ** (params.pathloss_exp / 2.0)
+
+
+def _unit_xi_min(rng: np.random.Generator, n: int, params: NetworkParams):
+    """n minima of u^(alpha/2) / g over Poisson(_NOISE_WINDOW_COUNT) helpers
+    uniform on the unit disc (+inf for empty trials); on the noise window
+    of radius R, xi_1 = R^alpha times this."""
+    counts = rng.poisson(_NOISE_WINDOW_COUNT, size=n)
     total = int(counts.sum())
     unit = rng.random(total) ** (params.pathloss_exp / 2.0)
     return _segment_minima(unit / nakagami_gain(params.fading_desired, rng, total), counts)
@@ -167,17 +179,14 @@ def sample_xi_min(params: NetworkParams, p: float, trials: int, seed: int) -> np
     probability NOISE_WINDOW_MISS, because the whole distribution is
     compared, not a single threshold.
     """
+    if not 0 < p <= 1:
+        raise ValueError(f"caching probability p must lie in (0, 1], got p = {p}")
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    radius = window_radius(p, params.helper_density, NOISE_WINDOW_MISS)
-    with np.errstate(over="ignore"):
-        scale = np.float64(radius) ** params.pathloss_exp
-    mean_count = log(1.0 / NOISE_WINDOW_MISS)
     unit = np.concatenate([
-        _unit_xi_min(_substream(seed, c), mean_count, n, params)
-        for c, n in _chunk_grid(trials, _NOISE_CHUNK)
+        _unit_xi_min(_substream(seed, c), n, params) for c, n in _chunk_grid(trials, _NOISE_CHUNK)
     ])
-    return scale * unit
+    return _noise_scale(p, params) * unit
 
 
 def simulate_noise_limited(
@@ -211,16 +220,13 @@ def simulate_noise_limited(
         raise ValueError(f"infeasible policy: {violation}")
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    mean_count, alpha = log(1.0 / NOISE_WINDOW_MISS), params.pathloss_exp
-    with np.errstate(divide="ignore", over="ignore"):
-        thresholds = params.snr / _snr_factor(library.rates)
-        # R_i^alpha, from R_i^2 (inf for uncached contents)
-        scale = (mean_count / (pi * policy.probs * params.helper_density)) ** (alpha / 2)
+    thresholds = _noise_thresholds(library, params)  # raises before any draw
+    scale = _noise_scale(policy.probs, params)
 
     def worker(chunk_index: int, n: int) -> int:
         rng = _substream(seed, chunk_index)
         contents = rng.choice(library.count, size=n, p=library.popularity)
-        xi1 = scale[contents] * _unit_xi_min(rng, mean_count, n, params)
+        xi1 = scale[contents] * _unit_xi_min(rng, n, params)
         return int(np.count_nonzero(np.isfinite(xi1) & (xi1 <= thresholds[contents])))
 
     successes = sum(worker(c, n) for c, n in _chunk_grid(trials, _NOISE_CHUNK))
@@ -253,16 +259,15 @@ def _sample_chunk(
     library: ContentLibrary,
     params: NetworkParams,
     layout: BlockLayout,
-    helper_radius: float,
-    user_radius: float,
+    radius: float,
 ) -> _Chunk:
-    """Draw the helper and user processes, caches, typical-user gains and
-    requests of n trials, in one fixed order."""
-    helper_counts = rng.poisson(params.helper_density * pi * helper_radius**2, n)
-    user_counts = rng.poisson(params.user_density * pi * user_radius**2, n)
+    """Draw n trials' helper and user processes on the window disc, caches,
+    typical-user gains and requests, in one fixed order."""
+    helper_counts = rng.poisson(params.helper_density * pi * radius**2, n)
+    user_counts = rng.poisson(params.user_density * pi * radius**2, n)
     n_helpers, n_users = int(helper_counts.sum()), int(user_counts.sum())
-    helper_xy = _cartesian(*_disc_points(helper_radius, n_helpers, rng))
-    user_polar = _disc_points(user_radius, n_users, rng)
+    helper_xy = _cartesian(*_disc_points(radius, n_helpers, rng))
+    user_polar = _disc_points(radius, n_users, rng)
     caches = cache_matrix(layout, rng.random(n_helpers))
     desired = nakagami_gain(params.fading_desired, rng, n_helpers)
     interf = nakagami_gain(params.fading_interf, rng, n_helpers)
@@ -294,33 +299,26 @@ def _check_chunk_population(params: NetworkParams, p_min: float, miss_prob: floa
 
 
 def _typical_links(
-    counts: np.ndarray,
-    dist: np.ndarray,
-    caching: np.ndarray,
-    desired: np.ndarray,
-    interf: np.ndarray,
-    params: NetworkParams,
-    nearest: bool,
+    chunk: _Chunk, params: NetworkParams, nearest: bool
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Per-trial (xi, serving helper, interference) of the typical user.
 
-    The flat helper arrays are split into trials by counts; caching marks
-    the helpers caching the trial's request.  The serving helper is the
-    caching helper with the smallest reciprocal gain dist^alpha / desired,
-    or the nearest one when `nearest` (lowest index wins ties).  Every
-    other helper interferes: under strongest-channel selection, caching
-    helpers through the gains already revealed for selection and the rest
-    through their interfering-link gains; under nearest association, all
-    through interfering-link gains.  Trials with no caching helper get
-    xi = inf and serving helper -1.
+    The serving helper is the caching helper with the smallest reciprocal
+    gain dist^alpha / desired, or the nearest one when `nearest` (lowest
+    index wins ties).  Every other helper interferes: under
+    strongest-channel selection, caching helpers through the gains already
+    revealed for selection and the rest through their interfering-link
+    gains; under nearest association, all through interfering-link gains.
+    Trials with no caching helper get xi = inf and serving helper -1.
     """
     alpha = params.pathloss_exp
-    reciprocal = dist**alpha / desired
+    counts, dist, caching = chunk.helper_counts, chunk.helper_dist, chunk.caching
+    reciprocal = dist**alpha / chunk.desired
     serving = _segment_argmin(np.where(caching, dist if nearest else reciprocal, np.inf), counts)
     served = serving >= 0
     xi = np.full(counts.size, np.inf)
     xi[served] = reciprocal[serving[served]]
-    power = params.tx_power * interf * dist ** (-alpha)
+    power = params.tx_power * chunk.interf * dist ** (-alpha)
     if not nearest:
         power = np.where(caching, params.tx_power / reciprocal, power)
     power[serving[served]] = 0.0
@@ -333,22 +331,22 @@ def _serving_loads(
     serving: np.ndarray,
     library: ContentLibrary,
     params: NetworkParams,
-    rng: np.random.Generator | None = None,
+    rng: np.random.Generator,
     cap: np.ndarray | None = None,
     need: np.ndarray | None = None,
 ) -> np.ndarray:
     """Per-trial load of the serving helper: the typical user plus every
     user associating with it.
 
-    A user associates with one of its trial's helpers caching its request:
-    the one with the strongest instantaneous channel, on selection gains
-    drawn fresh from rng for each pair, or the nearest one without rng
-    (lowest index wins ties).  Only the e users whose request the serving
-    helper caches can choose it, so the load lies in [1, 1 + e].  Given each
-    trial's rate at load 1 (cap) and the (k, n) rate targets it must clear
-    (need), a trial whose outcome cap / load >= need is the same at both
-    bounds for every target gets the load 1 + e; only the users of the
-    other trials are paired, _PAIR_SLICE pairs at a time.  The gains are
+    A user associates with the one of its trial's helpers caching its
+    request that has the strongest instantaneous channel, on selection
+    gains drawn fresh from rng for each pair (lowest index wins ties).
+    Only the e users whose request the serving helper caches can choose
+    it, so the load lies in [1, 1 + e].  Given each trial's rate at load 1
+    (cap) and the (k, n) rate targets it must clear (need), a trial whose
+    outcome cap / load >= need is the same at both bounds for every target
+    gets the load 1 + e; only the users of the other trials are paired,
+    _PAIR_SLICE pairs at a time.  The gains are
     drawn slice by slice in user order up to the slice of the last paired
     user, so a pair's gain does not depend on cap, and nothing is drawn
     when no trial is paired.
@@ -381,8 +379,7 @@ def _serving_loads(
     while lo <= paired[-1]:
         # users lo..hi-1 hold at most _PAIR_SLICE pairs, or one user holds more
         hi = max(lo + 1, int(np.searchsorted(ends, starts[lo] + _PAIR_SLICE, "right")))
-        if rng is not None:
-            gain = nakagami_gain(params.fading_desired, rng, ends[hi - 1] - starts[lo])
+        gain = nakagami_gain(params.fading_desired, rng, ends[hi - 1] - starts[lo])
         a, b = np.searchsorted(paired, (lo, hi))
         if a < b:  # the slice holds undecided users
             part = paired[a:b]
@@ -392,11 +389,9 @@ def _serving_loads(
             pair_helper = helper[np.repeat(first[part], w) + rank]
             dx = xy[0, pair_user] - chunk.helper_xy[0, pair_helper]
             dy = xy[1, pair_user] - chunk.helper_xy[1, pair_helper]
-            metric = dx * dx + dy * dy
-            if rng is not None:
-                metric = metric ** (params.pathloss_exp / 2.0) / gain[
-                    np.repeat(starts[part] - starts[lo], w) + rank
-                ]
+            metric = (dx * dx + dy * dy) ** (params.pathloss_exp / 2.0) / gain[
+                np.repeat(starts[part] - starts[lo], w) + rank
+            ]
             chose = pair_helper[_segment_argmin(metric, w)] == target[users[part]]
             loads += np.bincount(trial[users[part[chose]]], minlength=n)
         lo = hi
@@ -494,16 +489,13 @@ def _simulate_interference_pass(
 
     for chunk_index, n in _chunk_grid(trials, _INTERF_CHUNK):
         rng = _substream(seed, chunk_index)
-        chunk = _sample_chunk(rng, n, library, params, layout, radius, radius)
+        chunk = _sample_chunk(rng, n, library, params, layout, radius)
         need = rates[:, chunk.content]
         links = {}  # association rule (nearest) -> (serving helper, rate at load 1)
         for mode in modes:
             nearest = mode == "long-term-assoc"
             if nearest not in links:
-                xi, serving, interference = _typical_links(
-                    chunk.helper_counts, chunk.helper_dist, chunk.caching, chunk.desired,
-                    chunk.interf, params, nearest,
-                )
+                xi, serving, interference = _typical_links(chunk, params, nearest)
                 served = serving >= 0
                 # a trial without a serving helper fails at any load
                 cap = np.zeros(n)

@@ -16,6 +16,7 @@ from cachegeo.placement import build_block_layout
 from cachegeo.simulator import (
     LOAD_MODES,
     MCEstimate,
+    _Chunk,
     _cartesian,
     _disc_points,
     _shared_rate,
@@ -44,7 +45,7 @@ def sample_networks(n, lam, lam_u, radius, seed):
     lib = make_library(3)
     layout = build_block_layout(CachingPolicy(np.array([0.5, 0.3, 0.2]), 1))
     rng = np.random.default_rng(seed)
-    return _sample_chunk(rng, n, lib, make_params(lam=lam, lam_u=lam_u), layout, radius, radius)
+    return _sample_chunk(rng, n, lib, make_params(lam=lam, lam_u=lam_u), layout, radius)
 
 
 class TestSamplePpp:
@@ -113,13 +114,16 @@ class TestNakagamiGain:
 
 
 def hand_links(dist, caching, desired, interf, nearest=False, counts=None, alpha=3.0):
-    """_typical_links on hand-made helpers (one trial unless counts is given)."""
+    """_typical_links on hand-made helpers (one trial unless counts is given);
+    the chunk fields it does not read are None."""
     dist = np.asarray(dist, float)
-    counts = np.array([dist.size] if counts is None else counts)
-    return _typical_links(
-        counts, dist, np.asarray(caching, bool), np.asarray(desired, float),
-        np.asarray(interf, float), make_params(alpha=alpha), nearest,
+    chunk = _Chunk(
+        helper_counts=np.array([dist.size] if counts is None else counts), helper_xy=None,
+        helper_dist=dist, caches=None, content=None, caching=np.asarray(caching, bool),
+        desired=np.asarray(desired, float), interf=np.asarray(interf, float),
+        user_counts=None, user_polar=None, requested=None,
     )
+    return _typical_links(chunk, make_params(alpha=alpha), nearest)
 
 
 class TestSmallestReciprocal:
@@ -145,6 +149,12 @@ class TestXiMinDistribution:
         xi = sample_xi_min(make_params(), 1e-300, trials=5000, seed=5105)
         assert xi.shape == (5000,)
         assert np.all(xi == np.inf)
+
+    @pytest.mark.parametrize("p", [math.nan, math.inf, 2.0, 0.0, -1.0])
+    def test_rejects_probability_outside_the_unit_interval(self, p):
+        # NaN gave NaN samples, inf gave zeros and 2 a doubled process
+        with pytest.raises(ValueError, match=rf"p must lie in \(0, 1\], got p = {p}"):
+            sample_xi_min(make_params(), p, trials=10, seed=1)
 
     @pytest.mark.parametrize("n", [1, simulator._NOISE_CHUNK, simulator._NOISE_CHUNK + 1])
     def test_returns_one_sample_per_trial(self, n):
@@ -219,12 +229,23 @@ class TestSimulateNoiseLimited:
         b = simulate_noise_limited(lib, params, uncached, trials=20_000, seed=5104)
         assert a == b
 
-    def test_overflowing_rate_names_the_rate(self):
-        # an infinite 2^rate made every threshold 0, so every trial failed silently
-        lib = make_library(2, rates=[1.0, 2000.0])
+    @pytest.mark.parametrize(
+        "rates, noise_power, message",
+        [
+            # an infinite 2^rate made every threshold 0, so every trial failed silently
+            ([1.0, 2000.0], 0.01, r"max\(rate\) = 2000 overflows"),
+            # an infinite threshold made every trial succeed
+            ([1.0, 1.0], 0.0, r"need noise_power > 0"),
+            ([1e-10, 1.0], 1e-300, r"snr / \(2\^rate - 1\) overflows"),
+        ],
+        ids=["rate", "noiseless", "threshold"],
+    )
+    def test_overflowing_rate_names_the_rate(self, monkeypatch, rates, noise_power, message):
+        monkeypatch.setattr(simulator, "_substream", lambda *a: pytest.fail("drew before refusing"))
+        params = NetworkParams(0.05, 0.002, 1.0, noise_power, 3.0)
         policy = CachingPolicy(np.array([0.5, 0.5]), 1)
-        with pytest.raises(ValueError, match=r"max\(rate\) = 2000 overflows"):
-            simulate_noise_limited(lib, make_params(), policy, trials=10, seed=1)
+        with pytest.raises(ValueError, match=message):
+            simulate_noise_limited(make_library(2, rates=rates), params, policy, trials=10, seed=1)
 
     def test_chunk_draws_do_not_grow_with_the_library(self, monkeypatch):
         calls = []
@@ -328,28 +349,6 @@ class TestTypicalLink:
         assert J == pytest.approx([1.0 + 4.0 / 27.0, 0.0, 1.0, 0.0])
 
 
-def brute_force_nearest_loads(chunk, serving):
-    """Per-trial load of the serving helper with a user x helper distance
-    matrix per trial (nearest caching helper, lowest index on ties)."""
-    loads = []
-    h_end, u_end = np.cumsum(chunk.helper_counts), np.cumsum(chunk.user_counts)
-    user_xy = _cartesian(*chunk.user_polar)
-    for t in range(serving.size):
-        h = np.arange(h_end[t] - chunk.helper_counts[t], h_end[t])
-        u = np.arange(u_end[t] - chunk.user_counts[t], u_end[t])
-        load = 1
-        if serving[t] >= 0 and u.size:
-            dist = np.hypot(
-                user_xy[0, u][:, None] - chunk.helper_xy[0, h][None, :],
-                user_xy[1, u][:, None] - chunk.helper_xy[1, h][None, :],
-            )
-            candidates = (chunk.caches[h][None] == chunk.requested[u][:, None, None]).any(2)
-            best = h[np.argmin(np.where(candidates, dist, np.inf), axis=1)]
-            load += int(np.sum(candidates.any(axis=1) & (best == serving[t])))
-        loads.append(load)
-    return np.array(loads, float)
-
-
 def fig4_setting(p1=0.5):
     lib = make_library(2, gamma=1.0, rates=[0.001, 0.001])
     params = make_params(lam=1e-5, lam_u=2e-5, alpha=3.0, m_d=1.0, m_i=1.0)
@@ -450,7 +449,7 @@ class TestRealizationAndLoad:
     def chunk(self, seed, n=64, radius=15.0):
         layout = build_block_layout(self.policy)
         rng = np.random.default_rng(seed)
-        return _sample_chunk(rng, n, self.lib, self.params, layout, radius, radius)
+        return _sample_chunk(rng, n, self.lib, self.params, layout, radius)
 
     def test_realization_counts_and_caches(self):
         chunks = [self.chunk(seed) for seed in range(5)]
@@ -483,29 +482,16 @@ class TestRealizationAndLoad:
         rng = np.random.default_rng(0)
         tracemalloc.start()
         try:
-            chunk = _sample_chunk(rng, 64, lib, params, layout, radius, radius)
+            chunk = _sample_chunk(rng, 64, lib, params, layout, radius)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < 40e6
         assert chunk.caches.shape == (chunk.helper_counts.sum(), memory)
 
-    @pytest.mark.parametrize("pair_slice", [8192, 7])
-    def test_nearest_loads_match_brute_force(self, monkeypatch, pair_slice):
-        monkeypatch.setattr(simulator, "_PAIR_SLICE", pair_slice)
-        c = self.chunk(seed=17)
-        _, serving, _ = _typical_links(
-            c.helper_counts, c.helper_dist, c.caching, c.desired, c.interf, self.params, True
-        )
-        loads = _serving_loads(c, serving, self.lib, self.params)
-        assert np.array_equal(loads, brute_force_nearest_loads(c, serving))
-        assert loads.max() > 2  # the check saw shared helpers
-
     def test_pair_slicing_does_not_change_strongest_channel_loads(self, monkeypatch):
         c = self.chunk(seed=17)
-        _, serving, _ = _typical_links(
-            c.helper_counts, c.helper_dist, c.caching, c.desired, c.interf, self.params, False
-        )
+        _, serving, _ = _typical_links(c, self.params, False)
         whole = _serving_loads(c, serving, self.lib, self.params, np.random.default_rng(3))
         monkeypatch.setattr(simulator, "_PAIR_SLICE", 5)
         assert np.array_equal(
@@ -547,10 +533,8 @@ class TestDecidedTrials:
     def test_bounded_loads_keep_outcomes_and_draws(self, monkeypatch, memory, pair_slice):
         monkeypatch.setattr(simulator, "_PAIR_SLICE", pair_slice)
         layout = build_block_layout(CachingPolicy(np.array(self.policies[memory]), memory))
-        c = _sample_chunk(np.random.default_rng(29), 64, self.lib, self.params, layout, 15.0, 15.0)
-        xi, serving, J = _typical_links(
-            c.helper_counts, c.helper_dist, c.caching, c.desired, c.interf, self.params, False
-        )
+        c = _sample_chunk(np.random.default_rng(29), 64, self.lib, self.params, layout, 15.0)
+        xi, serving, J = _typical_links(c, self.params, False)
         served = serving >= 0
         cap = np.zeros(serving.size)
         cap[served] = _shared_rate(xi[served], J[served], 1.0, self.params.tx_power)
@@ -585,10 +569,8 @@ class TestDecidedTrials:
 
     def test_chunk_with_every_trial_decided_draws_nothing(self):
         layout = build_block_layout(CachingPolicy(np.array(self.policies[3]), 3))
-        c = _sample_chunk(np.random.default_rng(29), 64, self.lib, self.params, layout, 15.0, 15.0)
-        xi, serving, J = _typical_links(
-            c.helper_counts, c.helper_dist, c.caching, c.desired, c.interf, self.params, False
-        )
+        c = _sample_chunk(np.random.default_rng(29), 64, self.lib, self.params, layout, 15.0)
+        xi, serving, J = _typical_links(c, self.params, False)
         cap = np.zeros(serving.size)
         cap[serving >= 0] = _shared_rate(xi[serving >= 0], J[serving >= 0], 1.0, 1.0)
         rng = np.random.default_rng(3)
