@@ -9,6 +9,7 @@ manifest).  Densities are per square meter, rates bits/s/Hz.
 from __future__ import annotations
 
 import configparser
+import functools
 import json
 import math
 import os
@@ -757,8 +758,10 @@ def _write_row(handle, fields: list[str], row: dict) -> int:
     return lengths.pop()
 
 
+@functools.cache
 def _version(package: str) -> str:
-    """An installed package's version, read without importing it."""
+    """An installed package's version, read without importing it; each
+    metadata scan runs once per process."""
     try:
         return metadata.version(package)
     except metadata.PackageNotFoundError:

@@ -112,6 +112,20 @@ class TestNakagamiGain:
         with pytest.raises(ValueError):
             nakagami_gain(0.4, np.random.default_rng(0))
 
+    @pytest.mark.parametrize("m", [0.5, 1.0, 1.5, 3.0])
+    def test_drawing_into_a_buffer_keeps_the_bits(self, m):
+        # the noise kernel draws its gains into a reused buffer
+        fast, reference = np.random.default_rng(9), np.random.default_rng(9)
+        buffer = np.empty(10**4)
+        gain = nakagami_gain(m, fast, out=buffer)
+        if m == 1:
+            expected = reference.standard_exponential(10**4)
+        else:
+            expected = reference.gamma(m, 1.0 / m, 10**4)
+        assert gain is buffer
+        assert np.array_equal(gain, expected)
+        assert fast.random() == reference.random()
+
 
 def hand_links(dist, caching, desired, interf, nearest=False, counts=None, alpha=3.0):
     """_typical_links on hand-made helpers (one trial unless counts is given);
@@ -176,6 +190,38 @@ class TestXiMinDistribution:
         empirical = np.searchsorted(xi, grid, side="right") / xi.size
         analytic = xi1_cdf(grid, 1.0, params)
         assert np.max(np.abs(empirical - analytic)) < 0.015
+
+
+class TestRequests:
+    """The request sampler must take Generator.choice(F, n, p=popularity)'s
+    indices and leave the generator where choice leaves it."""
+
+    @pytest.mark.parametrize("count", [1, 2, 20, 10**4, 10**6])
+    @pytest.mark.parametrize("gamma", [0.0, 0.8, 1.5])
+    def test_matches_choice_bit_for_bit(self, count, gamma):
+        popularity = zipf_popularity(count, gamma)
+        requests = simulator._Requests(popularity)
+        for seed in range(5):
+            fast, reference = np.random.default_rng(seed), np.random.default_rng(seed)
+            drawn = requests(fast, 5000)
+            expected = reference.choice(count, 5000, p=popularity)
+            assert drawn.dtype == expected.dtype
+            assert np.array_equal(drawn, expected)
+            assert fast.random() == reference.random()
+
+    def test_a_uniform_on_a_cdf_value_takes_the_next_content(self):
+        # continuous draws almost never tie, so pin choice's tie rule:
+        # content i owns [cdf[i-1], cdf[i])
+        class Fixed:
+            def random(self, n):
+                return u
+
+        popularity = zipf_popularity(20, 0.8)
+        cdf = np.cumsum(popularity)
+        cdf /= cdf[-1]
+        u = np.concatenate([[0.0], cdf[:-1], [np.nextafter(1.0, 0.0)]])
+        drawn = simulator._Requests(popularity)(Fixed(), u.size)
+        assert np.array_equal(drawn, np.concatenate([[0], np.arange(1, 20), [19]]))
 
 
 class TestSimulateNoiseLimited:
@@ -247,6 +293,19 @@ class TestSimulateNoiseLimited:
         with pytest.raises(ValueError, match=message):
             simulate_noise_limited(make_library(2, rates=rates), params, policy, trials=10, seed=1)
 
+    def test_a_larger_call_leaves_no_state_behind(self):
+        # each call owns its draw buffers: an earlier, larger call with more
+        # helpers per chunk must not change a later call's result
+        lib = make_library(4)
+        small, large = make_params(), make_params(lam=0.2, alpha=4.0, m_d=3.0)
+        policy = CachingPolicy(np.array([0.6, 0.5, 0.3, 0.1]), 2)
+        first = simulate_noise_limited(lib, small, policy, trials=3000, seed=4)
+        xi = sample_xi_min(small, 0.5, trials=3000, seed=4)
+        simulate_noise_limited(lib, large, policy, trials=3 * simulator._NOISE_CHUNK, seed=5)
+        sample_xi_min(large, 1.0, trials=3 * simulator._NOISE_CHUNK, seed=5)
+        assert simulate_noise_limited(lib, small, policy, trials=3000, seed=4) == first
+        assert np.array_equal(sample_xi_min(small, 0.5, trials=3000, seed=4), xi)
+
     def test_chunk_draws_do_not_grow_with_the_library(self, monkeypatch):
         calls = []
 
@@ -266,7 +325,7 @@ class TestSimulateNoiseLimited:
             lib = make_library(count, gamma=0.8)
             policy = CachingPolicy(np.full(count, 5.0 / count), 5)
             simulate_noise_limited(lib, params, policy, trials=simulator._NOISE_CHUNK, seed=1)
-            assert calls == ["choice", "poisson", "random", "standard_exponential"]
+            assert calls == ["random", "poisson", "random", "standard_exponential"]
 
 
 class TestLargeLibraryNoiseLimited:
