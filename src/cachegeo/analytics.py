@@ -63,10 +63,18 @@ def _kappa(params: NetworkParams) -> float:
     return math.pi * params.helper_density * _fading_moment(params.delta, params.fading_desired)
 
 
-def _probs_of(policy) -> np.ndarray:
+def _probs_of(policy, library: ContentLibrary) -> np.ndarray:
+    """The caching probabilities of a CachingPolicy, or of an array with
+    contents on its last axis, once they are known to cover the library."""
     if isinstance(policy, CachingPolicy):
-        return policy.probs
-    return np.asarray(policy, dtype=float)
+        probs, length = policy.probs, policy.count
+    else:
+        probs = np.asarray(policy, dtype=float)
+        length = probs.shape[-1] if probs.ndim else 1
+    if length != library.count:
+        raise ValueError(f"the policy has {length} entries but the library has "
+                         f"{library.count} contents")
+    return probs
 
 
 def _snr_factor(rates) -> np.ndarray:
@@ -92,7 +100,7 @@ def _noise_thresholds(library: ContentLibrary, params: NetworkParams) -> np.ndar
         raise ValueError(f"the SNR threshold snr / (2^rate - 1) overflows at snr = {params.snr:g} "
                          f"and min(rate) = {np.min(library.rates):g}")
     if not np.all(theta > 0):
-        raise ValueError(f"tx_power / noise_power = {params.snr:g} is too small: "
+        raise ValueError(f"snr = {params.snr:g} is too small: "
                          "the SNR threshold snr / (2^rate - 1) rounds to 0")
     return theta
 
@@ -115,7 +123,7 @@ def success_noise(library: ContentLibrary, params: NetworkParams, policy):
     array whose last axis indexes contents; leading axes broadcast, so a
     batch of policies evaluates in one call.
     """
-    per_content = xi1_cdf(_noise_thresholds(library, params), _probs_of(policy), params)
+    per_content = xi1_cdf(_noise_thresholds(library, params), _probs_of(policy, library), params)
     out = np.sum(library.popularity * per_content, axis=-1)
     return float(out) if np.ndim(out) == 0 else out
 
@@ -215,7 +223,7 @@ def rayleigh_lower_bound(library: ContentLibrary, consts: InterferenceConstants,
     concave in p_i.  Accepts a CachingPolicy or an array with contents on
     the last axis (leading axes broadcast).
     """
-    probs = _probs_of(policy)
+    probs = _probs_of(policy, library)
     terms = probs / ((1.0 - consts.A) * probs + consts.B)
     out = np.sum(library.popularity * terms, axis=-1)
     return float(out) if np.ndim(out) == 0 else out
@@ -262,17 +270,6 @@ def _exponent_coefficients(W, p, params: NetworkParams, order: int) -> np.ndarra
     return np.array(out)
 
 
-def _distance_exponents(tau, p, params: NetworkParams) -> np.ndarray:
-    """a_0..a_{m_D-1} with s^n g^(n)(s) = a_n pi lambda r^2 at s = m_D tau r^alpha / P.
-
-    There r / v* = (m_I / (m_D tau))^(1/alpha) does not depend on r, so
-    neither do the a_n.
-    """
-    m_d = int(params.fading_desired)
-    W = params.fading_interf / (m_d * np.asarray(tau, dtype=float))
-    return W ** (-params.delta) * _exponent_coefficients(W, p, params, m_d - 1)
-
-
 def _success_polynomial(a: np.ndarray) -> np.ndarray:
     """Coefficients in y of Q(y) = e^(-a_0 y) sum_k (-s)^k L^(k)(s) / k!.
 
@@ -308,17 +305,19 @@ def nakagami_lower_bound(
     if params.fading_desired != int(params.fading_desired):
         raise NotImplementedError("the k-sum requires an integer desired-link fading shape")
     tau = _sir_threshold(library.rates, c)
-    probs = _probs_of(policy)
+    probs = _probs_of(policy, library)
     if probs.ndim != 1:
         raise ValueError("nakagami_lower_bound evaluates one policy at a time")
     cached = probs > 0
     p = probs[cached]
+    # at s = m_D tau r^alpha / P, W = (r / v*)^alpha = m_I / (m_D tau) does
+    # not depend on r, so neither do the a_n of s^n g^(n)(s) = a_n pi lambda r^2
     with np.errstate(over="ignore", divide="ignore"):
         W = params.fading_interf / (params.fading_desired * tau[cached])
     _require_resolvable(
         np.isfinite(W), library.rates[cached], c, "m_I / (m_D tau) overflows at tau = 2^(c rate) - 1"
     )
-    a = _distance_exponents(tau[cached], p, params)
+    a = W ** (-params.delta) * _exponent_coefficients(W, p, params, int(params.fading_desired) - 1)
     unit = p - a[0]
     q = _success_polynomial(a / unit)
     j = np.arange(q.shape[0])[:, None]

@@ -3,8 +3,9 @@ reproduction, and machine-readable outputs (CSV rows + a JSON manifest).
 
 Configs are INI files with [network], [library], [policy], and
 [experiment] sections; command-line flags override file values.  SNR is
-given in dB and converted to linear watts internally (noted in the
-manifest).  Densities are per square meter, rates bits/s/Hz.
+given in dB and converted to a noise power in units of the transmit
+power (noted in the manifest).  Densities are per square meter, rates
+bits/s/Hz.
 """
 from __future__ import annotations
 
@@ -86,7 +87,6 @@ class ExperimentConfig:
     scenario: str = _declare(choices=tuple(SCENARIOS))
     helper_density: float = _declare(0.05, "network", sweep=True)
     user_density: float = _declare(0.002, "network", sweep=True)
-    tx_power: float = _declare(1.0, "network")
     snr_db: float = _declare(20.0, "network", sweep=True)
     pathloss_exp: float = _declare(3.0, "network")
     fading_desired: float = _declare(1.0, "network", sweep=True)
@@ -145,17 +145,17 @@ class ExperimentConfig:
             snr = 10.0 ** (self.snr_db / 10.0)
         except OverflowError:  # beyond the float range: noiseless, as snr_db = inf
             snr = math.inf
-        noise_power = self.tx_power / snr if snr > 0 else math.inf
-        # a non-finite tx_power is NetworkParams' to report
-        if math.isfinite(self.tx_power) and not math.isfinite(noise_power):
+        # powers are in units of the transmit power, which cancels from the SIR
+        noise_power = 1.0 / snr if snr > 0 else math.inf
+        if not math.isfinite(noise_power):
             raise ConfigError(
-                f"snr_db = {self.snr_db} gives a noise power tx_power / 10^(snr_db/10) "
+                f"snr_db = {self.snr_db} gives a noise power 10^(-snr_db/10) "
                 f"of {noise_power}; it must be finite"
             )
         return NetworkParams(
             helper_density=self.helper_density,
             user_density=self.user_density,
-            tx_power=self.tx_power,
+            tx_power=1.0,
             noise_power=noise_power,
             pathloss_exp=self.pathloss_exp,
             fading_desired=self.fading_desired,
@@ -730,7 +730,8 @@ def run(config: ExperimentConfig) -> int:
         "rows": lines,
         "output": str(out),
         "notes": {
-            "snr": "snr_db is converted to linear watts internally (noise_power = tx_power / 10^(snr_db/10))",
+            "snr": "powers are in units of the transmit power: snr_db sets noise_power = "
+                   "10^(-snr_db/10), and the interference channel works in SIR",
             "units": "densities per m^2, powers linear watts, rates bits/s/Hz",
         },
     }

@@ -39,7 +39,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .analytics import _noise_thresholds, mean_load_m1
+from .analytics import _noise_thresholds, _probs_of, mean_load_m1
 from .model import BUDGET_TOL, CachingPolicy, ContentLibrary, NetworkParams, budget_violation
 from .placement import BlockLayout, build_block_layout, cache_matrix
 
@@ -49,7 +49,6 @@ __all__ = [
     "sample_xi_min",
     "simulate_noise_limited",
     "simulate_interference_limited",
-    "window_radius",
     "LOAD_MODES",
 ]
 
@@ -97,13 +96,12 @@ def _substream(seed: int, index: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(index,)))
 
 
-def window_radius(p: float, helper_density: float, miss_prob: float = DEFAULT_WINDOW_MISS) -> float:
-    """Disc radius with P[nearest helper of a p-thinned process beyond it] = miss_prob."""
-    if p <= 0 or helper_density <= 0:
-        raise ValueError("window radius needs a positive thinned intensity")
-    if not 0 < miss_prob < 1:
-        raise ValueError("miss_prob must lie in (0, 1)")
-    return float(np.sqrt(log(1.0 / miss_prob) / (pi * p * helper_density)))
+def _window_r2(p, helper_density: float, miss_prob: float):
+    """R^2 of the disc whose p-thinned helper process (p scalar or array)
+    is empty with probability miss_prob: ln(1 / miss_prob) = pi p lambda R^2.
+    +inf for p = 0 and where it overflows."""
+    with np.errstate(divide="ignore", over="ignore"):
+        return log(1.0 / miss_prob) / (pi * np.asarray(p, dtype=float) * helper_density)
 
 
 def _disc_points(radius: float, count: int, rng: np.random.Generator) -> np.ndarray:
@@ -146,9 +144,8 @@ def _segment_argmin(values: np.ndarray, counts: np.ndarray) -> np.ndarray:
 def _noise_scale(p, params: NetworkParams) -> np.ndarray:
     """R^alpha of the noise window of caching probability p (scalar or
     array): +inf for p = 0 and where it overflows."""
-    with np.errstate(divide="ignore", over="ignore"):
-        r2 = _NOISE_WINDOW_COUNT / (pi * np.asarray(p, dtype=float) * params.helper_density)
-        return r2 ** (params.pathloss_exp / 2.0)
+    with np.errstate(over="ignore"):
+        return _window_r2(p, params.helper_density, NOISE_WINDOW_MISS) ** (params.pathloss_exp / 2.0)
 
 
 class _UnitXiMin:
@@ -255,13 +252,14 @@ def simulate_noise_limited(
     fixed thresholds: at miss 1e-3 the truncation bias is a few per mille,
     visible against the closed form at 1e5 trials.
     """
+    probs = _probs_of(policy, library)
     violation = budget_violation(policy)
     if violation is not None:
         raise ValueError(f"infeasible policy: {violation}")
     if trials < 1:
         raise ValueError("trials must be >= 1")
     thresholds = _noise_thresholds(library, params)  # raises before any draw
-    scale = _noise_scale(policy.probs, params)
+    scale = _noise_scale(probs, params)
     requests, kernel = _Requests(library.popularity), _UnitXiMin(params)
     minima = np.empty(_NOISE_CHUNK)
 
@@ -323,15 +321,11 @@ def _sample_chunk(
     )
 
 
-def _check_chunk_population(params: NetworkParams, p_min: float, miss_prob: float) -> None:
-    """Refuse a window whose chunk would hold more than _CHUNK_POPULATION
-    helpers and users on average.
-
-    The window holds ln(1 / miss_prob) / p_min helpers per trial on average,
-    and user_density / helper_density users per helper.
-    """
+def _check_chunk_population(params: NetworkParams, r2: float, p_min: float) -> None:
+    """Refuse a window of radius^2 r2 whose chunk would hold more than
+    _CHUNK_POPULATION helpers and users on average."""
     ratio = params.user_density / params.helper_density
-    population = _INTERF_CHUNK * log(1.0 / miss_prob) / p_min * (1.0 + ratio)
+    population = _INTERF_CHUNK * pi * r2 * (params.helper_density + params.user_density)
     if population > _CHUNK_POPULATION:
         raise ValueError(
             f"a {_INTERF_CHUNK}-trial chunk would hold {population:.3g} helpers and users on "
@@ -361,9 +355,9 @@ def _typical_links(
     served = serving >= 0
     xi = np.full(counts.size, np.inf)
     xi[served] = reciprocal[serving[served]]
-    power = params.tx_power * chunk.interf * dist ** (-alpha)
+    power = chunk.interf * dist ** (-alpha)
     if not nearest:
-        power = np.where(caching, params.tx_power / reciprocal, power)
+        power = np.where(caching, 1.0 / reciprocal, power)
     power[serving[served]] = 0.0
     trial = np.repeat(np.arange(counts.size), counts)
     return xi, serving, np.bincount(trial, weights=power, minlength=counts.size)
@@ -441,12 +435,11 @@ def _serving_loads(
     return loads
 
 
-def _shared_rate(
-    xi: np.ndarray, interference: np.ndarray, load: np.ndarray, tx_power: float
-) -> np.ndarray:
-    """Shared-resource rate (1/N) log2(1 + P / (xi J)); infinite SIR when J = 0."""
+def _shared_rate(xi: np.ndarray, interference: np.ndarray, load: np.ndarray) -> np.ndarray:
+    """Shared-resource rate (1/N) log2(1 + 1 / (xi J)), with the interference
+    J in units of the transmit power; infinite SIR when J = 0."""
     with np.errstate(divide="ignore"):
-        return np.log2(1.0 + tx_power / (xi * interference)) / load
+        return np.log2(1.0 + 1.0 / (xi * interference)) / load
 
 
 def simulate_interference_limited(
@@ -502,6 +495,9 @@ def _simulate_interference_pass(
     for mode in load_modes:
         if mode not in LOAD_MODES:
             raise ValueError(f"unknown load_mode {mode!r}, expected one of {LOAD_MODES}")
+    if not 0 < window_miss_prob < 1:  # NaN fails too
+        raise ValueError(f"window_miss_prob must lie in (0, 1), got {window_miss_prob}")
+    _probs_of(policy, library)
     layout = build_block_layout(policy)  # raises on an infeasible policy
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -518,8 +514,10 @@ def _simulate_interference_pass(
     successes = {mode: np.zeros(len(rates), np.int64) for mode in load_modes}
     if positive.size == 0:
         return {mode: [MCEstimate.from_counts(0, trials)] * len(rates) for mode in successes}
-    radius = window_radius(float(positive.min()), params.helper_density, window_miss_prob)
-    _check_chunk_population(params, float(positive.min()), window_miss_prob)
+    p_min = float(positive.min())
+    r2 = float(_window_r2(p_min, params.helper_density, window_miss_prob))
+    _check_chunk_population(params, r2, p_min)
+    radius = float(np.sqrt(r2))
     if mean_modes:
         # no helper caches a content of probability 0: its load is unbounded
         mean_load = np.array([
@@ -542,7 +540,7 @@ def _simulate_interference_pass(
                 served = serving >= 0
                 # a trial without a serving helper fails at any load
                 cap = np.zeros(n)
-                cap[served] = _shared_rate(xi[served], interference[served], 1.0, params.tx_power)
+                cap[served] = _shared_rate(xi[served], interference[served], 1.0)
                 links[nearest] = serving, cap
             serving, cap = links[nearest]
             if mode == "instantaneous":

@@ -19,7 +19,7 @@ from cachegeo.simulator import (
     _sample_chunk,
     _substream,
     _typical_links,
-    window_radius,
+    _window_r2,
 )
 
 
@@ -71,7 +71,7 @@ def empirical_mean_load(
     positive = policy.probs[policy.probs > BUDGET_TOL]
     if positive.size == 0:
         raise ValueError("the policy caches no content, so no helper can serve a request")
-    radius = window_radius(float(positive.min()), params.helper_density, NOISE_WINDOW_MISS)
+    radius = float(np.sqrt(_window_r2(positive.min(), params.helper_density, NOISE_WINDOW_MISS)))
     layout = build_block_layout(policy)
 
     total, measured = 0.0, 0

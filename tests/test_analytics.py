@@ -10,7 +10,6 @@ from scipy.special import hyp2f1
 import quad_oracle
 from cachegeo.analytics import (
     InterferenceConstants,
-    _distance_exponents,
     _exponent_coefficients,
     _fading_moment,
     _kappa,
@@ -174,7 +173,7 @@ class TestSuccessNoise:
             assert np.array_equal(success_noise(lib, params, policy), expected)
 
     def test_threshold_rounding_to_zero_rejected(self):
-        # tx_power / noise_power underflows to 0; the message named only
+        # snr = tx_power / noise_power underflows to 0; the message named only
         # "threshold factors"
         lib = make_library(3)
         params = NetworkParams(0.05, 0.002, 1e-300, 1e300, 3.0)
@@ -213,11 +212,20 @@ def constants_at(tau, alpha):
     return InterferenceConstants.from_rates(np.atleast_1d(rates), alpha, 1.0)
 
 
+def distance_exponents(tau, p, params):
+    """a_0..a_{m_D-1} with s^n g^(n)(s) = a_n pi lambda r^2 at s = m_D tau r^alpha / P,
+    computed as nakagami_lower_bound computes them (W = (r / v*)^alpha)."""
+    W = params.fading_interf / (params.fading_desired * np.asarray(tau, dtype=float))
+    return W ** (-params.delta) * _exponent_coefficients(
+        W, p, params, int(params.fading_desired) - 1
+    )
+
+
 def success_given_distance(r, tau, p, params):
     """P[fading beats the interference threshold | serving distance r]:
     e^(a_0 y) Q(y) at y = pi lambda r^2, the integrand of the distance
     average in nakagami_lower_bound."""
-    a = _distance_exponents(tau, p, params)
+    a = distance_exponents(tau, p, params)
     y = math.pi * params.helper_density * r * r
     return math.exp(a[0] * y) * float(np.polyval(_success_polynomial(a)[::-1], y))
 
@@ -479,7 +487,7 @@ class TestNakagamiLowerBound:
             warnings.simplefilter("error")
             got = nakagami_lower_bound(lib, params, policy, c=20.0)
         # the same k-sum at 80 digits, from the same double-precision a_n
-        a = _distance_exponents(np.expm1(20.0 * rho * math.log(2.0)), 0.25, params)
+        a = distance_exponents(np.expm1(20.0 * rho * math.log(2.0)), 0.25, params)
         with mpmath.workdps(80):
             a = [mpmath.mpf(float(x)) for x in np.ravel(a)]
             P = [[mpmath.mpf(k == 0)] + [mpmath.mpf(0)] * (m_d - 1) for k in range(m_d)]

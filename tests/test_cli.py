@@ -101,7 +101,9 @@ class TestConfig:
             load_config(str(path), "simulate")
 
     def test_snr_conversion(self):
-        params = ExperimentConfig(scenario="simulate", snr_db=20.0, tx_power=1.0).network()
+        # powers are in units of the transmit power, so snr_db alone sets the SNR
+        params = ExperimentConfig(scenario="simulate", snr_db=20.0).network()
+        assert params.tx_power == 1.0
         assert params.snr == pytest.approx(100.0)
 
 
@@ -635,8 +637,8 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("command", ["optimize-noise", "simulate"])
     def test_zero_tx_power_exits_2(self, tmp_path, command):
-        # optimize-noise blamed snr_db, and interference-channel simulate of
-        # the uc baseline wrote estimate 0 under a 0/0 RuntimeWarning
+        # the transmit power cancels from every output, so it is no config
+        # key; a zero power once wrote estimate 0 under a 0/0 RuntimeWarning
         config = tmp_path / "silent.ini"
         config.write_text(
             BASE_CONFIG.replace("snr_db = 20.0", "tx_power = 0\nsnr_db = 20.0")
@@ -647,7 +649,7 @@ class TestExitCodes:
             main, [command, "--config", str(config), "--out", str(tmp_path / "t.csv")]
         )
         assert result.exit_code == 2
-        assert "tx_power must be > 0" in result.output
+        assert "unknown keys in [network]: ['tx_power']" in result.output
         assert not (tmp_path / "t.csv").exists()
 
     @pytest.mark.parametrize("snr_db", ["-inf", "-3500", "nan"])

@@ -9,7 +9,14 @@ from scipy import stats
 
 from load_oracle import empirical_mean_load
 from cachegeo import simulator
-from cachegeo.analytics import mean_load_m1, success_noise, xi1_cdf
+from cachegeo.analytics import (
+    InterferenceConstants,
+    mean_load_m1,
+    nakagami_lower_bound,
+    rayleigh_lower_bound,
+    success_noise,
+    xi1_cdf,
+)
 from cachegeo.model import CachingPolicy, ContentLibrary, NetworkParams, zipf_popularity
 from cachegeo.optimizer import optimize_noise
 from cachegeo.placement import build_block_layout
@@ -23,11 +30,11 @@ from cachegeo.simulator import (
     _sample_chunk,
     _serving_loads,
     _typical_links,
+    _window_r2,
     nakagami_gain,
     sample_xi_min,
     simulate_interference_limited,
     simulate_noise_limited,
-    window_radius,
 )
 
 
@@ -353,12 +360,12 @@ class TestLargeLibraryNoiseLimited:
 
 class TestDeliveryRate:
     def test_zero_interference_gives_infinite_rate(self):
-        rate = _shared_rate(np.array([2.0]), np.array([0.0]), np.array([3.0]), 1.0)
+        rate = _shared_rate(np.array([2.0]), np.array([0.0]), np.array([3.0]))
         assert rate[0] == np.inf
 
     def test_finite_case(self):
         # SIR = 1/(2*0.5) = 1 -> log2(2) = 1, load 2 -> 0.5
-        rate = _shared_rate(np.array([2.0]), np.array([0.5]), np.array([2.0]), 1.0)
+        rate = _shared_rate(np.array([2.0]), np.array([0.5]), np.array([2.0]))
         assert rate[0] == pytest.approx(0.5)
 
 
@@ -394,7 +401,7 @@ class TestTypicalLink:
         assert serving[0] == 0
         assert xi[0] == pytest.approx(125.0 / 2.0)
         assert J[0] == 0.0
-        assert _shared_rate(xi, J, np.array([5.0]), 1.0)[0] == np.inf  # succeeds for any rate
+        assert _shared_rate(xi, J, np.array([5.0]))[0] == np.inf  # succeeds for any rate
 
     def test_trials_are_separate_segments(self):
         # trial 0: the hand network above; trial 1: empty; trial 2: nobody caches;
@@ -475,11 +482,31 @@ class TestSimulateInterferenceLimited:
         est = simulate_interference_limited(lib, params, policy, 4000, seed=42, window_miss_prob=0.5)
         assert abs(est.estimate - window_presence(lib, params, policy)) <= 3.0 * est.stderr
 
+    @pytest.mark.parametrize("miss_prob", [0.0, 1.0, math.nan])
+    def test_window_miss_prob_is_checked_before_any_draw(self, monkeypatch, miss_prob):
+        monkeypatch.setattr(simulator, "_substream", lambda *a: pytest.fail("drew before refusing"))
+        lib, params, policy = fig4_setting()
+        with pytest.raises(ValueError, match=r"window_miss_prob must lie in \(0, 1\)"):
+            simulate_interference_limited(lib, params, policy, 10, 0, window_miss_prob=miss_prob)
+
+    def test_transmit_power_cancels_from_every_load_mode(self):
+        # the engine works in SIR: scaling both powers leaves every count unchanged
+        lib, _, policy = fig4_setting(0.6)
+        estimates = [
+            simulator._simulate_interference_pass(
+                lib, NetworkParams(1e-5, 2e-5, power, power / 100.0, 3.0), policy, 640, 13,
+                LOAD_MODES, np.array([[0.5, 0.5], [2.0, 2.0]]),
+            )
+            for power in (1e-3, 1.0, 1e3)
+        ]
+        assert estimates[0] == estimates[1] == estimates[2]
+        assert 0 < estimates[1]["instantaneous"][0].successes < 640
+
 
 def window_presence(library, params, policy, miss_prob=0.5):
     """Probability that the window holds a helper caching the request."""
-    radius = window_radius(policy.probs.min(), params.helper_density, miss_prob)
-    mean = policy.probs * params.helper_density * math.pi * radius**2
+    r2 = _window_r2(policy.probs.min(), params.helper_density, miss_prob)
+    mean = policy.probs * params.helper_density * math.pi * r2
     return float(np.sum(library.popularity * (1.0 - np.exp(-mean))))
 
 
@@ -537,7 +564,7 @@ class TestRealizationAndLoad:
         lib = make_library(count)
         params = make_params(lam=1e-3, alpha=4.0)
         layout = build_block_layout(CachingPolicy(np.full(count, memory / count), memory))
-        radius = window_radius(memory / count, params.helper_density)
+        radius = math.sqrt(_window_r2(memory / count, params.helper_density, 1e-3))
         rng = np.random.default_rng(0)
         tracemalloc.start()
         try:
@@ -596,7 +623,7 @@ class TestDecidedTrials:
         xi, serving, J = _typical_links(c, self.params, False)
         served = serving >= 0
         cap = np.zeros(serving.size)
-        cap[served] = _shared_rate(xi[served], J[served], 1.0, self.params.tx_power)
+        cap[served] = _shared_rate(xi[served], J[served], 1.0)
         drawn, gain = [], simulator.nakagami_gain
         monkeypatch.setattr(
             simulator, "nakagami_gain", lambda m, rng, size: drawn.append(size) or gain(m, rng, size)
@@ -613,8 +640,8 @@ class TestDecidedTrials:
         for size in drawn:
             gain(self.params.fading_desired, replay, size)
         assert replay.random() == bounded_rng.random()
-        shared = _shared_rate(xi[served], J[served], bounded[served], self.params.tx_power)
-        exact_shared = _shared_rate(xi[served], J[served], exact[served], self.params.tx_power)
+        shared = _shared_rate(xi[served], J[served], bounded[served])
+        exact_shared = _shared_rate(xi[served], J[served], exact[served])
         assert np.array_equal(shared >= need[served], exact_shared >= need[served])
         trial = np.repeat(np.arange(serving.size), c.user_counts)
         target = serving[trial]
@@ -631,7 +658,7 @@ class TestDecidedTrials:
         c = _sample_chunk(np.random.default_rng(29), 64, self.lib, self.params, layout, 15.0)
         xi, serving, J = _typical_links(c, self.params, False)
         cap = np.zeros(serving.size)
-        cap[serving >= 0] = _shared_rate(xi[serving >= 0], J[serving >= 0], 1.0, 1.0)
+        cap[serving >= 0] = _shared_rate(xi[serving >= 0], J[serving >= 0], 1.0)
         rng = np.random.default_rng(3)
         # a vanishing target is met at any load, and a trial with no server fails at any load
         loads = _serving_loads(c, serving, self.lib, self.params, rng, cap, np.full((2, 64), 1e-12))
@@ -707,10 +734,65 @@ class TestSharedPass:
 
 
 class TestWindowRadius:
-    def test_formula(self):
-        got = window_radius(0.5, 0.05, miss_prob=1e-3)
-        assert math.exp(-0.5 * 0.05 * math.pi * got**2) == pytest.approx(1e-3, rel=1e-9)
+    """_window_r2, the squared window radius of both engines."""
 
-    def test_rejects_zero_intensity(self):
-        with pytest.raises(ValueError):
-            window_radius(0.0, 0.05)
+    def test_formula(self):
+        r2 = _window_r2(0.5, 0.05, 1e-3)
+        assert math.exp(-0.5 * 0.05 * math.pi * r2) == pytest.approx(1e-3, rel=1e-9)
+
+    def test_zero_probability_gives_infinite_window(self):
+        # an uncached content's window never holds a cacher
+        assert _window_r2(0.0, 0.05, 1e-3) == np.inf
+        got = _window_r2(np.array([0.0, 0.5]), 0.05, 1e-3)
+        assert np.array_equal(got, [np.inf, _window_r2(0.5, 0.05, 1e-3)])
+
+    def test_overflow_gives_infinite_window(self):
+        assert _window_r2(1e-300, 1e-300, 1e-3) == np.inf
+
+    def test_noise_scale_is_r2_to_the_half_alpha(self):
+        params = make_params(alpha=3.5)
+        p = np.array([0.0, 1e-3, 0.4])
+        expected = _window_r2(p, params.helper_density, simulator.NOISE_WINDOW_MISS) ** 1.75
+        assert np.array_equal(simulator._noise_scale(p, params), expected)
+
+
+def _rayleigh_bound(library, params, policy):
+    consts = InterferenceConstants.from_library(library, params.pathloss_exp, 2.0)
+    return rayleigh_lower_bound(library, consts, policy)
+
+
+POLICY_ENTRY_POINTS = {
+    "simulate_noise_limited": lambda lib, params, policy: simulate_noise_limited(
+        lib, params, policy, 10, 1),
+    "simulate_interference_limited": lambda lib, params, policy: simulate_interference_limited(
+        lib, params, policy, 10, 1),
+    "success_noise": success_noise,
+    "rayleigh_lower_bound": _rayleigh_bound,
+    "nakagami_lower_bound": lambda lib, params, policy: nakagami_lower_bound(
+        lib, params, policy, 2.0),
+}
+
+
+class TestPolicyLength:
+    """Every entry point that takes a policy refuses one whose length is
+    not the library's (a longer one made the load keys of trials collide,
+    a one-entry one broadcast)."""
+
+    lib = make_library(2, rates=[0.5, 0.5])
+    params = make_params(lam=1e-5, lam_u=2e-5)
+
+    @pytest.mark.parametrize("probs", [[1.0], [0.4, 0.3, 0.3]], ids=["shorter", "longer"])
+    @pytest.mark.parametrize("entry", sorted(POLICY_ENTRY_POINTS))
+    def test_length_mismatch_names_both_lengths(self, monkeypatch, entry, probs):
+        monkeypatch.setattr(simulator, "_substream", lambda *a: pytest.fail("drew before refusing"))
+        policy = CachingPolicy(np.array(probs), 1)
+        message = rf"the policy has {len(probs)} entries but the library has 2 contents"
+        with pytest.raises(ValueError, match=message):
+            POLICY_ENTRY_POINTS[entry](self.lib, self.params, policy)
+
+    @pytest.mark.parametrize("entry", ["success_noise", "rayleigh_lower_bound"])
+    def test_batches_are_checked_on_the_last_axis(self, entry):
+        batch = np.full((2, 3), 0.3)  # two rows of three contents
+        with pytest.raises(ValueError, match="the policy has 3 entries but the library has 2"):
+            POLICY_ENTRY_POINTS[entry](self.lib, self.params, batch)
+        assert POLICY_ENTRY_POINTS[entry](self.lib, self.params, batch.T).shape == (3,)
