@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import beta, betainc, factorial, gammaln, poch
 
-from .model import CachingPolicy, ContentLibrary, NetworkParams
+from .model import CachingPolicy, ContentLibrary, NetworkParams, _frozen_array
 
 __all__ = [
     "InterferenceConstants",
@@ -184,9 +184,7 @@ class InterferenceConstants:
     c: float
 
     def __post_init__(self):
-        tau = np.asarray(self.tau, dtype=float)
-        A = np.asarray(self.A, dtype=float)
-        B = np.asarray(self.B, dtype=float)
+        tau, A, B = (_frozen_array(arr) for arr in (self.tau, self.A, self.B))
         if not all(np.all(np.isfinite(arr)) for arr in (tau, A, B)):
             raise ValueError("tau, A and B must be finite")
         if np.any(tau <= 0):
@@ -198,7 +196,6 @@ class InterferenceConstants:
         if not 1 <= self.c < math.inf:
             raise ValueError(f"load bound c must be >= 1 and finite, got {self.c}")
         for name, arr in (("tau", tau), ("A", A), ("B", B)):
-            arr.setflags(write=False)
             object.__setattr__(self, name, arr)
 
     @classmethod
@@ -317,6 +314,9 @@ def nakagami_lower_bound(
     _require_resolvable(
         np.isfinite(W), library.rates[cached], c, "m_I / (m_D tau) overflows at tau = 2^(c rate) - 1"
     )
+    if np.any(W == 0):  # m_D tau overflowed, and W^(-delta) would divide by zero
+        raise ValueError(f"c * max(rate) = {c * np.max(library.rates[cached]):g} is too large "
+                         f"at m_D = {params.fading_desired:g}: m_D tau overflows")
     a = W ** (-params.delta) * _exponent_coefficients(W, p, params, int(params.fading_desired) - 1)
     unit = p - a[0]
     q = _success_polynomial(a / unit)

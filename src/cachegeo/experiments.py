@@ -281,9 +281,8 @@ def select_c(library: ContentLibrary, params: NetworkParams, memory: int, trials
     policy set: baselines plus seeded random feasible policies.
     """
     rng = np.random.default_rng(seed)
-    policies = [baseline_policy("uc", library.count, memory)]
-    if memory < library.count:
-        policies.append(baseline_policy("mpc", library.count, memory))
+    policies = [baseline_policy("uc", library.count, memory),
+                baseline_policy("mpc", library.count, memory)]
     while len(policies) < _N_REFERENCE_POLICIES:
         p = rng.random(library.count)
         p *= min(1.0, memory / p.sum())

@@ -262,14 +262,13 @@ def simulate_noise_limited(
     scale = _noise_scale(probs, params)
     requests, kernel = _Requests(library.popularity), _UnitXiMin(params)
     minima = np.empty(_NOISE_CHUNK)
-
-    def worker(chunk_index: int, n: int) -> int:
-        rng = _substream(seed, chunk_index)
+    successes = 0
+    for c, n in _chunk_grid(trials, _NOISE_CHUNK):
+        rng = _substream(seed, c)
         contents = requests(rng, n)
         xi1 = scale[contents] * kernel(rng, n, minima[:n])
-        return int(np.count_nonzero(np.isfinite(xi1) & (xi1 <= thresholds[contents])))
-
-    successes = sum(worker(c, n) for c, n in _chunk_grid(trials, _NOISE_CHUNK))
+        # the thresholds are finite, and an inf or NaN xi1 never clears one
+        successes += int(np.count_nonzero(xi1 <= thresholds[contents]))
     return MCEstimate.from_counts(successes, trials)
 
 
@@ -369,8 +368,8 @@ def _serving_loads(
     library: ContentLibrary,
     params: NetworkParams,
     rng: np.random.Generator,
-    cap: np.ndarray | None = None,
-    need: np.ndarray | None = None,
+    cap: np.ndarray,
+    need: np.ndarray,
 ) -> np.ndarray:
     """Per-trial load of the serving helper: the typical user plus every
     user associating with it.
@@ -383,10 +382,10 @@ def _serving_loads(
     (cap) and the (k, n) rate targets it must clear (need), a trial whose
     outcome cap / load >= need is the same at both bounds for every target
     gets the load 1 + e; only the users of the other trials are paired,
-    _PAIR_SLICE pairs at a time.  The gains are
-    drawn slice by slice in user order up to the slice of the last paired
-    user, so a pair's gain does not depend on cap, and nothing is drawn
-    when no trial is paired.
+    _PAIR_SLICE pairs at a time (cap = need = 1 pairs every eligible user:
+    exact loads).  The gains are drawn slice by slice in user order up to
+    the slice of the last paired user, so a pair's gain does not depend on
+    cap, and nothing is drawn when no trial is paired.
     """
     n = serving.size
     trial = np.repeat(np.arange(n), chunk.user_counts)
@@ -395,7 +394,7 @@ def _serving_loads(
     eligible[eligible] = (chunk.caches[target[eligible]] == chunk.requested[eligible, None]).any(1)
     users = np.flatnonzero(eligible)
     upper = 1.0 + np.bincount(trial[users], minlength=n)
-    undecided = np.ones(n, bool) if cap is None else ((cap >= need) & (cap / upper < need)).any(0)
+    undecided = ((cap >= need) & (cap / upper < need)).any(0)
     loads = np.where(undecided, 1.0, upper)
     paired = np.flatnonzero(undecided[trial[users]])  # indices into users
     if paired.size == 0:
@@ -435,11 +434,11 @@ def _serving_loads(
     return loads
 
 
-def _shared_rate(xi: np.ndarray, interference: np.ndarray, load: np.ndarray) -> np.ndarray:
-    """Shared-resource rate (1/N) log2(1 + 1 / (xi J)), with the interference
-    J in units of the transmit power; infinite SIR when J = 0."""
+def _shared_rate(xi: np.ndarray, interference: np.ndarray) -> np.ndarray:
+    """Rate at load 1, log2(1 + 1 / (xi J)), with the interference J in
+    units of the transmit power; infinite SIR when J = 0."""
     with np.errstate(divide="ignore"):
-        return np.log2(1.0 + 1.0 / (xi * interference)) / load
+        return np.log2(1.0 + 1.0 / (xi * interference))
 
 
 def simulate_interference_limited(
@@ -540,7 +539,7 @@ def _simulate_interference_pass(
                 served = serving >= 0
                 # a trial without a serving helper fails at any load
                 cap = np.zeros(n)
-                cap[served] = _shared_rate(xi[served], interference[served], 1.0)
+                cap[served] = _shared_rate(xi[served], interference[served])
                 links[nearest] = serving, cap
             serving, cap = links[nearest]
             if mode == "instantaneous":

@@ -1,7 +1,10 @@
-"""Empirical tagged-load oracle for the closed-form mean load.
+"""Load oracles for the interference engine.
 
-Measures the load of the typical user's serving helper under distance
-association on the interference engine's sampled networks, so
+strongest_channel_loads recounts the instantaneous load of
+`cachegeo.simulator._serving_loads` one user at a time, from the
+selection gains the engine drew, and shares none of its code.
+empirical_mean_load measures the load of the typical user's serving
+helper under distance association on the engine's sampled networks, so
 `cachegeo.analytics.mean_load_m1` (single-slot caches) has a Monte Carlo
 reference.  The engine's mean-load modes read the closed form instead.
 """
@@ -17,10 +20,51 @@ from cachegeo.simulator import (
     _cartesian,
     _chunk_grid,
     _sample_chunk,
+    _serving_loads,
     _substream,
     _typical_links,
     _window_r2,
 )
+
+
+def exact_serving_loads(chunk, serving, library, params, rng):
+    """_serving_loads at cap = need = 1, which leaves open every trial with
+    an eligible user: the exact load of every trial."""
+    n = serving.size
+    return _serving_loads(chunk, serving, library, params, rng, np.ones(n), np.ones((1, n)))
+
+
+def strongest_channel_loads(chunk, serving, params, gains):
+    """Per-trial load of the serving helper under strongest-channel
+    association, one user at a time.
+
+    A user is eligible when its trial's serving helper caches its request.
+    Each eligible user, in user order, takes the helpers of its trial that
+    cache its request in ascending index, reads the next of `gains` (the
+    selection gains the engine drew, in that (user, helper) order) for
+    each, and picks the smallest (dx^2 + dy^2)^(alpha/2) / g, the lowest
+    index on ties.  Every gain must be read.
+    """
+    r, theta = chunk.user_polar
+    user_x, user_y = r * np.cos(theta), r * np.sin(theta)
+    h_end, u_end = np.cumsum(chunk.helper_counts), np.cumsum(chunk.user_counts)
+    loads = np.ones(serving.size)
+    read = 0
+    for t, server in enumerate(serving):
+        helpers = np.arange(h_end[t] - chunk.helper_counts[t], h_end[t])
+        for u in range(u_end[t] - chunk.user_counts[t], u_end[t]):
+            content = chunk.requested[u]
+            if server < 0 or content not in chunk.caches[server]:
+                continue
+            cachers = helpers[(chunk.caches[helpers] == content).any(axis=1)]
+            g = gains[read : read + cachers.size]
+            read += cachers.size
+            dx = user_x[u] - chunk.helper_xy[0, cachers]
+            dy = user_y[u] - chunk.helper_xy[1, cachers]
+            metric = (dx * dx + dy * dy) ** (params.pathloss_exp / 2.0) / g
+            loads[t] += cachers[np.argmin(metric)] == server
+    assert read == gains.size, f"read {read} of {gains.size} drawn gains"
+    return loads
 
 
 def brute_force_nearest_loads(chunk, serving, user_radius):

@@ -316,6 +316,15 @@ class TestHypergeometricConstants:
         with pytest.raises(ValueError, match="load bound c must be >= 1 and finite"):
             InterferenceConstants(tau=np.array([1.0]), A=np.array([0.5]), B=np.array([1.5]), c=c)
 
+    def test_fields_are_frozen_copies(self):
+        # the caller's float arrays themselves were frozen and stored
+        values = dict(tau=np.array([1.0]), A=np.array([0.5]), B=np.array([1.5]))
+        consts = InterferenceConstants(c=1.0, **values)
+        for name, arr in values.items():
+            field = getattr(consts, name)
+            assert arr.flags.writeable and not field.flags.writeable
+            assert field is not arr and np.array_equal(field, arr)
+
     @pytest.mark.parametrize("field", ["tau", "A", "B"])
     def test_non_finite_constants_rejected(self, field):
         values = dict(tau=np.array([1.0]), A=np.array([0.5]), B=np.array([1.5]))
@@ -471,6 +480,17 @@ class TestNakagamiLowerBound:
         params = make_params(lam=1e-5, alpha=alpha, m_d=2.0)
         with pytest.raises(ValueError, match=r"c \* min\(rate\) = 1e-310 is too small"):
             nakagami_lower_bound(lib, params, np.array([0.5]), c=1.0)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_desired_threshold_overflow_fails_fast(self):
+        # tau ~ 1.6e308 is finite, but m_D tau overflowed to W = m_I / (m_D tau) = 0,
+        # W^(-delta) divided by zero, and the bound came back NaN
+        lib = make_library(1, rates=[1023.9])
+        params = make_params(lam=1e-5, m_d=3.0)
+        with pytest.raises(ValueError, match=r"c \* max\(rate\) = 1023\.9 is too large at m_D = 3"):
+            nakagami_lower_bound(lib, params, np.array([0.5]), c=1.0)
+        # at m_D = 1 the same threshold still gives a finite bound
+        assert 0.0 < nakagami_lower_bound(lib, make_params(lam=1e-5), np.array([0.5]), c=1.0) < 1e-200
 
     @pytest.mark.parametrize("m_d,rho", [(4, 20), (3, 28), (2, 40), (3, 40), (4, 28), (4, 40)])
     def test_large_thresholds_match_high_precision(self, m_d, rho):

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
-from load_oracle import empirical_mean_load
+from load_oracle import empirical_mean_load, exact_serving_loads, strongest_channel_loads
 from cachegeo import simulator
 from cachegeo.analytics import (
     InterferenceConstants,
@@ -359,13 +359,14 @@ class TestLargeLibraryNoiseLimited:
 
 
 class TestDeliveryRate:
+    # a helper shared by N users gives each the load-1 rate over N, as the engine divides it
     def test_zero_interference_gives_infinite_rate(self):
-        rate = _shared_rate(np.array([2.0]), np.array([0.0]), np.array([3.0]))
+        rate = _shared_rate(np.array([2.0]), np.array([0.0])) / 3.0
         assert rate[0] == np.inf
 
     def test_finite_case(self):
         # SIR = 1/(2*0.5) = 1 -> log2(2) = 1, load 2 -> 0.5
-        rate = _shared_rate(np.array([2.0]), np.array([0.5]), np.array([2.0]))
+        rate = _shared_rate(np.array([2.0]), np.array([0.5])) / 2.0
         assert rate[0] == pytest.approx(0.5)
 
 
@@ -401,7 +402,7 @@ class TestTypicalLink:
         assert serving[0] == 0
         assert xi[0] == pytest.approx(125.0 / 2.0)
         assert J[0] == 0.0
-        assert _shared_rate(xi, J, np.array([5.0]))[0] == np.inf  # succeeds for any rate
+        assert _shared_rate(xi, J)[0] / 5.0 == np.inf  # succeeds for any rate and load
 
     def test_trials_are_separate_segments(self):
         # trial 0: the hand network above; trial 1: empty; trial 2: nobody caches;
@@ -578,10 +579,10 @@ class TestRealizationAndLoad:
     def test_pair_slicing_does_not_change_strongest_channel_loads(self, monkeypatch):
         c = self.chunk(seed=17)
         _, serving, _ = _typical_links(c, self.params, False)
-        whole = _serving_loads(c, serving, self.lib, self.params, np.random.default_rng(3))
+        whole = exact_serving_loads(c, serving, self.lib, self.params, np.random.default_rng(3))
         monkeypatch.setattr(simulator, "_PAIR_SLICE", 5)
         assert np.array_equal(
-            _serving_loads(c, serving, self.lib, self.params, np.random.default_rng(3)), whole
+            exact_serving_loads(c, serving, self.lib, self.params, np.random.default_rng(3)), whole
         )
         assert whole.max() > 2
 
@@ -605,6 +606,14 @@ class TestRealizationAndLoad:
             empirical_mean_load(lib, params, policy, trials=10, seed=1)
 
 
+def load_upper_bounds(chunk, serving):
+    """1 + e per trial, for e users whose request the serving helper caches."""
+    trial = np.repeat(np.arange(serving.size), chunk.user_counts)
+    target = serving[trial]
+    eligible = (target >= 0) & (chunk.caches[target] == chunk.requested[:, None]).any(1)
+    return 1.0 + np.bincount(trial[eligible], minlength=serving.size)
+
+
 class TestDecidedTrials:
     """The instantaneous load lies in [1, 1 + e] for e users whose request
     the serving helper caches, so _serving_loads pairs only the trials whose
@@ -623,12 +632,12 @@ class TestDecidedTrials:
         xi, serving, J = _typical_links(c, self.params, False)
         served = serving >= 0
         cap = np.zeros(serving.size)
-        cap[served] = _shared_rate(xi[served], J[served], 1.0)
+        cap[served] = _shared_rate(xi[served], J[served])
         drawn, gain = [], simulator.nakagami_gain
         monkeypatch.setattr(
             simulator, "nakagami_gain", lambda m, rng, size: drawn.append(size) or gain(m, rng, size)
         )
-        exact = _serving_loads(c, serving, self.lib, self.params, np.random.default_rng(3))
+        exact = exact_serving_loads(c, serving, self.lib, self.params, np.random.default_rng(3))
         exact_sizes = drawn.copy()
         drawn.clear()
         bounded_rng = np.random.default_rng(3)
@@ -640,13 +649,8 @@ class TestDecidedTrials:
         for size in drawn:
             gain(self.params.fading_desired, replay, size)
         assert replay.random() == bounded_rng.random()
-        shared = _shared_rate(xi[served], J[served], bounded[served])
-        exact_shared = _shared_rate(xi[served], J[served], exact[served])
-        assert np.array_equal(shared >= need[served], exact_shared >= need[served])
-        trial = np.repeat(np.arange(serving.size), c.user_counts)
-        target = serving[trial]
-        eligible = (target >= 0) & (c.caches[target] == c.requested[:, None]).any(1)
-        upper = 1.0 + np.bincount(trial[eligible], minlength=serving.size)
+        assert np.array_equal(cap / bounded >= need, cap / exact >= need)
+        upper = load_upper_bounds(c, serving)
         undecided = (cap >= need) & (cap / upper < need)
         assert np.array_equal(bounded[undecided], exact[undecided])
         assert np.array_equal(bounded[~undecided], upper[~undecided])
@@ -658,7 +662,7 @@ class TestDecidedTrials:
         c = _sample_chunk(np.random.default_rng(29), 64, self.lib, self.params, layout, 15.0)
         xi, serving, J = _typical_links(c, self.params, False)
         cap = np.zeros(serving.size)
-        cap[serving >= 0] = _shared_rate(xi[serving >= 0], J[serving >= 0], 1.0)
+        cap[serving >= 0] = _shared_rate(xi[serving >= 0], J[serving >= 0])
         rng = np.random.default_rng(3)
         # a vanishing target is met at any load, and a trial with no server fails at any load
         loads = _serving_loads(c, serving, self.lib, self.params, rng, cap, np.full((2, 64), 1e-12))
@@ -673,14 +677,56 @@ class TestDecidedTrials:
             ]
 
         bounded = run_grid()
-        exact_loads = simulator._serving_loads
         monkeypatch.setattr(
             simulator, "_serving_loads",
-            lambda chunk, serving, library, params, rng, cap, need: exact_loads(
+            lambda chunk, serving, library, params, rng, cap, need: exact_serving_loads(
                 chunk, serving, library, params, rng
             ),
         )
         assert bounded == run_grid()
+
+
+class TestStrongestChannelOracle:
+    """_serving_loads against strongest_channel_loads, a per-user loop that
+    shares none of its code, on the gains the engine drew."""
+
+    params = {m_d: make_params(lam=0.02, lam_u=0.03, alpha=3.5, m_d=m_d) for m_d in (1.0, 2.5)}
+    policies = {1: [0.3, 0.7], 2: [0.8, 0.7, 0.5], 3: [0.9, 0.6, 0.5, 0.5, 0.3, 0.2]}
+
+    @pytest.mark.parametrize("m_d", [1.0, 2.5])
+    @pytest.mark.parametrize("memory", [1, 2, 3])
+    def test_loads_match_per_user_oracle(self, monkeypatch, memory, m_d):
+        probs, params = self.policies[memory], self.params[m_d]
+        lib = make_library(len(probs), rates=np.linspace(0.2, 1.2, len(probs)))
+        layout = build_block_layout(CachingPolicy(np.array(probs), memory))
+        gain, open_loads, decided = simulator.nakagami_gain, 0, 0
+        for seed in range(5):
+            c = _sample_chunk(np.random.default_rng(seed), 64, lib, params, layout, 12.0)
+            xi, serving, J = _typical_links(c, params, False)
+            drawn = []
+
+            def record(m, rng, size=None, out=None):
+                drawn.append(gain(m, rng, size, out))
+                return drawn[-1]
+
+            with monkeypatch.context() as patch:
+                patch.setattr(simulator, "nakagami_gain", record)
+                exact = exact_serving_loads(c, serving, lib, params, np.random.default_rng(seed))
+            oracle = strongest_channel_loads(c, serving, params, np.concatenate([[], *drawn]))
+            assert np.array_equal(exact, oracle)
+            # with real bounds: open trials get the exact load, decided ones its outcome
+            cap = np.zeros(serving.size)
+            served = serving >= 0
+            cap[served] = _shared_rate(xi[served], J[served])
+            need = np.array([lib.rates, 3.0 * lib.rates])[:, c.content]
+            bounded = _serving_loads(c, serving, lib, params, np.random.default_rng(seed), cap, need)
+            undecided = ((cap >= need) & (cap / load_upper_bounds(c, serving) < need)).any(0)
+            assert np.array_equal(bounded[undecided], oracle[undecided])
+            assert np.array_equal(cap / bounded >= need, cap / oracle >= need)
+            open_loads += np.count_nonzero(undecided & (oracle > 1))
+            decided += np.count_nonzero(~undecided & (bounded != oracle))
+        # the setting pairs some trials and bounds others away from their exact load
+        assert open_loads > 0 and decided > 0
 
 
 class TestSharedPass:
