@@ -280,6 +280,7 @@ class _Chunk(NamedTuple):
     """
 
     helper_counts: np.ndarray  # (n,)
+    helper_trial: np.ndarray  # (H,) trial of each helper
     helper_xy: np.ndarray  # (2, H) coordinates, meters
     helper_dist: np.ndarray  # (H,) distance to the typical user
     caches: np.ndarray  # (H, M) content per cache slot, -1 for an empty slot
@@ -313,9 +314,10 @@ def _sample_chunk(
     interf = nakagami_gain(params.fading_interf, rng, n_helpers)
     requested = requests(rng, n_users)
     content = requests(rng, n)
-    caching = (caches == np.repeat(content, helper_counts)[:, None]).any(1)
+    helper_trial = np.repeat(np.arange(n), helper_counts)
+    caching = (caches == content.take(helper_trial)[:, None]).any(1)
     return _Chunk(
-        helper_counts, helper_xy, np.hypot(*helper_xy), caches,
+        helper_counts, helper_trial, helper_xy, np.hypot(*helper_xy), caches,
         content, caching, desired, interf, user_counts, user_polar, requested,
     )
 
@@ -334,8 +336,50 @@ def _check_chunk_population(params: NetworkParams, r2: float, p_min: float) -> N
         )
 
 
+def _check_window_scale(params: NetworkParams, r2: float, p_min: float) -> None:
+    """Refuse a window of radius^2 r2 whose R^alpha is outside the normal
+    float range, where the path losses of its helpers overflow or lose
+    their precision.  The SIR does not depend on the density scale, so
+    scaling both densities together leaves every estimate unchanged."""
+    with np.errstate(over="ignore"):
+        scale = np.float64(r2) ** (params.pathloss_exp / 2.0)
+    if not np.finfo(float).tiny <= scale < np.inf:
+        raise ValueError(
+            f"helper_density = {params.helper_density:.3g} puts the window's R^alpha = "
+            f"{scale:.3g} outside the normal float range (pathloss_exp {params.pathloss_exp:g}, "
+            f"smallest caching probability {p_min:.3g}): scale helper_density and "
+            f"user_density together, which leaves the SIR unchanged"
+        )
+
+
+class _LinkTerms(NamedTuple):
+    """Per-helper link terms of a chunk's typical user, computed once per
+    chunk and shared by both association rules."""
+
+    reciprocal: np.ndarray  # (H,) dist^alpha / desired, the reciprocal selection gain
+    revealed: np.ndarray  # (H,) 1 / reciprocal, power through the selection gain
+    interfering: np.ndarray  # (H,) interf * dist^-alpha
+
+
+def _link_terms(chunk: _Chunk, params: NetworkParams) -> _LinkTerms:
+    """The typical user's link terms of every helper of the chunk; raises
+    when one is not finite, which a trial's xi, serving helper or
+    interference could not absorb."""
+    alpha, dist = params.pathloss_exp, chunk.helper_dist
+    with np.errstate(over="ignore", divide="ignore"):
+        reciprocal = dist**alpha / chunk.desired
+        terms = _LinkTerms(reciprocal, 1.0 / reciprocal, chunk.interf * dist ** (-alpha))
+    for term in terms:
+        if not np.isfinite(term).all():
+            raise ValueError(
+                f"a helper's d^alpha / g or g_I d^-alpha is not finite at pathloss_exp = "
+                f"{alpha:g} and helper_density = {params.helper_density:g}"
+            )
+    return terms
+
+
 def _typical_links(
-    chunk: _Chunk, params: NetworkParams, nearest: bool
+    chunk: _Chunk, terms: _LinkTerms, nearest: bool
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Per-trial (xi, serving helper, interference) of the typical user.
 
@@ -347,19 +391,18 @@ def _typical_links(
     gains; under nearest association, all through interfering-link gains.
     Trials with no caching helper get xi = inf and serving helper -1.
     """
-    alpha = params.pathloss_exp
-    counts, dist, caching = chunk.helper_counts, chunk.helper_dist, chunk.caching
-    reciprocal = dist**alpha / chunk.desired
-    serving = _segment_argmin(np.where(caching, dist if nearest else reciprocal, np.inf), counts)
+    counts, caching, reciprocal = chunk.helper_counts, chunk.caching, terms.reciprocal
+    key = chunk.helper_dist if nearest else reciprocal
+    serving = _segment_argmin(np.where(caching, key, np.inf), counts)
     served = serving >= 0
     xi = np.full(counts.size, np.inf)
     xi[served] = reciprocal[serving[served]]
-    power = chunk.interf * dist ** (-alpha)
-    if not nearest:
-        power = np.where(caching, 1.0 / reciprocal, power)
+    if nearest:
+        power = terms.interfering.copy()
+    else:
+        power = np.where(caching, terms.revealed, terms.interfering)
     power[serving[served]] = 0.0
-    trial = np.repeat(np.arange(counts.size), counts)
-    return xi, serving, np.bincount(trial, weights=power, minlength=counts.size)
+    return xi, serving, np.bincount(chunk.helper_trial, weights=power, minlength=counts.size)
 
 
 def _serving_loads(
@@ -381,57 +424,105 @@ def _serving_loads(
     it, so the load lies in [1, 1 + e].  Given each trial's rate at load 1
     (cap) and the (k, n) rate targets it must clear (need), a trial whose
     outcome cap / load >= need is the same at both bounds for every target
-    gets the load 1 + e; only the users of the other trials are paired,
-    _PAIR_SLICE pairs at a time (cap = need = 1 pairs every eligible user:
-    exact loads).  The gains are drawn slice by slice in user order up to
-    the slice of the last paired user, so a pair's gain does not depend on
-    cap, and nothing is drawn when no trial is paired.
+    gets the load 1 + e; only the users of the other trials are paired
+    (cap = need = 1 pairs every eligible user: exact loads).  The gains are
+    drawn _PAIR_SLICE pairs at a time in user order, up to the slice of the
+    last paired user, so a pair's gain does not depend on cap, and nothing
+    is drawn when no trial is paired.  The paired users' gains are kept
+    from each slice and evaluated in groups of at most _PAIR_SLICE pairs
+    (or one slice's), which may straddle slices.
     """
-    n = serving.size
+    n, slots = serving.size, chunk.caches.shape[1]
     trial = np.repeat(np.arange(n), chunk.user_counts)
-    target = serving[trial]
-    eligible = target >= 0
-    eligible[eligible] = (chunk.caches[target[eligible]] == chunk.requested[eligible, None]).any(1)
+    # the contents of each trial's serving helper, -1 where it has none
+    held = np.full((n, slots), -1)
+    served = serving >= 0
+    held[served] = chunk.caches[serving[served]]
+    eligible = held[:, 0].take(trial) == chunk.requested
+    for column in held.T[1:]:
+        eligible |= column.take(trial) == chunk.requested
     users = np.flatnonzero(eligible)
-    upper = 1.0 + np.bincount(trial[users], minlength=n)
+    user_trial = trial.take(users)
+    upper = 1.0 + np.bincount(user_trial, minlength=n)
     undecided = ((cap >= need) & (cap / upper < need)).any(0)
     loads = np.where(undecided, 1.0, upper)
-    paired = np.flatnonzero(undecided[trial[users]])  # indices into users
+    is_open = undecided.take(user_trial)
+    paired = np.flatnonzero(is_open)  # indices into users
     if paired.size == 0:
         return loads
-    xy = _cartesian(*chunk.user_polar[:, users[paired]])
-    # the helpers caching each (trial, content), in ascending index order
-    helper, slot = np.nonzero(chunk.caches >= 0)
+    # the helpers caching each (trial, content) in ascending index order,
+    # one run of equal keys per (trial, content); the serving helper of an
+    # eligible user caches its request, so its key has a run
+    cell = np.flatnonzero(chunk.caches >= 0)
+    helper = cell // slots
     count = library.count
-    key = np.repeat(np.arange(n), chunk.helper_counts)[helper] * count + chunk.caches[helper, slot]
+    key = chunk.helper_trial.take(helper) * count + chunk.caches.take(cell)
     order = np.argsort(key, kind="stable")
-    helper, key = helper[order], key[order]
-    user_key = trial[users] * count + chunk.requested[users]
-    first = np.searchsorted(key, user_key, "left")
-    width = np.searchsorted(key, user_key, "right") - first
+    helper, key = helper.take(order), key.take(order)
+    run_first = np.flatnonzero(np.concatenate(([True], key[1:] != key[:-1])))
+    run_width = np.diff(np.append(run_first, key.size))
+    run = key.take(run_first).searchsorted(user_trial * count + chunk.requested.take(users))
+    width = run_width.take(run)
     ends = np.cumsum(width)
     starts = ends - width
-    lo = 0
+    # the paired users' coordinates, runs and serving helpers, and the
+    # helpers' coordinates in run order
+    r, theta = chunk.user_polar
+    open_users = users.take(paired)
+    ux, uy = _cartesian(r.take(open_users), theta.take(open_users))
+    first, open_width = run_first.take(run.take(paired)), width.take(paired)
+    target = serving.take(user_trial.take(paired))
+    hx, hy = chunk.helper_xy[0].take(helper), chunk.helper_xy[1].take(helper)
+    exponent = params.pathloss_exp / 2.0
+    picked = np.zeros(paired.size, bool)
+
+    def evaluate(a: int, b: int, gain: np.ndarray) -> None:
+        # whether each of paired users a..b-1 picks its serving helper,
+        # given `gain`, the gains of their pairs in user order
+        w = open_width[a:b]
+        seg_start = np.cumsum(w) - w
+        pair_user = np.repeat(np.arange(b - a), w)
+        position = (first[a:b] - seg_start).take(pair_user)  # in run order
+        position += np.arange(gain.size)
+        metric = ux[a:b].take(pair_user)
+        metric -= hx.take(position)
+        dy = uy[a:b].take(pair_user)
+        dy -= hy.take(position)
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            metric *= metric
+            dy *= dy
+            metric += dy
+            metric **= exponent
+            metric /= gain
+        minima = np.minimum.reduceat(metric, seg_start)
+        if not np.isfinite(minima).all():
+            raise ValueError(
+                f"a user's smallest d^alpha / g over the helpers caching its request is not "
+                f"finite at pathloss_exp = {params.pathloss_exp:g}"
+            )
+        at = np.flatnonzero(metric == minima.take(pair_user))
+        if at.size > b - a:  # ties: the lowest index wins
+            tied = pair_user.take(at)
+            at = at[np.concatenate(([True], tied[1:] != tied[:-1]))]
+        picked[a:b] = helper.take(position.take(at)) == target[a:b]
+
+    pending, size, a0 = [], 0, 0  # gains of paired users a0..a-1
+    lo = a = 0
     while lo <= paired[-1]:
         # users lo..hi-1 hold at most _PAIR_SLICE pairs, or one user holds more
-        hi = max(lo + 1, int(np.searchsorted(ends, starts[lo] + _PAIR_SLICE, "right")))
+        hi = max(lo + 1, int(ends.searchsorted(starts[lo] + _PAIR_SLICE, "right")))
         gain = nakagami_gain(params.fading_desired, rng, ends[hi - 1] - starts[lo])
-        a, b = np.searchsorted(paired, (lo, hi))
-        if a < b:  # the slice holds undecided users
-            part = paired[a:b]
-            w = width[part]
-            rank = np.arange(w.sum()) - np.repeat(np.cumsum(w) - w, w)  # pair rank within its user
-            pair_user = np.repeat(np.arange(a, b), w)
-            pair_helper = helper[np.repeat(first[part], w) + rank]
-            dx = xy[0, pair_user] - chunk.helper_xy[0, pair_helper]
-            dy = xy[1, pair_user] - chunk.helper_xy[1, pair_helper]
-            metric = (dx * dx + dy * dy) ** (params.pathloss_exp / 2.0) / gain[
-                np.repeat(starts[part] - starts[lo], w) + rank
-            ]
-            chose = pair_helper[_segment_argmin(metric, w)] == target[users[part]]
-            loads += np.bincount(trial[users[part[chose]]], minlength=n)
-        lo = hi
-    return loads
+        b = int(paired.searchsorted(hi))
+        if a < b:  # the slice holds paired users a..b-1
+            piece = gain[np.repeat(is_open[lo:hi], width[lo:hi])]
+            if size and size + piece.size > _PAIR_SLICE:
+                evaluate(a0, a, np.concatenate(pending))
+                pending, size, a0 = [], 0, a
+            pending.append(piece)
+            size += piece.size
+        lo, a = hi, b
+    evaluate(a0, paired.size, np.concatenate(pending))
+    return loads + np.bincount(user_trial.take(paired[picked]), minlength=n)
 
 
 def _shared_rate(xi: np.ndarray, interference: np.ndarray) -> np.ndarray:
@@ -516,6 +607,7 @@ def _simulate_interference_pass(
     p_min = float(positive.min())
     r2 = float(_window_r2(p_min, params.helper_density, window_miss_prob))
     _check_chunk_population(params, r2, p_min)
+    _check_window_scale(params, r2, p_min)
     radius = float(np.sqrt(r2))
     if mean_modes:
         # no helper caches a content of probability 0: its load is unbounded
@@ -531,11 +623,12 @@ def _simulate_interference_pass(
         rng = _substream(seed, chunk_index)
         chunk = _sample_chunk(rng, n, library, params, layout, radius)
         need = rates[:, chunk.content]
+        terms = _link_terms(chunk, params)
         links = {}  # association rule (nearest) -> (serving helper, rate at load 1)
         for mode in modes:
             nearest = mode == "long-term-assoc"
             if nearest not in links:
-                xi, serving, interference = _typical_links(chunk, params, nearest)
+                xi, serving, interference = _typical_links(chunk, terms, nearest)
                 served = serving >= 0
                 # a trial without a serving helper fails at any load
                 cap = np.zeros(n)

@@ -2,13 +2,18 @@
 
 strongest_channel_loads recounts the instantaneous load of
 `cachegeo.simulator._serving_loads` one user at a time, from the
-selection gains the engine drew, and shares none of its code.
+selection gains the engine drew, and shares none of its code;
+typical_links_loop finds the typical user's serving helper, xi and
+interference of `cachegeo.simulator._typical_links` one trial and one
+helper at a time, likewise.
 empirical_mean_load measures the load of the typical user's serving
 helper under distance association on the engine's sampled networks, so
 `cachegeo.analytics.mean_load_m1` (single-slot caches) has a Monte Carlo
 reference.  The engine's mean-load modes read the closed form instead.
 """
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -19,6 +24,7 @@ from cachegeo.simulator import (
     NOISE_WINDOW_MISS,
     _cartesian,
     _chunk_grid,
+    _link_terms,
     _sample_chunk,
     _serving_loads,
     _substream,
@@ -65,6 +71,40 @@ def strongest_channel_loads(chunk, serving, params, gains):
             loads[t] += cachers[np.argmin(metric)] == server
     assert read == gains.size, f"read {read} of {gains.size} drawn gains"
     return loads
+
+
+def typical_links_loop(chunk, alpha, nearest):
+    """Per-trial (xi, serving helper, interference) of the typical user at
+    the origin, one helper at a time in ascending index.
+
+    The serving helper is the helper caching the request with the
+    smallest d^alpha / g (desired gain g), or the smallest distance d when
+    `nearest`; the first one found wins ties.  xi is its d^alpha / g.
+    Every other helper adds g' d^-alpha to the interference, where g' is
+    its desired gain if it caches the request and `nearest` is false, and
+    its interfering gain otherwise.  A trial with no caching helper has
+    xi = inf and serving helper -1.
+    """
+    n = chunk.helper_counts.size
+    xi, serving, interference = np.full(n, np.inf), np.full(n, -1), np.zeros(n)
+    end = 0
+    for t in range(n):
+        start, end = end, end + int(chunk.helper_counts[t])
+        dist = [math.hypot(chunk.helper_xy[0, h], chunk.helper_xy[1, h]) for h in range(start, end)]
+        caching = [chunk.content[t] in chunk.caches[h] for h in range(start, end)]
+        best = math.inf
+        for h, d, cached in zip(range(start, end), dist, caching):
+            metric = d if nearest else d**alpha / chunk.desired[h]
+            if cached and metric < best:
+                serving[t], best = h, metric
+        for h, d, cached in zip(range(start, end), dist, caching):
+            if h == serving[t]:
+                xi[t] = d**alpha / chunk.desired[h]
+            elif cached and not nearest:
+                interference[t] += chunk.desired[h] / d**alpha
+            else:
+                interference[t] += chunk.interf[h] / d**alpha
+    return xi, serving, interference
 
 
 def brute_force_nearest_loads(chunk, serving, user_radius):
@@ -122,7 +162,7 @@ def empirical_mean_load(
     for chunk_index, n in _chunk_grid(trials, _INTERF_CHUNK):
         rng = _substream(seed, chunk_index)
         chunk = _sample_chunk(rng, n, library, params, layout, 2.0 * radius)
-        _, serving, _ = _typical_links(chunk, params, nearest=True)
+        _, serving, _ = _typical_links(chunk, _link_terms(chunk, params), nearest=True)
         served = serving >= 0
         total += float(brute_force_nearest_loads(chunk, serving, radius)[served].sum())
         measured += int(served.sum())

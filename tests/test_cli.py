@@ -618,6 +618,24 @@ class TestExitCodes:
         assert f"{field} must be" in result.output
         assert not (tmp_path / "i.csv").exists()
 
+    @pytest.mark.parametrize("density", ["1e300", "1e-300"])
+    def test_window_out_of_float_range_exits_2(self, tmp_path, density):
+        # at 1e300 the path losses d^-alpha overflowed and the run wrote
+        # estimate 0 with stderr 0; the SIR does not depend on the scale
+        config = tmp_path / "scale.ini"
+        config.write_text(
+            BASE_CONFIG.replace("helper_density = 0.05", f"helper_density = {density}")
+            .replace("user_density = 0.002", f"user_density = {2 * float(density)}")
+            .replace("source = optimize-noise", "source = uc")
+            + "channel = interference\n"
+        )
+        result = CliRunner().invoke(
+            main, ["simulate", "--config", str(config), "--out", str(tmp_path / "w.csv")]
+        )
+        assert result.exit_code == 2
+        assert f"helper_density = {float(density):.3g}" in result.output
+        assert not (tmp_path / "w.csv").exists()
+
     @pytest.mark.parametrize("c_value", ["nan", "inf", "0.5"])
     def test_bad_fixed_c_value_exits_2(self, tmp_path, c_value):
         # c_value = nan was reported as "c * max(rate) = nan overflows ..."

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -7,7 +8,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
-from load_oracle import empirical_mean_load, exact_serving_loads, strongest_channel_loads
+from load_oracle import (
+    empirical_mean_load,
+    exact_serving_loads,
+    strongest_channel_loads,
+    typical_links_loop,
+)
 from cachegeo import simulator
 from cachegeo.analytics import (
     InterferenceConstants,
@@ -26,6 +32,7 @@ from cachegeo.simulator import (
     _Chunk,
     _cartesian,
     _disc_points,
+    _link_terms,
     _shared_rate,
     _sample_chunk,
     _serving_loads,
@@ -138,13 +145,14 @@ def hand_links(dist, caching, desired, interf, nearest=False, counts=None, alpha
     """_typical_links on hand-made helpers (one trial unless counts is given);
     the chunk fields it does not read are None."""
     dist = np.asarray(dist, float)
+    counts = np.array([dist.size] if counts is None else counts)
     chunk = _Chunk(
-        helper_counts=np.array([dist.size] if counts is None else counts), helper_xy=None,
-        helper_dist=dist, caches=None, content=None, caching=np.asarray(caching, bool),
-        desired=np.asarray(desired, float), interf=np.asarray(interf, float),
-        user_counts=None, user_polar=None, requested=None,
+        helper_counts=counts, helper_trial=np.repeat(np.arange(counts.size), counts),
+        helper_xy=None, helper_dist=dist, caches=None, content=None,
+        caching=np.asarray(caching, bool), desired=np.asarray(desired, float),
+        interf=np.asarray(interf, float), user_counts=None, user_polar=None, requested=None,
     )
-    return _typical_links(chunk, make_params(alpha=alpha), nearest)
+    return _typical_links(chunk, _link_terms(chunk, make_params(alpha=alpha)), nearest)
 
 
 class TestSmallestReciprocal:
@@ -578,7 +586,7 @@ class TestRealizationAndLoad:
 
     def test_pair_slicing_does_not_change_strongest_channel_loads(self, monkeypatch):
         c = self.chunk(seed=17)
-        _, serving, _ = _typical_links(c, self.params, False)
+        _, serving, _ = _typical_links(c, _link_terms(c, self.params), False)
         whole = exact_serving_loads(c, serving, self.lib, self.params, np.random.default_rng(3))
         monkeypatch.setattr(simulator, "_PAIR_SLICE", 5)
         assert np.array_equal(
@@ -629,7 +637,7 @@ class TestDecidedTrials:
         monkeypatch.setattr(simulator, "_PAIR_SLICE", pair_slice)
         layout = build_block_layout(CachingPolicy(np.array(self.policies[memory]), memory))
         c = _sample_chunk(np.random.default_rng(29), 64, self.lib, self.params, layout, 15.0)
-        xi, serving, J = _typical_links(c, self.params, False)
+        xi, serving, J = _typical_links(c, _link_terms(c, self.params), False)
         served = serving >= 0
         cap = np.zeros(serving.size)
         cap[served] = _shared_rate(xi[served], J[served])
@@ -660,7 +668,7 @@ class TestDecidedTrials:
     def test_chunk_with_every_trial_decided_draws_nothing(self):
         layout = build_block_layout(CachingPolicy(np.array(self.policies[3]), 3))
         c = _sample_chunk(np.random.default_rng(29), 64, self.lib, self.params, layout, 15.0)
-        xi, serving, J = _typical_links(c, self.params, False)
+        xi, serving, J = _typical_links(c, _link_terms(c, self.params), False)
         cap = np.zeros(serving.size)
         cap[serving >= 0] = _shared_rate(xi[serving >= 0], J[serving >= 0])
         rng = np.random.default_rng(3)
@@ -690,19 +698,55 @@ class TestStrongestChannelOracle:
     """_serving_loads against strongest_channel_loads, a per-user loop that
     shares none of its code, on the gains the engine drew."""
 
-    params = {m_d: make_params(lam=0.02, lam_u=0.03, alpha=3.5, m_d=m_d) for m_d in (1.0, 2.5)}
     policies = {1: [0.3, 0.7], 2: [0.8, 0.7, 0.5], 3: [0.9, 0.6, 0.5, 0.5, 0.3, 0.2]}
 
     @pytest.mark.parametrize("m_d", [1.0, 2.5])
     @pytest.mark.parametrize("memory", [1, 2, 3])
     def test_loads_match_per_user_oracle(self, monkeypatch, memory, m_d):
-        probs, params = self.policies[memory], self.params[m_d]
+        self.check(monkeypatch, memory, m_d, 3.5)
+
+    @pytest.mark.parametrize("pair_slice", [5, 40])
+    @pytest.mark.parametrize("m_d", [1.0, 2.5])
+    @pytest.mark.parametrize("memory", [1, 2, 3])
+    def test_evaluation_groups_straddling_draw_slices(self, monkeypatch, memory, m_d, pair_slice):
+        # with slices this small, the groups of the bounded calls sometimes
+        # take the paired users of several draw slices
+        monkeypatch.setattr(simulator, "_PAIR_SLICE", pair_slice)
+        self.check(monkeypatch, memory, m_d, 3.5)
+
+    @pytest.mark.parametrize("alpha", [2.5, 4.0])
+    @pytest.mark.parametrize("memory", [1, 3])
+    def test_other_path_loss_exponents(self, monkeypatch, memory, alpha):
+        self.check(monkeypatch, memory, 2.5, alpha)
+
+    def test_ties_go_to_the_lowest_index(self, monkeypatch):
+        # helpers at (1, 0) and (-1, 0) with unit gains; two users at the
+        # origin tie, one at (0.5, 0) picks helper 0 and one at (-0.5, 0) helper 1
+        lib, params = make_library(1), make_params(alpha=3.0)
+        chunk = _Chunk(
+            helper_counts=np.array([2]), helper_trial=np.array([0, 0]),
+            helper_xy=np.array([[1.0, -1.0], [0.0, 0.0]]), helper_dist=np.ones(2),
+            caches=np.array([[0], [0]]), content=np.array([0]), caching=np.ones(2, bool),
+            desired=np.ones(2), interf=np.ones(2), user_counts=np.array([4]),
+            user_polar=np.array([[0.0, 0.0, 0.5, 0.5], [0.0, 0.0, 0.0, math.pi]]),
+            requested=np.zeros(4, int),
+        )
+        monkeypatch.setattr(simulator, "nakagami_gain", lambda m, rng, size: np.ones(size))
+        for server, load in ((0, 4.0), (1, 2.0)):
+            serving = np.array([server])
+            loads = exact_serving_loads(chunk, serving, lib, params, None)
+            assert loads.tolist() == [load]
+            assert np.array_equal(loads, strongest_channel_loads(chunk, serving, params, np.ones(8)))
+
+    def check(self, monkeypatch, memory, m_d, alpha):
+        probs = self.policies[memory]
+        params = make_params(lam=0.02, lam_u=0.03, alpha=alpha, m_d=m_d)
         lib = make_library(len(probs), rates=np.linspace(0.2, 1.2, len(probs)))
         layout = build_block_layout(CachingPolicy(np.array(probs), memory))
         gain, open_loads, decided = simulator.nakagami_gain, 0, 0
         for seed in range(5):
             c = _sample_chunk(np.random.default_rng(seed), 64, lib, params, layout, 12.0)
-            xi, serving, J = _typical_links(c, params, False)
+            xi, serving, J = _typical_links(c, _link_terms(c, params), False)
             drawn = []
 
             def record(m, rng, size=None, out=None):
@@ -727,6 +771,30 @@ class TestStrongestChannelOracle:
             decided += np.count_nonzero(~undecided & (bounded != oracle))
         # the setting pairs some trials and bounds others away from their exact load
         assert open_loads > 0 and decided > 0
+
+
+class TestTypicalLinksOracle:
+    """_typical_links against typical_links_loop, a per-trial, per-helper
+    loop that shares none of its code, on sampled chunks."""
+
+    @pytest.mark.parametrize("nearest", [False, True])
+    @pytest.mark.parametrize("memory, alpha", [(1, 3.5), (3, 2.5), (3, 4.0)])
+    def test_links_match_per_trial_loop(self, memory, alpha, nearest):
+        probs = [0.9, 0.6, 0.5, 0.5, 0.3, 0.2][: 2 * memory]
+        lib = make_library(len(probs))
+        params = make_params(lam=0.01, alpha=alpha, m_d=2.5)
+        layout = build_block_layout(CachingPolicy(np.array(probs) * memory / sum(probs), memory))
+        unserved = 0
+        for seed in range(3):
+            c = _sample_chunk(np.random.default_rng(seed), 64, lib, params, layout, 12.0)
+            xi, serving, J = _typical_links(c, _link_terms(c, params), nearest)
+            loop_xi, loop_serving, loop_J = typical_links_loop(c, alpha, nearest)
+            assert np.array_equal(serving, loop_serving)
+            assert np.allclose(xi, loop_xi, rtol=1e-12, atol=0)
+            assert np.allclose(J, loop_J, rtol=1e-12, atol=0)
+            unserved += np.count_nonzero(serving < 0)
+        # some trials have no caching helper
+        assert unserved > 0
 
 
 class TestSharedPass:
@@ -800,6 +868,53 @@ class TestWindowRadius:
         p = np.array([0.0, 1e-3, 0.4])
         expected = _window_r2(p, params.helper_density, simulator.NOISE_WINDOW_MISS) ** 1.75
         assert np.array_equal(simulator._noise_scale(p, params), expected)
+
+
+class TestFloatRange:
+    """Path losses outside the float range are refused, not counted: a
+    helper density of 1e300 once wrote estimate 0 with stderr 0."""
+
+    @pytest.mark.parametrize("lam", [1e300, 1e-300])
+    def test_window_outside_the_normal_range_is_refused_before_any_draw(self, monkeypatch, lam):
+        lib, _, policy = fig4_setting()
+        monkeypatch.setattr(simulator, "_substream", lambda *args: pytest.fail("drew"))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(ValueError, match="helper_density = .* outside the normal float"):
+                simulate_interference_limited(lib, make_params(lam=lam, lam_u=2 * lam), policy, 10, 1)
+
+    def test_density_scale_leaves_every_count_unchanged(self):
+        lib, _, policy = fig4_setting()
+        counts = {
+            lam: [
+                simulate_interference_limited(
+                    lib, make_params(lam=lam, lam_u=2 * lam), policy, 200, 3, mode
+                ).successes
+                for mode in LOAD_MODES
+            ]
+            for lam in (0.05, 1e200)
+        }
+        assert counts[0.05] == counts[1e200]
+
+    @pytest.mark.parametrize("dist", [1e-200, 1e200])
+    def test_non_finite_link_term_raises(self, dist):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(ValueError, match="not finite"):
+                hand_links([1.0, dist], [True, True], [1.0, 1.0], [1.0, 1.0])
+
+    def test_non_finite_selection_metric_raises(self, monkeypatch):
+        lib = make_library(2, rates=[0.5, 0.5])
+        params = make_params(lam=0.02, lam_u=0.03)
+        layout = build_block_layout(CachingPolicy(np.array([0.6, 0.4]), 1))
+        c = _sample_chunk(np.random.default_rng(4), 64, lib, params, layout, 12.0)
+        _, serving, _ = _typical_links(c, _link_terms(c, params), False)
+        # a zero selection gain puts d^alpha / g at inf for every pair
+        monkeypatch.setattr(simulator, "nakagami_gain", lambda m, rng, size: np.zeros(size))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(ValueError, match="not finite"):
+                exact_serving_loads(c, serving, lib, params, np.random.default_rng(0))
 
 
 def _rayleigh_bound(library, params, policy):
