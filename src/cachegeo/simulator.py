@@ -66,7 +66,7 @@ _INTERF_CHUNK = 64
 # which bounds its working set whatever the window holds.
 _PAIR_SLICE = 8192
 # Mean helpers plus users of one interference chunk above which a call is
-# refused before any draw (see _check_chunk_population).
+# refused before any draw (see _check_window).
 _CHUNK_POPULATION = 4_000_000
 
 LOAD_MODES = ("instantaneous", "mean-approx", "long-term-assoc")
@@ -141,18 +141,11 @@ def _segment_argmin(values: np.ndarray, counts: np.ndarray) -> np.ndarray:
     return out
 
 
-def _noise_scale(p, params: NetworkParams) -> np.ndarray:
-    """R^alpha of the noise window of caching probability p (scalar or
-    array): +inf for p = 0 and where it overflows."""
-    with np.errstate(over="ignore"):
-        return _window_r2(p, params.helper_density, NOISE_WINDOW_MISS) ** (params.pathloss_exp / 2.0)
-
-
 class _UnitXiMin:
-    """The noise chunk kernel: n minima of u^(alpha/2) / g over
-    Poisson(_NOISE_WINDOW_COUNT) helpers uniform on the unit disc (+inf for
-    empty trials); on the noise window of radius R, xi_1 = R^alpha times
-    this.
+    """The noise chunk kernel: n minima of u / g^delta over
+    Poisson(_NOISE_WINDOW_COUNT) helpers uniform on the unit disc (u the
+    squared radius, +inf for empty trials); on the noise window of squared
+    radius R^2, xi_1^delta = R^2 times this.
 
     One is made per engine call, and every chunk of the call draws into its
     two buffers, so a chunk allocates no helper-sized array (fresh arrays
@@ -160,7 +153,7 @@ class _UnitXiMin:
     """
 
     def __init__(self, params: NetworkParams):
-        self._exponent = params.pathloss_exp / 2.0
+        self._delta = params.delta
         self._fading = params.fading_desired
         self._unit = self._gain = np.empty(0)
 
@@ -174,8 +167,10 @@ class _UnitXiMin:
         # even when it is empty
         unit = self._unit[: total + 1]
         drawn = rng.random(out=unit[:total])
-        drawn **= self._exponent
-        drawn /= nakagami_gain(self._fading, rng, out=self._gain[:total])
+        gain = nakagami_gain(self._fading, rng, out=self._gain[:total])
+        # u / g^delta, not u * g^-delta: ** takes its sqrt fast path at alpha = 4
+        gain **= self._delta
+        drawn /= gain
         unit[total] = np.inf
         np.minimum.reduceat(unit, np.cumsum(counts) - counts, out=out)
         out[counts == 0] = np.inf
@@ -209,10 +204,10 @@ def sample_xi_min(params: NetworkParams, p: float, trials: int, seed: int) -> np
 
     Helpers caching the content form a thinned Poisson process of
     intensity p * helper_density, sampled directly inside the window
-    (+inf marks trials whose window held no helper, and every trial when
-    the window radius^alpha overflows).  The window misses with
-    probability NOISE_WINDOW_MISS, because the whole distribution is
-    compared, not a single threshold.
+    (+inf marks trials whose window held no helper, and samples beyond
+    the float range).  The window misses with probability
+    NOISE_WINDOW_MISS, because the whole distribution is compared, not a
+    single threshold.
     """
     if not 0 < p <= 1:
         raise ValueError(f"caching probability p must lie in (0, 1], got p = {p}")
@@ -222,7 +217,9 @@ def sample_xi_min(params: NetworkParams, p: float, trials: int, seed: int) -> np
     samples = np.empty(trials)
     for c, n in _chunk_grid(trials, _NOISE_CHUNK):
         kernel(_substream(seed, c), n, samples[c * _NOISE_CHUNK : c * _NOISE_CHUNK + n])
-    samples *= _noise_scale(p, params)
+    with np.errstate(over="ignore"):
+        samples *= _window_r2(p, params.helper_density, NOISE_WINDOW_MISS)
+        samples **= params.pathloss_exp / 2.0
     return samples
 
 
@@ -236,16 +233,15 @@ def simulate_noise_limited(
     """Estimate the success probability without interference or load sharing.
 
     Each trial requests a content by popularity and succeeds when
-    log2(1 + snr / xi_1) clears the content's target rate.  Helpers caching
-    content i are drawn directly as a thinned Poisson process of intensity
-    p_i * helper_density (placement keeps caches independent across
-    helpers, so the thinning is exact), with a per-content window.
+    log2(1 + snr / xi_1) clears the content's target rate: xi_1^delta <=
+    theta^delta.  Helpers caching content i are drawn directly as a thinned
+    Poisson process of intensity p_i * helper_density (placement keeps
+    caches independent across helpers, so the thinning is exact).
 
     Every window radius R_i satisfies p_i * helper_density * pi * R_i^2 =
-    ln(1 / NOISE_WINDOW_MISS), so xi_1 is R_i^alpha times one content-free
-    unit-disc minimum and a chunk makes four draws (requests, counts, unit
-    radii, gains) whatever F is.  Uncached contents, and those whose
-    R_i^alpha overflows, always fail.
+    ln(1 / NOISE_WINDOW_MISS), so xi_1^delta is R_i^2 times one
+    content-free unit-disc minimum and a chunk makes four draws (requests,
+    counts, unit radii, gains) whatever F is.  Uncached contents always fail.
 
     The window is tighter than the interference engine's default 1e-3
     because the success event compares the whole xi_1 distribution against
@@ -258,17 +254,19 @@ def simulate_noise_limited(
         raise ValueError(f"infeasible policy: {violation}")
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    thresholds = _noise_thresholds(library, params)  # raises before any draw
-    scale = _noise_scale(probs, params)
+    # raises before any draw; theta^delta as in optimize_noise and xi1_cdf
+    thresholds = _noise_thresholds(library, params) ** params.delta
+    r2 = _window_r2(probs, params.helper_density, NOISE_WINDOW_MISS)
     requests, kernel = _Requests(library.popularity), _UnitXiMin(params)
     minima = np.empty(_NOISE_CHUNK)
     successes = 0
     for c, n in _chunk_grid(trials, _NOISE_CHUNK):
         rng = _substream(seed, c)
         contents = requests(rng, n)
-        xi1 = scale[contents] * kernel(rng, n, minima[:n])
-        # the thresholds are finite, and an inf or NaN xi1 never clears one
-        successes += int(np.count_nonzero(xi1 <= thresholds[contents]))
+        with np.errstate(over="ignore"):  # near p = 0, +inf fails like an empty window
+            xi_delta = r2[contents] * kernel(rng, n, minima[:n])
+        # the thresholds are finite, and an inf or NaN xi_delta never clears one
+        successes += int(np.count_nonzero(xi_delta <= thresholds[contents]))
     return MCEstimate.from_counts(successes, trials)
 
 
@@ -322,9 +320,13 @@ def _sample_chunk(
     )
 
 
-def _check_chunk_population(params: NetworkParams, r2: float, p_min: float) -> None:
-    """Refuse a window of radius^2 r2 whose chunk would hold more than
-    _CHUNK_POPULATION helpers and users on average."""
+def _check_window(params: NetworkParams, r2: float, p_min: float) -> None:
+    """Refuse, before any draw, an interference window of radius^2 r2
+    whose chunk would hold more than _CHUNK_POPULATION helpers and users on
+    average, or whose R^alpha is outside the normal float range, where the
+    path losses of its helpers overflow or lose their precision.  The SIR
+    does not depend on the density scale, so scaling both densities
+    together leaves every estimate unchanged."""
     ratio = params.user_density / params.helper_density
     population = _INTERF_CHUNK * pi * r2 * (params.helper_density + params.user_density)
     if population > _CHUNK_POPULATION:
@@ -334,13 +336,6 @@ def _check_chunk_population(params: NetworkParams, r2: float, p_min: float) -> N
             f"helper_density (now {ratio:.3g}) or raise the smallest caching probability "
             f"(now {p_min:.3g})"
         )
-
-
-def _check_window_scale(params: NetworkParams, r2: float, p_min: float) -> None:
-    """Refuse a window of radius^2 r2 whose R^alpha is outside the normal
-    float range, where the path losses of its helpers overflow or lose
-    their precision.  The SIR does not depend on the density scale, so
-    scaling both densities together leaves every estimate unchanged."""
     with np.errstate(over="ignore"):
         scale = np.float64(r2) ** (params.pathloss_exp / 2.0)
     if not np.finfo(float).tiny <= scale < np.inf:
@@ -348,7 +343,7 @@ def _check_window_scale(params: NetworkParams, r2: float, p_min: float) -> None:
             f"helper_density = {params.helper_density:.3g} puts the window's R^alpha = "
             f"{scale:.3g} outside the normal float range (pathloss_exp {params.pathloss_exp:g}, "
             f"smallest caching probability {p_min:.3g}): scale helper_density and "
-            f"user_density together, which leaves the SIR unchanged"
+            f"user_density together, which leaves the SIR unchanged, or lower pathloss_exp"
         )
 
 
@@ -606,8 +601,7 @@ def _simulate_interference_pass(
         return {mode: [MCEstimate.from_counts(0, trials)] * len(rates) for mode in successes}
     p_min = float(positive.min())
     r2 = float(_window_r2(p_min, params.helper_density, window_miss_prob))
-    _check_chunk_population(params, r2, p_min)
-    _check_window_scale(params, r2, p_min)
+    _check_window(params, r2, p_min)
     radius = float(np.sqrt(r2))
     if mean_modes:
         # no helper caches a content of probability 0: its load is unbounded

@@ -174,7 +174,8 @@ class TestSmallestReciprocal:
 
 class TestXiMinDistribution:
     def test_tiny_probability_gives_empty_windows(self):
-        # R^alpha overflows at p = 1e-300: every sample is +inf, without a warning
+        # at p = 1e-300 the window's R^2 is near the float ceiling, so every
+        # sample overflows to +inf, without a warning
         xi = sample_xi_min(make_params(), 1e-300, trials=5000, seed=5105)
         assert xi.shape == (5000,)
         assert np.all(xi == np.inf)
@@ -196,9 +197,12 @@ class TestXiMinDistribution:
         two = sample_xi_min(make_params(), 0.5, trials=chunk + 1, seed=3)
         assert np.array_equal(two[:chunk], one)
 
-    @pytest.mark.parametrize("lam,m_d", [(0.05, 1.0), (0.2, 1.0)])
-    def test_cdf_matches_closed_form(self, lam, m_d):
-        params = make_params(lam=lam, alpha=2.5, m_d=m_d)
+    # at alpha = 400 the window's R^alpha overflowed and every sample was non-finite
+    @pytest.mark.parametrize(
+        "lam,m_d,alpha", [(0.05, 1.0, 2.5), (0.2, 1.0, 2.5), (0.05, 1.0, 400.0)]
+    )
+    def test_cdf_matches_closed_form(self, lam, m_d, alpha):
+        params = make_params(lam=lam, alpha=alpha, m_d=m_d)
         xi = np.sort(sample_xi_min(params, 1.0, trials=30_000, seed=10))
         finite = xi[np.isfinite(xi)]
         grid = np.quantile(finite, np.linspace(0.02, 0.98, 40))
@@ -261,9 +265,12 @@ class TestSimulateNoiseLimited:
         target = 1.0 - math.exp(-1.0)
         assert abs(est.estimate - target) <= 3.5 * est.stderr
 
-    def test_agrees_with_analytics_on_random_policy(self):
+    # from alpha = 250 the windows' R^alpha overflowed, which wrote 0 +- 0
+    # after an invalid-value warning
+    @pytest.mark.parametrize("alpha", [3.0, 250.0, 400.0, 1e300])
+    def test_agrees_with_analytics_on_random_policy(self, alpha):
         lib = make_library(5, rates=np.linspace(0.3, 1.0, 5))
-        params = make_params()
+        params = make_params(alpha=alpha)
         rng = np.random.default_rng(7)
         p = rng.random(5)
         p *= min(1.0, 2.0 / p.sum())
@@ -280,8 +287,9 @@ class TestSimulateNoiseLimited:
         assert a == b
 
     def test_tiny_probability_fails_like_an_uncached_content(self):
-        # p = 1e-300 overflowed R^alpha with a RuntimeWarning; the draws do
-        # not depend on p, so it must match the uncached content bit for bit
+        # p = 1e-300 puts the window's R^2 near the float ceiling, where
+        # R^2 u / g^delta may overflow; the draws do not depend on p, so it
+        # must match the uncached content bit for bit
         lib = make_library(3)
         params = make_params()
         tiny = CachingPolicy(np.array([0.6, 1e-300, 0.3]), 1)
@@ -497,6 +505,14 @@ class TestSimulateInterferenceLimited:
         lib, params, policy = fig4_setting()
         with pytest.raises(ValueError, match=r"window_miss_prob must lie in \(0, 1\)"):
             simulate_interference_limited(lib, params, policy, 10, 0, window_miss_prob=miss_prob)
+
+    def test_crowded_chunk_is_refused_before_any_draw(self, monkeypatch):
+        # p = 1e-4 sizes a window whose 64-trial chunk holds 4.6e6 points on average
+        monkeypatch.setattr(simulator, "_substream", lambda *a: pytest.fail("drew before refusing"))
+        policy = CachingPolicy(np.array([0.5, 1e-4]), 1)
+        message = r"would hold 4\.6e\+06 helpers and users .* ceiling of 4e\+06"
+        with pytest.raises(ValueError, match=message):
+            simulate_interference_limited(make_library(2), make_params(), policy, 10, 0)
 
     def test_transmit_power_cancels_from_every_load_mode(self):
         # the engine works in SIR: scaling both powers leaves every count unchanged
@@ -863,25 +879,26 @@ class TestWindowRadius:
     def test_overflow_gives_infinite_window(self):
         assert _window_r2(1e-300, 1e-300, 1e-3) == np.inf
 
-    def test_noise_scale_is_r2_to_the_half_alpha(self):
-        params = make_params(alpha=3.5)
-        p = np.array([0.0, 1e-3, 0.4])
-        expected = _window_r2(p, params.helper_density, simulator.NOISE_WINDOW_MISS) ** 1.75
-        assert np.array_equal(simulator._noise_scale(p, params), expected)
 
 
 class TestFloatRange:
     """Path losses outside the float range are refused, not counted: a
     helper density of 1e300 once wrote estimate 0 with stderr 0."""
 
-    @pytest.mark.parametrize("lam", [1e300, 1e-300])
-    def test_window_outside_the_normal_range_is_refused_before_any_draw(self, monkeypatch, lam):
+    # at alpha = 1e300, R^alpha is normal only for R within 1e-297 of 1, so
+    # the message names pathloss_exp besides the density scale
+    @pytest.mark.parametrize("lam,alpha", [(1e300, 3.0), (1e-300, 3.0), (1e-5, 1e300)])
+    def test_window_outside_the_normal_range_is_refused_before_any_draw(
+        self, monkeypatch, lam, alpha
+    ):
         lib, _, policy = fig4_setting()
         monkeypatch.setattr(simulator, "_substream", lambda *args: pytest.fail("drew"))
+        params = make_params(lam=lam, lam_u=2 * lam, alpha=alpha)
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
-            with pytest.raises(ValueError, match="helper_density = .* outside the normal float"):
-                simulate_interference_limited(lib, make_params(lam=lam, lam_u=2 * lam), policy, 10, 1)
+            with pytest.raises(ValueError, match="helper_density = .* outside the normal float "
+                                                 ".* or lower pathloss_exp"):
+                simulate_interference_limited(lib, params, policy, 10, 1)
 
     def test_density_scale_leaves_every_count_unchanged(self):
         lib, _, policy = fig4_setting()
