@@ -77,15 +77,19 @@ def _probs_of(policy, library: ContentLibrary) -> np.ndarray:
     return probs
 
 
-def _snr_factor(rates) -> np.ndarray:
-    """2^rate - 1 per content: the SNR a link needs to clear its rate alone."""
+def _rate_threshold(rates, c: float) -> np.ndarray:
+    """2^(c rho) - 1 per content: the SINR a link must clear to carry its
+    rate rho while shared by up to c users.  c = 1 gives the SNR a link
+    needs alone; expm1 keeps every digit for tiny c rho, and is never 0."""
+    if not 1 <= c < math.inf:  # NaN fails too
+        raise ValueError(f"load bound c must be >= 1 and finite, got {c}")
+    exponent = c * np.asarray(rates, dtype=float)
     with np.errstate(over="ignore"):
-        factor = np.power(2.0, rates) - 1.0
-    if not np.all(np.isfinite(factor)):
-        raise ValueError(f"max(rate) = {np.max(rates):g} overflows the SNR threshold 2^rate - 1")
-    if not np.all(factor > 0):
-        raise ValueError(f"min(rate) = {np.min(rates):g} is too small: 2^rate - 1 rounds to 0")
-    return factor
+        tau = np.expm1(exponent * math.log(2.0))
+    if not np.all(np.isfinite(tau)):
+        raise ValueError(f"c * max(rate) = {np.max(exponent):g} overflows the rate threshold "
+                         f"2^(c rate) - 1 at c = {c:g}")
+    return tau
 
 
 def _noise_thresholds(library: ContentLibrary, params: NetworkParams) -> np.ndarray:
@@ -95,7 +99,7 @@ def _noise_thresholds(library: ContentLibrary, params: NetworkParams) -> np.ndar
     if params.noise_power == 0:
         raise ValueError("noise-limited analytics need noise_power > 0, i.e. a finite snr_db")
     with np.errstate(over="ignore"):
-        theta = params.snr / _snr_factor(library.rates)
+        theta = params.snr / _rate_threshold(library.rates, 1.0)
     if not np.all(np.isfinite(theta)):
         raise ValueError(f"the SNR threshold snr / (2^rate - 1) overflows at snr = {params.snr:g} "
                          f"and min(rate) = {np.min(library.rates):g}")
@@ -148,20 +152,6 @@ def _a_over_b(tau, delta: float):
     )
 
 
-def _sir_threshold(rates, c: float) -> np.ndarray:
-    """tau = 2^(c rho) - 1 per content, accurate for tiny c rho."""
-    if not 1 <= c < math.inf:  # NaN fails too
-        raise ValueError(f"load bound c must be >= 1 and finite, got {c}")
-    exponent = c * np.asarray(rates, dtype=float)
-    with np.errstate(over="ignore"):
-        tau = np.expm1(exponent * math.log(2.0))
-    if not np.all(np.isfinite(tau)):
-        raise ValueError(
-            f"c * max(rate) = {np.max(exponent):g} overflows the SIR threshold 2^(c rate) - 1"
-        )
-    return tau
-
-
 def _require_resolvable(ok, rates, c: float, what: str) -> None:
     """Fail fast, naming c * rate, where a tiny SIR threshold underflows the analytics."""
     if not np.all(ok):
@@ -200,10 +190,11 @@ class InterferenceConstants:
 
     @classmethod
     def from_rates(cls, rates, alpha: float, c: float) -> "InterferenceConstants":
-        tau = _sir_threshold(rates, c)
+        tau = _rate_threshold(rates, c)
         delta = 2.0 / alpha
         ratio = _a_over_b(tau, delta)
-        _require_resolvable(ratio < 1.0, rates, c, "A/B rounds to 1 at tau = 2^(c rate) - 1")
+        _require_resolvable(ratio < 1.0, rates, c,
+                            f"A/B rounds to 1 at tau = 2^(c rate) - 1 and pathloss_exp = {alpha:g}")
         B = tau**delta * c_alpha(alpha)
         # the exact A is below 1, but B * (A / B) can round above it
         return cls(tau=tau, A=np.minimum(B * ratio, 1.0), B=B, c=float(c))
@@ -301,7 +292,7 @@ def nakagami_lower_bound(
     """
     if params.fading_desired != int(params.fading_desired):
         raise NotImplementedError("the k-sum requires an integer desired-link fading shape")
-    tau = _sir_threshold(library.rates, c)
+    tau = _rate_threshold(library.rates, c)
     probs = _probs_of(policy, library)
     if probs.ndim != 1:
         raise ValueError("nakagami_lower_bound evaluates one policy at a time")

@@ -342,8 +342,9 @@ def _run_cdf(config: ExperimentConfig):
     with np.errstate(over="ignore"):
         xi_grid = (-np.log1p(-quantiles) / _kappa(params)) ** (1.0 / params.delta)
     if not (np.all(np.isfinite(xi_grid)) and xi_grid[0] > 0 and np.all(np.diff(xi_grid) > 0)):
-        raise ConfigError(f"pathloss_exp = {params.pathloss_exp:g} puts the xi grid of the CDF "
-                          "outside the float range (0s, infs or repeated values)")
+        raise ConfigError(f"helper_density = {params.helper_density:g}, fading_desired = "
+                          f"{params.fading_desired:g} and pathloss_exp = {params.pathloss_exp:g} put "
+                          "the xi grid of the CDF outside the float range (0s, infs or repeated values)")
     samples = np.sort(sample_xi_min(params, 1.0, config.trials, config.seed))
     empirical = np.searchsorted(samples, xi_grid, side="right") / samples.size
     row = {
@@ -731,7 +732,7 @@ def run(config: ExperimentConfig) -> int:
         "notes": {
             "snr": "powers are in units of the transmit power: snr_db sets noise_power = "
                    "10^(-snr_db/10), and the interference channel works in SIR",
-            "units": "densities per m^2, powers linear watts, rates bits/s/Hz",
+            "units": "densities per m^2, powers in units of the transmit power, rates bits/s/Hz",
         },
     }
     with Path(str(out) + ".manifest.json").open("w") as handle:

@@ -25,8 +25,8 @@ __all__ = [
 BUDGET_TOL = 1e-9
 
 
-def _frozen_array(values, dtype=float) -> np.ndarray:
-    arr = np.array(values, dtype=dtype)
+def _frozen_array(values) -> np.ndarray:
+    arr = np.array(values, dtype=float)
     arr.setflags(write=False)
     return arr
 

@@ -141,6 +141,19 @@ class TestSuccessNoise:
         with pytest.raises(ValueError, match=r"max\(rate\) = 2000 overflows"):
             _noise_thresholds(lib, make_params())
 
+    def test_thresholds_match_high_precision(self):
+        # 2^rho - 1 was taken as power(2, rho) - 1, which cancels: 1e-4 off at
+        # rho = 1e-12, 1.6e-9 off at 1e-8, and refused as 0 below about 1.6e-16
+        import mpmath
+
+        rates = [1e-300, 1e-16, 1e-12, 1e-8, 1e-3, 0.5, 3.0]
+        params = make_params()
+        theta = _noise_thresholds(make_library(len(rates), rates=rates), params)
+        with mpmath.workdps(50):
+            exact = [float(mpmath.mpf(params.snr) / mpmath.expm1(mpmath.mpf(r) * mpmath.log(2)))
+                     for r in rates]
+        assert np.all(np.abs(theta / exact - 1.0) <= 4e-16), theta / exact - 1.0
+
     def test_scalar_case_unit_exponent(self):
         params = make_params()
         kappa = _kappa(params)

@@ -582,8 +582,10 @@ class TestExitCodes:
             ("pathloss_exp", "nan", "pathloss_exp = 3.0", "optimize-noise"),
             # an infinite one passed NetworkParams and raised ZeroDivisionError in cdf
             ("pathloss_exp", "inf", "pathloss_exp = 3.0", "cdf"),
+            # delta = 2e-300 rounds A/B to 1 at every tau, blamed on c * min(rate) alone
+            ("pathloss_exp", "1e300", "pathloss_exp = 3.0", "optimize-sir"),
         ],
-        ids=["user_density", "tx_power", "pathloss_exp", "pathloss_exp-inf"],
+        ids=["user_density", "tx_power", "pathloss_exp", "pathloss_exp-inf", "pathloss_exp-1e300-sir"],
     )
     def test_nan_network_parameter_exits_2(self, tmp_path, field, value, old, command):
         config = tmp_path / "nan.ini"
@@ -751,22 +753,18 @@ class TestExitCodes:
 
     @pytest.mark.parametrize(
         "scenario, case",
-        [(scenario, case) for case in ("huge", "tiny", "snr")
+        [(scenario, case) for case in ("huge", "snr")
          for scenario in ("optimize-noise", "simulate")],
-        ids=["optimize-noise", "simulate", "optimize-noise-tiny", "simulate-tiny",
-             "optimize-noise-snr", "simulate-snr"],
+        ids=["optimize-noise", "simulate", "optimize-noise-snr", "simulate-snr"],
     )
     def test_overflowing_rate_exits_2(self, tmp_path, scenario, case):
         # 2^rate overflowed and the run failed with "threshold factors must be
-        # positive", naming neither the rate nor rho_max; at 1e-300, 2^rate - 1
-        # rounded to 0 and the thresholds divided by zero; at snr_db = 3000 and
+        # positive", naming neither the rate nor rho_max; at snr_db = 3000 and
         # rho = 1e-10 the threshold snr / (2^rho - 1) overflowed, optimize-noise
         # exited 3 on a [nan, inf] bracket and simulate exited 0
         edits, message = {
             "huge": ({"rho_max = 1.0": "rho_max = 1e300"},
                      f"max(rate) = {uniform_rates(1e300, 6, 3).max():g} overflows"),
-            "tiny": ({"rho_max = 1.0": "rho_max = 1e-300"},
-                     f"min(rate) = {uniform_rates(1e-300, 6, 3).min():g} is too small"),
             "snr": ({"snr_db = 20.0": "snr_db = 3000",
                      "rate_mode = uniform": "rate_mode = constant\nrho = 1e-10"},
                     "snr / (2^rate - 1) overflows at snr = 1e+300 and min(rate) = 1e-10"),
@@ -782,6 +780,26 @@ class TestExitCodes:
         assert result.exit_code == 2
         assert message in result.stderr
         assert not (tmp_path / "r.csv").exists()
+
+    @pytest.mark.parametrize("scenario, column", [("optimize-noise", "objective"),
+                                                  ("simulate", "estimate")],
+                             ids=["optimize-noise", "simulate"])
+    def test_tiny_rate_runs(self, tmp_path, scenario, column):
+        # at rho_max = 1e-300, power(2, rate) - 1 rounded to 0 and both runs
+        # exited 2; 2^rate - 1 is about 1.4e-301, so every request is delivered
+        config = tmp_path / "rate.ini"
+        config.write_text(BASE_CONFIG.replace("rho_max = 1.0", "rho_max = 1e-300"))
+        out = tmp_path / "r.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            result = CliRunner().invoke(main, [scenario, "--config", str(config), "--out", str(out)])
+        assert result.exit_code == 0, result.output
+        with out.open() as handle:
+            rows = list(csv.DictReader(handle))
+        cells = [float(x) for row in rows for key, cell in row.items()
+                 if cell and key not in ("channel", "load_mode") for x in cell.split(";")]
+        assert np.all(np.isfinite(cells))
+        assert all(float(row[column]) == 1.0 for row in rows)
 
     def test_infinite_fading_exits_2(self, tmp_path):
         # passed NetworkParams and died on a RuntimeWarning in _fading_moment
@@ -903,19 +921,26 @@ class TestExitCodes:
         assert result.exit_code == 0, result.output
         assert out.exists()
 
-    @pytest.mark.parametrize("alpha", ["500", "1e300"])
-    def test_cdf_grid_outside_the_float_range_exits_2(self, tmp_path, alpha):
+    @pytest.mark.parametrize("field, value", [
+        pytest.param("pathloss_exp", "500", id="500"),
+        pytest.param("pathloss_exp", "1e300", id="1e300"),
+        pytest.param("helper_density", "1e300", id="helper_density-1e300"),
+        pytest.param("helper_density", "1e-300", id="helper_density-1e-300"),
+    ])
+    def test_cdf_grid_outside_the_float_range_exits_2(self, tmp_path, field, value):
         # (-log1p(-q) / kappa)^(1 / delta) overflowed with a RuntimeWarning at
-        # alpha = 500, and at 1e300 wrote an xi column of 0s and infs
-        config = tmp_path / "alpha.ini"
-        config.write_text(BASE_CONFIG.replace("pathloss_exp = 3.0", f"pathloss_exp = {alpha}"))
+        # alpha = 500, and at 1e300 wrote an xi column of 0s and infs; a helper
+        # density of 1e+-300 moves kappa out of range and was blamed on alpha
+        config = tmp_path / "grid.ini"
+        old = {"pathloss_exp": "pathloss_exp = 3.0", "helper_density": "helper_density = 0.05"}[field]
+        config.write_text(BASE_CONFIG.replace(old, f"{field} = {value}"))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             result = CliRunner().invoke(
                 main, ["cdf", "--config", str(config), "--out", str(tmp_path / "c.csv")]
             )
         assert result.exit_code == 2
-        assert "pathloss_exp" in result.stderr
+        assert f"{field} = " in result.stderr
         assert not (tmp_path / "c.csv").exists()
 
     def test_default_cdf_grid_is_the_analytic_quantiles(self, config_file, tmp_path):
