@@ -80,16 +80,20 @@ def _probs_of(policy, library: ContentLibrary) -> np.ndarray:
 def _rate_threshold(rates, c: float) -> np.ndarray:
     """2^(c rho) - 1 per content: the SINR a link must clear to carry its
     rate rho while shared by up to c users.  c = 1 gives the SNR a link
-    needs alone; expm1 keeps every digit for tiny c rho, and is never 0."""
+    needs alone.  Below c rho = 1, expm1 keeps every digit for tiny c rho
+    and is never 0; from 1 on, the rounding of c rho ln 2 would grow with
+    c rho, and exp2 - 1 is exact to the rounding of exp2."""
     if not 1 <= c < math.inf:  # NaN fails too
         raise ValueError(f"load bound c must be >= 1 and finite, got {c}")
     exponent = c * np.asarray(rates, dtype=float)
-    with np.errstate(over="ignore"):
-        tau = np.expm1(exponent * math.log(2.0))
-    if not np.all(np.isfinite(tau)):
+    if not np.all(exponent <= 1024.0):
         raise ValueError(f"c * max(rate) = {np.max(exponent):g} overflows the rate threshold "
                          f"2^(c rate) - 1 at c = {c:g}")
-    return tau
+    with np.errstate(over="ignore"):
+        tau = np.where(exponent < 1.0, np.expm1(exponent * math.log(2.0)),
+                       np.exp2(exponent) - 1.0)
+    # 2^1024 - 1 rounds up to inf, but lies within an ulp of the largest float
+    return np.minimum(tau, np.finfo(float).max)
 
 
 def _noise_thresholds(library: ContentLibrary, params: NetworkParams) -> np.ndarray:

@@ -18,11 +18,18 @@ __all__ = [
     "uniform_rates",
     "budget_violation",
     "BUDGET_TOL",
+    "MAX_COUNT",
 ]
 
 # Slack on the cache budget for the rounding of sum(p), and the level at
 # or below which a caching probability counts as zero.
 BUDGET_TOL = 1e-9
+
+# The largest library the constructors build, refused before any
+# allocation: 1000 times the F = 10^4 of the large-library runs.
+# optimize-noise peaks at 0.79 GB for F = 4 * 10^6, so about 1.9 GB here;
+# 10^9 contents would need some 190 GB.
+MAX_COUNT = 10_000_000
 
 
 def _frozen_array(values) -> np.ndarray:
@@ -135,6 +142,11 @@ class CachingPolicy:
         return self.probs.size
 
 
+def _check_count(count: int) -> None:
+    if not 1 <= count <= MAX_COUNT:
+        raise ValueError(f"count must be >= 1 and <= MAX_COUNT = {MAX_COUNT}, got {count}")
+
+
 def zipf_popularity(count: int, gamma: float) -> np.ndarray:
     """Zipf request probabilities f_i = (1/i^gamma) / sum_j (1/j^gamma).
 
@@ -143,8 +155,7 @@ def zipf_popularity(count: int, gamma: float) -> np.ndarray:
     underflows to 0 leaves the last content with no requests and is
     rejected.
     """
-    if count < 1:
-        raise ValueError("count must be >= 1")
+    _check_count(count)
     if not 0 <= gamma < np.inf:  # NaN fails too
         raise ValueError(f"gamma must be >= 0 and finite, got {gamma}")
     ranks = np.arange(1, count + 1, dtype=float)
@@ -161,6 +172,7 @@ def uniform_rates(rho_max: float, count: int, seed: int) -> np.ndarray:
     """
     if not 0 < rho_max < np.inf:  # NaN fails too
         raise ValueError(f"rho_max must be > 0 and finite, got {rho_max}")
+    _check_count(count)
     rng = np.random.default_rng(seed)
     # 1 - U maps [0, 1) onto (0, 1], keeping every rate strictly positive.
     return rho_max * (1.0 - rng.random(count))

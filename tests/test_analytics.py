@@ -143,10 +143,11 @@ class TestSuccessNoise:
 
     def test_thresholds_match_high_precision(self):
         # 2^rho - 1 was taken as power(2, rho) - 1, which cancels: 1e-4 off at
-        # rho = 1e-12, 1.6e-9 off at 1e-8, and refused as 0 below about 1.6e-16
+        # rho = 1e-12, 1.6e-9 off at 1e-8, and refused as 0 below about 1.6e-16;
+        # then as expm1(rho ln 2), 1.8e-15 off at rho = 100 and 6.9e-14 at 1000
         import mpmath
 
-        rates = [1e-300, 1e-16, 1e-12, 1e-8, 1e-3, 0.5, 3.0]
+        rates = [1e-300, 1e-16, 1e-12, 1e-8, 1e-3, 0.5, 3.0, 100.0, 1000.0]
         params = make_params()
         theta = _noise_thresholds(make_library(len(rates), rates=rates), params)
         with mpmath.workdps(50):
@@ -309,6 +310,15 @@ class TestHypergeometricConstants:
         #         ~ tau^(1-delta) / ((1-delta) B(1-delta, delta))
         leading = tau ** (1.0 - delta) / ((1.0 - delta) * math.pi / math.sin(math.pi * delta))
         assert 1.0 - A / B == pytest.approx(leading, rel=1e-2)
+
+    def test_sir_threshold_matches_high_precision(self):
+        # expm1(c rho ln 2) rounded c rho ln 2 first: 1.8e-15 off at c rho = 100
+        import mpmath
+
+        tau = InterferenceConstants.from_rates([25.0], 3.0, 4.0).tau[0]
+        with mpmath.workdps(50):
+            exact = float(mpmath.mpf(2) ** 100 - 1)
+        assert abs(tau / exact - 1.0) <= 4e-16, tau / exact - 1.0
 
     def test_threshold_overflow_fails_fast(self):
         # 2^(40 * 30) overflowed to tau = inf, A = NaN, B = inf, and the

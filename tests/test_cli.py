@@ -17,10 +17,12 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import csv_oracle
-from cachegeo import experiments
+import run_matrix
+from cachegeo import experiments, model
 from cachegeo.cli import main
 from cachegeo.experiments import (
     FIGURES,
+    SCENARIOS,
     ConfigError,
     ExperimentConfig,
     FigureEntry,
@@ -28,8 +30,9 @@ from cachegeo.experiments import (
     run,
     select_c,
 )
-from cachegeo.model import NetworkParams, uniform_rates, zipf_popularity
-from cachegeo.simulator import MCEstimate
+from cachegeo.model import MAX_COUNT, NetworkParams, uniform_rates, zipf_popularity
+from cachegeo.simulator import LOAD_MODES, MCEstimate
+from test_model import NumpyWithoutAllocation
 
 
 BASE_CONFIG = """
@@ -125,13 +128,6 @@ class TestRun:
             "numpy": metadata.version("numpy"),
             "scipy": metadata.version("scipy"),
         }
-
-    def test_reruns_are_byte_identical(self, config_file, tmp_path):
-        out1 = tmp_path / "a.csv"
-        out2 = tmp_path / "b.csv"
-        for out in (out1, out2):
-            run(load_config(str(config_file), "simulate", output=str(out), trials=300))
-        assert out1.read_bytes() == out2.read_bytes()
 
     def test_optimize_noise_with_sweep(self, config_file, tmp_path):
         out = tmp_path / "opt.csv"
@@ -420,15 +416,6 @@ class TestCommandLine:
         result = CliRunner().invoke(main, ["list-figures"])
         assert result.exit_code == 0
         assert "approx-check" in result.output
-
-    def test_simulate_command(self, config_file, tmp_path):
-        out = tmp_path / "cli.csv"
-        result = CliRunner().invoke(
-            main,
-            ["simulate", "--config", str(config_file), "--trials", "200", "--out", str(out)],
-        )
-        assert result.exit_code == 0, result.output
-        assert out.exists()
 
     def test_invalid_config_exits_2(self, tmp_path):
         bad = tmp_path / "bad.ini"
@@ -751,6 +738,18 @@ class TestExitCodes:
         assert f"{field} " in result.stderr
         assert not (tmp_path / "r.csv").exists()
 
+    def test_oversized_count_exits_2_before_allocation(self, tmp_path, monkeypatch):
+        # count = 1e9 was killed for want of memory (exit 137)
+        monkeypatch.setattr(model, "np", NumpyWithoutAllocation())
+        config = tmp_path / "library.ini"
+        config.write_text(BASE_CONFIG.replace("count = 6", "count = 1000000000"))
+        result = CliRunner().invoke(
+            main, ["optimize-noise", "--config", str(config), "--out", str(tmp_path / "r.csv")]
+        )
+        assert result.exit_code == 2
+        assert f"count must be >= 1 and <= MAX_COUNT = {MAX_COUNT}" in result.stderr
+        assert not (tmp_path / "r.csv").exists()
+
     @pytest.mark.parametrize(
         "scenario, case",
         [(scenario, case) for case in ("huge", "snr")
@@ -1039,14 +1038,31 @@ seed = 4
         assert c >= 1.0
 
 
-class TestFigureDeterminism:
-    def test_monte_carlo_figure_reruns_byte_identical(self, tmp_path):
-        outs = []
-        for name in ("x.csv", "y.csv"):
-            out = tmp_path / name
-            config = ExperimentConfig(
-                scenario="figure", figure="approx-check", output=str(out), trials=60, seed=3
-            )
-            run(config)
-            outs.append(out.read_bytes())
-        assert outs[0] == outs[1]
+class TestRunMatrix:
+    @pytest.mark.parametrize("case", run_matrix.CASES, ids=[case.id for case in run_matrix.CASES])
+    def test_case_exits_0_finite_and_reruns_byte_identical(self, case, tmp_path):
+        # run_matrix.run raises on a non-zero exit, a RuntimeWarning or a non-finite cell
+        first = run_matrix.run(case, 64, 1, tmp_path)
+        assert run_matrix.run(case, 64, 1, tmp_path) == first
+
+    def test_every_scenario_figure_load_mode_and_c_mode_has_a_case(self, tmp_path):
+        covered = set()
+        for case in run_matrix.CASES:
+            ini = tmp_path / "case.ini"
+            ini.write_text(case.ini)
+            scenario, *flags = case.argv
+            config = load_config(str(ini), scenario, **{
+                flag.lstrip("-"): value for flag, value in zip(flags[::2], flags[1::2])})
+            covered.add(("scenario", scenario))
+            if scenario == "figure":
+                covered.add(("figure", config.figure))
+            if scenario == "simulate" and config.channel == "interference":
+                covered.add(("load_mode", config.load_mode))
+            if scenario == "optimize-sir":
+                covered.add(("c_mode", config.c_mode))
+        c_modes = ExperimentConfig.__dataclass_fields__["c_mode"].metadata["choices"]
+        declared = ({("scenario", name) for name in SCENARIOS}
+                    | {("figure", fid) for fid in FIGURES}
+                    | {("load_mode", mode) for mode in LOAD_MODES}
+                    | {("c_mode", mode) for mode in c_modes})
+        assert declared - covered == set()

@@ -5,8 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cachegeo import model
 from cachegeo.analytics import InterferenceConstants
 from cachegeo.model import (
+    MAX_COUNT,
     CachingPolicy,
     ContentLibrary,
     NetworkParams,
@@ -51,6 +53,28 @@ class TestZipfPopularity:
     def test_large_library_normalization(self):
         f = zipf_popularity(10**6, 5.0)
         assert abs(f.sum() - 1.0) < 1e-12
+
+
+class NumpyWithoutAllocation:
+    """numpy as cachegeo.model sees it, failing the test at any array constructor."""
+
+    def __getattr__(self, name):
+        if name in ("arange", "array", "empty", "full", "ones", "zeros", "random"):
+            pytest.fail(f"cachegeo.model reached np.{name} before refusing the count")
+        return getattr(np, name)
+
+
+class TestLibraryCeiling:
+    # count = 1e9 was killed for want of memory in optimize-noise; never run it unpatched
+    @pytest.mark.parametrize("count", [MAX_COUNT + 1, 10**9])
+    @pytest.mark.parametrize("build", [lambda n: zipf_popularity(n, 1.0),
+                                       lambda n: uniform_rates(1.0, n, seed=1)],
+                             ids=["zipf_popularity", "uniform_rates"])
+    def test_oversized_count_refused_before_allocation(self, monkeypatch, build, count):
+        monkeypatch.setattr(model, "np", NumpyWithoutAllocation())
+        with pytest.raises(ValueError, match=f"count must be >= 1 and <= MAX_COUNT = "
+                                             f"{MAX_COUNT}, got {count}"):
+            build(count)
 
 
 class TestUniformRates:
