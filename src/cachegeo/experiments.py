@@ -132,12 +132,14 @@ class ExperimentConfig:
                 raise ConfigError("memory sweep values must be whole numbers of cache slots")
         if self.c_mode == "fixed" and not 1 <= self.c_value < math.inf:
             raise ConfigError(f"c_value must be >= 1 and finite, got {self.c_value}")
+        # checked here, where a bad output fails before the whole run, not after it
         out = Path(self.output)
-        parent = out.parent if str(out.parent) else Path(".")
-        if not parent.exists():
-            raise ConfigError(f"output directory {parent} does not exist")
-        if not os.access(parent, os.W_OK):
-            raise ConfigError(f"output directory {parent} is not writable")
+        if not out.name or out.is_dir():
+            raise ConfigError(f"output {self.output!r} must name a file, not a directory")
+        if not out.parent.is_dir():
+            raise ConfigError(f"output directory {out.parent} does not exist")
+        if not os.access(out.parent, os.W_OK):
+            raise ConfigError(f"output directory {out.parent} is not writable")
         return self
 
     def network(self) -> NetworkParams:
@@ -227,12 +229,17 @@ def _interference_constants(config: ExperimentConfig, library: ContentLibrary,
     """The Rayleigh-bound constants at the config's load bound c: c_value,
     max(1, M user_density / helper_density), or select_c's."""
     if config.c_mode == "fixed":
-        c = config.c_value
+        c, source = config.c_value, "c_value"
     elif config.c_mode == "load":
         c = max(1.0, config.memory * params.user_density / params.helper_density)
+        source = "max(1, memory * user_density / helper_density)"
     else:
         c = select_c(library, params, config.memory, trials=config.trials, seed=config.seed)
-    return InterferenceConstants.from_library(library, params.pathloss_exp, c)
+        source = "select_c's smallest certified value"
+    try:
+        return InterferenceConstants.from_library(library, params.pathloss_exp, c)
+    except ValueError as exc:  # name the config fields that set c
+        raise ConfigError(f"{exc}; c = {source} under c_mode = {config.c_mode}") from exc
 
 
 class Solved(NamedTuple):
