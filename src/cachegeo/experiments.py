@@ -75,7 +75,8 @@ def _declare(default=MISSING, section: str = "", *, key: str = "", choices: tupl
              minimum: int | None = None, sweep: bool = False):
     """A config field: its INI [section] and key (the field name unless
     given), the values it may take, and whether a sweep may vary it.  The
-    network and library fields are checked by the library's constructors."""
+    network and library fields are checked by the library's constructors,
+    which run when `_sweep_points` builds each point, before any work."""
     return field(default=default, metadata={"section": section, "key": key, "choices": choices,
                                             "minimum": minimum, "sweep": sweep})
 
@@ -97,7 +98,7 @@ class ExperimentConfig:
     rho_max: float = _declare(1.0, "library", sweep=True)
     rho: float = _declare(0.001, "library", sweep=True)
     rate_seed: int = _declare(1, "library", minimum=0)
-    memory: int = _declare(3, "policy", sweep=True)
+    memory: int = _declare(3, "policy", minimum=1, sweep=True)
     policy_source: str = _declare("optimize-noise", "policy", key="source", choices=(
         "optimize-noise", "optimize-sir", "mpc", "uc", "explicit"))
     probs: tuple = _declare((), "policy")
@@ -130,6 +131,10 @@ class ExperimentConfig:
                 raise ConfigError("a sweep needs a nonempty sweep_grid")
             if self.sweep == "memory" and not all(float(v).is_integer() for v in self.sweep_grid):
                 raise ConfigError("memory sweep values must be whole numbers of cache slots")
+        elif self.sweep_grid:
+            raise ConfigError(f"sweep_grid = {self.sweep_grid} is set, but no sweep reads it")
+        if self.figure and self.scenario != "figure":
+            raise ConfigError(f"figure = {self.figure!r}: only the figure scenario reads it")
         if self.c_mode == "fixed" and not 1 <= self.c_value < math.inf:
             raise ConfigError(f"c_value must be >= 1 and finite, got {self.c_value}")
         # checked here, where a bad output fails before the whole run, not after it
@@ -308,18 +313,18 @@ def select_c(library: ContentLibrary, params: NetworkParams, memory: int, trials
     raise NumericalError(f"no c in {_C_GRID} certifies the lower bound on the reference policy set")
 
 
-def _sweep_points(config: ExperimentConfig, axis: str, values) -> list:
-    """(value, config at that value) per value of a sweep axis, or one
-    ("", config) point on no axis.  An axis is a field name, or "(a, b)"
-    whose values are (a, b) pairs; memory is set as whole slots."""
-    if not axis:
-        return [("", config)]
-    names = axis.strip("()").split(", ")
+def _sweep_points(config: ExperimentConfig, axis: str = "", values=()) -> list:
+    """(value, config, network, library) per value of a sweep axis, or one
+    ("", config, network, library) point on no axis.  An axis is a field
+    name, or "(a, b)" whose values are (a, b) pairs; memory is set as whole
+    slots.  Every point is built before any is returned, so a value that no
+    point can take is refused before any work."""
+    names = axis.strip("()").split(", ") if axis else []
     points = []
-    for value in values:
+    for value in values if axis else ("",):
         at = zip(names, value if len(names) > 1 else (value,))
-        points.append((value, replace(config, **{n: int(v) if n == "memory" else v
-                                                  for n, v in at})))
+        cfg = replace(config, **{n: int(v) if n == "memory" else v for n, v in at})
+        points.append((value, cfg, cfg.network(), cfg.make_library()))
     return points
 
 
@@ -342,27 +347,31 @@ def _policy_string(probs: np.ndarray) -> str:
                     for p in np.split(probs, range(512, probs.size, 512)))
 
 
-def _run_cdf(config: ExperimentConfig):
-    params = config.network()
+def _run_cdf(config: ExperimentConfig, axis: str = "", values=()):
+    """One CDF row per point of the axis."""
     # xi grid through the analytic quantiles so curves are well resolved
     quantiles = np.linspace(0.02, 0.99, 40)
-    with np.errstate(over="ignore"):
-        xi_grid = (-np.log1p(-quantiles) / _kappa(params)) ** (1.0 / params.delta)
-    if not (np.all(np.isfinite(xi_grid)) and xi_grid[0] > 0 and np.all(np.diff(xi_grid) > 0)):
-        raise ConfigError(f"helper_density = {params.helper_density:g}, fading_desired = "
-                          f"{params.fading_desired:g} and pathloss_exp = {params.pathloss_exp:g} put "
-                          "the xi grid of the CDF outside the float range (0s, infs or repeated values)")
-    samples = np.sort(sample_xi_min(params, 1.0, config.trials, config.seed))
-    empirical = np.searchsorted(samples, xi_grid, side="right") / samples.size
-    row = {
-        "lambda": params.helper_density,
-        "m_d": params.fading_desired,
-        "xi": xi_grid,
-        "analytic_cdf": xi1_cdf(xi_grid, 1.0, params),
-        "empirical_cdf": empirical,
-        "stderr": np.sqrt(empirical * (1 - empirical) / samples.size),
-    }
-    return ["lambda", "m_d", "xi", "analytic_cdf", "empirical_cdf", "stderr"], [row]
+    rows = []
+    for _, cfg, params, _ in _sweep_points(config, axis, values):
+        with np.errstate(over="ignore"):
+            xi_grid = (-np.log1p(-quantiles) / _kappa(params)) ** (1.0 / params.delta)
+        if not (np.all(np.isfinite(xi_grid)) and xi_grid[0] > 0 and np.all(np.diff(xi_grid) > 0)):
+            raise ConfigError(f"helper_density = {params.helper_density:g}, fading_desired = "
+                              f"{params.fading_desired:g} and pathloss_exp = {params.pathloss_exp:g} "
+                              "put the xi grid of the CDF outside the float range (0s, infs or "
+                              "repeated values)")
+        # the samples are bound to no name, so they are freed before the next point draws
+        empirical = np.searchsorted(np.sort(sample_xi_min(params, 1.0, cfg.trials, cfg.seed)),
+                                    xi_grid, side="right") / cfg.trials
+        rows.append({
+            "lambda": params.helper_density,
+            "m_d": params.fading_desired,
+            "xi": xi_grid,
+            "analytic_cdf": xi1_cdf(xi_grid, 1.0, params),
+            "empirical_cdf": empirical,
+            "stderr": np.sqrt(empirical * (1 - empirical) / cfg.trials),
+        })
+    return ["lambda", "m_d", "xi", "analytic_cdf", "empirical_cdf", "stderr"], rows
 
 
 _CONTENT_FIELDS = ["content", "popularity", "rate", "p_opt", "objective", "omega",
@@ -370,14 +379,12 @@ _CONTENT_FIELDS = ["content", "popularity", "rate", "p_opt", "objective", "omega
 
 
 def _optimizer_rows(source: str, points, label: str, **columns) -> list[dict]:
-    """Rows of the `source` optimizer's solution, one per (value, config)
-    point: the value goes in column `label`, `columns` are the same at every
-    point, "c" is the load bound used ("" without one), and the per-content
-    columns are arrays."""
+    """Rows of the `source` optimizer's solution, one per point: the value
+    goes in column `label`, `columns` are the same at every point, "c" is the
+    load bound used ("" without one), and the per-content columns are arrays."""
     rows = []
-    for value, cfg in points:
-        library = cfg.make_library()
-        _, report, consts = _solve(source, cfg, library, cfg.network())
+    for value, cfg, params, library in points:
+        _, report, consts = _solve(source, cfg, library, params)
         rows.append({
             **columns,
             label: value,
@@ -407,9 +414,7 @@ def _run_simulate(config: ExperimentConfig):
     fields = ["sweep", "sweep_value", "channel", "load_mode", "policy", "analytic",
               "estimate", "stderr", "trials"]
     rows = []
-    for value, cfg in _sweep_points(config, config.sweep, config.sweep_grid):
-        library = cfg.make_library()
-        params = cfg.network()
+    for value, cfg, params, library in _sweep_points(config, config.sweep, config.sweep_grid):
         interference = cfg.channel == "interference"
         policy, _, consts = _solve(cfg.policy_source, cfg, library, params)
         if interference:
@@ -453,19 +458,14 @@ class FigureEntry:
 
 
 def _figure_3(config: ExperimentConfig, sweeps: dict):
-    rows = []
     axis = "(helper_density, fading_desired)"
-    for _, cfg in _sweep_points(config, axis, sweeps[axis]):
-        fields, part = _run_cdf(cfg)
-        rows.extend(part)
-    return fields, rows
+    return _run_cdf(config, axis, sweeps[axis])
 
 
 def _figure_4(config: ExperimentConfig, sweeps: dict):
     fields = ["gamma", "ps_proposed", "ps_mpc", "ps_uc", "policy_proposed"]
     rows = []
-    for gamma, cfg in _sweep_points(config, "gamma", sweeps["gamma"]):
-        library, params = cfg.make_library(), cfg.network()
+    for gamma, cfg, params, library in _sweep_points(config, "gamma", sweeps["gamma"]):
         report = _solve("optimize-noise", cfg, library, params).report
         row = {
             "gamma": gamma,
@@ -485,11 +485,9 @@ def _optimal_policy_sweep(settings, label):
 
 
 def _figure_5(config: ExperimentConfig, sweeps: dict):
-    settings = [
-        (f"lambda={lam};m_d={m}", cfg)
-        for lam, at in _sweep_points(config, "helper_density", sweeps["helper_density"])
-        for m, cfg in _sweep_points(at, "fading_desired", sweeps["fading_desired"])
-    ]
+    pairs = [(lam, m) for lam in sweeps["helper_density"] for m in sweeps["fading_desired"]]
+    points = _sweep_points(config, "(helper_density, fading_desired)", pairs)
+    settings = [(f"lambda={lam};m_d={m}", *rest) for (lam, m), *rest in points]
     return _optimal_policy_sweep(settings, "setting")
 
 
@@ -513,8 +511,7 @@ def _with_numeric_c(config: ExperimentConfig) -> ExperimentConfig:
 def _figure_approx_check(config: ExperimentConfig, sweeps: dict):
     fields = ["p1", "est_inst", "se_inst", "est_mean", "se_mean", "est_long", "se_long",
               "bound_c40"]
-    library = config.make_library()
-    params = config.network()
+    [(_, _, params, library)] = _sweep_points(config)
     consts = _interference_constants(config, library, params)
     rows = []
     for policy in _p1_grid(config, sweeps):
@@ -537,21 +534,20 @@ def _figure_approx_check(config: ExperimentConfig, sweeps: dict):
 def _figure_8(config: ExperimentConfig, sweeps: dict):
     fields = ["rho", "c", "p1_opt", "est_opt", "se_opt", "p1_subopt", "est_subopt",
               "se_subopt", "bound_subopt"]
-    points = [cfg for _, cfg in _sweep_points(config, "rho", sweeps["rho"])]
-    libraries = [sub.make_library() for sub in points]
-    params = config.network()
+    points = _sweep_points(config, "rho", sweeps["rho"])
     # the sampled networks do not depend on the target rate, so one pass
     # per grid policy serves every rho
+    _, _, params, first = points[0]
     grid = _p1_grid(config, sweeps)
-    rates = np.array([library.rates for library in libraries])
+    rates = np.array([library.rates for *_, library in points])
     by_policy = [
         _simulate_interference_pass(
-            libraries[0], params, g, config.trials, config.seed, ("instantaneous",), rates
+            first, params, g, config.trials, config.seed, ("instantaneous",), rates
         )["instantaneous"]
         for g in grid
     ]
     rows = []
-    for sub, library, ests in zip(points, libraries, zip(*by_policy)):
+    for (_, sub, _, library), ests in zip(points, zip(*by_policy)):
         _, report, consts = _solve("optimize-sir", _with_numeric_c(sub), library, params)
         best = int(np.argmax([e.estimate for e in ests]))
         sub_est = simulate_interference_limited(
@@ -573,10 +569,11 @@ def _figure_8(config: ExperimentConfig, sweeps: dict):
 
 def _figure_9(config: ExperimentConfig, sweeps: dict):
     fields = ["block", "sweep_value", "strategy", "content", "p", "bound", "c"]
+    axis = "(count, user_density)"
+    by_gamma = _sweep_points(config, "gamma", sweeps["gamma"])
+    by_density = _sweep_points(config, axis, sweeps[axis])
     rows = []
-    for gamma, cfg in _sweep_points(config, "gamma", sweeps["gamma"]):
-        library = cfg.make_library()
-        params = cfg.network()
+    for gamma, cfg, params, library in by_gamma:
         strategies = {
             "proposed-numeric-c": _solve("optimize-sir", _with_numeric_c(cfg), library, params),
             "proposed-load-c": _solve("optimize-sir", cfg, library, params),
@@ -594,8 +591,7 @@ def _figure_9(config: ExperimentConfig, sweeps: dict):
                 "bound": rayleigh_lower_bound(library, consts_eval, policy),
                 "c": "" if consts is None else consts.c,
             })
-    axis = "(count, user_density)"
-    sweep = [(cfg.user_density, cfg) for _, cfg in _sweep_points(config, axis, sweeps[axis])]
+    sweep = [(cfg.user_density, cfg, *rest) for _, cfg, *rest in by_density]
     rows.extend(
         {**row, "block": "user-density-sweep", "strategy": "proposed-load-c",
          "p": row["p_opt"], "bound": row["objective"]}

@@ -230,6 +230,11 @@ _DECLARED = (
                "takes no sweep, only optimize-noise, optimize-sir, simulate do", argv,
                ("experiment", "sweep", "helper_density"), ("experiment", "sweep_grid", "0.05 0.2"))
       for argv in (("cdf",), ("figure", "--figure", "6"))),
+    # selectors the run does not read: both exited 0 and recorded the value in the manifest
+    _refused("sweep_grid-without-sweep", 2, "sweep_grid = (1.0, 2.0) is set, but no sweep",
+             ("optimize-noise",), ("experiment", "sweep_grid", "1 2")),
+    _refused("figure-on-simulate", 2, "figure = '8': only the figure scenario", ("simulate",),
+             ("experiment", "figure", "8")),
     # configparser's own exceptions escaped with a traceback and exit 1
     Refusal("repeated-key", ("simulate",), _PARSE_BASE + "count = 7\n", 2, "{ini}"),
     Refusal("repeated-section", ("simulate",), _PARSE_BASE + "\n[library]\ngamma = 0.5\n", 2,

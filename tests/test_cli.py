@@ -511,6 +511,32 @@ class TestExitCodes:
         result = CliRunner().invoke(main, ["simulate", "--config", str(config_file)])
         assert result.exit_code == 3
 
+    @pytest.mark.parametrize("scenario, key, grid", [("simulate", "gamma", "1 0.5 nan"),
+                                                     ("optimize-sir", "helper_density", "0.05 nan")],
+                             ids=["simulate-gamma", "optimize-sir-helper_density"])
+    def test_bad_late_sweep_value_is_refused_before_any_work(self, scenario, key, grid, tmp_path,
+                                                             monkeypatch):
+        # the earlier points were solved and simulated first: about 1 s of work
+        # at 2e6 trials before simulate exited 2 on gamma = nan
+        calls = []
+
+        def no_work(name):
+            def refuse(*args, **kwargs):
+                calls.append(name)
+                raise AssertionError(f"{name} ran before the sweep was refused")
+            return refuse
+
+        for name in ("optimize_noise", "optimize_interference", "simulate_noise_limited"):
+            monkeypatch.setattr(experiments, name, no_work(name))
+        config = tmp_path / "late.ini"
+        config.write_text(f"[experiment]\nsweep = {key}\nsweep_grid = {grid}\n")
+        out = tmp_path / "late.csv"
+        result = CliRunner().invoke(main, [scenario, "--config", str(config), "--out", str(out)])
+        assert calls == []
+        assert result.exit_code == 2, result.output
+        assert key in result.stderr
+        assert not out.exists()
+
     def test_c_value_is_checked_only_when_fixed(self):
         ExperimentConfig(scenario="optimize-sir", c_mode="load", c_value=math.nan).validate()
         with pytest.raises(ConfigError, match="c_value"):
