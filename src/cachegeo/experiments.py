@@ -133,6 +133,9 @@ class ExperimentConfig:
                 raise ConfigError("memory sweep values must be whole numbers of cache slots")
         elif self.sweep_grid:
             raise ConfigError(f"sweep_grid = {self.sweep_grid} is set, but no sweep reads it")
+        if self.probs and (self.scenario, self.policy_source) != ("simulate", "explicit"):
+            raise ConfigError(f"probs = {self.probs} is set, but only simulate with "
+                              "source = explicit reads it")
         if self.figure and self.scenario != "figure":
             raise ConfigError(f"figure = {self.figure!r}: only the figure scenario reads it")
         if self.c_mode == "fixed" and not 1 <= self.c_value < math.inf:
@@ -317,14 +320,19 @@ def _sweep_points(config: ExperimentConfig, axis: str = "", values=()) -> list:
     """(value, config, network, library) per value of a sweep axis, or one
     ("", config, network, library) point on no axis.  An axis is a field
     name, or "(a, b)" whose values are (a, b) pairs; memory is set as whole
-    slots.  Every point is built before any is returned, so a value that no
-    point can take is refused before any work."""
+    slots.  Every point is built before any is returned, and its memory
+    checked against the policy it resolves (none for the CDF: cdf and figure
+    3), so a value that no point can take is refused before any work."""
     names = axis.strip("()").split(", ") if axis else []
     points = []
     for value in values if axis else ("",):
         at = zip(names, value if len(names) > 1 else (value,))
         cfg = replace(config, **{n: int(v) if n == "memory" else v for n, v in at})
         points.append((value, cfg, cfg.network(), cfg.make_library()))
+        # an explicit policy takes any M >= 1; the optimizers and baselines need M < F
+        cap = math.inf if (cfg.scenario, cfg.policy_source) == ("simulate", "explicit") else cfg.count
+        if cfg.scenario != "cdf" and cfg.figure != "3" and not 1 <= cfg.memory < cap:
+            raise ConfigError(f"memory = {cfg.memory:g} is outside 1 <= memory < {cap:g}")
     return points
 
 

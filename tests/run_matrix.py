@@ -113,6 +113,12 @@ CASES = (
     Case("optimize-sir", ("optimize-sir",)),
     Case("optimize-sir-c-fixed", ("optimize-sir",), "[experiment]\nc_mode = fixed\n"),
     Case("optimize-sir-c-numeric", ("optimize-sir",), "[experiment]\nc_mode = numeric\n"),
+    # each policy source of simulate: optimize-noise above, uc below
+    Case("simulate-explicit", ("simulate",),
+         "[policy]\nsource = explicit\nprobs = 0.5, 0.5, 0.5, 0.5, 0.5, 0.5, 0, 0, 0, 0\n"),
+    Case("simulate-mpc", ("simulate",), "[policy]\nsource = mpc\n"),
+    Case("interference-optimize-sir", ("simulate",),
+         "[policy]\nsource = optimize-sir\n\n[experiment]\nchannel = interference\n"),
     # the interference engine, which works in SIR, at the default M = 3
     Case("interference", ("simulate",), _INTERFERENCE),
     # the mean-load modes, whose distance association needs single-slot caches
@@ -235,6 +241,12 @@ _DECLARED = (
              ("optimize-noise",), ("experiment", "sweep_grid", "1 2")),
     _refused("figure-on-simulate", 2, "figure = '8': only the figure scenario", ("simulate",),
              ("experiment", "figure", "8")),
+    _refused("probs-on-uc", 2, "probs = (0.5, 0.5) is set, but only simulate with source = "
+             "explicit", ("simulate",), ("policy", "source", "uc"), ("policy", "probs", "0.5, 0.5")),
+    _refused("sweep-without-sweep_grid", 2, "a sweep needs a nonempty sweep_grid",
+             ("optimize-noise",), ("experiment", "sweep", "gamma")),
+    _refused("explicit-probs-length", 2, "explicit probs must list one probability per content",
+             ("simulate",), ("policy", "source", "explicit"), ("policy", "probs", "0.5, 0.5")),
     # configparser's own exceptions escaped with a traceback and exit 1
     Refusal("repeated-key", ("simulate",), _PARSE_BASE + "count = 7\n", 2, "{ini}"),
     Refusal("repeated-section", ("simulate",), _PARSE_BASE + "\n[library]\ngamma = 0.5\n", 2,
@@ -254,9 +266,12 @@ _DECLARED = (
                ("optimize-sir",), *settings)
       for id, settings in (
           ("helper_density=1e-300", [("network", "helper_density", "1e-300")]),
-          ("user_density=1e300", [("network", "user_density", "1e300")]),
-          ("memory-sweep=1e300", [("experiment", "sweep", "memory"),
-                                  ("experiment", "sweep_grid", "1e300")]))),
+          ("user_density=1e300", [("network", "user_density", "1e300")]))),
+    # a memory of 1e300 slots set c = 6e297 too; no policy takes it, so it is
+    # refused with the other points' memories before c is resolved
+    _refused("load-c-memory-sweep=1e300", 2, "memory = 1e+300 is outside 1 <= memory < 10",
+             ("optimize-sir",), ("experiment", "sweep", "memory"),
+             ("experiment", "sweep_grid", "1e300")),
     # each ran the whole scenario, then failed to write: exit 1 on
     # IsADirectoryError, exit 2 on "PosixPath('.') has an empty name", or
     # exit 1 on NotADirectoryError under a file

@@ -1,4 +1,7 @@
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -60,10 +63,27 @@ def laplace_interference(s: float, r: float, p: float, params: NetworkParams) ->
 def test_package_exports_no_noise_constants_class():
     # kappa and the SNR thresholds are private helpers; the CDF is the API
     import cachegeo
+    import cachegeo.analytics as analytics
 
-    assert "NoiseConstants" not in cachegeo.__all__
+    assert "NoiseConstants" not in analytics.__all__
     assert not hasattr(cachegeo, "NoiseConstants")
-    assert len(cachegeo.__all__) == 21
+    assert not hasattr(analytics, "NoiseConstants")
+    assert {"xi1_cdf", "success_noise"} <= set(analytics.__all__)
+    assert not any(name.startswith("_") for name in analytics.__all__)
+
+
+@pytest.mark.parametrize("modules, absent", [
+    ("cachegeo", ("cachegeo.", "numpy", "scipy")),
+    ("cachegeo.model, cachegeo.placement, cachegeo.errors", ("scipy",)),
+], ids=["package", "model-placement-errors"])
+def test_import_loads_only_what_it_names(modules, absent):
+    # the package root once re-exported every module, so `import cachegeo.model`
+    # loaded scipy through the analytics
+    script = (f"import sys, {modules}\n"
+              f"print(sorted(m for m in sys.modules if m.startswith({absent!r})))")
+    loaded = subprocess.run([sys.executable, "-c", script], check=True, capture_output=True,
+                            text=True, env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
+    assert loaded.stdout.strip() == "[]"
 
 
 class TestIntensity:
@@ -102,6 +122,10 @@ class TestXi1Cdf:
         params = make_params()
         assert xi1_cdf(0.0, 1.0, params) == 0.0
         assert xi1_cdf(1e12, 1.0, params) == pytest.approx(1.0, abs=1e-9)
+
+    def test_negative_xi_rejected(self):
+        with pytest.raises(ValueError, match="xi must be >= 0"):
+            xi1_cdf(np.array([1.0, -1e-9]), 1.0, make_params())
 
     def test_unit_exponent_point(self):
         params = make_params(alpha=2.5, m_d=1.0)
@@ -355,6 +379,16 @@ class TestHypergeometricConstants:
         with pytest.raises(ValueError, match="finite"):
             InterferenceConstants(c=1.0, **values)
 
+    @pytest.mark.parametrize("field, value, message", [
+        ("tau", 0.0, "tau must be positive"), ("tau", -1.0, "tau must be positive"),
+        ("B", 0.5, "B must exceed A"), ("B", 0.25, "B must exceed A"),
+    ], ids=["tau=0", "tau<0", "B=A", "B<A"])
+    def test_constants_outside_their_domain_rejected(self, field, value, message):
+        values = dict(tau=np.array([1.0]), A=np.array([0.5]), B=np.array([1.5]))
+        values[field] = np.array([value])
+        with pytest.raises(ValueError, match=message):
+            InterferenceConstants(c=1.0, **values)
+
     @given(
         tau=st.floats(1e-6, 1e6),
         alpha=st.floats(2.05, 8.0),
@@ -586,6 +620,10 @@ class TestMeanLoad:
     def test_zero_probability_rejected(self):
         with pytest.raises(ValueError):
             mean_load_m1(0.5, 0.0, 2e-5, 1e-5)
+
+    def test_zero_helper_density_rejected(self):
+        with pytest.raises(ValueError, match="helper_density must be > 0"):
+            mean_load_m1(0.5, 0.5, 2e-5, 0.0)
 
 
 class TestNumericFailureSurface:

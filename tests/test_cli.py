@@ -102,6 +102,10 @@ class TestConfig:
         with pytest.raises(ConfigError):
             load_config(str(path), "simulate")
 
+    def test_unknown_keyword_rejected(self):
+        with pytest.raises(ConfigError, match="bandwidth"):
+            load_config(None, "simulate", bandwidth=5.0)
+
     def test_snr_conversion(self):
         # powers are in units of the transmit power, so snr_db alone sets the SNR
         params = ExperimentConfig(scenario="simulate", snr_db=20.0).network()
@@ -511,9 +515,24 @@ class TestExitCodes:
         result = CliRunner().invoke(main, ["simulate", "--config", str(config_file)])
         assert result.exit_code == 3
 
+    def test_uncertified_load_bound_exits_3(self, tmp_path, monkeypatch):
+        # a reference with no success in 1e12 trials sits below every bound, so no c certifies
+        monkeypatch.setattr(experiments, "simulate_interference_limited",
+                            lambda *args, **kwargs: MCEstimate.from_counts(0, 10**12))
+        config = tmp_path / "numeric.ini"
+        config.write_text("[experiment]\nc_mode = numeric\n")
+        out = tmp_path / "numeric.csv"
+        result = CliRunner().invoke(main, ["optimize-sir", "--config", str(config), "--out", str(out)])
+        assert result.exit_code == 3, result.output
+        assert "no c in" in result.stderr and "certifies" in result.stderr
+        assert not out.exists()
+
     @pytest.mark.parametrize("scenario, key, grid", [("simulate", "gamma", "1 0.5 nan"),
-                                                     ("optimize-sir", "helper_density", "0.05 nan")],
-                             ids=["simulate-gamma", "optimize-sir-helper_density"])
+                                                     ("optimize-sir", "helper_density", "0.05 nan"),
+                                                     ("simulate", "memory", "3 10"),
+                                                     ("simulate", "memory", "3 0")],
+                             ids=["simulate-gamma", "optimize-sir-helper_density",
+                                  "simulate-memory=F", "simulate-memory=0"])
     def test_bad_late_sweep_value_is_refused_before_any_work(self, scenario, key, grid, tmp_path,
                                                              monkeypatch):
         # the earlier points were solved and simulated first: about 1 s of work
@@ -726,13 +745,15 @@ class TestRunMatrix:
             covered.add(("scenario", scenario))
             if scenario == "figure":
                 covered.add(("figure", config.figure))
+            if scenario == "simulate":
+                covered.add(("policy_source", config.policy_source))
             if scenario == "simulate" and config.channel == "interference":
                 covered.add(("load_mode", config.load_mode))
             if scenario == "optimize-sir":
                 covered.add(("c_mode", config.c_mode))
-        c_modes = ExperimentConfig.__dataclass_fields__["c_mode"].metadata["choices"]
         declared = ({("scenario", name) for name in SCENARIOS}
                     | {("figure", fid) for fid in FIGURES}
                     | {("load_mode", mode) for mode in LOAD_MODES}
-                    | {("c_mode", mode) for mode in c_modes})
+                    | {(name, choice) for name in ("c_mode", "policy_source") for choice
+                       in ExperimentConfig.__dataclass_fields__[name].metadata["choices"]})
         assert declared - covered == set()

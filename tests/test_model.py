@@ -155,6 +155,23 @@ class TestDomainTypes:
         with pytest.raises(ValueError):
             ContentLibrary(2, np.array([0.7, 0.2]), np.array([1.0, 1.0]))
 
+    @pytest.mark.parametrize("count, popularity, message", [
+        (0, [], "at least one content"),
+        (2, [1.0], "length count"),
+        (2, [1.0, 0.0], "popularity entries must be > 0"),
+    ], ids=["count=0", "wrong-length", "zero-popularity"])
+    def test_library_rejects_bad_count_or_popularity(self, count, popularity, message):
+        with pytest.raises(ValueError, match=message):
+            ContentLibrary(count, np.array(popularity), np.ones(count))
+
+    @pytest.mark.parametrize("probs, memory, message", [
+        (np.full((2, 2), 0.25), 1, "1-D"),
+        (np.array([0.5, 0.5]), 0, "memory must be a positive integer"),
+    ], ids=["2-D", "memory=0"])
+    def test_policy_rejects_bad_shape_or_memory(self, probs, memory, message):
+        with pytest.raises(ValueError, match=message):
+            CachingPolicy(probs, memory)
+
     def test_library_rejects_nonpositive_rate(self):
         with pytest.raises(ValueError):
             ContentLibrary(2, np.array([0.7, 0.3]), np.array([1.0, 0.0]))

@@ -182,6 +182,11 @@ class TestOptimizeNoise:
         with pytest.raises(ValueError):
             optimize_noise(lib, params, memory=2)
 
+    def test_rejects_fractional_memory(self):
+        lib, params, _ = params_with_kappa_T(2.0)
+        with pytest.raises(ValueError, match="memory must be an integer"):
+            optimize_noise(lib, params, memory=1.5)
+
     def test_rejects_zero_noise_power(self):
         lib = library_with(1.0, 4, [0.5] * 4)
         params = NetworkParams(0.05, 0.002, 1.0, 0.0, 3.0)

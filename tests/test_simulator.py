@@ -439,6 +439,21 @@ def fig4_setting(p1=0.5):
     return lib, params, policy
 
 
+TRIALS_ENTRY_POINTS = {
+    "sample_xi_min": lambda trials: sample_xi_min(make_params(), 0.5, trials, seed=1),
+    "simulate_noise_limited": lambda trials: simulate_noise_limited(*fig4_setting(), trials, 1),
+    "simulate_interference_limited": lambda trials: simulate_interference_limited(
+        *fig4_setting(), trials, 1),
+}
+
+
+@pytest.mark.parametrize("trials", [0, -1])
+@pytest.mark.parametrize("entry", sorted(TRIALS_ENTRY_POINTS))
+def test_trials_below_one_refused(entry, trials):
+    with pytest.raises(ValueError, match="trials must be >= 1"):
+        TRIALS_ENTRY_POINTS[entry](trials)
+
+
 class TestSimulateInterferenceLimited:
     def test_unknown_mode_rejected(self):
         lib, params, policy = fig4_setting()
@@ -974,3 +989,7 @@ class TestPolicyLength:
         with pytest.raises(ValueError, match="the policy has 3 entries but the library has 2"):
             POLICY_ENTRY_POINTS[entry](self.lib, self.params, batch)
         assert POLICY_ENTRY_POINTS[entry](self.lib, self.params, batch.T).shape == (3,)
+
+    def test_nakagami_bound_takes_one_policy(self):
+        with pytest.raises(ValueError, match="one policy at a time"):
+            POLICY_ENTRY_POINTS["nakagami_lower_bound"](self.lib, self.params, np.full((3, 2), 0.3))
