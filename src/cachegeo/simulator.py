@@ -20,9 +20,9 @@ The instantaneous load is counted only in trials whose outcome it decides
 for some row, and its gains are drawn only up to the last such trial's
 users.  The noise engine makes four draws per chunk (requests, counts,
 unit-disc radii, gains) whatever F is, the last two into buffers that each
-call allocates once.  Requests of both engines are searched in a cdf built
-once per call (noise) or chunk (interference), with the bits of
-Generator.choice.
+call allocates once.  Requests of both engines are looked up in a bucket
+table over the popularity cdf, built once per engine call, with the bits
+of Generator.choice.
 
 Finite window: helpers are sampled inside a disc sized so the nearest
 relevant helper is missed with probability at most ``window_miss_prob``
@@ -35,6 +35,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import log, pi
+from operator import index
 from typing import NamedTuple
 
 import numpy as np
@@ -181,22 +182,55 @@ class _Requests:
     """Content requests by popularity: the indices, and the generator state
     after them, of Generator.choice(F, n, p=popularity).
 
-    choice re-validates p and rebuilds cdf = cumsum(p) / its last entry on
-    every call before it searches one uniform per request in it; this
-    builds the cdf once and only searches.
+    choice re-validates p, rebuilds cdf = cumsum(p) / its last entry and
+    binary-searches cdf.searchsorted(u, "right") for one uniform u per
+    request on every call.  This builds the cdf once, with a bucket table
+    (Chen & Asau's guide table): K = 2^min(16, bit_length(F) + 2) buckets
+    and start[j] = cdf.searchsorted(j / K, "right").  K is a power of two,
+    so u K is exact, and the bucket b = floor(u K) has b / K <= u <
+    (b + 1) / K: the answer lies in [start[b], start[b + 1]], and every cdf
+    entry from start[b + 1] on exceeds u.  A branch-free bisection of
+    bit_length(widest bucket) steps finds it; one step, the answer
+    start[b] + (cdf[start[b]] <= u), when no bucket holds two cdf entries.
     """
 
     def __init__(self, popularity: np.ndarray):
-        self._cdf = np.cumsum(popularity)
-        self._cdf /= self._cdf[-1]
+        cdf = np.cumsum(popularity)
+        cdf /= cdf[-1]
+        buckets = 1 << min(16, cdf.size.bit_length() + 2)
+        start = cdf.searchsorted(np.arange(buckets + 1) / buckets, "right")
+        steps = int(np.diff(start).max()).bit_length()
+        self._scale = float(buckets)
+        self._start = start
+        self._halves = [1 << k for k in reversed(range(steps))]
+        # a probe reads up to 2^steps - 2 entries past start[b] <= F - 1;
+        # the padding exceeds every u
+        self._cdf = np.concatenate((cdf, np.full(1 << steps, 2.0)))
 
     def __call__(self, rng: np.random.Generator, n: int) -> np.ndarray:
-        return self._cdf.searchsorted(rng.random(n), "right")
+        u = rng.random(n)
+        found = self._start.take((u * self._scale).astype(np.intp))
+        for half in self._halves:
+            found += half * (self._cdf.take(found + (half - 1)) <= u)
+        return found
 
 
 def _chunk_grid(trials: int, chunk: int) -> list[tuple[int, int]]:
     """(chunk index, size) pairs of the fixed chunk grid, in chunk order."""
     return [(c, min(chunk, trials - c * chunk)) for c in range(-(-trials // chunk))]
+
+
+def _check_draw_args(trials, seed) -> None:
+    """Refuse, before any draw, a trial count that is not an integer >= 1
+    or a seed that is not an integer >= 0 (numpy integers pass, bools do
+    not)."""
+    for name, value, least in (("trials", trials, 1), ("seed", seed, 0)):
+        try:
+            whole = not isinstance(value, bool) and index(value) >= least
+        except TypeError:
+            whole = False
+        if not whole:
+            raise ValueError(f"{name} must be >= {least} and an integer, got {value!r}")
 
 
 def sample_xi_min(params: NetworkParams, p: float, trials: int, seed: int) -> np.ndarray:
@@ -211,8 +245,7 @@ def sample_xi_min(params: NetworkParams, p: float, trials: int, seed: int) -> np
     """
     if not 0 < p <= 1:
         raise ValueError(f"caching probability p must lie in (0, 1], got p = {p}")
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
+    _check_draw_args(trials, seed)
     kernel = _UnitXiMin(params)
     samples = np.empty(trials)
     for c, n in _chunk_grid(trials, _NOISE_CHUNK):
@@ -252,8 +285,7 @@ def simulate_noise_limited(
     violation = budget_violation(policy)
     if violation is not None:
         raise ValueError(f"infeasible policy: {violation}")
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
+    _check_draw_args(trials, seed)
     # raises before any draw; theta^delta as in optimize_noise and xi1_cdf
     thresholds = _noise_thresholds(library, params) ** params.delta
     r2 = _window_r2(probs, params.helper_density, NOISE_WINDOW_MISS)
@@ -294,14 +326,13 @@ class _Chunk(NamedTuple):
 def _sample_chunk(
     rng: np.random.Generator,
     n: int,
-    library: ContentLibrary,
+    requests: _Requests,
     params: NetworkParams,
     layout: BlockLayout,
     radius: float,
 ) -> _Chunk:
     """Draw n trials' helper and user processes on the window disc, caches,
     typical-user gains and requests, in one fixed order."""
-    requests = _Requests(library.popularity)
     helper_counts = rng.poisson(params.helper_density * pi * radius**2, n)
     user_counts = rng.poisson(params.user_density * pi * radius**2, n)
     n_helpers, n_users = int(helper_counts.sum()), int(user_counts.sum())
@@ -584,8 +615,7 @@ def _simulate_interference_pass(
         raise ValueError(f"window_miss_prob must lie in (0, 1), got {window_miss_prob}")
     _probs_of(policy, library)
     layout = build_block_layout(policy)  # raises on an infeasible policy
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
+    _check_draw_args(trials, seed)
     mean_modes = set(load_modes) - {"instantaneous"}
     if mean_modes and policy.memory != 1:
         raise ValueError("mean-load modes require M = 1 (no closed-form mean load beyond it)")
@@ -612,10 +642,11 @@ def _simulate_interference_pass(
         ])
     # the instantaneous load draws, so it goes last
     modes = sorted(successes, key=lambda mode: mode == "instantaneous")
+    requests = _Requests(library.popularity)
 
     for chunk_index, n in _chunk_grid(trials, _INTERF_CHUNK):
         rng = _substream(seed, chunk_index)
-        chunk = _sample_chunk(rng, n, library, params, layout, radius)
+        chunk = _sample_chunk(rng, n, requests, params, layout, radius)
         need = rates[:, chunk.content]
         terms = _link_terms(chunk, params)
         links = {}  # association rule (nearest) -> (serving helper, rate at load 1)

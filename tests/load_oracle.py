@@ -24,6 +24,7 @@ from cachegeo.simulator import (
     NOISE_WINDOW_MISS,
     _cartesian,
     _chunk_grid,
+    _Requests,
     _link_terms,
     _sample_chunk,
     _serving_loads,
@@ -156,12 +157,12 @@ def empirical_mean_load(
     if positive.size == 0:
         raise ValueError("the policy caches no content, so no helper can serve a request")
     radius = float(np.sqrt(_window_r2(positive.min(), params.helper_density, NOISE_WINDOW_MISS)))
-    layout = build_block_layout(policy)
+    layout, requests = build_block_layout(policy), _Requests(library.popularity)
 
     total, measured = 0.0, 0
     for chunk_index, n in _chunk_grid(trials, _INTERF_CHUNK):
         rng = _substream(seed, chunk_index)
-        chunk = _sample_chunk(rng, n, library, params, layout, 2.0 * radius)
+        chunk = _sample_chunk(rng, n, requests, params, layout, 2.0 * radius)
         _, serving, _ = _typical_links(chunk, _link_terms(chunk, params), nearest=True)
         served = serving >= 0
         total += float(brute_force_nearest_loads(chunk, serving, radius)[served].sum())

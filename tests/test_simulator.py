@@ -30,6 +30,7 @@ from cachegeo.simulator import (
     LOAD_MODES,
     MCEstimate,
     _Chunk,
+    _Requests,
     _cartesian,
     _disc_points,
     _link_terms,
@@ -59,7 +60,8 @@ def sample_networks(n, lam, lam_u, radius, seed):
     lib = make_library(3)
     layout = build_block_layout(CachingPolicy(np.array([0.5, 0.3, 0.2]), 1))
     rng = np.random.default_rng(seed)
-    return _sample_chunk(rng, n, lib, make_params(lam=lam, lam_u=lam_u), layout, radius)
+    params = make_params(lam=lam, lam_u=lam_u)
+    return _sample_chunk(rng, n, _Requests(lib.popularity), params, layout, radius)
 
 
 class TestSamplePpp:
@@ -241,6 +243,48 @@ class TestRequests:
         u = np.concatenate([[0.0], cdf[:-1], [np.nextafter(1.0, 0.0)]])
         drawn = simulator._Requests(popularity)(Fixed(), u.size)
         assert np.array_equal(drawn, np.concatenate([[0], np.arange(1, 20), [19]]))
+
+    # F = 10^6 at gamma = 3: the cdf plateaus at 1.0 in its tail, so the last
+    # buckets hold many cdf entries and the lookup bisects in several steps
+    @pytest.mark.parametrize("count,gamma", [(1, 0.8), (2, 0.0), (2, 0.8), (20, 0.8),
+                                             (10**4, 0.8), (10**4, 1.5), (10**6, 3.0)])
+    def test_bucket_edges_match_searchsorted(self, count, gamma):
+        class Fixed:
+            def random(self, n):
+                return u
+
+        popularity = zipf_popularity(count, gamma)
+        cdf = np.cumsum(popularity)
+        cdf /= cdf[-1]
+        buckets = 1 << min(16, count.bit_length() + 2)
+        edges = np.arange(buckets + 1) / buckets
+        u = np.concatenate([
+            edges, np.nextafter(edges, 0.0),
+            cdf, np.nextafter(cdf, 0.0), np.nextafter(cdf, 2.0),
+        ])
+        u = u[(u >= 0.0) & (u < 1.0)]  # the range of Generator.random
+        requests = simulator._Requests(popularity)
+        assert np.array_equal(requests(Fixed(), u.size), cdf.searchsorted(u, "right"))
+        assert requests._start.size == buckets + 1 <= 2**16 + 1
+        if count == 10**6:
+            assert np.diff(cdf.searchsorted(edges, "right")).max() > 2**10
+
+    def test_each_engine_call_builds_one_table(self, monkeypatch):
+        built = []
+
+        class Counted(simulator._Requests):
+            def __init__(self, popularity):
+                built.append(popularity.size)
+                super().__init__(popularity)
+
+        monkeypatch.setattr(simulator, "_Requests", Counted)
+        lib, params, policy = fig4_setting()
+        simulate_noise_limited(lib, params, policy, 2 * simulator._NOISE_CHUNK + 1, 1)
+        assert built == [2]
+        simulator._simulate_interference_pass(
+            lib, params, policy, 3 * simulator._INTERF_CHUNK, 1, LOAD_MODES, lib.rates[None]
+        )
+        assert built == [2, 2]
 
 
 class TestSimulateNoiseLimited:
@@ -440,10 +484,13 @@ def fig4_setting(p1=0.5):
 
 
 TRIALS_ENTRY_POINTS = {
-    "sample_xi_min": lambda trials: sample_xi_min(make_params(), 0.5, trials, seed=1),
-    "simulate_noise_limited": lambda trials: simulate_noise_limited(*fig4_setting(), trials, 1),
-    "simulate_interference_limited": lambda trials: simulate_interference_limited(
-        *fig4_setting(), trials, 1),
+    "sample_xi_min": lambda trials, seed=1: sample_xi_min(make_params(), 0.5, trials, seed),
+    "simulate_noise_limited": lambda trials, seed=1: simulate_noise_limited(
+        *fig4_setting(), trials, seed),
+    "simulate_interference_limited": lambda trials, seed=1: simulate_interference_limited(
+        *fig4_setting(), trials, seed),
+    "_simulate_interference_pass": lambda trials, seed=1: simulator._simulate_interference_pass(
+        *fig4_setting(), trials, seed, LOAD_MODES, fig4_setting()[0].rates[None]),
 }
 
 
@@ -452,6 +499,32 @@ TRIALS_ENTRY_POINTS = {
 def test_trials_below_one_refused(entry, trials):
     with pytest.raises(ValueError, match="trials must be >= 1"):
         TRIALS_ENTRY_POINTS[entry](trials)
+
+
+
+@pytest.mark.parametrize("trials,seed,name", [
+    (True, 1, "trials"), (np.True_, 1, "trials"), (10.5, 1, "trials"), (10.0, 1, "trials"),
+    (np.float64(10), 1, "trials"), ("10", 1, "trials"), (10, -1, "seed"), (10, 1.5, "seed"),
+    (10, True, "seed"), (10, np.int64(-3), "seed"),
+])
+@pytest.mark.parametrize("entry", sorted(TRIALS_ENTRY_POINTS))
+def test_bad_trials_or_seed_refused_before_any_draw(monkeypatch, entry, trials, seed, name):
+    def no_draw(*args):
+        raise AssertionError("drew before refusing")
+
+    monkeypatch.setattr(simulator, "_substream", no_draw)
+    with pytest.raises(ValueError, match=f"^{name} must be >= [01] and an integer, got "):
+        TRIALS_ENTRY_POINTS[entry](trials, seed)
+
+
+@pytest.mark.parametrize("entry", sorted(TRIALS_ENTRY_POINTS))
+def test_numpy_integer_trials_and_seed_accepted(entry):
+    plain = TRIALS_ENTRY_POINTS[entry](70, 3)
+    numpy = TRIALS_ENTRY_POINTS[entry](np.int32(70), np.uint64(3))
+    if entry == "sample_xi_min":
+        assert np.array_equal(numpy, plain)
+    else:
+        assert numpy == plain
 
 
 class TestSimulateInterferenceLimited:
@@ -575,7 +648,7 @@ class TestRealizationAndLoad:
     def chunk(self, seed, n=64, radius=15.0):
         layout = build_block_layout(self.policy)
         rng = np.random.default_rng(seed)
-        return _sample_chunk(rng, n, self.lib, self.params, layout, radius)
+        return _sample_chunk(rng, n, _Requests(self.lib.popularity), self.params, layout, radius)
 
     def test_realization_counts_and_caches(self):
         chunks = [self.chunk(seed) for seed in range(5)]
@@ -608,7 +681,7 @@ class TestRealizationAndLoad:
         rng = np.random.default_rng(0)
         tracemalloc.start()
         try:
-            chunk = _sample_chunk(rng, 64, lib, params, layout, radius)
+            chunk = _sample_chunk(rng, 64, _Requests(lib.popularity), params, layout, radius)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -667,7 +740,9 @@ class TestDecidedTrials:
     def test_bounded_loads_keep_outcomes_and_draws(self, monkeypatch, memory, pair_slice):
         monkeypatch.setattr(simulator, "_PAIR_SLICE", pair_slice)
         layout = build_block_layout(CachingPolicy(np.array(self.policies[memory]), memory))
-        c = _sample_chunk(np.random.default_rng(29), 64, self.lib, self.params, layout, 15.0)
+        c = _sample_chunk(
+            np.random.default_rng(29), 64, _Requests(self.lib.popularity), self.params, layout, 15.0
+        )
         xi, serving, J = _typical_links(c, _link_terms(c, self.params), False)
         served = serving >= 0
         cap = np.zeros(serving.size)
@@ -698,7 +773,9 @@ class TestDecidedTrials:
 
     def test_chunk_with_every_trial_decided_draws_nothing(self):
         layout = build_block_layout(CachingPolicy(np.array(self.policies[3]), 3))
-        c = _sample_chunk(np.random.default_rng(29), 64, self.lib, self.params, layout, 15.0)
+        c = _sample_chunk(
+            np.random.default_rng(29), 64, _Requests(self.lib.popularity), self.params, layout, 15.0
+        )
         xi, serving, J = _typical_links(c, _link_terms(c, self.params), False)
         cap = np.zeros(serving.size)
         cap[serving >= 0] = _shared_rate(xi[serving >= 0], J[serving >= 0])
@@ -776,7 +853,9 @@ class TestStrongestChannelOracle:
         layout = build_block_layout(CachingPolicy(np.array(probs), memory))
         gain, open_loads, decided = simulator.nakagami_gain, 0, 0
         for seed in range(5):
-            c = _sample_chunk(np.random.default_rng(seed), 64, lib, params, layout, 12.0)
+            c = _sample_chunk(
+                np.random.default_rng(seed), 64, _Requests(lib.popularity), params, layout, 12.0
+            )
             xi, serving, J = _typical_links(c, _link_terms(c, params), False)
             drawn = []
 
@@ -817,7 +896,9 @@ class TestTypicalLinksOracle:
         layout = build_block_layout(CachingPolicy(np.array(probs) * memory / sum(probs), memory))
         unserved = 0
         for seed in range(3):
-            c = _sample_chunk(np.random.default_rng(seed), 64, lib, params, layout, 12.0)
+            c = _sample_chunk(
+                np.random.default_rng(seed), 64, _Requests(lib.popularity), params, layout, 12.0
+            )
             xi, serving, J = _typical_links(c, _link_terms(c, params), nearest)
             loop_xi, loop_serving, loop_J = typical_links_loop(c, alpha, nearest)
             assert np.array_equal(serving, loop_serving)
@@ -939,7 +1020,9 @@ class TestFloatRange:
         lib = make_library(2, rates=[0.5, 0.5])
         params = make_params(lam=0.02, lam_u=0.03)
         layout = build_block_layout(CachingPolicy(np.array([0.6, 0.4]), 1))
-        c = _sample_chunk(np.random.default_rng(4), 64, lib, params, layout, 12.0)
+        c = _sample_chunk(
+            np.random.default_rng(4), 64, _Requests(lib.popularity), params, layout, 12.0
+        )
         _, serving, _ = _typical_links(c, _link_terms(c, params), False)
         # a zero selection gain puts d^alpha / g at inf for every pair
         monkeypatch.setattr(simulator, "nakagami_gain", lambda m, rng, size: np.zeros(size))
