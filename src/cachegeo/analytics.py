@@ -29,7 +29,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import beta, betainc, factorial, gammaln, poch
 
 from .model import CachingPolicy, ContentLibrary, NetworkParams, _frozen_array
 
@@ -44,17 +43,36 @@ __all__ = [
 ]
 
 
+_LOG_MAX = math.log(np.finfo(float).max)
+
+
+def _gamma_ratio(x: float, s: float) -> float:
+    """Gamma(x + s) / Gamma(x) for x > 0 and s >= 0; inf where it overflows.
+
+    Below x = 30 it is a quotient of math.gamma, or the exp of an lgamma
+    difference once Gamma(x + s) overflows.  From x = 30 on the two log
+    Gammas cancel, so their difference comes from Stirling's series with
+    the large terms merged, and x^s is applied last; the first omitted term
+    is below 5e-17 at x = 30.
+    """
+    if x < 30:
+        if x + s < 171:  # Gamma is finite below 171.62
+            return math.gamma(x + s) / math.gamma(x)
+        log_ratio = math.lgamma(x + s) - math.lgamma(x)
+        return math.exp(log_ratio) if log_ratio < _LOG_MAX else math.inf
+    y = x + s  # Stirling's coefficients B_2k / (2k (2k - 1)) for log Gamma
+    tail = sum(c * (y ** (1 - 2 * k) - x ** (1 - 2 * k))
+               for k, c in enumerate((1 / 12, -1 / 360, 1 / 1260, -1 / 1680), 1))
+    log_scaled = (y - 0.5) * math.log1p(s / x) - s + tail  # log of the ratio / x^s
+    if log_scaled + s * math.log(x) >= _LOG_MAX:
+        return math.inf
+    return math.exp(log_scaled) * x**s
+
+
 def _fading_moment(delta: float, m: float) -> float:
     """E[h^(2 delta)] = Gamma(m + delta) / (Gamma(m) m^delta) for a unit-mean
-    Nakagami-m power gain h.  From m = 10 on the two log Gammas cancel, so
-    their difference comes from Stirling's series with the large terms
-    merged; its first omitted term is below 1e-12 at m = 10."""
-    if m < 10:
-        return math.exp(gammaln(delta + m) - gammaln(m) - delta * math.log(m))
-    x = m + delta  # Stirling's coefficients B_2k / (2k (2k - 1)) for log Gamma
-    tail = sum(c * (x ** (1 - 2 * k) - m ** (1 - 2 * k))
-               for k, c in enumerate((1 / 12, -1 / 360, 1 / 1260, -1 / 1680), 1))
-    return math.exp((x - 0.5) * math.log1p(delta / m) - delta + tail)
+    Nakagami-m power gain h."""
+    return _gamma_ratio(m, delta) / m**delta
 
 
 def _kappa(params: NetworkParams) -> float:
@@ -138,8 +156,8 @@ def success_noise(library: ContentLibrary, params: NetworkParams, policy):
 
 def c_alpha(alpha: float) -> float:
     """(2 pi / alpha) csc(2 pi / alpha); diverges as alpha -> 2."""
-    if alpha <= 2:
-        raise ValueError("alpha must be > 2")
+    if not 2 < alpha < math.inf:  # NaN fails too
+        raise ValueError(f"alpha must be > 2 and finite, got {alpha}")
     x = 2.0 * math.pi / alpha
     return x / math.sin(x)
 
@@ -148,6 +166,8 @@ def _a_over_b(tau, delta: float):
     """A / B = I_{1/(1+tau)}(delta, 1 - delta).  Below tau = 1 it is taken as
     1 - I_{tau/(1+tau)}(1 - delta, delta), whose argument keeps the digits of
     tau that 1/(1+tau) rounds away as tau -> 0."""
+    from scipy.special import betainc
+
     tau = np.asarray(tau, dtype=float)
     return np.where(
         tau < 1.0,
@@ -232,10 +252,13 @@ def _radial_integrals(alpha: float, m_i: float, n: int, W):
     after one integration by parts); the tail takes I_{1-z}(b, a) with
     1 - z = 1 / (1 + W), so neither piece is a difference of the other.
     """
+    from scipy.special import betainc
+
     delta = 2.0 / alpha
     W = np.asarray(W, dtype=float)
     a, b = m_i + delta, max(n, 1) - delta
-    scale = 0.5 * (m_i if n == 0 else delta) * beta(a, b)
+    # B(a, b) = Gamma(b) / [Gamma(a + b) / Gamma(a)]
+    scale = 0.5 * (m_i if n == 0 else delta) * math.gamma(b) / _gamma_ratio(a, b)
     head = scale * betainc(a, b, W / (1.0 + W))
     tail = scale * betainc(b, a, 1.0 / (1.0 + W))
     if n == 0:
@@ -257,7 +280,7 @@ def _exponent_coefficients(W, p, params: NetworkParams, order: int) -> np.ndarra
     out = []
     for n in range(order + 1):
         head, tail = _radial_integrals(alpha, m_i, n, W)
-        sign = 1.0 if n == 0 else (-1.0) ** (n + 1) * poch(m_i, n)
+        sign = 1.0 if n == 0 else (-1.0) ** (n + 1) * _gamma_ratio(m_i, n)
         out.append(-2.0 * sign * ((1.0 - p) * head + tail))
     return np.array(out)
 
@@ -296,6 +319,9 @@ def nakagami_lower_bound(
     """
     if params.fading_desired != int(params.fading_desired):
         raise NotImplementedError("the k-sum requires an integer desired-link fading shape")
+    if params.fading_desired > 171:  # 170! is the largest factorial below the float maximum
+        raise ValueError(f"fading_desired = {params.fading_desired:g} is too large: the k-sum "
+                         "divides by k! up to k = m_D - 1, a finite float only up to m_D = 171")
     tau = _rate_threshold(library.rates, c)
     probs = _probs_of(policy, library)
     if probs.ndim != 1:
@@ -315,8 +341,8 @@ def nakagami_lower_bound(
     a = W ** (-params.delta) * _exponent_coefficients(W, p, params, int(params.fading_desired) - 1)
     unit = p - a[0]
     q = _success_polynomial(a / unit)
-    j = np.arange(q.shape[0])[:, None]
-    per_content = p / unit * np.sum(q * factorial(j), axis=0)
+    factorials = np.array([[float(math.factorial(j))] for j in range(q.shape[0])])
+    per_content = p / unit * np.sum(q * factorials, axis=0)
     return float(np.sum(library.popularity[cached] * per_content))
 
 
@@ -326,8 +352,11 @@ def mean_load_m1(f: float, p: float, user_density: float, helper_density: float)
     1 + 1.28 f user_density / (p helper_density): one for the typical user
     plus the size-biased share of other users requesting the same content.
     """
-    if p <= 0:
-        raise ValueError("p must be > 0: with no helpers caching the content the load is unbounded")
-    if helper_density <= 0:
-        raise ValueError("helper_density must be > 0")
+    if not 0 < p < math.inf:  # NaN fails too
+        raise ValueError(f"p must be > 0 and finite, got {p}: with no helpers caching the "
+                         "content the load is unbounded")
+    if not 0 <= user_density < math.inf:
+        raise ValueError(f"user_density must be >= 0 and finite, got {user_density}")
+    if not 0 < helper_density < math.inf:
+        raise ValueError(f"helper_density must be > 0 and finite, got {helper_density}")
     return 1.0 + 1.28 * f * user_density / (p * helper_density)

@@ -15,6 +15,7 @@ from cachegeo.analytics import (
     InterferenceConstants,
     _exponent_coefficients,
     _fading_moment,
+    _gamma_ratio,
     _kappa,
     _noise_thresholds,
     _success_polynomial,
@@ -25,7 +26,7 @@ from cachegeo.analytics import (
     success_noise,
     xi1_cdf,
 )
-from cachegeo.model import ContentLibrary, NetworkParams, zipf_popularity
+from cachegeo.model import ContentLibrary, NetworkParams, uniform_rates, zipf_popularity
 
 
 def make_params(lam=0.05, alpha=3.0, m_d=1.0, m_i=1.0, snr=100.0, lam_u=0.002):
@@ -72,18 +73,40 @@ def test_package_exports_no_noise_constants_class():
     assert not any(name.startswith("_") for name in analytics.__all__)
 
 
+def _python(script: str) -> str:
+    """The stdout of `script` in a fresh interpreter that sees this one's sys.path."""
+    return subprocess.run([sys.executable, "-c", script], check=True, capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}).stdout
+
+
 @pytest.mark.parametrize("modules, absent", [
     ("cachegeo", ("cachegeo.", "numpy", "scipy")),
     ("cachegeo.model, cachegeo.placement, cachegeo.errors", ("scipy",)),
-], ids=["package", "model-placement-errors"])
+    ("cachegeo.experiments, cachegeo.cli", ("scipy",)),
+], ids=["package", "model-placement-errors", "experiments-cli"])
 def test_import_loads_only_what_it_names(modules, absent):
     # the package root once re-exported every module, so `import cachegeo.model`
     # loaded scipy through the analytics
-    script = (f"import sys, {modules}\n"
-              f"print(sorted(m for m in sys.modules if m.startswith({absent!r})))")
-    loaded = subprocess.run([sys.executable, "-c", script], check=True, capture_output=True,
-                            text=True, env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
-    assert loaded.stdout.strip() == "[]"
+    loaded = _python(f"import sys, {modules}\n"
+                     f"print(sorted(m for m in sys.modules if m.startswith({absent!r})))")
+    assert loaded.strip() == "[]"
+
+
+def test_only_interference_runs_load_scipy(tmp_path):
+    # the analytics imported scipy.special when loaded, for every run; now only
+    # betainc needs it, on the interference path
+    runs = [{"scenario": "simulate"}, {"scenario": "optimize-noise"}, {"scenario": "cdf"},
+            *({"scenario": "figure", "figure": fid} for fid in "34567"),
+            {"scenario": "optimize-sir"}]
+    loaded = _python(
+        "import sys\n"
+        "from cachegeo.experiments import ExperimentConfig, run\n"
+        f"for kwargs in {runs!r}:\n"
+        f"    run(ExperimentConfig(output={str(tmp_path / 'run.csv')!r}, trials=60, **kwargs))\n"
+        "    print('scipy' in sys.modules, 'scipy.special' in sys.modules)\n"
+    ).split("\n")
+    assert loaded[:-2] == ["False False"] * (len(runs) - 1)
+    assert loaded[-2] == "True True"
 
 
 class TestIntensity:
@@ -115,6 +138,24 @@ class TestIntensity:
                 M, D = mpmath.mpf(m), mpmath.mpf(delta)
                 ref = float(mpmath.exp(mpmath.loggamma(M + D) - mpmath.loggamma(M) - D * mpmath.log(M)))
             assert _fading_moment(delta, m) == pytest.approx(ref, rel=1e-11, abs=0), m
+
+    @pytest.mark.parametrize("m_i", [0.5, 1.0, 2.5, 5.0, 50.0, 1e3, 1e6])
+    def test_gamma_ratio_matches_high_precision(self, m_i):
+        # scipy's beta erred by up to 1.7e-12 relative at m_I = 1e3 and 2.4e-9 at 1e6
+        import mpmath
+
+        for n in range(8):
+            with mpmath.workdps(50):
+                poch = float(mpmath.rf(m_i, n))
+            assert _gamma_ratio(m_i, n) == pytest.approx(poch, rel=1e-14, abs=0), n
+            for alpha in [2.05, 3.0, 4.0, 8.0, 100.0]:
+                # B(a, b) = Gamma(b) / [Gamma(a + b) / Gamma(a)], as _radial_integrals takes it
+                a, b = m_i + 2.0 / alpha, max(n, 1) - 2.0 / alpha
+                with mpmath.workdps(50):
+                    beta = float(mpmath.beta(a, b))
+                rel = 4e-15 if m_i <= 5 else 5e-14
+                assert math.gamma(b) / _gamma_ratio(a, b) == pytest.approx(beta, rel=rel, abs=0), \
+                    (n, alpha)
 
 
 class TestXi1Cdf:
@@ -549,6 +590,24 @@ class TestNakagamiLowerBound:
         # at m_D = 1 the same threshold still gives a finite bound
         assert 0.0 < nakagami_lower_bound(lib, make_params(lam=1e-5), np.array([0.5]), c=1.0) < 1e-200
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_desired_fading_up_to_171(self):
+        # the k-sum divides by k! up to k = m_D - 1: 171! overflowed into a bare
+        # OverflowError from m_D = 172, after an invalid-value warning at 200.
+        # At 171, B(a, b) needs Gamma(b) at b ~ 170
+        lib = ContentLibrary(10, zipf_popularity(10, 0.8), uniform_rates(1.0, 10, 1))
+        policy = np.full(10, 0.3)
+
+        def bound(m_d):
+            params = NetworkParams(1e-5, 2e-5, 1.0, 0.01, 3.0, m_d, 1.0)
+            return nakagami_lower_bound(lib, params, policy, c=2.0)
+
+        # the value with scipy's beta, poch and factorial
+        assert bound(171.0) == pytest.approx(0.24222702294988405, rel=1e-14)
+        for m_d in (172.0, 200.0):
+            with pytest.raises(ValueError, match=r"fading_desired = \d+ is too large.*m_D = 171"):
+                bound(m_d)
+
     @pytest.mark.parametrize("m_d,rho", [(4, 20), (3, 28), (2, 40), (3, 40), (4, 28), (4, 40)])
     def test_large_thresholds_match_high_precision(self, m_d, rho):
         # the powers (p - a_0)^(j+1) overflowed: the bound was 11-40 % low
@@ -608,6 +667,22 @@ class TestNakagamiLowerBound:
             for m in (1.0, 2.0, 3.0)
         ]
         assert vals[0] < vals[1] < vals[2]
+
+
+@pytest.mark.parametrize("function, args, name", [
+    (c_alpha, (math.nan,), "alpha"),
+    (c_alpha, (math.inf,), "alpha"),
+    (mean_load_m1, (0.5, math.nan, 2e-5, 1e-5), "p"),
+    (mean_load_m1, (0.5, 0.5, math.nan, 1e-5), "user_density"),
+    (mean_load_m1, (0.5, 0.5, 2e-5, math.nan), "helper_density"),
+    (mean_load_m1, (0.5, 0.5, 2e-5, math.inf), "helper_density"),
+], ids=["c_alpha-nan", "c_alpha-inf", "load-p-nan", "load-users-nan", "load-helpers-nan",
+        "load-helpers-inf"])
+def test_non_finite_arguments_are_refused(function, args, name):
+    # c_alpha returned nan or raised ZeroDivisionError; mean_load_m1 returned
+    # nan, or 1.0 at an infinite helper density
+    with pytest.raises(ValueError, match=rf"^{name} must be"):
+        function(*args)
 
 
 class TestMeanLoad:
