@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import CachingPolicy, ContentLibrary, NetworkParams, _frozen_array
+from .model import CachingPolicy, ContentLibrary, NetworkParams, _frozen_array, _probability_violation
 
 __all__ = [
     "InterferenceConstants",
@@ -43,30 +43,22 @@ __all__ = [
 ]
 
 
-_LOG_MAX = math.log(np.finfo(float).max)
-
-
 def _gamma_ratio(x: float, s: float) -> float:
-    """Gamma(x + s) / Gamma(x) for x > 0 and s >= 0; inf where it overflows.
+    """Gamma(x + s) / Gamma(x) for x > 0 and s in [0, 1).
 
-    Below x = 30 it is a quotient of math.gamma, or the exp of an lgamma
-    difference once Gamma(x + s) overflows.  From x = 30 on the two log
-    Gammas cancel, so their difference comes from Stirling's series with
-    the large terms merged, and x^s is applied last; the first omitted term
-    is below 5e-17 at x = 30.
+    Below x = 30 it is a quotient of math.gamma, finite since x + s < 31.
+    From x = 30 on the two log Gammas cancel, so their difference comes
+    from Stirling's series with the large terms merged, and x^s (below x,
+    so finite) is applied last; the first omitted term is below 5e-17 at
+    x = 30.
     """
     if x < 30:
-        if x + s < 171:  # Gamma is finite below 171.62
-            return math.gamma(x + s) / math.gamma(x)
-        log_ratio = math.lgamma(x + s) - math.lgamma(x)
-        return math.exp(log_ratio) if log_ratio < _LOG_MAX else math.inf
+        return math.gamma(x + s) / math.gamma(x)
     y = x + s  # Stirling's coefficients B_2k / (2k (2k - 1)) for log Gamma
     tail = sum(c * (y ** (1 - 2 * k) - x ** (1 - 2 * k))
                for k, c in enumerate((1 / 12, -1 / 360, 1 / 1260, -1 / 1680), 1))
-    log_scaled = (y - 0.5) * math.log1p(s / x) - s + tail  # log of the ratio / x^s
-    if log_scaled + s * math.log(x) >= _LOG_MAX:
-        return math.inf
-    return math.exp(log_scaled) * x**s
+    # the exp of log(ratio / x^s) <= 0, so the product cannot overflow
+    return math.exp((y - 0.5) * math.log1p(s / x) - s + tail) * x**s
 
 
 def _fading_moment(delta: float, m: float) -> float:
@@ -81,14 +73,20 @@ def _kappa(params: NetworkParams) -> float:
     return math.pi * params.helper_density * _fading_moment(params.delta, params.fading_desired)
 
 
+def _checked_probs(p) -> np.ndarray:
+    """p as a float array, once every entry is known to lie in [0, 1]."""
+    p = np.asarray(p, dtype=float)
+    if (violation := _probability_violation(p)) is not None:
+        raise ValueError(violation)
+    return p
+
+
 def _probs_of(policy, library: ContentLibrary) -> np.ndarray:
     """The caching probabilities of a CachingPolicy, or of an array with
-    contents on its last axis, once they are known to cover the library."""
-    if isinstance(policy, CachingPolicy):
-        probs, length = policy.probs, policy.count
-    else:
-        probs = np.asarray(policy, dtype=float)
-        length = probs.shape[-1] if probs.ndim else 1
+    contents on its last axis, once they are known to cover the library
+    and to lie in [0, 1]."""
+    probs = _checked_probs(policy.probs if isinstance(policy, CachingPolicy) else policy)
+    length = probs.shape[-1] if probs.ndim else 1
     if length != library.count:
         raise ValueError(f"the policy has {length} entries but the library has "
                          f"{library.count} contents")
@@ -134,7 +132,7 @@ def _noise_thresholds(library: ContentLibrary, params: NetworkParams) -> np.ndar
 def xi1_cdf(xi, p: float | np.ndarray, params: NetworkParams):
     """CDF of the smallest reciprocal channel power gain: 1 - exp(-kappa p xi^delta).
     xi and the caching probability p may be arrays that broadcast together."""
-    xi = np.asarray(xi, dtype=float)
+    xi, p = np.asarray(xi, dtype=float), _checked_probs(p)
     if np.any(xi < 0):
         raise ValueError("xi must be >= 0")
     out = -np.expm1(-_kappa(params) * p * xi**params.delta)
@@ -243,7 +241,8 @@ def rayleigh_lower_bound(library: ContentLibrary, consts: InterferenceConstants,
 
 def _radial_integrals(alpha: float, m_i: float, n: int, W):
     """The scaled radial integral of the n-th s-derivative, split at
-    x = W^(1/alpha): (integral over (0, x), integral over (x, inf)).
+    x = W^(1/alpha): (integral over (0, x), integral over (x, inf)), for
+    n >= 1 times (m_I)_n / (n - 1)!.
 
     In units of the characteristic radius (s P / m_I)^(1/alpha) the integrand
     is [1 - (1 + u^-alpha)^-m_I] u for n = 0 and
@@ -257,8 +256,9 @@ def _radial_integrals(alpha: float, m_i: float, n: int, W):
     delta = 2.0 / alpha
     W = np.asarray(W, dtype=float)
     a, b = m_i + delta, max(n, 1) - delta
-    # B(a, b) = Gamma(b) / [Gamma(a + b) / Gamma(a)]
-    scale = 0.5 * (m_i if n == 0 else delta) * math.gamma(b) / _gamma_ratio(a, b)
+    # m_I B(a, b) at n = 0, (m_I)_n B(a, b) / (n - 1)! from 1 on, with no factor that overflows
+    scale = 0.5 * _gamma_ratio(m_i, delta) * (
+        math.gamma(b) if n == 0 else delta / _gamma_ratio(b, delta))
     head = scale * betainc(a, b, W / (1.0 + W))
     tail = scale * betainc(b, a, 1.0 / (1.0 + W))
     if n == 0:
@@ -270,7 +270,7 @@ def _radial_integrals(alpha: float, m_i: float, n: int, W):
 
 
 def _exponent_coefficients(W, p, params: NetworkParams, order: int) -> np.ndarray:
-    """c_0..c_order with s^n g^(n)(s) = pi lambda v*^2 c_n.
+    """c_0..c_order with s^n g^(n)(s) = pi lambda v*^2 c_n (n - 1)! for n >= 1.
 
     g is the log Laplace transform of the interference, v* = (s P / m_I)^(1/alpha)
     and W = (r / v*)^alpha: a fraction p of the helpers within r cache the
@@ -280,27 +280,30 @@ def _exponent_coefficients(W, p, params: NetworkParams, order: int) -> np.ndarra
     out = []
     for n in range(order + 1):
         head, tail = _radial_integrals(alpha, m_i, n, W)
-        sign = 1.0 if n == 0 else (-1.0) ** (n + 1) * _gamma_ratio(m_i, n)
-        out.append(-2.0 * sign * ((1.0 - p) * head + tail))
+        out.append((-2.0 if n == 0 else 2.0 * (-1.0) ** n) * ((1.0 - p) * head + tail))
     return np.array(out)
 
 
 def _success_polynomial(a: np.ndarray) -> np.ndarray:
-    """Coefficients in y of Q(y) = e^(-a_0 y) sum_k (-s)^k L^(k)(s) / k!.
+    """q_j = j! [y^j] Q(y), Q(y) = e^(-a_0 y) sum_k (-s)^k L^(k)(s) / k!, from
+    a_0 and a_n / (n - 1)! for n >= 1 (the a_n of s^n g^(n)(s) in y).
 
     With s^k L^(k)(s) = e^(a_0 y) P_k(y), the exp-composition
-    L^(k) = sum_j C(k-1, j) g^(k-j) L^(j) reads P_0 = 1 and
-    P_k = y sum_j C(k-1, j) a_{k-j} P_j on coefficient arrays.  Every term
-    of Q beyond the constant is nonnegative: no cancellation.
+    L^(k) = sum_i C(k-1, i) g^(k-i) L^(i) reads P_0 = 1 and
+    P_k = y sum_i C(k-1, i) a_{k-i} P_i.  In T_k[j] = (j! / k!) [y^j] P_k it
+    is T_k[j+1] = ((j+1) / k) sum_i a_{k-i} / (k-i-1)! T_i[j], and q = sum_k
+    (-1)^k T_k.  Every term of Q beyond the constant is nonnegative.
     """
     order = a.shape[0]
-    P = np.zeros((order, order) + a.shape[1:])
-    P[0, 0] = 1.0
-    q = P[0].copy()
+    T = np.zeros((order, order) + a.shape[1:])
+    T[0, 0] = 1.0
+    q = T[0].copy()
+    j1 = np.arange(1.0, order).reshape((-1,) + (1,) * (a.ndim - 1))  # j + 1
     for k in range(1, order):
-        for j in range(k):
-            P[k, 1 : j + 2] += math.comb(k - 1, j) * a[k - j] * P[j, : j + 1]
-        q += (-1.0) ** k / math.factorial(k) * P[k]
+        for i in range(k):
+            T[k, 1 : i + 2] += a[k - i] * T[i, : i + 1]
+        T[k, 1 : k + 1] *= j1[:k] / k
+        q += (-1.0) ** k * T[k]
     return q
 
 
@@ -313,15 +316,15 @@ def nakagami_lower_bound(
     Each content contributes the k-sum of Laplace-transform derivatives
     averaged over the distance to the nearest helper caching it: in
     y = pi lambda r^2 that distance has density p e^(-p y), so
-    e^(a_0 y) y^j averages to p j! / (p - a_0)^(j+1).  The coefficient q_j
-    of y^j is of degree j in the a_n, so the sum is taken in units of
-    1 / (p - a_0), where the powers (p - a_0)^(j+1) cannot overflow.
+    e^(a_0 y) y^j / j! averages to p / (p - a_0)^(j+1).  The coefficient
+    q_j of y^j / j! is of degree j in the a_n, so the sum is taken in units
+    of 1 / (p - a_0), where the powers (p - a_0)^(j+1) cannot overflow.
     """
-    if params.fading_desired != int(params.fading_desired):
-        raise NotImplementedError("the k-sum requires an integer desired-link fading shape")
-    if params.fading_desired > 171:  # 170! is the largest factorial below the float maximum
-        raise ValueError(f"fading_desired = {params.fading_desired:g} is too large: the k-sum "
-                         "divides by k! up to k = m_D - 1, a finite float only up to m_D = 171")
+    m_d = params.fading_desired
+    if m_d != int(m_d) or m_d > 171:
+        raise ValueError(f"fading_desired = {m_d:g} is "
+                         f"{'too large' if m_d > 171 else 'not an integer'}: the k-sum takes "
+                         "an integer m_D, tested up to m_D = 171")
     tau = _rate_threshold(library.rates, c)
     probs = _probs_of(policy, library)
     if probs.ndim != 1:
@@ -331,18 +334,15 @@ def nakagami_lower_bound(
     # at s = m_D tau r^alpha / P, W = (r / v*)^alpha = m_I / (m_D tau) does
     # not depend on r, so neither do the a_n of s^n g^(n)(s) = a_n pi lambda r^2
     with np.errstate(over="ignore", divide="ignore"):
-        W = params.fading_interf / (params.fading_desired * tau[cached])
-    _require_resolvable(
-        np.isfinite(W), library.rates[cached], c, "m_I / (m_D tau) overflows at tau = 2^(c rate) - 1"
-    )
+        W = params.fading_interf / (m_d * tau[cached])
+    _require_resolvable(np.isfinite(W), library.rates[cached], c,
+                        "m_I / (m_D tau) overflows at tau = 2^(c rate) - 1")
     if np.any(W == 0):  # m_D tau overflowed, and W^(-delta) would divide by zero
         raise ValueError(f"c * max(rate) = {c * np.max(library.rates[cached]):g} is too large "
-                         f"at m_D = {params.fading_desired:g}: m_D tau overflows")
-    a = W ** (-params.delta) * _exponent_coefficients(W, p, params, int(params.fading_desired) - 1)
+                         f"at m_D = {m_d:g}: m_D tau overflows")
+    a = W ** (-params.delta) * _exponent_coefficients(W, p, params, int(m_d) - 1)
     unit = p - a[0]
-    q = _success_polynomial(a / unit)
-    factorials = np.array([[float(math.factorial(j))] for j in range(q.shape[0])])
-    per_content = p / unit * np.sum(q * factorials, axis=0)
+    per_content = p / unit * np.sum(_success_polynomial(a / unit), axis=0)
     return float(np.sum(library.popularity[cached] * per_content))
 
 

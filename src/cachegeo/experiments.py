@@ -138,6 +138,12 @@ class ExperimentConfig:
                               "source = explicit reads it")
         if self.figure and self.scenario != "figure":
             raise ConfigError(f"figure = {self.figure!r}: only the figure scenario reads it")
+        if self.channel != "noise" and self.scenario != "simulate":
+            raise ConfigError(f"channel = {self.channel!r}: only simulate reads it")
+        if self.load_mode != "instantaneous" and (
+                (self.scenario, self.channel) != ("simulate", "interference")):
+            raise ConfigError(f"load_mode = {self.load_mode!r}: only simulate on the "
+                              "interference channel reads it")
         if self.c_mode == "fixed" and not 1 <= self.c_value < math.inf:
             raise ConfigError(f"c_value must be >= 1 and finite, got {self.c_value}")
         # checked here, where a bad output fails before the whole run, not after it

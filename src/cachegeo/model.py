@@ -178,24 +178,26 @@ def uniform_rates(rho_max: float, count: int, seed: int) -> np.ndarray:
     return rho_max * (1.0 - rng.random(count))
 
 
+def _probability_violation(p: np.ndarray) -> str | None:
+    """The first entry of p outside [0, 1] (p itself when p is a scalar),
+    or None.  NaN, which fails no comparison, is reported first."""
+    if ((p >= 0) & (p <= 1)).all():  # one pass when all is well; NaN fails it
+        return None
+    bad, what = next(pair for pair in ((np.isnan(p), "is not a number"), (p < 0, "is negative"),
+                                       (p > 1, "exceeds 1")) if pair[0].any())
+    i = np.unravel_index(np.argmax(bad), p.shape)
+    name = f"p[{', '.join(map(str, i))}]" if i else "p"
+    return f"{name}={p[i]} {what}"
+
+
 def budget_violation(policy: CachingPolicy) -> str | None:
     """First violated bound/budget constraint, or None.
 
     Checks only what placement and simulation mechanically require:
     0 <= p_i <= 1 and sum(p) <= memory (with a small numerical slack).
-    NaN, which fails no comparison, is reported first.
     """
-    p = policy.probs
-    if np.any(np.isnan(p)):
-        i = int(np.argmax(np.isnan(p)))
-        return f"p[{i}]={p[i]} is not a number"
-    if np.any(p < 0):
-        i = int(np.argmax(p < 0))
-        return f"p[{i}]={p[i]} is negative"
-    if np.any(p > 1):
-        i = int(np.argmax(p > 1))
-        return f"p[{i}]={p[i]} exceeds 1"
-    total = float(p.sum())
-    if total > policy.memory + BUDGET_TOL:
+    violation = _probability_violation(policy.probs)
+    total = float(policy.probs.sum())
+    if violation is None and total > policy.memory + BUDGET_TOL:
         return f"sum(p)={total} exceeds the memory budget M={policy.memory}"
-    return None
+    return violation

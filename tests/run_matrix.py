@@ -241,6 +241,15 @@ _DECLARED = (
              ("optimize-noise",), ("experiment", "sweep_grid", "1 2")),
     _refused("figure-on-simulate", 2, "figure = '8': only the figure scenario", ("simulate",),
              ("experiment", "figure", "8")),
+    # the CSV's load_mode column was blank while the manifest recorded the mode
+    _refused("load_mode-on-noise", 2, "load_mode = 'mean-approx': only simulate on the "
+             "interference channel", ("simulate",), ("experiment", "load_mode", "mean-approx")),
+    _refused("load_mode-on-optimize-sir", 2, "load_mode = 'long-term-assoc': only simulate",
+             ("optimize-sir",), ("experiment", "load_mode", "long-term-assoc")),
+    *(_refused(f"channel-on-{id}", 2, "channel = 'interference': only simulate", argv,
+               ("experiment", "channel", "interference"))
+      for id, argv in (("optimize-noise", ("optimize-noise",)),
+                       ("figure-approx-check", ("figure", "--figure", "approx-check")))),
     _refused("probs-on-uc", 2, "probs = (0.5, 0.5) is set, but only simulate with source = "
              "explicit", ("simulate",), ("policy", "source", "uc"), ("policy", "probs", "0.5, 0.5")),
     _refused("sweep-without-sweep_grid", 2, "a sweep needs a nonempty sweep_grid",

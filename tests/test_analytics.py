@@ -149,13 +149,34 @@ class TestIntensity:
                 poch = float(mpmath.rf(m_i, n))
             assert _gamma_ratio(m_i, n) == pytest.approx(poch, rel=1e-14, abs=0), n
             for alpha in [2.05, 3.0, 4.0, 8.0, 100.0]:
-                # B(a, b) = Gamma(b) / [Gamma(a + b) / Gamma(a)], as _radial_integrals takes it
+                # B(a, b) = Gamma(b) / [Gamma(a + b) / Gamma(a)]
                 a, b = m_i + 2.0 / alpha, max(n, 1) - 2.0 / alpha
                 with mpmath.workdps(50):
                     beta = float(mpmath.beta(a, b))
                 rel = 4e-15 if m_i <= 5 else 5e-14
                 assert math.gamma(b) / _gamma_ratio(a, b) == pytest.approx(beta, rel=rel, abs=0), \
                     (n, alpha)
+
+    @pytest.mark.parametrize("m_i", [0.5, 1.0, 2.5, 5.0, 50.0, 1e3, 1e6])
+    def test_radial_scales_match_high_precision(self, m_i):
+        # the products _radial_integrals takes in place of (m_I)_n B(m_I + delta,
+        # n - delta) / (n - 1)! and m_I B(m_I + delta, 1 - delta), whose factors
+        # overflowed on their own; every _gamma_ratio call has s = delta < 1
+        import mpmath
+
+        for alpha in [2.05, 3.0, 4.0, 8.0, 100.0]:
+            delta = 2.0 / alpha
+            for n in [0, 1, 2, 3, 7, 29, 30, 31, 50, 120, 170]:
+                with mpmath.workdps(50):
+                    M, D = mpmath.mpf(m_i), mpmath.mpf(delta)
+                    if n == 0:
+                        ref = float(M * mpmath.beta(M + D, 1 - D))
+                    else:
+                        ref = float(mpmath.rf(M, n) * mpmath.beta(M + D, n - D)
+                                    / mpmath.factorial(n - 1))
+                other = math.gamma(1.0 - delta) if n == 0 else 1.0 / _gamma_ratio(n - delta, delta)
+                got = _gamma_ratio(m_i, delta) * other
+                assert got == pytest.approx(ref, rel=1e-14, abs=0), (alpha, n)
 
 
 class TestXi1Cdf:
@@ -171,7 +192,7 @@ class TestXi1Cdf:
     def test_unit_exponent_point(self):
         params = make_params(alpha=2.5, m_d=1.0)
         kappa = _kappa(params)
-        xi = 2.0
+        xi = 20.0  # large enough that p = 0.62 is a probability
         p = 1.0 / (kappa * xi**params.delta)
         assert xi1_cdf(xi, p, params) == pytest.approx(1.0 - math.exp(-1.0), rel=1e-12)
 
@@ -293,11 +314,12 @@ def constants_at(tau, alpha):
 
 def distance_exponents(tau, p, params):
     """a_0..a_{m_D-1} with s^n g^(n)(s) = a_n pi lambda r^2 at s = m_D tau r^alpha / P,
-    computed as nakagami_lower_bound computes them (W = (r / v*)^alpha)."""
-    W = params.fading_interf / (params.fading_desired * np.asarray(tau, dtype=float))
-    return W ** (-params.delta) * _exponent_coefficients(
-        W, p, params, int(params.fading_desired) - 1
-    )
+    computed as nakagami_lower_bound computes them (W = (r / v*)^alpha), which
+    carries a_n / (n - 1)! for n >= 1."""
+    m_d = int(params.fading_desired)
+    W = params.fading_interf / (m_d * np.asarray(tau, dtype=float))
+    scaled = W ** (-params.delta) * _exponent_coefficients(W, p, params, m_d - 1)
+    return scaled * np.array([1.0] + [math.factorial(n - 1) for n in range(1, m_d)])
 
 
 def success_given_distance(r, tau, p, params):
@@ -306,7 +328,10 @@ def success_given_distance(r, tau, p, params):
     average in nakagami_lower_bound."""
     a = distance_exponents(tau, p, params)
     y = math.pi * params.helper_density * r * r
-    return math.exp(a[0] * y) * float(np.polyval(_success_polynomial(a)[::-1], y))
+    # _success_polynomial takes a_n / (n - 1)! for n >= 1 and gives j! [y^j] Q(y)
+    factorials = np.array([math.factorial(j) for j in range(len(a))], dtype=float)
+    q = _success_polynomial(a / np.append(1.0, factorials[:-1])) / factorials
+    return math.exp(a[0] * y) * float(np.polyval(q[::-1], y))
 
 
 class TestHypergeometricConstants:
@@ -457,7 +482,12 @@ class TestRadialIntegrals:
         from cachegeo.analytics import _radial_integrals
 
         head, tail = _radial_integrals(alpha, m_i, n, x**alpha)
-        oracle = quad_oracle.scaled_radial
+        # _radial_integrals carries the n >= 1 integrals times (m_I)_n / (n - 1)!
+        scale = 1.0 if n == 0 else math.gamma(m_i + n) / math.gamma(m_i) / math.factorial(n - 1)
+
+        def oracle(*args):
+            return scale * quad_oracle.scaled_radial(*args)
+
         assert head == pytest.approx(oracle(alpha, m_i, n, 0.0, x), rel=1e-9)
         assert tail == pytest.approx(oracle(alpha, m_i, n, x, math.inf), rel=1e-9)
         assert head + tail == pytest.approx(oracle(alpha, m_i, n, 0.0, math.inf), rel=1e-9)
@@ -546,7 +576,8 @@ class TestNakagamiLowerBound:
             got = nakagami_lower_bound(lib, params, policy, c=c)
             assert got == pytest.approx(closed, rel=1e-12)
 
-    @pytest.mark.parametrize("m_d,m_i", [(1, 1), (2, 1), (3, 2), (4, 2.5), (2, 0.7), (6, 1)])
+    @pytest.mark.parametrize("m_d,m_i", [(1, 1), (2, 1), (3, 2), (4, 2.5), (2, 0.7), (6, 1),
+                                         (3, 50), (4, 1e3)])
     def test_matches_quadrature(self, m_d, m_i):
         lib = make_library(5, gamma=0.8, rates=[0.02, 0.3, 0.7, 1.0, 1.6])
         params = make_params(lam=1e-5, alpha=3.5, m_d=m_d, m_i=m_i)
@@ -592,9 +623,8 @@ class TestNakagamiLowerBound:
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_desired_fading_up_to_171(self):
-        # the k-sum divides by k! up to k = m_D - 1: 171! overflowed into a bare
-        # OverflowError from m_D = 172, after an invalid-value warning at 200.
-        # At 171, B(a, b) needs Gamma(b) at b ~ 170
+        # the k-sum once divided by k! up to k = m_D - 1: 171! overflowed into a
+        # bare OverflowError from m_D = 172, after an invalid-value warning at 200
         lib = ContentLibrary(10, zipf_popularity(10, 0.8), uniform_rates(1.0, 10, 1))
         policy = np.full(10, 0.3)
 
@@ -607,6 +637,23 @@ class TestNakagamiLowerBound:
         for m_d in (172.0, 200.0):
             with pytest.raises(ValueError, match=r"fading_desired = \d+ is too large.*m_D = 171"):
                 bound(m_d)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("m_d,m_i,c,expected", [
+        (120, 1e3, 1.0, 0.3319703658318417),
+        (171, 2.0, 1.0, 0.3417240817952609),
+        (171, 0.5, 20.0, 0.03929423554068152),
+        (171, 1e3, 20.0, 0.03349359771335382),
+    ])
+    def test_finite_where_the_pochhammer_overflowed(self, m_d, m_i, c, expected):
+        # (m_I)_n and B(m_I + delta, n - delta), whose product is moderate,
+        # over- and underflowed on their own: the bound was NaN at the first,
+        # second and fourth setting and inf at the third
+        lib = ContentLibrary(10, zipf_popularity(10, 0.8), uniform_rates(1.0, 10, 1))
+        params = NetworkParams(1e-5, 2e-5, 1.0, 0.01, 3.0, float(m_d), m_i)
+        got = nakagami_lower_bound(lib, params, np.full(10, 0.3), c=c)
+        assert 0.0 <= got <= 1.0
+        assert got == pytest.approx(expected, rel=1e-12)
 
     @pytest.mark.parametrize("m_d,rho", [(4, 20), (3, 28), (2, 40), (3, 40), (4, 28), (4, 40)])
     def test_large_thresholds_match_high_precision(self, m_d, rho):
@@ -642,7 +689,7 @@ class TestNakagamiLowerBound:
     def test_rejects_fractional_desired_fading(self):
         lib = make_library(1)
         params = make_params(m_d=1.5)
-        with pytest.raises(NotImplementedError):
+        with pytest.raises(ValueError, match="fading_desired = 1.5 is not an integer"):
             nakagami_lower_bound(lib, params, np.array([0.5]), c=1.0)
 
     @pytest.mark.parametrize("m_d", [2.0, 3.0])
@@ -683,6 +730,29 @@ def test_non_finite_arguments_are_refused(function, args, name):
     # nan, or 1.0 at an infinite helper density
     with pytest.raises(ValueError, match=rf"^{name} must be"):
         function(*args)
+
+
+@pytest.mark.parametrize("bad", [-0.5, 2.0, math.nan])
+@pytest.mark.parametrize("function", ["success_noise", "rayleigh_lower_bound",
+                                      "nakagami_lower_bound", "xi1_cdf"])
+def test_probabilities_outside_the_unit_interval_are_refused(function, bad):
+    # at p[0] = -0.5 success_noise gave -7.55, rayleigh_lower_bound -0.0297 and
+    # xi1_cdf -0.073; nakagami_lower_bound dropped a NaN or negative entry and
+    # gave 0.0951; a NaN gave NaN
+    lib = make_library(3, rates=[0.5] * 3)
+    params = NetworkParams(0.05, 0.002, 1.0, 0.01, 3.0)
+    policy = np.array([bad, 0.5, 0.5])
+    evaluate = {
+        "success_noise": lambda: success_noise(lib, params, policy),
+        "rayleigh_lower_bound": lambda: rayleigh_lower_bound(
+            lib, InterferenceConstants.from_library(lib, 3.0, 1.0), policy),
+        "nakagami_lower_bound": lambda: nakagami_lower_bound(lib, params, policy, 1.0),
+        "xi1_cdf": lambda: xi1_cdf(1.0, bad, params),
+    }[function]
+    name = "p" if function == "xi1_cdf" else r"p\[0\]"
+    what = {-0.5: "is negative", 2.0: "exceeds 1"}.get(bad, "is not a number")
+    with pytest.raises(ValueError, match=rf"^{name}={bad} {what}$"):
+        evaluate()
 
 
 class TestMeanLoad:
