@@ -163,15 +163,16 @@ def c_alpha(alpha: float) -> float:
 def _a_over_b(tau, delta: float):
     """A / B = I_{1/(1+tau)}(delta, 1 - delta).  Below tau = 1 it is taken as
     1 - I_{tau/(1+tau)}(1 - delta, delta), whose argument keeps the digits of
-    tau that 1/(1+tau) rounds away as tau -> 0."""
+    tau that 1/(1+tau) rounds away as tau -> 0.  Each branch is evaluated
+    only on the entries that take it."""
     from scipy.special import betainc
 
     tau = np.asarray(tau, dtype=float)
-    return np.where(
-        tau < 1.0,
-        1.0 - betainc(1.0 - delta, delta, tau / (1.0 + tau)),
-        betainc(delta, 1.0 - delta, 1.0 / (1.0 + tau)),
-    )
+    small = tau < 1.0
+    ratio, low = np.empty_like(tau), tau[small]
+    ratio[small] = 1.0 - betainc(1.0 - delta, delta, low / (1.0 + low))
+    ratio[~small] = betainc(delta, 1.0 - delta, 1.0 / (1.0 + tau[~small]))
+    return ratio
 
 
 def _require_resolvable(ok, rates, c: float, what: str) -> None:

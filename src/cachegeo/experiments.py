@@ -778,9 +778,15 @@ def _write_row(handle, fields: list[str], row: dict) -> int:
 
 @functools.cache
 def _version(package: str) -> str:
-    """An installed package's version, read without importing it; each
-    metadata scan runs once per process."""
+    """An installed package's version, read once per process without importing
+    it: the METADATA header's `Version:` line, else the full metadata parse."""
     try:
-        return metadata.version(package)
+        dist = metadata.distribution(package)
     except metadata.PackageNotFoundError:
         return "unknown"
+    for line in (dist.read_text("METADATA") or "").splitlines():
+        if not line:
+            break
+        if line.startswith("Version:"):
+            return line[8:].lstrip(" \t")
+    return dist.version

@@ -61,9 +61,10 @@ class SolveReport:
     kkt_residual: float
 
 
-def water_fill(log_omega, log_upper, width, shape):
+def water_fill(log_omega, log_upper, width, shape, g_width):
     """Caching probability at the budget multiplier omega = exp(log_omega):
-    p = clip(g(min(log u - log omega, w)) / g(w), 0, 1) with g = `shape`.
+    p = clip(g(min(log u - log omega, w)) / g(w), 0, 1) with g = `shape`;
+    the caller computes g(w) = `g_width` once per solve, under this errstate.
 
     log_upper = log u is where p reaches 0 and width = w = log(u / l) >= 0;
     p = 1 at and below log l = log u - w, where the cap multiplier
@@ -73,10 +74,11 @@ def water_fill(log_omega, log_upper, width, shape):
     and when l underflows in linear space.  A subnormal or zero g(w)
     overflows the ratio below u, which the clip takes to 0.
     """
-    t = np.minimum(log_upper - log_omega, width)
+    t = np.asarray(log_upper - log_omega)
+    np.minimum(t, width, out=t)
     with np.errstate(over="ignore", divide="ignore"):
-        p = np.divide(shape(t), shape(width), out=np.ones_like(t), where=t < width)
-    return np.clip(p, 0.0, 1.0)
+        p = np.divide(shape(t), g_width, out=np.ones_like(t), where=t < width)
+    return np.clip(p, 0.0, 1.0, out=p)
 
 
 def _bisect_budget(
@@ -168,9 +170,11 @@ def _water_fill_solve(
     `gradient` maps p to h_i'(p_i) of the minimized objective sum_i h_i(p_i).
     """
     log_lower = log_upper - width
+    with np.errstate(over="ignore", divide="ignore"):
+        g_width = shape(width)
     log_omega, p, iterations = _bisect_budget(
         float(log_lower.min()), float(log_upper.max()),
-        lambda x: water_fill(x, log_upper, width, shape), float(memory),
+        lambda x: water_fill(x, log_upper, width, shape, g_width), float(memory),
     )
     with np.errstate(under="ignore"):
         omega = float(np.exp(log_omega))

@@ -15,8 +15,9 @@ on the unmutated copy.
 
 prints one `id killed|survived|error` line per row (all rows, or the ones
 named) and exits 1 unless every row is killed.  It runs pytest once per row,
-so it stays outside tier-1; tier-1 (`tests/test_mutants.py`) checks only
-that every old text is found exactly once.  A survivor means a test is
+so it stays outside tier-1; tier-1 (`tests/test_mutants.py`) checks that
+every old text is found exactly once, and that `check` reports a mutant
+its named test cannot see as a survivor.  A survivor means a test is
 missing: add one, never weaken a row.
 """
 from __future__ import annotations
@@ -47,6 +48,7 @@ _NAKAGAMI = _ANALYTICS + "TestNakagamiLowerBound::"
 _REFUSAL = "tests/test_cli.py::TestRunMatrix::test_refusal_row"
 _DOMAIN = "tests/test_model.py::TestDomainTypes::"
 _BAD_DRAW_ARGS = "tests/test_simulator.py::test_bad_trials_or_seed_refused_before_any_draw"
+_PER_STEP = "tests/test_optimizer.py::TestSolveOnceMatchesPerStep::"
 
 MUTANTS = (
     # the general-fading bound in bounded variables
@@ -60,7 +62,8 @@ MUTANTS = (
            "T[k, 1 : k + 1] *= j1[:k] / k", "T[k, 1 : k + 1] /= k",
            (_NAKAGAMI + "test_matches_quadrature",
             _NAKAGAMI + "test_success_given_distance_matches_quadrature",
-            _NAKAGAMI + "test_finite_where_the_pochhammer_overflowed")),
+            _NAKAGAMI + "test_finite_where_the_pochhammer_overflowed",
+            _NAKAGAMI + "test_large_thresholds_match_high_precision")),
     Mutant("bound-m_D-not-an-integer-type", "analytics.py",
            'raise ValueError(f"fading_desired = {m_d:g} is "',
            'raise NotImplementedError(f"fading_desired = {m_d:g} is "',
@@ -76,6 +79,16 @@ MUTANTS = (
            "if not 2 < alpha < math.inf:  # NaN fails too", "if alpha <= 2:",
            (_ANALYTICS + "test_non_finite_arguments_are_refused[c_alpha-nan]",
             _ANALYTICS + "test_non_finite_arguments_are_refused[c_alpha-inf]")),
+    # values the design path computes once, or only where they are used
+    Mutant("a-over-b-branches-swapped", "analytics.py",
+           "small = tau < 1.0", "small = tau >= 1.0",
+           (_ANALYTICS + "TestHypergeometricConstants::test_a_over_b_takes_one_branch_per_entry",)),
+    Mutant("g-of-w-from-log-upper", "optimizer.py",
+           "g_width = shape(width)", "g_width = shape(log_upper)",
+           (_PER_STEP + "test_interference", _PER_STEP + "test_noise")),
+    Mutant("version-slice-off-by-one", "experiments.py",
+           "return line[8:]", "return line[9:]",
+           ("tests/test_cli.py::TestVersion::test_header_forms",)),
     # caching probabilities outside [0, 1]
     Mutant("analytics-probabilities-unchecked", "analytics.py",
            "        raise ValueError(violation)", "        pass",

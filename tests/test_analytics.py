@@ -8,11 +8,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate
-from scipy.special import hyp2f1
+from scipy.special import betainc, hyp2f1
 
 import quad_oracle
 from cachegeo.analytics import (
     InterferenceConstants,
+    _a_over_b,
     _exponent_coefficients,
     _fading_moment,
     _gamma_ratio,
@@ -335,6 +336,23 @@ def success_given_distance(r, tau, p, params):
 
 
 class TestHypergeometricConstants:
+    @pytest.mark.parametrize("alpha", [2.05, 3.0, 4.0, 7.5])
+    def test_a_over_b_takes_one_branch_per_entry(self, alpha):
+        delta = 2.0 / alpha
+
+        def reference(t):
+            if t < 1.0:
+                return 1.0 - betainc(1.0 - delta, delta, t / (1.0 + t))
+            return betainc(delta, 1.0 - delta, 1.0 / (1.0 + t))
+
+        edges = [0.0, 1e-300, np.nextafter(1.0, 0.0), 1.0, np.nextafter(1.0, 2.0), 1e300]
+        tau = np.random.default_rng(5).permutation(np.r_[edges, np.geomspace(1e-12, 1e12, 49)])
+        assert np.array_equal(_a_over_b(tau, delta), [reference(t) for t in tau])
+        for t in edges:
+            got = _a_over_b(t, delta)
+            assert got.shape == () and np.array_equal(got, reference(t))
+        assert _a_over_b(np.empty(0), delta).shape == (0,)
+
     def test_c_alpha_at_four(self):
         assert c_alpha(4.0) == pytest.approx(math.pi / 2.0, rel=1e-12)
 
@@ -655,10 +673,13 @@ class TestNakagamiLowerBound:
         assert 0.0 <= got <= 1.0
         assert got == pytest.approx(expected, rel=1e-12)
 
-    @pytest.mark.parametrize("m_d,rho", [(4, 20), (3, 28), (2, 40), (3, 40), (4, 28), (4, 40)])
+    @pytest.mark.parametrize("m_d,rho", [(4, 20), (3, 28), (2, 40), (3, 40), (4, 28), (4, 40),
+                                         (3, 1), (4, 2), (5, 0.5)])
     def test_large_thresholds_match_high_precision(self, m_d, rho):
         # the powers (p - a_0)^(j+1) overflowed: the bound was 11-40 % low
-        # at the first three settings and NaN at the last three
+        # at the first three settings and NaN at the next three; at the last
+        # three the y^j terms from j = 2 on carry weight, so they check the
+        # exp-composition's recurrence as well
         import warnings
 
         import mpmath

@@ -251,6 +251,35 @@ def _tables(draw):
     return header, rows
 
 
+class TestVersion:
+    """`experiments._version` reads the METADATA header's `Version:` line
+    and gives what `importlib.metadata.version` gives."""
+
+    @pytest.mark.parametrize("package", ["numpy", "scipy", "pytest"])
+    def test_installed_packages(self, package):
+        assert experiments._version(package) == metadata.version(package)
+
+    def test_absent_package(self):
+        assert experiments._version("cachegeo-no-such-package") == "unknown"
+
+    @pytest.mark.parametrize("name, folder, text, expected", [
+        ("probenospace", "dist-info", "Version:1.2.3\n", "1.2.3"),
+        ("probetab", "dist-info", "Version:\t4.5\n", "4.5"),
+        # the header ends at the first blank line; the parser's fallback
+        # reads the lower-case header, never the body's line
+        ("probelowercase", "dist-info", "version: 2.0\n\nVersion: 9.9\n", "2.0"),
+        ("probeegginfo", "egg-info", "Version: 3.1\n", "3.1"),
+    ])
+    def test_header_forms(self, tmp_path, monkeypatch, name, folder, text, expected):
+        home = tmp_path / f"{name}-0.{folder}"
+        home.mkdir()
+        header = f"Metadata-Version: 2.1\nName: {name}\n{text}"
+        (home / ("PKG-INFO" if folder == "egg-info" else "METADATA")).write_text(header)
+        monkeypatch.syspath_prepend(str(tmp_path))
+        assert metadata.version(name) == expected
+        assert experiments._version(name) == expected
+
+
 class TestColumnarWriter:
     """run writes each row through one %-template; the per-cell writer is the reference."""
 

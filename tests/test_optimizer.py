@@ -6,6 +6,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from grid_oracle import brute_force_policy
+from water_fill_oracle import per_step_water_fill
+from cachegeo import optimizer
 from cachegeo.analytics import (
     InterferenceConstants,
     _kappa,
@@ -42,14 +44,18 @@ def params_with_kappa_T(target_kT, f_count=2, gamma=None, lam=0.05):
 
 def noise_candidate(log_omega, log_upper, kT):
     """The noise-limited water-filling: window kappa T, linear shape."""
-    return water_fill(log_omega, log_upper, kT, lambda t: t)
+    return water_fill(log_omega, log_upper, kT, lambda t: t, kT)
 
 
 def interference_candidate(log_omega, f, A, B):
     """The interference-limited water-filling: u = f / B, window
     2 log1p((1 - A) / B), square-root shape."""
     width = 2.0 * math.log1p((1.0 - A) / B)
-    return water_fill(log_omega, math.log(f) - math.log(B), width, lambda t: np.expm1(0.5 * t))
+
+    def shape(t):
+        return np.expm1(0.5 * t)
+
+    return water_fill(log_omega, math.log(f) - math.log(B), width, shape, shape(width))
 
 
 def assert_certified(report, memory, objective):
@@ -338,6 +344,69 @@ class TestOptimizeInterference:
         consts = InterferenceConstants.from_library(lib, alpha, c)
         report = optimize_interference(lib, consts, memory)
         assert_certified(report, memory, lambda policy: rayleigh_lower_bound(lib, consts, policy))
+
+
+def same_solve_as_per_step(solve):
+    """Run `solve` as it is and with the per-step oracle patched in for
+    `water_fill`; the two must agree in policy bytes, omega and iterations."""
+    fast, calls = solve(), []
+
+    def per_step(*args):
+        calls.append(args)
+        return per_step_water_fill(*args)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(optimizer, "water_fill", per_step)
+        slow = solve()
+    assert calls, "the solve no longer evaluates optimizer.water_fill"
+    assert fast.policy.probs.tobytes() == slow.policy.probs.tobytes()
+    assert fast.omega == slow.omega
+    assert fast.iterations == slow.iterations
+
+
+class TestSolveOnceMatchesPerStep:
+    """g(w) computed once per solve gives the bytes of the per-step
+    candidate, over 0/1 steps (w = 0), windows narrower than the float
+    spacing of log u, and libraries up to F = 10^4."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(count=st.integers(3, 10_000), seed=st.integers(0, 2**32 - 1),
+           steps=st.floats(0.0, 1.0), narrow=st.floats(0.0, 1.0))
+    @example(count=10_000, seed=1, steps=0.2, narrow=0.2)
+    @example(count=3, seed=2, steps=1.0, narrow=0.0)
+    @example(count=50, seed=3, steps=0.0, narrow=1.0)
+    def test_interference(self, count, seed, steps, narrow):
+        rng = np.random.default_rng(seed)
+        lib = library_with(rng.uniform(0.0, 2.0), count, np.ones(count))
+        A = rng.uniform(0.01, 1.0, count)
+        B = A * (1.0 + 10.0 ** rng.uniform(-3.0, 4.0, count))
+        kind = rng.uniform(size=count)
+        step, thin = kind < steps, (kind >= steps) & (kind < steps + narrow)
+        A[step], B[step] = 1.0, 1.0 + 10.0 ** rng.uniform(-3.0, 4.0, step.sum())
+        # 1 - A a few ulps and B >= 1e3: w = 2 log1p((1 - A) / B) < 1e-18
+        A[thin] = 1.0 - rng.integers(1, 5, thin.sum()) * 2.0**-53
+        B[thin] = 10.0 ** rng.uniform(3.0, 6.0, thin.sum())
+        consts = InterferenceConstants(tau=np.ones(count), A=A, B=B, c=1.0)
+        memory = int(rng.integers(1, count))
+        same_solve_as_per_step(lambda: optimize_interference(lib, consts, memory))
+
+    @settings(max_examples=40, deadline=None)
+    @given(count=st.integers(3, 10_000), seed=st.integers(0, 2**32 - 1),
+           narrow=st.floats(0.0, 1.0))
+    @example(count=10_000, seed=1, narrow=0.2)
+    @example(count=50, seed=3, narrow=1.0)
+    def test_noise(self, count, seed, narrow):
+        rng = np.random.default_rng(seed)
+        # rates of 200-300 bits/s/Hz give kappa T below 6e-20 over these
+        # params, so |log u| > 44 and kappa T is below the spacing of log u
+        rates = np.where(rng.uniform(size=count) < narrow, rng.uniform(200.0, 300.0, count),
+                         10.0 ** rng.uniform(-3.0, 1.0, count))
+        lib = library_with(rng.uniform(0.0, 2.0), count, rates)
+        params = NetworkParams(10.0 ** rng.uniform(-4.0, -1.0), 0.002, 1.0,
+                               10.0 ** rng.uniform(-4.0, 0.0), rng.uniform(2.1, 6.0),
+                               rng.uniform(0.5, 4.0))
+        memory = int(rng.integers(1, count))
+        same_solve_as_per_step(lambda: optimize_noise(lib, params, memory))
 
 
 class TestBruteForce:
