@@ -18,6 +18,7 @@ import platform
 import time
 from dataclasses import MISSING, asdict, dataclass, field, fields, replace
 from importlib import metadata
+from itertools import chain, islice, pairwise
 from pathlib import Path
 from typing import NamedTuple
 
@@ -731,7 +732,7 @@ def run(config: ExperimentConfig) -> int:
     try:
         with partial.open("w", newline="") as handle:
             handle.write(",".join(_cell(name, len(fields) == 1) for name in fields) + "\n")
-            lines = sum(_write_row(handle, fields, row) for row in rows)
+            lines = _write_rows(handle, fields, rows)
         os.replace(partial, out)
     finally:
         partial.unlink(missing_ok=True)
@@ -758,35 +759,103 @@ def run(config: ExperimentConfig) -> int:
     return 0
 
 
-def _write_row(handle, fields: list[str], row: dict) -> int:
-    """Write a row's lines through one %-template holding its single values; return how many."""
-    alone, parts, columns = len(fields) == 1, [], []
-    for value in map(row.__getitem__, fields):
-        if not isinstance(value, np.ndarray):
-            parts.append(_cell(value, alone).replace("%", "%%"))
-            continue
-        kind = value.dtype.kind
-        parts.append("%.12g" if kind == "f" else "%d" if kind in "iu" else "%s")
-        columns.append(value.tolist() if kind in "fiu" else [_cell(v, alone) for v in value.tolist()])
-    if len(lengths := {len(c) for c in columns} or {1}) > 1:
-        arrays = {name: row[name].size for name in fields if isinstance(row[name], np.ndarray)}
-        raise ValueError(f"a row's arrays differ in length: {arrays}")
-    template = ",".join(parts) + "\n"
-    handle.writelines(map(template.__mod__, zip(*columns) if columns else [()]))
-    return lengths.pop()
+# lines per block: the writer fills a row's lines with one `%` per block of them
+_BLOCK = 256
+
+
+def _blocks(line: str, columns: list, count: int):
+    """The text of `count` lines of the template `line`, _BLOCK lines to a `%`, its slots
+    filled line by line from `columns` (each holds one entry per line)."""
+    cells = chain.from_iterable(zip(*columns))
+    # a row of fewer lines repeats its line no further: a one-line row may hold
+    # a whole policy string
+    size = min(count, _BLOCK)
+    block = line * size
+    for start in range(0, count, _BLOCK):
+        n = min(count - start, _BLOCK)
+        yield (block if n == size else line * n) % tuple(islice(cells, n * len(columns)))
+
+
+def _same_bits(a: np.ndarray, b) -> bool:
+    """Whether b is an array of a's dtype, shape and bit patterns (so -0.0 is not 0.0),
+    compared in place."""
+    return (isinstance(b, np.ndarray) and a.dtype == b.dtype and a.shape == b.shape
+            and np.array_equal(*(np.ascontiguousarray(x).view(np.uint8) for x in (a, b))))
+
+
+def _write_rows(handle, fields: list[str], rows: list[dict]) -> int:
+    """Write each row's lines through one %-template holding its single values; return
+    how many.  A number array with the bits of the same field's array in the next row is
+    formatted once, and both rows fill their slot with its cells; only the cells the
+    current row uses are kept."""
+    alone, written, kept = len(fields) == 1, 0, {}
+    for row, after in pairwise([*rows, {}]):
+        parts, columns, keep = [], [], {}
+        for name in fields:
+            value = row[name]
+            if not isinstance(value, np.ndarray):
+                parts.append(_cell(value, alone).replace("%", "%%"))
+                continue
+            kind = value.dtype.kind
+            if kind not in "fiu":
+                parts.append("%s")
+                columns.append([_cell(v, alone) for v in value.tolist()])
+                continue
+            slot = "%.12g" if kind == "f" else "%d"
+            cells = kept.get(name)  # formatted for the previous row, which had these bits
+            if _same_bits(value, after.get(name)):
+                if cells is None:
+                    cells = list(chain.from_iterable(map(
+                        str.splitlines, _blocks(slot + "\n", [value.tolist()], value.size))))
+                keep[name] = cells
+            parts.append(slot if cells is None else "%s")
+            columns.append(value.tolist() if cells is None else cells)
+        kept = keep
+        if len(lengths := {len(c) for c in columns} or {1}) > 1:
+            arrays = {name: row[name].size for name in fields if isinstance(row[name], np.ndarray)}
+            raise ValueError(f"a row's arrays differ in length: {arrays}")
+        count = lengths.pop()
+        handle.writelines(_blocks(",".join(parts) + "\n", columns, count))
+        written += count
+    return written
 
 
 @functools.cache
 def _version(package: str) -> str:
     """An installed package's version, read once per process without importing
-    it: the METADATA header's `Version:` line, else the full metadata parse."""
+    it: the METADATA header's `Version:` line, else the full metadata parse.
+    This package, when run from a source tree with no distribution installed,
+    gives the HEAD commit of the checkout it was imported from."""
     try:
         dist = metadata.distribution(package)
     except metadata.PackageNotFoundError:
-        return "unknown"
+        if package != __package__:
+            return "unknown"
+        return _git_head(Path(__file__).resolve().parents[2])
     for line in (dist.read_text("METADATA") or "").splitlines():
         if not line:
             break
         if line.startswith("Version:"):
             return line[8:].lstrip(" \t")
     return dist.version
+
+
+def _git_head(root: Path) -> str:
+    """The commit HEAD names in the git checkout at `root`, read from its .git
+    directory without running git: a detached HEAD's commit, else its branch's
+    loose ref, else the branch's line in packed-refs.  'unknown' where there is
+    none to read, and for a .git file (a linked worktree or a submodule)."""
+    git = root / ".git"
+    try:
+        head = (git / "HEAD").read_text().strip()
+        if not head.startswith("ref: "):
+            return head
+        ref = head[5:]
+        if (git / ref).is_file():
+            return (git / ref).read_text().strip()
+        for line in (git / "packed-refs").read_text().splitlines():
+            if line.endswith(" " + ref):
+                return line.split()[0]
+    except OSError:
+        pass
+    return "unknown"

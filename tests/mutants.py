@@ -49,6 +49,9 @@ _REFUSAL = "tests/test_cli.py::TestRunMatrix::test_refusal_row"
 _DOMAIN = "tests/test_model.py::TestDomainTypes::"
 _BAD_DRAW_ARGS = "tests/test_simulator.py::test_bad_trials_or_seed_refused_before_any_draw"
 _PER_STEP = "tests/test_optimizer.py::TestSolveOnceMatchesPerStep::"
+_WRITER = "tests/test_cli.py::TestColumnarWriter::"
+_RANDOM_ROWS = _WRITER + "test_random_rows_match_the_oracle"
+_BLOCK_EDGES = _WRITER + "test_rows_across_block_boundaries_match_the_oracle"
 
 MUTANTS = (
     # the general-fading bound in bounded variables
@@ -89,6 +92,39 @@ MUTANTS = (
     Mutant("version-slice-off-by-one", "experiments.py",
            "return line[8:]", "return line[9:]",
            ("tests/test_cli.py::TestVersion::test_header_forms",)),
+    # the CSV writer: its escapes, its checks, the cells it reuses and its blocks
+    Mutant("writer-percent-unescaped", "experiments.py",
+           'parts.append(_cell(value, alone).replace("%", "%%"))',
+           "parts.append(_cell(value, alone))",
+           (_RANDOM_ROWS, _BLOCK_EDGES)),
+    Mutant("cell-quotes-undoubled", "experiments.py",
+           """return '"' + text.replace('"', '""') + '"'""", """return '"' + text + '"'""",
+           (_WRITER + "test_synthetic_rows_match_the_oracle", _RANDOM_ROWS)),
+    Mutant("cell-alone-empty-unquoted", "experiments.py",
+           "if (alone and not text) or any(", "if any(",
+           (_WRITER + "test_empty_cell_of_a_one_column_line_is_quoted[single]",
+            _WRITER + "test_empty_cell_of_a_one_column_line_is_quoted[array]")),
+    Mutant("writer-lengths-unchecked", "experiments.py",
+           """raise ValueError(f"a row's arrays differ in length: {arrays}")""", "pass",
+           (_WRITER + "test_arrays_of_unequal_length_raise",
+            _WRITER + "test_failed_run_keeps_an_earlier_csv")),
+    Mutant("writer-bools-as-%d", "experiments.py",
+           'if kind not in "fiu":', 'if kind not in "fiub":',
+           (_RANDOM_ROWS, _BLOCK_EDGES)),
+    Mutant("writer-floats-%.11g", "experiments.py",
+           'slot = "%.12g" if kind == "f"', 'slot = "%.11g" if kind == "f"',
+           (_WRITER + "test_synthetic_rows_match_the_oracle",
+            _WRITER + "test_matches_the_per_cell_oracle[optimize-noise-sweep]", _RANDOM_ROWS)),
+    Mutant("writer-reuse-by-value", "experiments.py",
+           "np.array_equal(*(np.ascontiguousarray(x).view(np.uint8) for x in (a, b)))",
+           "np.array_equal(a, b)",
+           (_RANDOM_ROWS, _BLOCK_EDGES)),
+    Mutant("writer-block-one-line-short", "experiments.py",
+           "n = min(count - start, _BLOCK)", "n = min(count - start, _BLOCK - 1)",
+           (_RANDOM_ROWS, _BLOCK_EDGES)),
+    Mutant("writer-block-past-the-row", "experiments.py",
+           "size = min(count, _BLOCK)", "size = _BLOCK",
+           (_WRITER + "test_a_one_line_row_is_not_repeated_to_a_block",)),
     # caching probabilities outside [0, 1]
     Mutant("analytics-probabilities-unchecked", "analytics.py",
            "        raise ValueError(violation)", "        pass",

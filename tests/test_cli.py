@@ -12,7 +12,7 @@ from unittest import mock
 import numpy as np
 import pytest
 from click.testing import CliRunner
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import csv_oracle
@@ -229,31 +229,73 @@ _SINGLE_VALUES = st.one_of(
 )
 
 
+_BLOCK = experiments._BLOCK
+# a row's line count: a few lines, or one short of, at or one past a block of the writer
+_LINES = st.one_of(st.integers(0, 3), st.sampled_from(
+    [_BLOCK + d for d in (-1, 0, 1)]))
+_ELEMENTS = {np.float64: _FLOATS, np.int64: st.integers(-(2**63), 2**63 - 1),
+             np.uint64: st.integers(0, 2**64 - 1), bool: st.booleans(), str: _TEXT}
+
+
 def _array_column(lines: int):
-    """Arrays of `lines` entries of every kind a runner may hand the writer."""
-    def of(elements, dtype):
-        return st.lists(elements, min_size=lines, max_size=lines).map(
-            lambda v: np.array(v, dtype=dtype))
-    return st.one_of(
-        of(_FLOATS, np.float64), of(st.integers(-(2**63), 2**63 - 1), np.int64),
-        of(st.integers(0, 2**64 - 1), np.uint64), of(st.booleans(), bool), of(_TEXT, str),
-    )
+    """Arrays of `lines` entries of every kind a runner may hand the writer, floats
+    (most of a runner's arrays) about as often as the rest together; past four
+    lines, a drawn run of up to four entries repeated to length."""
+    def of(dtype):
+        drawn = st.lists(_ELEMENTS[dtype], min_size=lines if lines <= 4 else 1,
+                         max_size=min(lines, 4))
+        return drawn.map(lambda v: np.resize(np.array(v, dtype=dtype), lines))
+    return st.sampled_from([np.float64] * 3 + [np.int64, np.uint64, bool, str]).flatmap(of)
+
+
+def _repeat(draw, array: np.ndarray) -> tuple:
+    """(the previous row's array, the next row's) for a column the next row repeats:
+    the array itself twice, or it and an equal copy; for floats also a copy given
+    a signed zero or a NaN at one entry, and its copy with that zero's sign or that
+    NaN's payload changed."""
+    floats = array.dtype.kind == "f" and array.size > 0
+    kinds = ["same", "copy"] + ["zero", "zero", "nan"] * floats
+    kind = draw(st.sampled_from(kinds))
+    if kind == "same":
+        return array, array
+    before = array.copy()
+    if kind != "copy":
+        i = draw(st.integers(0, array.size - 1))
+        before[i] = draw(st.sampled_from([0.0, -0.0])) if kind == "zero" else math.nan
+    after = before.copy()
+    if kind == "zero":
+        after[i] = -before[i]
+    elif kind == "nan":
+        after.view(np.uint64)[i] ^= 1  # the quiet NaN's payload, 0 -> 1
+    return before, after
 
 
 @st.composite
 def _tables(draw):
-    """A header and rows of single values and arrays, each row its own line count."""
+    """A header and rows of single values and arrays, each row its own line count.
+    A row may repeat the previous row's line count, and then the previous row's
+    arrays, as `_repeat` draws them: the writer formats an array once when the
+    next row's has the same bits, and reuses its cells there."""
     header = draw(st.lists(_TEXT, min_size=1, max_size=4))
-    rows = []
-    for lines in draw(st.lists(st.integers(0, 3), max_size=3)):
-        column = st.one_of(_SINGLE_VALUES, _array_column(lines))
-        rows.append({name: draw(column) for name in header})
+    rows, counts = [], []
+    for _ in range(draw(st.integers(0, 4))):
+        repeat = bool(rows) and draw(st.booleans())
+        counts.append(counts[-1] if repeat else draw(_LINES))
+        row = {}
+        for name in header:
+            if repeat and isinstance(rows[-1][name], np.ndarray) and draw(st.booleans()):
+                rows[-1][name], row[name] = _repeat(draw, rows[-1][name])
+            else:
+                fresh = _array_column(counts[-1]) if draw(st.booleans()) else _SINGLE_VALUES
+                row[name] = draw(fresh)
+        rows.append(row)
     return header, rows
 
 
 class TestVersion:
     """`experiments._version` reads the METADATA header's `Version:` line
-    and gives what `importlib.metadata.version` gives."""
+    and gives what `importlib.metadata.version` gives; for this package with
+    no distribution installed, the HEAD commit of the checkout it runs from."""
 
     @pytest.mark.parametrize("package", ["numpy", "scipy", "pytest"])
     def test_installed_packages(self, package):
@@ -278,6 +320,46 @@ class TestVersion:
         monkeypatch.syspath_prepend(str(tmp_path))
         assert metadata.version(name) == expected
         assert experiments._version(name) == expected
+
+    def test_source_tree_gives_its_checkout_head(self, monkeypatch):
+        # run with PYTHONPATH=src, the package has no distribution to read
+        def absent(name):
+            raise metadata.PackageNotFoundError(name)
+
+        roots = []
+        monkeypatch.setattr(experiments.metadata, "distribution", absent)
+        monkeypatch.setattr(experiments, "_git_head", lambda root: roots.append(root) or "c0ffee")
+        assert experiments._version.__wrapped__("cachegeo") == "c0ffee"
+        assert experiments._version.__wrapped__("numpy") == "unknown"
+        assert roots == [Path(experiments.__file__).resolve().parents[2]]
+
+    _PACKED = ("# pack-refs with: peeled fully-peeled sorted\n" + "e" * 40 + " refs/heads/devel\n"
+               + "b" * 40 + " refs/heads/dev\n" + "f" * 40 + " refs/tags/v1\n^" + "a" * 40 + "\n")
+
+    @pytest.mark.parametrize("files, expected", [
+        ({"HEAD": "ref: refs/heads/main\n", "refs/heads/main": "a" * 40 + "\n"}, "a" * 40),
+        ({"HEAD": "ref: refs/heads/dev\n", "packed-refs": _PACKED}, "b" * 40),
+        ({"HEAD": "ref: refs/heads/dev\n", "refs/heads/dev": "c" * 40 + "\n",
+          "packed-refs": _PACKED}, "c" * 40),
+        ({"HEAD": "d" * 40 + "\n"}, "d" * 40),
+        ({"HEAD": "ref: refs/heads/gone\n", "packed-refs": _PACKED}, "unknown"),
+        ({"HEAD": "ref: refs/heads/gone\n"}, "unknown"),
+        ({}, "unknown"),
+    ], ids=["branch-ref", "packed-ref", "loose-ref-over-packed", "detached-head",
+            "ref-not-packed", "ref-missing", "no-head"])
+    def test_git_head_reads_the_git_directory(self, tmp_path, files, expected):
+        for name, text in files.items():
+            path = tmp_path / ".git" / name
+            path.parent.mkdir(parents=True, exist_ok=True)
+            path.write_text(text)
+        (tmp_path / ".git").mkdir(exist_ok=True)
+        assert experiments._git_head(tmp_path) == expected
+
+    def test_git_file_or_no_checkout_gives_unknown(self, tmp_path):
+        assert experiments._git_head(tmp_path) == "unknown"
+        # a linked worktree's or a submodule's .git is a file naming the real one
+        (tmp_path / ".git").write_text("gitdir: /elsewhere/.git/worktrees/x\n")
+        assert experiments._git_head(tmp_path) == "unknown"
 
 
 class TestColumnarWriter:
@@ -336,12 +418,53 @@ class TestColumnarWriter:
     @settings(max_examples=300, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(table=_tables())
+    # always run: neighbours alike but in one zero's sign, one line past a block
+    @example(table=(["p", "z"], [{"p": np.arange(_BLOCK + 1), "z": np.zeros(_BLOCK + 1)},
+                                 {"p": np.arange(_BLOCK + 1), "z": -np.zeros(_BLOCK + 1)}]))
     def test_random_rows_match_the_oracle(self, table, tmp_path):
         header, rows = table
         out = _run_rows(tmp_path, header, rows)
         lines = csv_oracle.write_csv(tmp_path / "oracle.csv", header, rows)
         assert out.read_bytes() == (tmp_path / "oracle.csv").read_bytes()
         assert _manifest_rows(out) == lines
+
+    @pytest.mark.parametrize("lines", [k * _BLOCK + d for k in (1, 2) for d in (-1, 0, 1)])
+    def test_rows_across_block_boundaries_match_the_oracle(self, lines, tmp_path):
+        # row to row, the content column repeats as an equal copy, then as the same
+        # object; the float column as the same object, then with its last zero negated
+        x = np.resize([1 / 3, -2.5e-310, math.inf, 0.0], lines)
+        x[-1] = 0.0
+        flipped = x.copy()
+        flipped[-1] = -0.0
+        content, flags = np.arange(lines), np.arange(lines) % 3 == 0
+        header = ["label", "content", "x", "flag", "count"]
+        rows = [
+            {"label": "50%d %%s", "content": np.arange(lines), "x": x, "flag": flags,
+             "count": lines},
+            {"label": "b", "content": content, "x": x, "flag": ~flags, "count": 0},
+            {"label": "c", "content": content, "x": flipped, "flag": flags, "count": -1},
+        ]
+        out = _run_rows(tmp_path, header, rows)
+        written = csv_oracle.write_csv(tmp_path / "oracle.csv", header, rows)
+        assert out.read_bytes() == (tmp_path / "oracle.csv").read_bytes()
+        assert _manifest_rows(out) == written == 3 * lines
+        text = out.read_text().splitlines()
+        assert text[1] == f"50%d %%s,0,0.333333333333,True,{lines}"
+        # the last lines of the second and third rows: their x is 0, then -0
+        assert [text[k].split(",")[2] for k in (2 * lines, 3 * lines)] == ["0", "-0"]
+
+    def test_a_one_line_row_is_not_repeated_to_a_block(self, tmp_path):
+        # a policy string of 10^5 characters on a row's one line; _BLOCK copies
+        # of that line would take 25 MB
+        rows = [{"label": "x", "policy": "0.25;" * 20_000}]
+        tracemalloc.start()
+        try:
+            out = _run_rows(tmp_path, ["label", "policy"], rows)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert out.read_text() == "label,policy\nx," + "0.25;" * 20_000 + "\n"
+        assert peak < 2e6
 
     @pytest.mark.parametrize("cell", ["", np.array(["", "x", ""])], ids=["single", "array"])
     def test_empty_cell_of_a_one_column_line_is_quoted(self, cell, tmp_path):
