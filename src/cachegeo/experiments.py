@@ -366,8 +366,8 @@ def _run_cdf(config: ExperimentConfig, axis: str = "", values=()):
     """One CDF row per point of the axis."""
     # xi grid through the analytic quantiles so curves are well resolved
     quantiles = np.linspace(0.02, 0.99, 40)
-    rows = []
-    for _, cfg, params, _ in _sweep_points(config, axis, values):
+    networks, grids = [], []
+    for _, _, params, _ in _sweep_points(config, axis, values):
         with np.errstate(over="ignore"):
             xi_grid = (-np.log1p(-quantiles) / _kappa(params)) ** (1.0 / params.delta)
         if not (np.all(np.isfinite(xi_grid)) and xi_grid[0] > 0 and np.all(np.diff(xi_grid) > 0)):
@@ -375,16 +375,23 @@ def _run_cdf(config: ExperimentConfig, axis: str = "", values=()):
                               f"{params.fading_desired:g} and pathloss_exp = {params.pathloss_exp:g} "
                               "put the xi grid of the CDF outside the float range (0s, infs or "
                               "repeated values)")
-        # the samples are bound to no name, so they are freed before the next point draws
-        empirical = np.searchsorted(np.sort(sample_xi_min(params, 1.0, cfg.trials, cfg.seed)),
-                                    xi_grid, side="right") / cfg.trials
+        networks.append(params)
+        grids.append(xi_grid)
+    # the axis varies helper_density and fading_desired only, so one call draws
+    # every curve; its rows are sorted in place, so the peak holds one
+    # trials-sized row per point and no copy
+    samples = sample_xi_min(networks, 1.0, config.trials, config.seed)
+    rows = []
+    for params, xi_grid, xi in zip(networks, grids, samples):
+        xi.sort()
+        empirical = np.searchsorted(xi, xi_grid, side="right") / config.trials
         rows.append({
             "lambda": params.helper_density,
             "m_d": params.fading_desired,
             "xi": xi_grid,
             "analytic_cdf": xi1_cdf(xi_grid, 1.0, params),
             "empirical_cdf": empirical,
-            "stderr": np.sqrt(empirical * (1 - empirical) / cfg.trials),
+            "stderr": np.sqrt(empirical * (1 - empirical) / config.trials),
         })
     return ["lambda", "m_d", "xi", "analytic_cdf", "empirical_cdf", "stderr"], rows
 
@@ -824,14 +831,16 @@ def _write_rows(handle, fields: list[str], rows: list[dict]) -> int:
 def _version(package: str) -> str:
     """An installed package's version, read once per process without importing
     it: the METADATA header's `Version:` line, else the full metadata parse.
-    This package, when run from a source tree with no distribution installed,
-    gives the HEAD commit of the checkout it was imported from."""
+    This package, when imported from the source tree of a git checkout, gives
+    that checkout's HEAD commit, installed (as `pip install -e` does) or not."""
+    if package == __package__:
+        head = _git_head(Path(__file__).resolve().parents[2])
+        if head != "unknown":
+            return head
     try:
         dist = metadata.distribution(package)
     except metadata.PackageNotFoundError:
-        if package != __package__:
-            return "unknown"
-        return _git_head(Path(__file__).resolve().parents[2])
+        return "unknown"
     for line in (dist.read_text("METADATA") or "").splitlines():
         if not line:
             break

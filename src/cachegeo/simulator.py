@@ -20,9 +20,12 @@ The instantaneous load is counted only in trials whose outcome it decides
 for some row, and its gains are drawn only up to the last such trial's
 users.  The noise engine makes four draws per chunk (requests, counts,
 unit-disc radii, gains) whatever F is, the last two into buffers that each
-call allocates once.  Requests of both engines are looked up in a bucket
-table over the popularity cdf, built once per engine call, with the bits
-of Generator.choice.
+call allocates once.  sample_xi_min draws the curves of several networks
+that share pathloss_exp in one pass: a chunk's counts and radii once, and
+the gains once per fading_desired from the generator state after the
+radii, so each curve holds the bits of its own call.  Requests of both
+engines are looked up in a bucket table over the popularity cdf, built
+once per engine call, with the bits of Generator.choice.
 
 Finite window: helpers are sampled inside a disc sized so the nearest
 relevant helper is missed with probability at most ``window_miss_prob``
@@ -145,37 +148,47 @@ def _segment_argmin(values: np.ndarray, counts: np.ndarray) -> np.ndarray:
 class _UnitXiMin:
     """The noise chunk kernel: n minima of u / g^delta over
     Poisson(_NOISE_WINDOW_COUNT) helpers uniform on the unit disc (u the
-    squared radius, +inf for empty trials); on the noise window of squared
-    radius R^2, xi_1^delta = R^2 times this.
+    squared radius, +inf for empty trials), one output per Nakagami shape
+    of `fadings`; on the noise window of squared radius R^2, xi_1^delta =
+    R^2 times this.
+
+    A chunk draws its counts and radii once.  Every shape's gains start
+    from the generator state after the radii, so each output holds the bits
+    a kernel of that shape alone draws.
 
     One is made per engine call, and every chunk of the call draws into its
     two buffers, so a chunk allocates no helper-sized array (fresh arrays
     per chunk made the noise benchmark 14 % slower).
     """
 
-    def __init__(self, params: NetworkParams):
-        self._delta = params.delta
-        self._fading = params.fading_desired
-        self._unit = self._gain = np.empty(0)
+    def __init__(self, delta: float, fadings):
+        self._delta = delta
+        self._fadings = fadings
+        self._unit = self._ratio = np.empty(0)
 
-    def __call__(self, rng: np.random.Generator, n: int, out: np.ndarray) -> np.ndarray:
+    def __call__(self, rng: np.random.Generator, n: int, outs) -> None:
         counts = rng.poisson(_NOISE_WINDOW_COUNT, size=n)
         total = int(counts.sum())
         if self._unit.size <= total:  # with headroom, so later chunks rarely regrow it
             size = total + total // 16 + 1
-            self._unit, self._gain = np.empty(size), np.empty(size)
+            self._unit, self._ratio = np.empty(size), np.empty(size)
+        unit = rng.random(out=self._unit[:total])
+        # each further fading's gains restart from here; one fading reads no state
+        after_radii = rng.bit_generator.state if len(self._fadings) > 1 else None
         # one slot past the draws holds +inf, which closes the last segment
         # even when it is empty
-        unit = self._unit[: total + 1]
-        drawn = rng.random(out=unit[:total])
-        gain = nakagami_gain(self._fading, rng, out=self._gain[:total])
-        # u / g^delta, not u * g^-delta: ** takes its sqrt fast path at alpha = 4
-        gain **= self._delta
-        drawn /= gain
-        unit[total] = np.inf
-        np.minimum.reduceat(unit, np.cumsum(counts) - counts, out=out)
-        out[counts == 0] = np.inf
-        return out
+        ratio = self._ratio[: total + 1]
+        ratio[total] = np.inf
+        starts, empty = np.cumsum(counts) - counts, counts == 0
+        for k, (fading, out) in enumerate(zip(self._fadings, outs)):
+            if k:
+                rng.bit_generator.state = after_radii
+            gain = nakagami_gain(fading, rng, out=ratio[:total])
+            # u / g^delta, not u * g^-delta: ** takes its sqrt fast path at alpha = 4
+            gain **= self._delta
+            np.divide(unit, gain, out=gain)
+            np.minimum.reduceat(ratio, starts, out=out)
+            out[empty] = np.inf
 
 
 class _Requests:
@@ -233,7 +246,7 @@ def _check_draw_args(trials, seed) -> None:
             raise ValueError(f"{name} must be >= {least} and an integer, got {value!r}")
 
 
-def sample_xi_min(params: NetworkParams, p: float, trials: int, seed: int) -> np.ndarray:
+def sample_xi_min(params, p: float, trials: int, seed: int) -> np.ndarray:
     """Draw `trials` samples of the smallest reciprocal gain for one content.
 
     Helpers caching the content form a thinned Poisson process of
@@ -242,18 +255,38 @@ def sample_xi_min(params: NetworkParams, p: float, trials: int, seed: int) -> np
     the float range).  The window misses with probability
     NOISE_WINDOW_MISS, because the whole distribution is compared, not a
     single threshold.
+
+    `params` is one NetworkParams (a (trials,) result) or a sequence of
+    them sharing pathloss_exp (a (k, trials) result whose row j is what
+    params[j] alone gives).  The rows share each chunk's counts and radii,
+    rows with one fading_desired share its gains, and helper_density sets
+    only a row's R^2.
     """
     if not 0 < p <= 1:
         raise ValueError(f"caching probability p must lie in (0, 1], got p = {p}")
     _check_draw_args(trials, seed)
-    kernel = _UnitXiMin(params)
-    samples = np.empty(trials)
+    single = isinstance(params, NetworkParams)
+    points = [params] if single else list(params)
+    alphas = sorted({point.pathloss_exp for point in points})
+    if len(alphas) != 1:
+        raise ValueError(f"the points of one call must share one pathloss_exp, got {alphas}")
+    # the first row of each fading_desired gets the kernel's output for it
+    owner = {}
+    for row, point in enumerate(points):
+        owner.setdefault(point.fading_desired, row)
+    kernel = _UnitXiMin(points[0].delta, list(owner))
+    samples = np.empty((len(points), trials))
     for c, n in _chunk_grid(trials, _NOISE_CHUNK):
-        kernel(_substream(seed, c), n, samples[c * _NOISE_CHUNK : c * _NOISE_CHUNK + n])
+        span = slice(c * _NOISE_CHUNK, c * _NOISE_CHUNK + n)
+        kernel(_substream(seed, c), n, [samples[row, span] for row in owner.values()])
+    for row, point in enumerate(points):
+        if owner[point.fading_desired] != row:
+            samples[row] = samples[owner[point.fading_desired]]
+    densities = np.array([point.helper_density for point in points])
     with np.errstate(over="ignore"):
-        samples *= _window_r2(p, params.helper_density, NOISE_WINDOW_MISS)
-        samples **= params.pathloss_exp / 2.0
-    return samples
+        samples *= _window_r2(p, densities, NOISE_WINDOW_MISS)[:, None]
+        samples **= alphas[0] / 2.0
+    return samples[0] if single else samples
 
 
 def simulate_noise_limited(
@@ -289,14 +322,16 @@ def simulate_noise_limited(
     # raises before any draw; theta^delta as in optimize_noise and xi1_cdf
     thresholds = _noise_thresholds(library, params) ** params.delta
     r2 = _window_r2(probs, params.helper_density, NOISE_WINDOW_MISS)
-    requests, kernel = _Requests(library.popularity), _UnitXiMin(params)
+    requests = _Requests(library.popularity)
+    kernel = _UnitXiMin(params.delta, [params.fading_desired])
     minima = np.empty(_NOISE_CHUNK)
     successes = 0
     for c, n in _chunk_grid(trials, _NOISE_CHUNK):
         rng = _substream(seed, c)
         contents = requests(rng, n)
+        kernel(rng, n, [minima[:n]])
         with np.errstate(over="ignore"):  # near p = 0, +inf fails like an empty window
-            xi_delta = r2[contents] * kernel(rng, n, minima[:n])
+            xi_delta = r2[contents] * minima[:n]
         # the thresholds are finite, and an inf or NaN xi_delta never clears one
         successes += int(np.count_nonzero(xi_delta <= thresholds[contents]))
     return MCEstimate.from_counts(successes, trials)

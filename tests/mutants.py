@@ -52,6 +52,8 @@ _PER_STEP = "tests/test_optimizer.py::TestSolveOnceMatchesPerStep::"
 _WRITER = "tests/test_cli.py::TestColumnarWriter::"
 _RANDOM_ROWS = _WRITER + "test_random_rows_match_the_oracle"
 _BLOCK_EDGES = _WRITER + "test_rows_across_block_boundaries_match_the_oracle"
+_XI_MIN = "tests/test_simulator.py::TestXiMinDistribution::"
+_BATCHED = _XI_MIN + "test_batched_rows_equal_one_point_calls"
 
 MUTANTS = (
     # the general-fading bound in bounded variables
@@ -216,6 +218,25 @@ MUTANTS = (
            "    _check_draw_args(trials, seed)\n    # raises before any draw; theta^delta",
            "    # raises before any draw; theta^delta",
            (_BAD_DRAW_ARGS + "[simulate_noise_limited-10.5-1-trials]",)),
+    # the noise kernel's shared draws: counts and radii once, gains once per fading
+    Mutant("xi-min-state-not-restored", "simulator.py",
+           "rng.bit_generator.state = after_radii", "pass",
+           (_BATCHED, _XI_MIN + "test_batched_empty_trials_are_inf_in_every_row")),
+    Mutant("xi-min-shared-fading-from-wrong-row", "simulator.py",
+           "samples[row] = samples[owner[point.fading_desired]]",
+           "samples[row] = samples[row - 1]",
+           (_BATCHED, _XI_MIN + "test_batched_empty_trials_are_inf_in_every_row")),
+    Mutant("xi-min-empty-inf-first-fading-only", "simulator.py",
+           "out[empty] = np.inf", "outs[0][empty] = np.inf",
+           (_XI_MIN + "test_batched_empty_trials_are_inf_in_every_row",)),
+    Mutant("xi-min-mixed-alpha-accepted", "simulator.py",
+           "if len(alphas) != 1:", "if not alphas:",
+           (_XI_MIN + "test_batched_points_must_share_pathloss_exp",)),
+    Mutant("cdf-sorted-copy", "experiments.py",
+           "xi.sort()\n        empirical = np.searchsorted(xi,",
+           "empirical = np.searchsorted(np.sort(xi),",
+           ("tests/test_cli.py::TestFigureRegistry::"
+            "test_figure_3_holds_one_row_per_curve_and_the_kernel_buffers",)),
 )
 
 

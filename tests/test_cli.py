@@ -1,7 +1,11 @@
 import csv
 import json
 import math
+import os
 import platform
+import shutil
+import subprocess
+import sys
 import tracemalloc
 import warnings
 from dataclasses import replace
@@ -17,7 +21,7 @@ from hypothesis import strategies as st
 
 import csv_oracle
 import run_matrix
-from cachegeo import experiments, model
+from cachegeo import experiments, model, simulator
 from cachegeo.cli import main
 from cachegeo.experiments import (
     FIGURES,
@@ -294,8 +298,9 @@ def _tables(draw):
 
 class TestVersion:
     """`experiments._version` reads the METADATA header's `Version:` line
-    and gives what `importlib.metadata.version` gives; for this package with
-    no distribution installed, the HEAD commit of the checkout it runs from."""
+    and gives what `importlib.metadata.version` gives; for this package, when
+    its source tree is a git checkout, that checkout's HEAD commit, whether a
+    distribution is installed or not."""
 
     @pytest.mark.parametrize("package", ["numpy", "scipy", "pytest"])
     def test_installed_packages(self, package):
@@ -332,6 +337,33 @@ class TestVersion:
         assert experiments._version.__wrapped__("cachegeo") == "c0ffee"
         assert experiments._version.__wrapped__("numpy") == "unknown"
         assert roots == [Path(experiments.__file__).resolve().parents[2]]
+
+    def _version_of_a_copy(self, tmp_path, parent: Path) -> str:
+        """_version("cachegeo") of the package copied into `parent`, in a fresh
+        interpreter with a cachegeo 0.1.0 dist-info on the path ahead of it."""
+        info = tmp_path / "dists" / "cachegeo-0.1.0.dist-info"
+        info.mkdir(parents=True)
+        (info / "METADATA").write_text("Metadata-Version: 2.1\nName: cachegeo\nVersion: 0.1.0\n")
+        shutil.copytree(Path(experiments.__file__).parent, parent / "cachegeo",
+                        ignore=shutil.ignore_patterns("__pycache__"))
+        code = ("from cachegeo import experiments as e\n"
+                "print(e.__file__)\nprint(e._version('cachegeo'))")
+        result = subprocess.run(
+            [sys.executable, "-c", code], cwd=tmp_path, capture_output=True, text=True, check=True,
+            env=dict(os.environ, PYTHONPATH=os.pathsep.join(map(str, (info.parent, parent)))))
+        where, version = result.stdout.splitlines()
+        assert Path(where) == parent / "cachegeo" / "experiments.py"
+        return version
+
+    def test_installed_checkout_gives_its_head(self, tmp_path):
+        # `pip install -e .` puts a METADATA of the pyproject version on the
+        # path, which named no revision; the source tree is still a checkout
+        (tmp_path / "checkout" / ".git").mkdir(parents=True)
+        (tmp_path / "checkout" / ".git" / "HEAD").write_text("d" * 40 + "\n")
+        assert self._version_of_a_copy(tmp_path, tmp_path / "checkout" / "src") == "d" * 40
+
+    def test_install_outside_a_checkout_gives_its_metadata_version(self, tmp_path):
+        assert self._version_of_a_copy(tmp_path, tmp_path / "site-packages") == "0.1.0"
 
     _PACKED = ("# pack-refs with: peeled fully-peeled sorted\n" + "e" * 40 + " refs/heads/devel\n"
                + "b" * 40 + " refs/heads/dev\n" + "f" * 40 + " refs/tags/v1\n^" + "a" * 40 + "\n")
@@ -575,6 +607,39 @@ class TestFigureRegistry:
             gamma, proposed, mpc, uc, _ = line.split(",")
             assert float(proposed) >= float(mpc) - 1e-12
             assert float(proposed) >= float(uc) - 1e-12
+
+
+    def test_figure_3_holds_one_row_per_curve_and_the_kernel_buffers(self, monkeypatch):
+        # at 10^5 trials a row is 0.8 MB: a sorted copy of one, or a buffer
+        # kept per curve, exceeds the 0.2 MB left for the counts and the grids
+        trials, entry = 100_000, FIGURES["3"]
+        axis = "(helper_density, fading_desired)"
+        config = replace(ExperimentConfig(scenario="figure", figure="3", trials=trials, seed=1),
+                         **entry.setting)
+        # the largest chunk's helper count bounds the kernel's two buffers
+        mean = simulator._NOISE_WINDOW_COUNT
+        helpers = max(int(simulator._substream(1, c).poisson(mean, n).sum())
+                      for c, n in simulator._chunk_grid(trials, simulator._NOISE_CHUNK))
+        buffers = 2 * 8 * (helpers + helpers // 16 + 1)
+        drawing = []
+
+        def sample(*args):
+            samples = simulator.sample_xi_min(*args)
+            drawing.append(tracemalloc.get_traced_memory()[1])
+            tracemalloc.reset_peak()
+            return samples
+
+        monkeypatch.setattr(experiments, "sample_xi_min", sample)
+        tracemalloc.start()
+        try:
+            _, rows = experiments._run_cdf(config, axis, entry.sweeps[axis])
+            sorting = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        rows_bytes = 8 * len(rows) * trials
+        assert len(rows) == 3 and len(drawing) == 1
+        assert drawing[0] < rows_bytes + buffers + 0.2e6
+        assert sorting < rows_bytes + 0.2e6
 
 
 class TestCommandLine:

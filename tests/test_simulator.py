@@ -199,6 +199,35 @@ class TestXiMinDistribution:
         two = sample_xi_min(make_params(), 0.5, trials=chunk + 1, seed=3)
         assert np.array_equal(two[:chunk], one)
 
+    # fadings 0.5 and 1 each listed twice, at both densities; the kernel draws
+    # each chunk's counts and radii once, and each fading's gains once
+    BATCH = [(0.05, 0.5), (0.2, 1.0), (0.05, 2.5), (0.2, 3.0), (0.2, 0.5), (0.05, 1.0)]
+
+    @pytest.mark.parametrize("seed", [0, 7, 2**40 + 3])
+    @pytest.mark.parametrize("trials", [1, 4095, 4096, 4097, 2 * 4096 + 1])
+    def test_batched_rows_equal_one_point_calls(self, trials, seed):
+        points = [make_params(lam=lam, alpha=2.5, m_d=m_d) for lam, m_d in self.BATCH]
+        batched = sample_xi_min(points, 0.3, trials, seed)
+        assert batched.shape == (len(points), trials)
+        for row, point in zip(batched, points):
+            assert np.array_equal(row, sample_xi_min(point, 0.3, trials, seed))
+
+    def test_batched_empty_trials_are_inf_in_every_row(self, monkeypatch):
+        # about one trial in three holds no helper, where reduceat reads the
+        # next trial's first quotient unless the kernel writes +inf
+        monkeypatch.setattr(simulator, "_NOISE_WINDOW_COUNT", 1.0)
+        points = [make_params(lam=lam, m_d=m_d) for lam, m_d in self.BATCH]
+        batched = sample_xi_min(points, 1.0, 5000, 11)
+        assert 0.3 < np.mean(batched[0] == np.inf) < 0.4
+        for row, point in zip(batched, points):
+            assert np.array_equal(row, sample_xi_min(point, 1.0, 5000, 11))
+
+    def test_batched_points_must_share_pathloss_exp(self, monkeypatch):
+        monkeypatch.setattr(simulator, "_substream", lambda *a: pytest.fail("drew before refusing"))
+        points = [make_params(alpha=3.0), make_params(alpha=4.0, m_d=2.0)]
+        with pytest.raises(ValueError, match=r"share one pathloss_exp, got \[3.0, 4.0\]"):
+            sample_xi_min(points, 1.0, 10, 1)
+
     # at alpha = 400 the window's R^alpha overflowed and every sample was non-finite
     @pytest.mark.parametrize(
         "lam,m_d,alpha", [(0.05, 1.0, 2.5), (0.2, 1.0, 2.5), (0.05, 1.0, 400.0)]
@@ -370,6 +399,8 @@ class TestSimulateNoiseLimited:
         xi = sample_xi_min(small, 0.5, trials=3000, seed=4)
         simulate_noise_limited(lib, large, policy, trials=3 * simulator._NOISE_CHUNK, seed=5)
         sample_xi_min(large, 1.0, trials=3 * simulator._NOISE_CHUNK, seed=5)
+        sample_xi_min([large, make_params(lam=0.2, alpha=4.0)], 1.0,
+                      trials=3 * simulator._NOISE_CHUNK, seed=5)
         assert simulate_noise_limited(lib, small, policy, trials=3000, seed=4) == first
         assert np.array_equal(sample_xi_min(small, 0.5, trials=3000, seed=4), xi)
 
