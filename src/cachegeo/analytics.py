@@ -160,18 +160,42 @@ def c_alpha(alpha: float) -> float:
     return x / math.sin(x)
 
 
+def _incomplete_beta_reflected(x: np.ndarray, a: float) -> np.ndarray:
+    """I_x(a, 1 - a) for 0 < a < 1 and 0 <= x <= 1/2, by the series
+
+        I_x(a, 1 - a) = (sin(pi a) / pi) x^a sum_n (a)_n / n! x^n / (a + n).
+
+    Since (a)_n / n! <= 1 and a / (a + n) <= 1/2, term n >= 1 is at most
+    x^n / 2 times the first, 1 / a, so from n = ceil(54 / log2(1 / max x))
+    on it is below half an ulp of every entry's sum and adds nothing.  The
+    terms are added in order, so an entry's value does not depend on how
+    many terms the others need."""
+    if x.size == 0:
+        return x
+    top = float(x.max())
+    steps = math.ceil(54.0 / -math.log2(top)) if top > 0.0 else 0
+    term = np.full_like(x, 1.0 / a)
+    total = term.copy()
+    for n in range(steps):
+        # t_(n+1) / t_n = x (a + n)^2 / ((n + 1) (a + n + 1))
+        term *= x
+        term *= (a + n) * (a + n) / ((n + 1) * (a + n + 1))
+        total += term
+    # sin(pi a) = sin(pi (1 - a)), and the smaller argument keeps its digits
+    total *= math.sin(math.pi * min(a, 1.0 - a)) / math.pi
+    return total * x**a
+
+
 def _a_over_b(tau, delta: float):
     """A / B = I_{1/(1+tau)}(delta, 1 - delta).  Below tau = 1 it is taken as
     1 - I_{tau/(1+tau)}(1 - delta, delta), whose argument keeps the digits of
     tau that 1/(1+tau) rounds away as tau -> 0.  Each branch is evaluated
-    only on the entries that take it."""
-    from scipy.special import betainc
-
+    only on the entries that take it, and both have x <= 1/2."""
     tau = np.asarray(tau, dtype=float)
     small = tau < 1.0
     ratio, low = np.empty_like(tau), tau[small]
-    ratio[small] = 1.0 - betainc(1.0 - delta, delta, low / (1.0 + low))
-    ratio[~small] = betainc(delta, 1.0 - delta, 1.0 / (1.0 + tau[~small]))
+    ratio[small] = 1.0 - _incomplete_beta_reflected(low / (1.0 + low), 1.0 - delta)
+    ratio[~small] = _incomplete_beta_reflected(1.0 / (1.0 + tau[~small]), delta)
     return ratio
 
 

@@ -18,16 +18,23 @@ the width of its window and g an increasing shape with g(0) = 0:
   k = (1 - A) / B, g(t) = expm1(t / 2), the root of the quadratic
   condition; w = 0 (A = 1, a linear term) is the 0/1 step at u.
 
-sum_i p_i is nonincreasing in x, so a single bisection on x drives it to M;
-its endgame splits what is left of the budget at adjacent floats, so every
-solve ends on sum p = M up to rounding.
+sum_i p_i is nonincreasing in x, so a single bisection on x drives it to M,
+evaluating at each step only the contents whose p still moves in its
+bracket; its endgame splits what is left of the budget at adjacent floats,
+so every solve ends on sum p = M up to rounding.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
+
+try:  # the ufunc behind np.clip, called without its Python wrappers
+    from numpy._core.umath import clip as _clip
+except ImportError:  # numpy < 2
+    from numpy.core.umath import clip as _clip
 
 from .analytics import InterferenceConstants, _kappa, _noise_thresholds, rayleigh_lower_bound, success_noise
 from .errors import NumericalError
@@ -71,48 +78,71 @@ def water_fill(log_omega, log_upper, width, shape, g_width):
     mu = [l - omega]+ binds.  Capping the argument at w, rather than
     flooring log omega at log l, keeps p = 1 exact when w is below the
     float spacing of log u (such a window, and w = 0, is a 0/1 step at u)
-    and when l underflows in linear space.  A subnormal or zero g(w)
-    overflows the ratio below u, which the clip takes to 0.
+    and when l underflows in linear space.  The ratio is taken on every
+    entry and set to 1 at the cap, where it is g(w) / g(w) (0/0 at w = 0).
+    A subnormal or zero g(w) overflows the ratio below u, which the clip
+    takes to 0.
     """
     t = np.asarray(log_upper - log_omega)
     np.minimum(t, width, out=t)
-    with np.errstate(over="ignore", divide="ignore"):
-        p = np.divide(shape(t), g_width, out=np.ones_like(t), where=t < width)
-    return np.clip(p, 0.0, 1.0, out=p)
+    cap = t >= width
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        p = np.divide(shape(t), g_width, out=t)
+    p[cap] = 1.0
+    return _clip(p, 0.0, 1.0, out=p)
 
 
 def _bisect_budget(
     key_lo: float,
     key_hi: float,
-    candidate: Callable[[float], np.ndarray],
+    log_upper: np.ndarray,
+    width: np.ndarray,
+    shape: Callable,
+    g_width: np.ndarray,
     budget: float,
 ):
-    """Bisection over a multiplier key until sum p(key) meets the budget.
+    """Bisection over the multiplier key x = log omega until sum p(x) meets
+    the budget, for p = water_fill(x, log_upper, width, shape, g_width).
 
-    `candidate` maps the key (log omega) to the clipped probability
-    vector; each p_i, and so sum p, is nonincreasing in the key.  The
-    bracket [a, b] starts one float outside [key_lo, key_hi], so that
+    Each p_i, and so sum p, is nonincreasing in the key.  The bracket
+    [a, b] starts one float outside [key_lo, key_hi], so that
     sum p(a) >= M >= sum p(b) even with a step at either end, and halves
-    until sum p is M exactly or a and b are adjacent floats.  The budget
-    left over at b then goes in index order to the contents whose p is
-    larger at a: a jump of sum p (a window narrower than the float
-    spacing of the key is a step) is split there, and a continuous sum
-    is topped up by its last rounding gap.  Returns (key, p, iterations).
+    until sum p is M exactly or a and b are adjacent floats.  An entry with
+    p(a) == p(b) keeps that value over [a, b], so each step evaluates only
+    the live entries, where p(a) != p(b), and writes them into the full
+    vector whose sum it takes.  The budget left over at b then goes in
+    index order to the contents whose p is larger at a: a jump of sum p (a
+    window narrower than the float spacing of the key is a step) is split
+    there, and a continuous sum is topped up by its last rounding gap.
+    Returns (key, p, iterations).
     """
     a, b = np.nextafter(key_lo, -np.inf), np.nextafter(key_hi, np.inf)
-    p_a, p_b = candidate(a), candidate(b)
+    q_a = water_fill(a, log_upper, width, shape, g_width)
+    q_b = water_fill(b, log_upper, width, shape, g_width)
+    # p holds p(key) off the live entries, where p(a) == p(b); every entry
+    # is live until a quarter of them have settled
+    p, live = q_a.copy(), slice(None)
+    upper, window, g_window = log_upper, width, g_width
     iterations = 0
-    while np.nextafter(a, np.inf) < b and iterations < MAX_ITERATIONS:
+    while math.nextafter(a, math.inf) < b and iterations < MAX_ITERATIONS:
         iterations += 1
         key = 0.5 * (a + b)
-        p = candidate(key)
+        q = water_fill(key, upper, window, shape, g_window)
+        p[live] = q
         total = float(p.sum())
         if total == budget:
             return key, p, iterations
         if total > budget:
-            a, p_a = key, p
+            a, q_a, moving = key, q, q != q_b
         else:
-            b, p_b = key, p
+            b, q_b, moving = key, q, q != q_a
+        if 4 * np.count_nonzero(moving) <= 3 * moving.size:
+            keep = np.flatnonzero(moving)
+            live = keep if isinstance(live, slice) else live[keep]
+            q_a, q_b, upper, window, g_window = (
+                v[keep] for v in (q_a, q_b, upper, window, g_window))
+    p_a, p_b = p, p.copy()
+    p_a[live], p_b[live] = q_a, q_b
     step = p_a - p_b
     p = p_b + np.clip(budget - p_b.sum() - (np.cumsum(step) - step), 0.0, step)
     if not (np.nextafter(a, np.inf) >= b and np.isfinite(p.sum())):
@@ -173,8 +203,8 @@ def _water_fill_solve(
     with np.errstate(over="ignore", divide="ignore"):
         g_width = shape(width)
     log_omega, p, iterations = _bisect_budget(
-        float(log_lower.min()), float(log_upper.max()),
-        lambda x: water_fill(x, log_upper, width, shape, g_width), float(memory),
+        float(log_lower.min()), float(log_upper.max()), log_upper, width, shape, g_width,
+        float(memory),
     )
     with np.errstate(under="ignore"):
         omega = float(np.exp(log_omega))

@@ -569,13 +569,14 @@ def _serving_loads(
 
     pending, size, a0 = [], 0, 0  # gains of paired users a0..a-1
     lo = a = 0
+    last = ends[paired[-1]]  # no gain past the last paired user's pairs is drawn
     while lo <= paired[-1]:
         # users lo..hi-1 hold at most _PAIR_SLICE pairs, or one user holds more
         hi = max(lo + 1, int(ends.searchsorted(starts[lo] + _PAIR_SLICE, "right")))
-        gain = nakagami_gain(params.fading_desired, rng, ends[hi - 1] - starts[lo])
+        gain = nakagami_gain(params.fading_desired, rng, min(ends[hi - 1], last) - starts[lo])
         b = int(paired.searchsorted(hi))
         if a < b:  # the slice holds paired users a..b-1
-            piece = gain[np.repeat(is_open[lo:hi], width[lo:hi])]
+            piece = gain[np.repeat(is_open[lo:hi], width[lo:hi])[: gain.size]]
             if size and size + piece.size > _PAIR_SLICE:
                 evaluate(a0, a, np.concatenate(pending))
                 pending, size, a0 = [], 0, a

@@ -49,6 +49,8 @@ _REFUSAL = "tests/test_cli.py::TestRunMatrix::test_refusal_row"
 _DOMAIN = "tests/test_model.py::TestDomainTypes::"
 _BAD_DRAW_ARGS = "tests/test_simulator.py::test_bad_trials_or_seed_refused_before_any_draw"
 _PER_STEP = "tests/test_optimizer.py::TestSolveOnceMatchesPerStep::"
+_LIVE_SET = "tests/test_optimizer.py::TestLiveSetMatchesFullVector::"
+_A_OVER_B = _ANALYTICS + "TestHypergeometricConstants::"
 _WRITER = "tests/test_cli.py::TestColumnarWriter::"
 _RANDOM_ROWS = _WRITER + "test_random_rows_match_the_oracle"
 _BLOCK_EDGES = _WRITER + "test_rows_across_block_boundaries_match_the_oracle"
@@ -87,10 +89,30 @@ MUTANTS = (
     # values the design path computes once, or only where they are used
     Mutant("a-over-b-branches-swapped", "analytics.py",
            "small = tau < 1.0", "small = tau >= 1.0",
-           (_ANALYTICS + "TestHypergeometricConstants::test_a_over_b_takes_one_branch_per_entry",)),
+           (_A_OVER_B + "test_a_over_b_takes_one_branch_per_entry",
+            _A_OVER_B + "test_a_over_b_against_high_precision")),
+    Mutant("a-over-b-half-the-terms", "analytics.py",
+           "steps = math.ceil(54.0 / -math.log2(top))", "steps = math.ceil(27.0 / -math.log2(top))",
+           (_A_OVER_B + "test_a_over_b_takes_one_branch_per_entry",
+            _A_OVER_B + "test_a_over_b_against_high_precision")),
+    Mutant("a-over-b-prefactor-without-pi", "analytics.py",
+           "total *= math.sin(math.pi * min(a, 1.0 - a)) / math.pi",
+           "total *= math.sin(math.pi * min(a, 1.0 - a))",
+           (_A_OVER_B + "test_a_over_b_against_high_precision",
+            _A_OVER_B + "test_a_over_b_matches_quadrature")),
     Mutant("g-of-w-from-log-upper", "optimizer.py",
            "g_width = shape(width)", "g_width = shape(log_upper)",
            (_PER_STEP + "test_interference", _PER_STEP + "test_noise")),
+    Mutant("live-set-keeps-the-settled", "optimizer.py",
+           "a, q_a, moving = key, q, q != q_b", "a, q_a, moving = key, q, q == q_b",
+           (_LIVE_SET + "test_interference", _LIVE_SET + "test_noise",
+            _LIVE_SET + "test_design_sweep_library")),
+    Mutant("live-set-ends-written-into-one-vector", "optimizer.py",
+           "p_a, p_b = p, p.copy()", "p_a, p_b = p, p",
+           (_LIVE_SET + "test_interference", _LIVE_SET + "test_noise")),
+    Mutant("pair-gains-one-short", "simulator.py",
+           "last = ends[paired[-1]]", "last = ends[paired[-1]] - 1",
+           ("tests/test_simulator.py::TestDecidedTrials::test_bounded_loads_keep_outcomes_and_draws",)),
     Mutant("version-slice-off-by-one", "experiments.py",
            "return line[8:]", "return line[9:]",
            ("tests/test_cli.py::TestVersion::test_header_forms",)),

@@ -8,9 +8,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate
-from scipy.special import betainc, hyp2f1
+from scipy.special import hyp2f1
 
 import quad_oracle
+import run_matrix
 from cachegeo.analytics import (
     InterferenceConstants,
     _a_over_b,
@@ -93,21 +94,21 @@ def test_import_loads_only_what_it_names(modules, absent):
     assert loaded.strip() == "[]"
 
 
-def test_only_interference_runs_load_scipy(tmp_path):
-    # the analytics imported scipy.special when loaded, for every run; now only
-    # betainc needs it, on the interference path
-    runs = [{"scenario": "simulate"}, {"scenario": "optimize-noise"}, {"scenario": "cdf"},
-            *({"scenario": "figure", "figure": fid} for fid in "34567"),
-            {"scenario": "optimize-sir"}]
+def test_no_run_matrix_case_loads_scipy(tmp_path):
+    # the analytics imported scipy.special when loaded, for every run; then
+    # betainc loaded it on every interference run (optimize-sir, the
+    # interference figures and approx-check), until A / B became a series.
+    # The run matrix holds a case for every scenario, figure, load mode and
+    # c_mode; all run in one fresh interpreter
     loaded = _python(
         "import sys\n"
-        "from cachegeo.experiments import ExperimentConfig, run\n"
-        f"for kwargs in {runs!r}:\n"
-        f"    run(ExperimentConfig(output={str(tmp_path / 'run.csv')!r}, trials=60, **kwargs))\n"
-        "    print('scipy' in sys.modules, 'scipy.special' in sys.modules)\n"
-    ).split("\n")
-    assert loaded[:-2] == ["False False"] * (len(runs) - 1)
-    assert loaded[-2] == "True True"
+        "import run_matrix\n"
+        "for case in run_matrix.CASES:\n"
+        f"    run_matrix.run(case, 16, 1, {str(tmp_path)!r})\n"
+        "    print(case.id, 'scipy' in sys.modules)\n"
+    ).split()
+    assert len(loaded) == 2 * len(run_matrix.CASES)
+    assert [case for case, scipy in zip(loaded[::2], loaded[1::2]) if scipy != "False"] == []
 
 
 class TestIntensity:
@@ -335,23 +336,56 @@ def success_given_distance(r, tau, p, params):
     return math.exp(a[0] * y) * float(np.polyval(q[::-1], y))
 
 
+def series_a_over_b(t: float, delta: float) -> float:
+    """A / B at one tau: I_x(a, 1 - a) = (sin(pi a) / pi) x^a sum_n (a)_n / n!
+    x^n / (a + n), with x = tau / (1 + tau) and a = 1 - delta below tau = 1
+    (A / B = 1 - I) and x = 1 / (1 + tau), a = delta from there, summed
+    term by term until x^n <= 2^-54 for this entry alone."""
+    small = t < 1.0
+    a = 1.0 - delta if small else delta
+    x = np.array([t / (1.0 + t) if small else 1.0 / (1.0 + t)])
+    steps = math.ceil(54.0 / -math.log2(x[0])) if x[0] > 0.0 else 0
+    term = np.array([1.0 / a])
+    total = term.copy()
+    for n in range(steps):
+        term = term * x * ((a + n) * (a + n) / ((n + 1) * (a + n + 1)))
+        total = total + term
+    value = total * (math.sin(math.pi * min(a, 1.0 - a)) / math.pi) * x**a
+    return float(1.0 - value[0] if small else value[0])
+
+
 class TestHypergeometricConstants:
     @pytest.mark.parametrize("alpha", [2.05, 3.0, 4.0, 7.5])
     def test_a_over_b_takes_one_branch_per_entry(self, alpha):
         delta = 2.0 / alpha
-
-        def reference(t):
-            if t < 1.0:
-                return 1.0 - betainc(1.0 - delta, delta, t / (1.0 + t))
-            return betainc(delta, 1.0 - delta, 1.0 / (1.0 + t))
-
         edges = [0.0, 1e-300, np.nextafter(1.0, 0.0), 1.0, np.nextafter(1.0, 2.0), 1e300]
         tau = np.random.default_rng(5).permutation(np.r_[edges, np.geomspace(1e-12, 1e12, 49)])
-        assert np.array_equal(_a_over_b(tau, delta), [reference(t) for t in tau])
+        assert np.array_equal(_a_over_b(tau, delta), [series_a_over_b(t, delta) for t in tau])
         for t in edges:
             got = _a_over_b(t, delta)
-            assert got.shape == () and np.array_equal(got, reference(t))
+            assert got.shape == () and np.array_equal(got, series_a_over_b(t, delta))
         assert _a_over_b(np.empty(0), delta).shape == (0,)
+
+    def test_a_over_b_against_high_precision(self):
+        # the worst relative error over this grid, against 50-digit values at
+        # the float tau and delta, was 4.4e-16 for the series and 6.1e-16 for
+        # scipy 1.17's two-branch betainc (both at alpha = 2.05, tau = 6e-5)
+        import mpmath
+
+        tau = np.geomspace(1e-300, 1e300, 72)
+        worst = 0.0
+        for alpha in (2.05, 2.5, 3.0, 4.0, 7.5, 20.0, 100.0):
+            got = _a_over_b(tau, 2.0 / alpha)
+            with mpmath.workdps(50):
+                d = mpmath.mpf(2.0 / alpha)
+                for t, value in zip(tau, got):
+                    T = mpmath.mpf(t)
+                    if t < 1.0:
+                        exact = 1 - mpmath.betainc(1 - d, d, 0, T / (1 + T), regularized=True)
+                    else:
+                        exact = mpmath.betainc(d, 1 - d, 0, 1 / (1 + T), regularized=True)
+                    worst = max(worst, float(abs(value - exact) / exact))
+        assert worst <= 6e-16
 
     def test_c_alpha_at_four(self):
         assert c_alpha(4.0) == pytest.approx(math.pi / 2.0, rel=1e-12)

@@ -6,7 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from grid_oracle import brute_force_policy
-from water_fill_oracle import per_step_water_fill
+from water_fill_oracle import full_vector_bisect, per_step_water_fill
 from cachegeo import optimizer
 from cachegeo.analytics import (
     InterferenceConstants,
@@ -15,7 +15,7 @@ from cachegeo.analytics import (
     rayleigh_lower_bound,
     success_noise,
 )
-from cachegeo.model import ContentLibrary, NetworkParams, zipf_popularity
+from cachegeo.model import ContentLibrary, NetworkParams, uniform_rates, zipf_popularity
 from cachegeo.optimizer import baseline_policy, optimize_interference, optimize_noise, water_fill
 
 
@@ -346,22 +346,67 @@ class TestOptimizeInterference:
         assert_certified(report, memory, lambda policy: rayleigh_lower_bound(lib, consts, policy))
 
 
-def same_solve_as_per_step(solve):
-    """Run `solve` as it is and with the per-step oracle patched in for
-    `water_fill`; the two must agree in policy bytes, omega and iterations."""
+def same_solve(solve, name, oracle):
+    """Run `solve` as it is and with `oracle` patched in for `optimizer.<name>`;
+    the two must agree in policy bytes, omega and iterations."""
     fast, calls = solve(), []
 
-    def per_step(*args):
+    def patched(*args):
         calls.append(args)
-        return per_step_water_fill(*args)
+        return oracle(*args)
 
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(optimizer, "water_fill", per_step)
+        patch.setattr(optimizer, name, patched)
         slow = solve()
-    assert calls, "the solve no longer evaluates optimizer.water_fill"
+    assert calls, f"the solve no longer calls optimizer.{name}"
     assert fast.policy.probs.tobytes() == slow.policy.probs.tobytes()
     assert fast.omega == slow.omega
     assert fast.iterations == slow.iterations
+
+
+def same_solve_as_per_step(solve):
+    """`solve` against the candidate that recomputes g(w) at every step."""
+    same_solve(solve, "water_fill", per_step_water_fill)
+
+
+def same_solve_as_full_vector(solve):
+    """`solve` against the bisection that evaluates every entry at every step."""
+    same_solve(solve, "_bisect_budget", full_vector_bisect)
+
+
+def interference_solve(count, seed, steps, narrow):
+    """A seeded interference solve over 0/1 steps (a share `steps` of the
+    contents has A = 1, so w = 0) and windows narrower than the float
+    spacing of log u (a share `narrow`)."""
+    rng = np.random.default_rng(seed)
+    lib = library_with(rng.uniform(0.0, 2.0), count, np.ones(count))
+    A = rng.uniform(0.01, 1.0, count)
+    B = A * (1.0 + 10.0 ** rng.uniform(-3.0, 4.0, count))
+    kind = rng.uniform(size=count)
+    step, thin = kind < steps, (kind >= steps) & (kind < steps + narrow)
+    A[step], B[step] = 1.0, 1.0 + 10.0 ** rng.uniform(-3.0, 4.0, step.sum())
+    # 1 - A a few ulps and B >= 1e3: w = 2 log1p((1 - A) / B) < 1e-18
+    A[thin] = 1.0 - rng.integers(1, 5, thin.sum()) * 2.0**-53
+    B[thin] = 10.0 ** rng.uniform(3.0, 6.0, thin.sum())
+    consts = InterferenceConstants(tau=np.ones(count), A=A, B=B, c=1.0)
+    memory = int(rng.integers(1, count))
+    return lambda: optimize_interference(lib, consts, memory)
+
+
+def noise_solve(count, seed, narrow):
+    """A seeded noise-limited solve with a share `narrow` of windows below
+    the float spacing of log u."""
+    rng = np.random.default_rng(seed)
+    # rates of 200-300 bits/s/Hz give kappa T below 6e-20 over these
+    # params, so |log u| > 44 and kappa T is below the spacing of log u
+    rates = np.where(rng.uniform(size=count) < narrow, rng.uniform(200.0, 300.0, count),
+                     10.0 ** rng.uniform(-3.0, 1.0, count))
+    lib = library_with(rng.uniform(0.0, 2.0), count, rates)
+    params = NetworkParams(10.0 ** rng.uniform(-4.0, -1.0), 0.002, 1.0,
+                           10.0 ** rng.uniform(-4.0, 0.0), rng.uniform(2.1, 6.0),
+                           rng.uniform(0.5, 4.0))
+    memory = int(rng.integers(1, count))
+    return lambda: optimize_noise(lib, params, memory)
 
 
 class TestSolveOnceMatchesPerStep:
@@ -376,19 +421,7 @@ class TestSolveOnceMatchesPerStep:
     @example(count=3, seed=2, steps=1.0, narrow=0.0)
     @example(count=50, seed=3, steps=0.0, narrow=1.0)
     def test_interference(self, count, seed, steps, narrow):
-        rng = np.random.default_rng(seed)
-        lib = library_with(rng.uniform(0.0, 2.0), count, np.ones(count))
-        A = rng.uniform(0.01, 1.0, count)
-        B = A * (1.0 + 10.0 ** rng.uniform(-3.0, 4.0, count))
-        kind = rng.uniform(size=count)
-        step, thin = kind < steps, (kind >= steps) & (kind < steps + narrow)
-        A[step], B[step] = 1.0, 1.0 + 10.0 ** rng.uniform(-3.0, 4.0, step.sum())
-        # 1 - A a few ulps and B >= 1e3: w = 2 log1p((1 - A) / B) < 1e-18
-        A[thin] = 1.0 - rng.integers(1, 5, thin.sum()) * 2.0**-53
-        B[thin] = 10.0 ** rng.uniform(3.0, 6.0, thin.sum())
-        consts = InterferenceConstants(tau=np.ones(count), A=A, B=B, c=1.0)
-        memory = int(rng.integers(1, count))
-        same_solve_as_per_step(lambda: optimize_interference(lib, consts, memory))
+        same_solve_as_per_step(interference_solve(count, seed, steps, narrow))
 
     @settings(max_examples=40, deadline=None)
     @given(count=st.integers(3, 10_000), seed=st.integers(0, 2**32 - 1),
@@ -396,17 +429,44 @@ class TestSolveOnceMatchesPerStep:
     @example(count=10_000, seed=1, narrow=0.2)
     @example(count=50, seed=3, narrow=1.0)
     def test_noise(self, count, seed, narrow):
-        rng = np.random.default_rng(seed)
-        # rates of 200-300 bits/s/Hz give kappa T below 6e-20 over these
-        # params, so |log u| > 44 and kappa T is below the spacing of log u
-        rates = np.where(rng.uniform(size=count) < narrow, rng.uniform(200.0, 300.0, count),
-                         10.0 ** rng.uniform(-3.0, 1.0, count))
-        lib = library_with(rng.uniform(0.0, 2.0), count, rates)
-        params = NetworkParams(10.0 ** rng.uniform(-4.0, -1.0), 0.002, 1.0,
-                               10.0 ** rng.uniform(-4.0, 0.0), rng.uniform(2.1, 6.0),
-                               rng.uniform(0.5, 4.0))
-        memory = int(rng.integers(1, count))
-        same_solve_as_per_step(lambda: optimize_noise(lib, params, memory))
+        same_solve_as_per_step(noise_solve(count, seed, narrow))
+
+
+class TestLiveSetMatchesFullVector:
+    """Evaluating only the entries still moving in the bracket gives the
+    bytes, omega and iteration count of the bisection that evaluates every
+    entry at every step, over the same libraries as TestSolveOnceMatchesPerStep."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(count=st.integers(3, 10_000), seed=st.integers(0, 2**32 - 1),
+           steps=st.floats(0.0, 1.0), narrow=st.floats(0.0, 1.0))
+    @example(count=10_000, seed=1, steps=0.2, narrow=0.2)
+    @example(count=10_000, seed=4, steps=0.0, narrow=0.0)
+    @example(count=3, seed=2, steps=1.0, narrow=0.0)
+    @example(count=50, seed=3, steps=0.0, narrow=1.0)
+    def test_interference(self, count, seed, steps, narrow):
+        same_solve_as_full_vector(interference_solve(count, seed, steps, narrow))
+
+    @settings(max_examples=40, deadline=None)
+    @given(count=st.integers(3, 10_000), seed=st.integers(0, 2**32 - 1),
+           narrow=st.floats(0.0, 1.0))
+    @example(count=10_000, seed=1, narrow=0.2)
+    @example(count=10_000, seed=4, narrow=0.0)
+    @example(count=50, seed=3, narrow=1.0)
+    def test_noise(self, count, seed, narrow):
+        same_solve_as_full_vector(noise_solve(count, seed, narrow))
+
+    @pytest.mark.parametrize("objective", ["noise", "interference"])
+    def test_design_sweep_library(self, objective):
+        # F = 10^4, Zipf 0.8 and rates uniform on (0, 0.5] at c = 2: the
+        # live set falls to a few hundred to two thousand entries
+        lib = ContentLibrary(10_000, zipf_popularity(10_000, 0.8), uniform_rates(0.5, 10_000, 7))
+        if objective == "noise":
+            params = NetworkParams(0.05, 0.002, 1.0, 0.01, 3.0)
+            same_solve_as_full_vector(lambda: optimize_noise(lib, params, 100))
+        else:
+            consts = InterferenceConstants.from_library(lib, 3.0, 2.0)
+            same_solve_as_full_vector(lambda: optimize_interference(lib, consts, 100))
 
 
 class TestBruteForce:

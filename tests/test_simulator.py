@@ -749,12 +749,27 @@ class TestRealizationAndLoad:
             empirical_mean_load(lib, params, policy, trials=10, seed=1)
 
 
-def load_upper_bounds(chunk, serving):
-    """1 + e per trial, for e users whose request the serving helper caches."""
+def eligible_users(chunk, serving):
+    """The trial of every user, and whether its trial's serving helper caches its request."""
     trial = np.repeat(np.arange(serving.size), chunk.user_counts)
     target = serving[trial]
-    eligible = (target >= 0) & (chunk.caches[target] == chunk.requested[:, None]).any(1)
+    return trial, (target >= 0) & (chunk.caches[target] == chunk.requested[:, None]).any(1)
+
+
+def load_upper_bounds(chunk, serving):
+    """1 + e per trial, for e users whose request the serving helper caches."""
+    trial, eligible = eligible_users(chunk, serving)
     return 1.0 + np.bincount(trial[eligible], minlength=serving.size)
+
+
+def eligible_pairs(chunk, serving):
+    """The trial of each user whose request its trial's serving helper caches,
+    in user order, and the number of that trial's helpers caching the request."""
+    trial, eligible = eligible_users(chunk, serving)
+    helper_trial = np.repeat(np.arange(serving.size), chunk.helper_counts)
+    pairs = [int(((helper_trial == t) & (chunk.caches == content).any(1)).sum())
+             for t, content in zip(trial[eligible], chunk.requested[eligible])]
+    return trial[eligible], np.array(pairs, int)
 
 
 class TestDecidedTrials:
@@ -780,23 +795,25 @@ class TestDecidedTrials:
         cap[served] = _shared_rate(xi[served], J[served])
         drawn, gain = [], simulator.nakagami_gain
         monkeypatch.setattr(
-            simulator, "nakagami_gain", lambda m, rng, size: drawn.append(size) or gain(m, rng, size)
+            simulator, "nakagami_gain", lambda m, rng, size: drawn.append(gain(m, rng, size)) or drawn[-1]
         )
         exact = exact_serving_loads(c, serving, self.lib, self.params, np.random.default_rng(3))
-        exact_sizes = drawn.copy()
+        exact_gains = np.concatenate(drawn)
         drawn.clear()
         bounded_rng = np.random.default_rng(3)
         need = self.lib.rates[c.content]
         bounded = _serving_loads(c, serving, self.lib, self.params, bounded_rng, cap, need[None])
-        # the bounded call draws the exact call's first slices of gains, and nothing else
-        assert drawn == exact_sizes[: len(drawn)]
-        replay = np.random.default_rng(3)
-        for size in drawn:
-            gain(self.params.fading_desired, replay, size)
-        assert replay.random() == bounded_rng.random()
-        assert np.array_equal(cap / bounded >= need, cap / exact >= need)
         upper = load_upper_bounds(c, serving)
         undecided = (cap >= need) & (cap / upper < need)
+        # the bounded call draws the exact call's gains up to the last pair of
+        # the last user of an undecided trial, and nothing else
+        trial, pairs = eligible_pairs(c, serving)
+        drawn_to = int(pairs[: np.flatnonzero(undecided[trial])[-1] + 1].sum())
+        assert np.concatenate(drawn).tobytes() == exact_gains[:drawn_to].tobytes()
+        replay = np.random.default_rng(3)
+        gain(self.params.fading_desired, replay, drawn_to)
+        assert replay.random() == bounded_rng.random()
+        assert np.array_equal(cap / bounded >= need, cap / exact >= need)
         assert np.array_equal(bounded[undecided], exact[undecided])
         assert np.array_equal(bounded[~undecided], upper[~undecided])
         # the chunk holds trials of every kind: open, and decided with a load that differs
