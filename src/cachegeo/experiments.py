@@ -380,7 +380,7 @@ def _run_cdf(config: ExperimentConfig, axis: str = "", values=()):
     # the axis varies helper_density and fading_desired only, so one call draws
     # every curve; its rows are sorted in place, so the peak holds one
     # trials-sized row per point and no copy
-    samples = sample_xi_min(networks, 1.0, config.trials, config.seed)
+    samples = sample_xi_min(networks, config.trials, config.seed)
     rows = []
     for params, xi_grid, xi in zip(networks, grids, samples):
         xi.sort()

@@ -137,10 +137,6 @@ class CachingPolicy:
         object.__setattr__(self, "probs", probs)
         object.__setattr__(self, "memory", int(self.memory))
 
-    @property
-    def count(self) -> int:
-        return self.probs.size
-
 
 def _check_count(count: int) -> None:
     if not 1 <= count <= MAX_COUNT:

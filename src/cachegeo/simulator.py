@@ -246,27 +246,23 @@ def _check_draw_args(trials, seed) -> None:
             raise ValueError(f"{name} must be >= {least} and an integer, got {value!r}")
 
 
-def sample_xi_min(params, p: float, trials: int, seed: int) -> np.ndarray:
-    """Draw `trials` samples of the smallest reciprocal gain for one content.
+def sample_xi_min(networks, trials: int, seed: int) -> np.ndarray:
+    """Draw `trials` samples of the smallest reciprocal gain per network.
 
-    Helpers caching the content form a thinned Poisson process of
-    intensity p * helper_density, sampled directly inside the window
-    (+inf marks trials whose window held no helper, and samples beyond
-    the float range).  The window misses with probability
-    NOISE_WINDOW_MISS, because the whole distribution is compared, not a
-    single threshold.
+    A network's helpers form a Poisson process of intensity helper_density,
+    sampled directly inside the window (+inf marks trials whose window held
+    no helper, and samples beyond the float range); the cachers of a content
+    cached with probability p are the network of density p * helper_density.
+    The window misses with probability NOISE_WINDOW_MISS, because the whole
+    distribution is compared, not a single threshold.
 
-    `params` is one NetworkParams (a (trials,) result) or a sequence of
-    them sharing pathloss_exp (a (k, trials) result whose row j is what
-    params[j] alone gives).  The rows share each chunk's counts and radii,
-    rows with one fading_desired share its gains, and helper_density sets
-    only a row's R^2.
+    `networks` is a sequence of NetworkParams sharing pathloss_exp; row j of
+    the (k, trials) result is what [networks[j]] alone gives.  The rows
+    share each chunk's counts and radii, rows with one fading_desired share
+    its gains, and helper_density sets only a row's R^2.
     """
-    if not 0 < p <= 1:
-        raise ValueError(f"caching probability p must lie in (0, 1], got p = {p}")
     _check_draw_args(trials, seed)
-    single = isinstance(params, NetworkParams)
-    points = [params] if single else list(params)
+    points = list(networks)
     alphas = sorted({point.pathloss_exp for point in points})
     if len(alphas) != 1:
         raise ValueError(f"the points of one call must share one pathloss_exp, got {alphas}")
@@ -284,9 +280,9 @@ def sample_xi_min(params, p: float, trials: int, seed: int) -> np.ndarray:
             samples[row] = samples[owner[point.fading_desired]]
     densities = np.array([point.helper_density for point in points])
     with np.errstate(over="ignore"):
-        samples *= _window_r2(p, densities, NOISE_WINDOW_MISS)[:, None]
+        samples *= _window_r2(1.0, densities, NOISE_WINDOW_MISS)[:, None]
         samples **= alphas[0] / 2.0
-    return samples[0] if single else samples
+    return samples
 
 
 def simulate_noise_limited(

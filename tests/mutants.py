@@ -206,6 +206,13 @@ MUTANTS = (
     Mutant("optimizer-fractional-memory", "optimizer.py",
            'raise ValueError("memory must be an integer")', "pass",
            ("tests/test_optimizer.py::TestOptimizeNoise::test_rejects_fractional_memory",)),
+    Mutant("noise-engine-over-budget-accepted", "simulator.py",
+           'raise ValueError(f"infeasible policy: {violation}")', "pass",
+           ("tests/test_simulator.py::TestSimulateNoiseLimited::"
+            "test_over_budget_policy_refused_before_any_draw",)),
+    Mutant("bisection-failure-unraised", "optimizer.py",
+           "if not (np.nextafter(a, np.inf) >= b and np.isfinite(p.sum())):", "if False:",
+           ("tests/test_cli.py::TestExitCodes::test_numeric_failure_exits_3",)),
     Mutant("config-unknown-keyword", "experiments.py",
            "    except TypeError as exc:\n        raise ConfigError(str(exc)) from exc",
            "    except KeyError as exc:\n        raise ConfigError(str(exc)) from exc",

@@ -81,7 +81,7 @@ def test_criterion_1_xi_min_cdf_agreement():
     worst = 0.0
     for lam, m_d in ((0.05, 1.0), (0.05, 3.0), (0.2, 1.0)):
         params = NetworkParams(lam, 0.002, 1.0, 0.01, 2.5, m_d, 1.0)
-        xi = np.sort(sample_xi_min(params, 1.0, trials, seed=101))
+        xi = np.sort(sample_xi_min([params], trials, seed=101)[0])
         finite = xi[np.isfinite(xi)]
         n = xi.size
         analytic = xi1_cdf(finite, 1.0, params)

@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 
 import csv_oracle
 import run_matrix
-from cachegeo import experiments, model, simulator
+from cachegeo import experiments, model, optimizer, simulator
 from cachegeo.cli import main
 from cachegeo.experiments import (
     FIGURES,
@@ -721,16 +721,14 @@ class TestExitCodes:
     """Refusals that need a patch, a memory trace or an API call; every other
     refusal is a row of run_matrix.REFUSALS."""
 
-    def test_numeric_failure_exits_3(self, config_file, monkeypatch):
-        import cachegeo.cli as cli_module
-        from cachegeo.errors import NumericalError
-
-        def exploding_run(config):
-            raise NumericalError("quadrature blew up")
-
-        monkeypatch.setattr(cli_module, "run", exploding_run)
-        result = CliRunner().invoke(main, ["simulate", "--config", str(config_file)])
-        assert result.exit_code == 3
+    def test_numeric_failure_exits_3(self, tmp_path, monkeypatch):
+        # one bisection step cannot close the bracket, so _bisect_budget raises
+        monkeypatch.setattr(optimizer, "MAX_ITERATIONS", 1)
+        out = tmp_path / "noise.csv"
+        result = CliRunner().invoke(main, ["optimize-noise", "--out", str(out)])
+        assert result.exit_code == 3, result.output
+        assert "numeric failure: budget bisection failed" in result.stderr
+        assert not out.exists()
 
     def test_uncertified_load_bound_exits_3(self, tmp_path, monkeypatch):
         # a reference with no success in 1e12 trials sits below every bound, so no c certifies

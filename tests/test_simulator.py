@@ -176,28 +176,24 @@ class TestSmallestReciprocal:
 
 class TestXiMinDistribution:
     def test_tiny_probability_gives_empty_windows(self):
-        # at p = 1e-300 the window's R^2 is near the float ceiling, so every
-        # sample overflows to +inf, without a warning
-        xi = sample_xi_min(make_params(), 1e-300, trials=5000, seed=5105)
-        assert xi.shape == (5000,)
+        # cachers at p = 1e-300 are a network of density 1e-300 lambda, whose
+        # window's R^2 is near the float ceiling, so every sample overflows
+        # to +inf, without a warning
+        xi = sample_xi_min([make_params(lam=0.05 * 1e-300)], trials=5000, seed=5105)
+        assert xi.shape == (1, 5000)
         assert np.all(xi == np.inf)
-
-    @pytest.mark.parametrize("p", [math.nan, math.inf, 2.0, 0.0, -1.0])
-    def test_rejects_probability_outside_the_unit_interval(self, p):
-        # NaN gave NaN samples, inf gave zeros and 2 a doubled process
-        with pytest.raises(ValueError, match=rf"p must lie in \(0, 1\], got p = {p}"):
-            sample_xi_min(make_params(), p, trials=10, seed=1)
 
     @pytest.mark.parametrize("n", [1, simulator._NOISE_CHUNK, simulator._NOISE_CHUNK + 1])
     def test_returns_one_sample_per_trial(self, n):
-        assert sample_xi_min(make_params(), 0.5, trials=n, seed=3).shape == (n,)
+        points = [make_params(lam=0.025), make_params(lam=0.05, m_d=2.0)]
+        assert sample_xi_min(points, trials=n, seed=3).shape == (2, n)
 
     def test_a_chunk_does_not_depend_on_the_chunks_after_it(self):
         # chunk k draws from SeedSequence(entropy=seed, spawn_key=(k,)) alone
         chunk = simulator._NOISE_CHUNK
-        one = sample_xi_min(make_params(), 0.5, trials=chunk, seed=3)
-        two = sample_xi_min(make_params(), 0.5, trials=chunk + 1, seed=3)
-        assert np.array_equal(two[:chunk], one)
+        one = sample_xi_min([make_params(lam=0.025)], trials=chunk, seed=3)
+        two = sample_xi_min([make_params(lam=0.025)], trials=chunk + 1, seed=3)
+        assert np.array_equal(two[:, :chunk], one)
 
     # fadings 0.5 and 1 each listed twice, at both densities; the kernel draws
     # each chunk's counts and radii once, and each fading's gains once
@@ -206,39 +202,41 @@ class TestXiMinDistribution:
     @pytest.mark.parametrize("seed", [0, 7, 2**40 + 3])
     @pytest.mark.parametrize("trials", [1, 4095, 4096, 4097, 2 * 4096 + 1])
     def test_batched_rows_equal_one_point_calls(self, trials, seed):
-        points = [make_params(lam=lam, alpha=2.5, m_d=m_d) for lam, m_d in self.BATCH]
-        batched = sample_xi_min(points, 0.3, trials, seed)
+        points = [make_params(lam=0.3 * lam, alpha=2.5, m_d=m_d) for lam, m_d in self.BATCH]
+        batched = sample_xi_min(points, trials, seed)
         assert batched.shape == (len(points), trials)
         for row, point in zip(batched, points):
-            assert np.array_equal(row, sample_xi_min(point, 0.3, trials, seed))
+            assert np.array_equal(row, sample_xi_min([point], trials, seed)[0])
 
     def test_batched_empty_trials_are_inf_in_every_row(self, monkeypatch):
         # about one trial in three holds no helper, where reduceat reads the
         # next trial's first quotient unless the kernel writes +inf
         monkeypatch.setattr(simulator, "_NOISE_WINDOW_COUNT", 1.0)
         points = [make_params(lam=lam, m_d=m_d) for lam, m_d in self.BATCH]
-        batched = sample_xi_min(points, 1.0, 5000, 11)
+        batched = sample_xi_min(points, 5000, 11)
         assert 0.3 < np.mean(batched[0] == np.inf) < 0.4
         for row, point in zip(batched, points):
-            assert np.array_equal(row, sample_xi_min(point, 1.0, 5000, 11))
+            assert np.array_equal(row, sample_xi_min([point], 5000, 11)[0])
 
     def test_batched_points_must_share_pathloss_exp(self, monkeypatch):
         monkeypatch.setattr(simulator, "_substream", lambda *a: pytest.fail("drew before refusing"))
         points = [make_params(alpha=3.0), make_params(alpha=4.0, m_d=2.0)]
         with pytest.raises(ValueError, match=r"share one pathloss_exp, got \[3.0, 4.0\]"):
-            sample_xi_min(points, 1.0, 10, 1)
+            sample_xi_min(points, 10, 1)
 
-    # at alpha = 400 the window's R^alpha overflowed and every sample was non-finite
-    @pytest.mark.parametrize(
-        "lam,m_d,alpha", [(0.05, 1.0, 2.5), (0.2, 1.0, 2.5), (0.05, 1.0, 400.0)]
-    )
-    def test_cdf_matches_closed_form(self, lam, m_d, alpha):
+    # at alpha = 400 the window's R^alpha overflowed and every sample was
+    # non-finite; p < 1 draws the cachers as the network of density p lambda
+    @pytest.mark.parametrize("lam,m_d,alpha,p", [
+        (0.05, 1.0, 2.5, 1.0), (0.2, 1.0, 2.5, 1.0), (0.05, 1.0, 400.0, 1.0), (0.2, 2.0, 3.0, 0.3),
+    ], ids=["0.05-1.0-2.5", "0.2-1.0-2.5", "0.05-1.0-400.0", "thinned-0.3"])
+    def test_cdf_matches_closed_form(self, lam, m_d, alpha, p):
         params = make_params(lam=lam, alpha=alpha, m_d=m_d)
-        xi = np.sort(sample_xi_min(params, 1.0, trials=30_000, seed=10))
+        cachers = make_params(lam=p * lam, alpha=alpha, m_d=m_d)
+        xi = np.sort(sample_xi_min([cachers], trials=30_000, seed=10)[0])
         finite = xi[np.isfinite(xi)]
         grid = np.quantile(finite, np.linspace(0.02, 0.98, 40))
         empirical = np.searchsorted(xi, grid, side="right") / xi.size
-        analytic = xi1_cdf(grid, 1.0, params)
+        analytic = xi1_cdf(grid, p, params)
         assert np.max(np.abs(empirical - analytic)) < 0.015
 
 
@@ -371,6 +369,13 @@ class TestSimulateNoiseLimited:
         b = simulate_noise_limited(lib, params, uncached, trials=20_000, seed=5104)
         assert a == b
 
+    def test_over_budget_policy_refused_before_any_draw(self, monkeypatch):
+        monkeypatch.setattr(simulator, "_substream", lambda *a: pytest.fail("drew before refusing"))
+        policy = CachingPolicy(np.array([0.75, 0.75]), 1)
+        with pytest.raises(ValueError, match=r"^infeasible policy: sum\(p\)=1.5 exceeds the "
+                                             r"memory budget M=1$"):
+            simulate_noise_limited(make_library(2), make_params(), policy, trials=10, seed=1)
+
     @pytest.mark.parametrize(
         "rates, noise_power, message",
         [
@@ -396,13 +401,13 @@ class TestSimulateNoiseLimited:
         small, large = make_params(), make_params(lam=0.2, alpha=4.0, m_d=3.0)
         policy = CachingPolicy(np.array([0.6, 0.5, 0.3, 0.1]), 2)
         first = simulate_noise_limited(lib, small, policy, trials=3000, seed=4)
-        xi = sample_xi_min(small, 0.5, trials=3000, seed=4)
+        xi = sample_xi_min([small], trials=3000, seed=4)
         simulate_noise_limited(lib, large, policy, trials=3 * simulator._NOISE_CHUNK, seed=5)
-        sample_xi_min(large, 1.0, trials=3 * simulator._NOISE_CHUNK, seed=5)
-        sample_xi_min([large, make_params(lam=0.2, alpha=4.0)], 1.0,
+        sample_xi_min([large], trials=3 * simulator._NOISE_CHUNK, seed=5)
+        sample_xi_min([large, make_params(lam=0.2, alpha=4.0)],
                       trials=3 * simulator._NOISE_CHUNK, seed=5)
         assert simulate_noise_limited(lib, small, policy, trials=3000, seed=4) == first
-        assert np.array_equal(sample_xi_min(small, 0.5, trials=3000, seed=4), xi)
+        assert np.array_equal(sample_xi_min([small], trials=3000, seed=4), xi)
 
     def test_chunk_draws_do_not_grow_with_the_library(self, monkeypatch):
         calls = []
@@ -515,7 +520,7 @@ def fig4_setting(p1=0.5):
 
 
 TRIALS_ENTRY_POINTS = {
-    "sample_xi_min": lambda trials, seed=1: sample_xi_min(make_params(), 0.5, trials, seed),
+    "sample_xi_min": lambda trials, seed=1: sample_xi_min([make_params()], trials, seed),
     "simulate_noise_limited": lambda trials, seed=1: simulate_noise_limited(
         *fig4_setting(), trials, seed),
     "simulate_interference_limited": lambda trials, seed=1: simulate_interference_limited(
