@@ -224,6 +224,17 @@ class TestXiMinDistribution:
         with pytest.raises(ValueError, match=r"share one pathloss_exp, got \[3.0, 4.0\]"):
             sample_xi_min(points, 10, 1)
 
+    def test_empty_sequence_refused_before_any_draw(self, monkeypatch):
+        monkeypatch.setattr(simulator, "_substream", lambda *a: pytest.fail("drew before refusing"))
+        with pytest.raises(ValueError, match=r"share one pathloss_exp, got \[\]"):
+            sample_xi_min([], 10, 1)
+
+    def test_one_network_outside_a_sequence_is_refused(self, monkeypatch):
+        # the one call form takes a sequence; a bare network has no 1-D form
+        monkeypatch.setattr(simulator, "_substream", lambda *a: pytest.fail("drew before refusing"))
+        with pytest.raises(TypeError, match="not iterable"):
+            sample_xi_min(make_params(), 10, 1)
+
     # at alpha = 400 the window's R^alpha overflowed and every sample was
     # non-finite; p < 1 draws the cachers as the network of density p lambda
     @pytest.mark.parametrize("lam,m_d,alpha,p", [
