@@ -31,11 +31,6 @@ from typing import Callable
 
 import numpy as np
 
-try:  # the ufunc behind np.clip, called without its Python wrappers
-    from numpy._core.umath import clip as _clip
-except ImportError:  # numpy < 2
-    from numpy.core.umath import clip as _clip
-
 from .analytics import InterferenceConstants, _kappa, _noise_thresholds, rayleigh_lower_bound, success_noise
 from .errors import NumericalError
 from .model import BUDGET_TOL, CachingPolicy, ContentLibrary, NetworkParams
@@ -89,7 +84,7 @@ def water_fill(log_omega, log_upper, width, shape, g_width):
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         p = np.divide(shape(t), g_width, out=t)
     p[cap] = 1.0
-    return _clip(p, 0.0, 1.0, out=p)
+    return np.clip(p, 0.0, 1.0, out=p)
 
 
 def _bisect_budget(

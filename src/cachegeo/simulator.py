@@ -485,9 +485,8 @@ def _serving_loads(
     (cap = need = 1 pairs every eligible user: exact loads).  The gains are
     drawn _PAIR_SLICE pairs at a time in user order, up to the slice of the
     last paired user, so a pair's gain does not depend on cap, and nothing
-    is drawn when no trial is paired.  The paired users' gains are kept
-    from each slice and evaluated in groups of at most _PAIR_SLICE pairs
-    (or one slice's), which may straddle slices.
+    is drawn when no trial is paired.  Each slice's paired users are
+    evaluated as soon as its gains are drawn.
     """
     n, slots = serving.size, chunk.caches.shape[1]
     trial = np.repeat(np.arange(n), chunk.user_counts)
@@ -532,10 +531,19 @@ def _serving_loads(
     hx, hy = chunk.helper_xy[0].take(helper), chunk.helper_xy[1].take(helper)
     exponent = params.pathloss_exp / 2.0
     picked = np.zeros(paired.size, bool)
-
-    def evaluate(a: int, b: int, gain: np.ndarray) -> None:
-        # whether each of paired users a..b-1 picks its serving helper,
-        # given `gain`, the gains of their pairs in user order
+    last = ends[paired[-1]]  # no gain past the last paired user's pairs is drawn
+    hi = b = 0
+    while hi <= paired[-1]:
+        # users lo..hi-1 hold at most _PAIR_SLICE pairs, or one user holds more
+        lo = hi
+        hi = max(lo + 1, int(ends.searchsorted(starts[lo] + _PAIR_SLICE, "right")))
+        gain = nakagami_gain(params.fading_desired, rng, min(ends[hi - 1], last) - starts[lo])
+        a, b = b, int(paired.searchsorted(hi))
+        if a == b:  # no paired user in the slice
+            continue
+        # whether each of the slice's paired users a..b-1 picks its serving
+        # helper, given the gains of their pairs in user order
+        gain = gain[np.repeat(is_open[lo:hi], width[lo:hi])[: gain.size]]
         w = open_width[a:b]
         seg_start = np.cumsum(w) - w
         pair_user = np.repeat(np.arange(b - a), w)
@@ -562,24 +570,6 @@ def _serving_loads(
             tied = pair_user.take(at)
             at = at[np.concatenate(([True], tied[1:] != tied[:-1]))]
         picked[a:b] = helper.take(position.take(at)) == target[a:b]
-
-    pending, size, a0 = [], 0, 0  # gains of paired users a0..a-1
-    lo = a = 0
-    last = ends[paired[-1]]  # no gain past the last paired user's pairs is drawn
-    while lo <= paired[-1]:
-        # users lo..hi-1 hold at most _PAIR_SLICE pairs, or one user holds more
-        hi = max(lo + 1, int(ends.searchsorted(starts[lo] + _PAIR_SLICE, "right")))
-        gain = nakagami_gain(params.fading_desired, rng, min(ends[hi - 1], last) - starts[lo])
-        b = int(paired.searchsorted(hi))
-        if a < b:  # the slice holds paired users a..b-1
-            piece = gain[np.repeat(is_open[lo:hi], width[lo:hi])[: gain.size]]
-            if size and size + piece.size > _PAIR_SLICE:
-                evaluate(a0, a, np.concatenate(pending))
-                pending, size, a0 = [], 0, a
-            pending.append(piece)
-            size += piece.size
-        lo, a = hi, b
-    evaluate(a0, paired.size, np.concatenate(pending))
     return loads + np.bincount(user_trial.take(paired[picked]), minlength=n)
 
 

@@ -56,6 +56,7 @@ _RANDOM_ROWS = _WRITER + "test_random_rows_match_the_oracle"
 _BLOCK_EDGES = _WRITER + "test_rows_across_block_boundaries_match_the_oracle"
 _XI_MIN = "tests/test_simulator.py::TestXiMinDistribution::"
 _BATCHED = _XI_MIN + "test_batched_rows_equal_one_point_calls"
+_ORACLE = "tests/test_simulator.py::TestStrongestChannelOracle::"
 
 MUTANTS = (
     # the general-fading bound in bounded variables
@@ -110,9 +111,46 @@ MUTANTS = (
     Mutant("live-set-ends-written-into-one-vector", "optimizer.py",
            "p_a, p_b = p, p.copy()", "p_a, p_b = p, p",
            (_LIVE_SET + "test_interference", _LIVE_SET + "test_noise")),
+    # the interference engine: its refusals, the typical user's links, and
+    # the pairs and ties of the strongest-channel load
     Mutant("pair-gains-one-short", "simulator.py",
            "last = ends[paired[-1]]", "last = ends[paired[-1]] - 1",
            ("tests/test_simulator.py::TestDecidedTrials::test_bounded_loads_keep_outcomes_and_draws",)),
+    Mutant("pair-slice-unbounded", "simulator.py",
+           'ends.searchsorted(starts[lo] + _PAIR_SLICE, "right")', "ends.size",
+           (_ORACLE + "test_each_draw_holds_one_slice_of_pairs",)),
+    Mutant("pair-position-without-run-start", "simulator.py",
+           "position = (first[a:b] - seg_start).take(pair_user)",
+           "position = (0 - seg_start).take(pair_user)",
+           (_ORACLE + "test_loads_match_per_user_oracle",
+            _ORACLE + "test_small_draw_slices_match_per_user_oracle")),
+    Mutant("pair-position-without-pair-offset", "simulator.py",
+           "position += np.arange(gain.size)", "position += seg_start.take(pair_user)",
+           (_ORACLE + "test_loads_match_per_user_oracle",
+            _ORACLE + "test_small_draw_slices_match_per_user_oracle")),
+    Mutant("decided-only-when-open-for-every-target", "simulator.py",
+           "undecided = ((cap >= need) & (cap / upper < need)).any(0)",
+           "undecided = ((cap >= need) & (cap / upper < need)).all(0)",
+           (_ORACLE + "test_loads_match_per_user_oracle",)),
+    Mutant("pair-ties-to-the-highest-index", "simulator.py",
+           "at = at[np.concatenate(([True], tied[1:] != tied[:-1]))]",
+           "at = at[np.concatenate((tied[1:] != tied[:-1], [True]))]",
+           (_ORACLE + "test_ties_go_to_the_lowest_index",)),
+    Mutant("segment-argmin-ties-to-the-highest-index", "simulator.py",
+           "first = np.minimum.reduceat(np.where(at_min, np.arange(values.size), values.size), starts)",
+           "first = np.maximum.reduceat(np.where(at_min, np.arange(values.size), -1), starts)",
+           ("tests/test_simulator.py::TestSmallestReciprocal::test_tie_breaks_to_lower_index",
+            "tests/test_simulator.py::TestTypicalLink::test_instantaneous_selection_and_interference")),
+    Mutant("window-population-ceiling-raised", "simulator.py",
+           "if population > _CHUNK_POPULATION:", "if population > 1.25 * _CHUNK_POPULATION:",
+           ("tests/test_simulator.py::TestSimulateInterferenceLimited::"
+            "test_crowded_chunk_is_refused_before_any_draw",)),
+    Mutant("link-terms-non-finite-accepted", "simulator.py",
+           "if not np.isfinite(term).all():", "if False:",
+           ("tests/test_simulator.py::TestFloatRange::test_non_finite_link_term_raises",)),
+    Mutant("typical-links-nearest-by-gain", "simulator.py",
+           "key = chunk.helper_dist if nearest else reciprocal", "key = reciprocal",
+           ("tests/test_simulator.py::TestTypicalLinksOracle::test_links_match_per_trial_loop",)),
     Mutant("version-slice-off-by-one", "experiments.py",
            "return line[8:]", "return line[9:]",
            ("tests/test_cli.py::TestVersion::test_header_forms",)),

@@ -880,11 +880,36 @@ class TestStrongestChannelOracle:
     @pytest.mark.parametrize("pair_slice", [5, 40])
     @pytest.mark.parametrize("m_d", [1.0, 2.5])
     @pytest.mark.parametrize("memory", [1, 2, 3])
-    def test_evaluation_groups_straddling_draw_slices(self, monkeypatch, memory, m_d, pair_slice):
-        # with slices this small, the groups of the bounded calls sometimes
-        # take the paired users of several draw slices
+    def test_small_draw_slices_match_per_user_oracle(self, monkeypatch, memory, m_d, pair_slice):
+        # with slices this small, each call draws and evaluates its pairs in
+        # many slices
         monkeypatch.setattr(simulator, "_PAIR_SLICE", pair_slice)
         self.check(monkeypatch, memory, m_d, 3.5)
+
+    @pytest.mark.parametrize("memory", [1, 3])
+    def test_each_draw_holds_one_slice_of_pairs(self, monkeypatch, memory):
+        # each slice's pairs are evaluated on its own draw, so the working
+        # set is one draw: at most _PAIR_SLICE gains, or one user's run
+        monkeypatch.setattr(simulator, "_PAIR_SLICE", 5)
+        probs = self.policies[memory]
+        params = make_params(lam=0.02, lam_u=0.03, m_d=2.5)
+        lib = make_library(len(probs))
+        layout = build_block_layout(CachingPolicy(np.array(probs), memory))
+        c = _sample_chunk(np.random.default_rng(0), 64, _Requests(lib.popularity), params, layout, 12.0)
+        _, serving, _ = _typical_links(c, _link_terms(c, params), False)
+        sizes, gain = [], simulator.nakagami_gain
+        monkeypatch.setattr(
+            simulator, "nakagami_gain", lambda m, rng, size: sizes.append(size) or gain(m, rng, size)
+        )
+        exact_serving_loads(c, serving, lib, params, np.random.default_rng(0))
+        # every draw ends at a user's last pair, and the last draw at the last user's
+        run_ends, draw_ends = np.cumsum(eligible_pairs(c, serving)[1]), np.cumsum(sizes)
+        assert np.isin(draw_ends, run_ends).all() and draw_ends[-1] == run_ends[-1]
+        users = np.diff(run_ends.searchsorted(draw_ends, "right"), prepend=0)
+        sizes = np.array(sizes)
+        assert np.all((sizes <= 5) | (users == 1))
+        # the chunk holds runs longer than a slice and slices of several users
+        assert np.any(sizes > 5) and np.any(users > 1)
 
     @pytest.mark.parametrize("alpha", [2.5, 4.0])
     @pytest.mark.parametrize("memory", [1, 3])
