@@ -344,7 +344,8 @@ def _sweep_points(config: ExperimentConfig, axis: str = "", values=()) -> list:
 
 
 # ---------------------------------------------------------------------------
-# scenario runners: each returns (fieldnames, rows); an array in a row spans CSV lines
+# scenario runners: each returns its rows, whose keys in order are the CSV's columns;
+# an array in a row spans CSV lines
 
 
 def _cell(value, alone: bool = False) -> str:
@@ -393,48 +394,39 @@ def _run_cdf(config: ExperimentConfig, axis: str = "", values=()):
             "empirical_cdf": empirical,
             "stderr": np.sqrt(empirical * (1 - empirical) / config.trials),
         })
-    return ["lambda", "m_d", "xi", "analytic_cdf", "empirical_cdf", "stderr"], rows
-
-
-_CONTENT_FIELDS = ["content", "popularity", "rate", "p_opt", "objective", "omega",
-                   "iterations", "kkt_residual"]
+    return rows
 
 
 def _optimizer_rows(source: str, points, label: str, **columns) -> list[dict]:
     """Rows of the `source` optimizer's solution, one per point: the value
     goes in column `label`, `columns` are the same at every point, "c" is the
-    load bound used ("" without one), and the per-content columns are arrays."""
+    load bound used (only where there is one), and the per-content columns are arrays."""
     rows = []
     for value, cfg, params, library in points:
         _, report, consts = _solve(source, cfg, library, params)
         rows.append({
             **columns,
             label: value,
-            "c": "" if consts is None else consts.c,
-            "objective": report.objective,
-            "omega": report.omega,
-            "iterations": report.iterations,
-            "kkt_residual": report.kkt_residual,
+            **({} if consts is None else {"c": consts.c}),
             "content": np.arange(library.count),
             "popularity": library.popularity,
             "rate": library.rates,
             "p_opt": report.policy.probs,
+            "objective": report.objective,
+            "omega": report.omega,
+            "iterations": report.iterations,
+            "kkt_residual": report.kkt_residual,
         })
     return rows
 
 
 def _run_optimizer(config: ExperimentConfig):
     """The optimize-noise and optimize-sir scenarios; only the latter has a c column."""
-    sir = config.scenario == "optimize-sir"
-    fields = ["sweep", "sweep_value", "c"] if sir else ["sweep", "sweep_value"]
     points = _sweep_points(config, config.sweep, config.sweep_grid)
-    rows = _optimizer_rows(config.scenario, points, "sweep_value", sweep=config.sweep)
-    return fields + _CONTENT_FIELDS, rows
+    return _optimizer_rows(config.scenario, points, "sweep_value", sweep=config.sweep)
 
 
 def _run_simulate(config: ExperimentConfig):
-    fields = ["sweep", "sweep_value", "channel", "load_mode", "policy", "analytic",
-              "estimate", "stderr", "trials"]
     rows = []
     for value, cfg, params, library in _sweep_points(config, config.sweep, config.sweep_grid):
         interference = cfg.channel == "interference"
@@ -460,7 +452,7 @@ def _run_simulate(config: ExperimentConfig):
             "stderr": est.stderr,
             "trials": est.trials,
         })
-    return fields, rows
+    return rows
 
 
 # ---------------------------------------------------------------------------
@@ -471,7 +463,8 @@ def _run_simulate(config: ExperimentConfig):
 class FigureEntry:
     """A figure: `setting` holds the ExperimentConfig fields it fixes (the
     rest come from the config and flags), `sweeps` the values of its axes.
-    runner(config with the setting applied, sweeps) -> (fieldnames, rows)."""
+    runner(config with the setting applied, sweeps) -> rows, whose keys in
+    order are the CSV's columns."""
 
     title: str
     setting: dict
@@ -485,25 +478,21 @@ def _figure_3(config: ExperimentConfig, sweeps: dict):
 
 
 def _figure_4(config: ExperimentConfig, sweeps: dict):
-    fields = ["gamma", "ps_proposed", "ps_mpc", "ps_uc", "policy_proposed"]
     rows = []
     for gamma, cfg, params, library in _sweep_points(config, "gamma", sweeps["gamma"]):
         report = _solve("optimize-noise", cfg, library, params).report
-        row = {
-            "gamma": gamma,
-            "ps_proposed": report.objective,
-            "policy_proposed": _policy_string(report.policy.probs),
-        }
+        row = {"gamma": gamma, "ps_proposed": report.objective}
         for name in ("mpc", "uc"):
             baseline = _solve(name, cfg, library, params).policy
             row[f"ps_{name}"] = success_noise(library, params, baseline)
+        row["policy_proposed"] = _policy_string(report.policy.probs)
         rows.append(row)
-    return fields, rows
+    return rows
 
 
 def _optimal_policy_sweep(settings, label):
-    rows = _optimizer_rows("optimize-noise", settings, label)
-    return [label, "content", "popularity", "p_opt", "objective"], rows
+    return [{name: row[name] for name in (label, "content", "popularity", "p_opt", "objective")}
+            for row in _optimizer_rows("optimize-noise", settings, label)]
 
 
 def _figure_5(config: ExperimentConfig, sweeps: dict):
@@ -531,8 +520,6 @@ def _with_numeric_c(config: ExperimentConfig) -> ExperimentConfig:
 
 
 def _figure_approx_check(config: ExperimentConfig, sweeps: dict):
-    fields = ["p1", "est_inst", "se_inst", "est_mean", "se_mean", "est_long", "se_long",
-              "bound_c40"]
     [(_, _, params, library)] = _sweep_points(config)
     consts = _interference_constants(config, library, params)
     rows = []
@@ -541,21 +528,17 @@ def _figure_approx_check(config: ExperimentConfig, sweeps: dict):
         ests = _simulate_interference_pass(
             library, params, policy, config.trials, config.seed, LOAD_MODES, library.rates[None]
         )
-        row = {
-            "p1": float(policy.probs[0]),
-            "bound_c40": rayleigh_lower_bound(library, consts, policy),
-        }
+        row = {"p1": float(policy.probs[0])}
         for mode, key in (("instantaneous", "inst"), ("mean-approx", "mean"),
                           ("long-term-assoc", "long")):
             (est,) = ests[mode]
             row[f"est_{key}"], row[f"se_{key}"] = est.estimate, est.stderr
+        row["bound_c40"] = rayleigh_lower_bound(library, consts, policy)
         rows.append(row)
-    return fields, rows
+    return rows
 
 
 def _figure_8(config: ExperimentConfig, sweeps: dict):
-    fields = ["rho", "c", "p1_opt", "est_opt", "se_opt", "p1_subopt", "est_subopt",
-              "se_subopt", "bound_subopt"]
     points = _sweep_points(config, "rho", sweeps["rho"])
     # the sampled networks do not depend on the target rate, so one pass
     # per grid policy serves every rho
@@ -586,11 +569,10 @@ def _figure_8(config: ExperimentConfig, sweeps: dict):
             "se_subopt": sub_est.stderr,
             "bound_subopt": report.objective,
         })
-    return fields, rows
+    return rows
 
 
 def _figure_9(config: ExperimentConfig, sweeps: dict):
-    fields = ["block", "sweep_value", "strategy", "content", "p", "bound", "c"]
     axis = "(count, user_density)"
     by_gamma = _sweep_points(config, "gamma", sweeps["gamma"])
     by_density = _sweep_points(config, axis, sweeps[axis])
@@ -615,11 +597,12 @@ def _figure_9(config: ExperimentConfig, sweeps: dict):
             })
     sweep = [(cfg.user_density, cfg, *rest) for _, cfg, *rest in by_density]
     rows.extend(
-        {**row, "block": "user-density-sweep", "strategy": "proposed-load-c",
-         "p": row["p_opt"], "bound": row["objective"]}
+        {"block": "user-density-sweep", "sweep_value": row["sweep_value"],
+         "strategy": "proposed-load-c", "content": row["content"], "p": row["p_opt"],
+         "bound": row["objective"], "c": row["c"]}
         for row in _optimizer_rows("optimize-sir", sweep, "sweep_value")
     )
-    return fields, rows
+    return rows
 
 
 _GAMMA_GRID = np.arange(0.0, 3.01, 0.5).tolist()
@@ -729,7 +712,7 @@ def run(config: ExperimentConfig) -> int:
         config = replace(config, **_figure(config).setting)
     runner = {"cdf": _run_cdf, "optimize-noise": _run_optimizer, "optimize-sir": _run_optimizer,
               "simulate": _run_simulate, "figure": _run_figure}[config.scenario]
-    fields, rows = runner(config)
+    rows = runner(config)
     elapsed = time.perf_counter() - start
 
     out = Path(config.output)
@@ -738,8 +721,7 @@ def run(config: ExperimentConfig) -> int:
     partial = out.with_name(f".{out.name}.{os.getpid()}.tmp")
     try:
         with partial.open("w", newline="") as handle:
-            handle.write(",".join(_cell(name, len(fields) == 1) for name in fields) + "\n")
-            lines = _write_rows(handle, fields, rows)
+            lines = _write_rows(handle, rows)
         os.replace(partial, out)
     finally:
         partial.unlink(missing_ok=True)
@@ -790,16 +772,20 @@ def _same_bits(a: np.ndarray, b) -> bool:
             and np.array_equal(*(np.ascontiguousarray(x).view(np.uint8) for x in (a, b))))
 
 
-def _write_rows(handle, fields: list[str], rows: list[dict]) -> int:
-    """Write each row's lines through one %-template holding its single values; return
-    how many.  A number array with the bits of the same field's array in the next row is
+def _write_rows(handle, rows: list[dict]) -> int:
+    """Write the header, the first row's keys, then each row's lines through one
+    %-template holding its single values; return how many.  A row with other keys is
+    refused.  A number array with the bits of the same field's array in the next row is
     formatted once, and both rows fill their slot with its cells; only the cells the
     current row uses are kept."""
+    fields = list(rows[0])
     alone, written, kept = len(fields) == 1, 0, {}
+    handle.write(",".join(_cell(name, alone) for name in fields) + "\n")
     for row, after in pairwise([*rows, {}]):
+        if list(row) != fields:
+            raise ValueError(f"a row's columns {list(row)} differ from the first row's {fields}")
         parts, columns, keep = [], [], {}
-        for name in fields:
-            value = row[name]
+        for name, value in row.items():
             if not isinstance(value, np.ndarray):
                 parts.append(_cell(value, alone).replace("%", "%%"))
                 continue
@@ -819,7 +805,7 @@ def _write_rows(handle, fields: list[str], rows: list[dict]) -> int:
             columns.append(value.tolist() if cells is None else cells)
         kept = keep
         if len(lengths := {len(c) for c in columns} or {1}) > 1:
-            arrays = {name: row[name].size for name in fields if isinstance(row[name], np.ndarray)}
+            arrays = {name: v.size for name, v in row.items() if isinstance(v, np.ndarray)}
             raise ValueError(f"a row's arrays differ in length: {arrays}")
         count = lengths.pop()
         handle.writelines(_blocks(",".join(parts) + "\n", columns, count))

@@ -54,6 +54,7 @@ _A_OVER_B = _ANALYTICS + "TestHypergeometricConstants::"
 _WRITER = "tests/test_cli.py::TestColumnarWriter::"
 _RANDOM_ROWS = _WRITER + "test_random_rows_match_the_oracle"
 _BLOCK_EDGES = _WRITER + "test_rows_across_block_boundaries_match_the_oracle"
+_OTHER_KEYS = _WRITER + "test_row_with_other_keys_is_refused"
 _XI_MIN = "tests/test_simulator.py::TestXiMinDistribution::"
 _BATCHED = _XI_MIN + "test_batched_rows_equal_one_point_calls"
 _ORACLE = "tests/test_simulator.py::TestStrongestChannelOracle::"
@@ -170,6 +171,15 @@ MUTANTS = (
            """raise ValueError(f"a row's arrays differ in length: {arrays}")""", "pass",
            (_WRITER + "test_arrays_of_unequal_length_raise",
             _WRITER + "test_failed_run_keeps_an_earlier_csv")),
+    Mutant("writer-row-columns-unchecked", "experiments.py",
+           """raise ValueError(f"a row's columns {list(row)} differ from the first row's {fields}")""",
+           "pass",
+           (_OTHER_KEYS + "[one-key-more]", _OTHER_KEYS + "[one-key-fewer]",
+            _OTHER_KEYS + "[reordered]")),
+    Mutant("optimizer-rows-c-always", "experiments.py",
+           '**({} if consts is None else {"c": consts.c}),',
+           '**({"c": ""} if consts is None else {"c": consts.c}),',
+           ("tests/test_cli.py::TestRun::test_every_scenario_writes_its_header[optimize-noise]",)),
     Mutant("writer-bools-as-%d", "experiments.py",
            'if kind not in "fiu":', 'if kind not in "fiub":',
            (_RANDOM_ROWS, _BLOCK_EDGES)),
@@ -206,6 +216,16 @@ MUTANTS = (
     Mutant("c_value-unchecked", "experiments.py",
            'if self.c_mode == "fixed" and not 1 <= self.c_value < math.inf:', "if False:",
            (_REFUSAL + "[c_value=nan]", _REFUSAL + "[c_value=inf]", _REFUSAL + "[c_value=0.5]")),
+    Mutant("probs-outside-explicit-accepted", "experiments.py",
+           'if self.probs and (self.scenario, self.policy_source) != ("simulate", "explicit"):',
+           "if False:",
+           (_REFUSAL + "[probs-on-uc]",)),
+    Mutant("sweep-grid-empty-accepted", "experiments.py",
+           "if not self.sweep_grid:", "if False:",
+           (_REFUSAL + "[sweep-without-sweep_grid]",)),
+    Mutant("explicit-probs-length-unchecked", "experiments.py",
+           "if len(config.probs) != library.count:", "if False:",
+           (_REFUSAL + "[explicit-probs-length]",)),
     Mutant("fading_desired-unchecked", "model.py",
            'for name in ("fading_desired", "fading_interf"):', 'for name in ("fading_interf",):',
            (_REFUSAL + "[inf-fading_desired]",

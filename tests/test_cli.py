@@ -180,6 +180,30 @@ class TestRun:
         assert set(body.dtype.names) >= {"xi", "analytic_cdf", "empirical_cdf"}
         assert np.all(np.abs(body["analytic_cdf"] - body["empirical_cdf"]) < 0.1)
 
+    @pytest.mark.parametrize(
+        "scenario, channel, header, rows",
+        [
+            ("cdf", "noise", "lambda,m_d,xi,analytic_cdf,empirical_cdf,stderr", 40),
+            ("optimize-noise", "noise", "sweep,sweep_value,content,popularity,rate,p_opt,"
+             "objective,omega,iterations,kkt_residual", 10),
+            ("optimize-sir", "noise", "sweep,sweep_value,c,content,popularity,rate,p_opt,"
+             "objective,omega,iterations,kkt_residual", 10),
+            ("simulate", "noise", "sweep,sweep_value,channel,load_mode,policy,analytic,"
+             "estimate,stderr,trials", 1),
+            ("simulate", "interference", "sweep,sweep_value,channel,load_mode,policy,analytic,"
+             "estimate,stderr,trials", 1),
+        ],
+        ids=["cdf", "optimize-noise", "optimize-sir", "simulate-noise", "simulate-interference"],
+    )
+    def test_every_scenario_writes_its_header(self, scenario, channel, header, rows, tmp_path):
+        out = tmp_path / "scenario.csv"
+        run(ExperimentConfig(scenario=scenario, channel=channel, output=str(out), trials=60,
+                             seed=1))
+        lines = out.read_text().splitlines()
+        assert lines[0] == header
+        assert len(lines) == 1 + rows
+        assert _manifest_rows(out) == rows
+
     def test_unknown_figure_raises_config_error(self):
         config = ExperimentConfig(scenario="figure", figure="99")
         with pytest.raises(ConfigError):
@@ -214,9 +238,9 @@ WRITER_CASES = {
 }
 
 
-def _run_rows(tmp_path, header: list, rows: list) -> Path:
-    """The CSV run writes for a figure whose runner returns (header, rows)."""
-    entry = FigureEntry("synthetic rows", {}, {}, runner=lambda config, sweeps: (header, rows))
+def _run_rows(tmp_path, rows: list) -> Path:
+    """The CSV run writes for a figure whose runner returns `rows`."""
+    entry = FigureEntry("synthetic rows", {}, {}, runner=lambda config, sweeps: rows)
     out = tmp_path / "run.csv"
     with mock.patch.dict(FIGURES, synthetic=entry):
         run(ExperimentConfig(scenario="figure", figure="synthetic", output=str(out)))
@@ -276,13 +300,14 @@ def _repeat(draw, array: np.ndarray) -> tuple:
 
 @st.composite
 def _tables(draw):
-    """A header and rows of single values and arrays, each row its own line count.
-    A row may repeat the previous row's line count, and then the previous row's
-    arrays, as `_repeat` draws them: the writer formats an array once when the
-    next row's has the same bits, and reuses its cells there."""
-    header = draw(st.lists(_TEXT, min_size=1, max_size=4))
+    """Rows of single values and arrays under one list of unique column names,
+    each row its own line count.  A row may repeat the previous row's line
+    count, and then the previous row's arrays, as `_repeat` draws them: the
+    writer formats an array once when the next row's has the same bits, and
+    reuses its cells there."""
+    header = draw(st.lists(_TEXT, min_size=1, max_size=4, unique=True))
     rows, counts = [], []
-    for _ in range(draw(st.integers(0, 4))):
+    for _ in range(draw(st.integers(1, 4))):
         repeat = bool(rows) and draw(st.booleans())
         counts.append(counts[-1] if repeat else draw(_LINES))
         row = {}
@@ -293,7 +318,7 @@ def _tables(draw):
                 fresh = _array_column(counts[-1]) if draw(st.booleans()) else _SINGLE_VALUES
                 row[name] = draw(fresh)
         rows.append(row)
-    return header, rows
+    return rows
 
 
 class TestVersion:
@@ -414,8 +439,8 @@ class TestColumnarWriter:
             monkeypatch.setattr(experiments, target, capture(getattr(experiments, target)))
         out = tmp_path / "run.csv"
         run(ExperimentConfig(output=str(out), seed=1, **settings))
-        ((header, rows),) = captured
-        lines = csv_oracle.write_csv(tmp_path / "oracle.csv", header, rows)
+        (rows,) = captured
+        lines = csv_oracle.write_csv(tmp_path / "oracle.csv", list(rows[0]), rows)
         assert out.read_bytes() == (tmp_path / "oracle.csv").read_bytes()
         assert _manifest_rows(out) == lines == len(out.read_text().splitlines()) - 1
 
@@ -431,7 +456,7 @@ class TestColumnarWriter:
             {"label": "", "note": ",", "big": -(10**12) - 1, "x": np.array([math.inf]),
              "k": np.array([-1]), "tiny": math.inf, "zero": -0.0},
         ]
-        out = _run_rows(tmp_path, header, rows)
+        out = _run_rows(tmp_path, rows)
         lines = csv_oracle.write_csv(tmp_path / "oracle.csv", header, rows)
         assert out.read_bytes() == (tmp_path / "oracle.csv").read_bytes()
         assert _manifest_rows(out) == lines == 6 + 1 + 1
@@ -449,14 +474,13 @@ class TestColumnarWriter:
 
     @settings(max_examples=300, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
-    @given(table=_tables())
+    @given(rows=_tables())
     # always run: neighbours alike but in one zero's sign, one line past a block
-    @example(table=(["p", "z"], [{"p": np.arange(_BLOCK + 1), "z": np.zeros(_BLOCK + 1)},
-                                 {"p": np.arange(_BLOCK + 1), "z": -np.zeros(_BLOCK + 1)}]))
-    def test_random_rows_match_the_oracle(self, table, tmp_path):
-        header, rows = table
-        out = _run_rows(tmp_path, header, rows)
-        lines = csv_oracle.write_csv(tmp_path / "oracle.csv", header, rows)
+    @example(rows=[{"p": np.arange(_BLOCK + 1), "z": np.zeros(_BLOCK + 1)},
+                   {"p": np.arange(_BLOCK + 1), "z": -np.zeros(_BLOCK + 1)}])
+    def test_random_rows_match_the_oracle(self, rows, tmp_path):
+        out = _run_rows(tmp_path, rows)
+        lines = csv_oracle.write_csv(tmp_path / "oracle.csv", list(rows[0]), rows)
         assert out.read_bytes() == (tmp_path / "oracle.csv").read_bytes()
         assert _manifest_rows(out) == lines
 
@@ -476,7 +500,7 @@ class TestColumnarWriter:
             {"label": "b", "content": content, "x": x, "flag": ~flags, "count": 0},
             {"label": "c", "content": content, "x": flipped, "flag": flags, "count": -1},
         ]
-        out = _run_rows(tmp_path, header, rows)
+        out = _run_rows(tmp_path, rows)
         written = csv_oracle.write_csv(tmp_path / "oracle.csv", header, rows)
         assert out.read_bytes() == (tmp_path / "oracle.csv").read_bytes()
         assert _manifest_rows(out) == written == 3 * lines
@@ -491,7 +515,7 @@ class TestColumnarWriter:
         rows = [{"label": "x", "policy": "0.25;" * 20_000}]
         tracemalloc.start()
         try:
-            out = _run_rows(tmp_path, ["label", "policy"], rows)
+            out = _run_rows(tmp_path, rows)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -501,7 +525,7 @@ class TestColumnarWriter:
     @pytest.mark.parametrize("cell", ["", np.array(["", "x", ""])], ids=["single", "array"])
     def test_empty_cell_of_a_one_column_line_is_quoted(self, cell, tmp_path):
         rows = [{"": cell}]
-        out = _run_rows(tmp_path, [""], rows)
+        out = _run_rows(tmp_path, rows)
         csv_oracle.write_csv(tmp_path / "oracle.csv", [""], rows)
         assert out.read_bytes() == (tmp_path / "oracle.csv").read_bytes()
         assert out.read_text().splitlines()[:2] == ['""', '""']
@@ -509,7 +533,7 @@ class TestColumnarWriter:
     def test_arrays_of_unequal_length_raise(self, tmp_path):
         row = {"label": "x", "short": np.array([1.0]), "long": np.arange(6)}
         with pytest.raises(ValueError, match=r"differ in length: \{'short': 1, 'long': 6\}"):
-            _run_rows(tmp_path, ["label", "short", "long"], [row])
+            _run_rows(tmp_path, [row])
         assert not Path(str(tmp_path / "run.csv") + ".manifest.json").exists()
         assert list(tmp_path.iterdir()) == []  # no run.csv, no partial file
         with pytest.raises(ValueError):
@@ -521,7 +545,23 @@ class TestColumnarWriter:
         good = {"label": "x", "value": np.arange(3), "other": np.ones(3)}
         bad = {"label": "y", "value": np.array([1.0]), "other": np.arange(2)}
         with pytest.raises(ValueError, match="differ in length"):
-            _run_rows(tmp_path, ["label", "value", "other"], [good, bad])
+            _run_rows(tmp_path, [good, bad])
+        assert out.read_bytes() == b"earlier,result\r\n1,2\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["run.csv"]
+
+    @pytest.mark.parametrize("second, keys", [
+        ({"label": "y", "value": 2.0, "extra": 1}, ["label", "value", "extra"]),
+        ({"label": "y"}, ["label"]),
+        ({"value": 2.0, "label": "y"}, ["value", "label"]),
+    ], ids=["one-key-more", "one-key-fewer", "reordered"])
+    def test_row_with_other_keys_is_refused(self, second, keys, tmp_path):
+        # the header is the first row's keys; a later row must have the same, in order
+        out = tmp_path / "run.csv"
+        out.write_bytes(b"earlier,result\r\n1,2\n")
+        with pytest.raises(ValueError) as raised:
+            _run_rows(tmp_path, [{"label": "x", "value": 1.0}, second])
+        assert str(raised.value) == (
+            f"a row's columns {keys} differ from the first row's ['label', 'value']")
         assert out.read_bytes() == b"earlier,result\r\n1,2\n"
         assert sorted(p.name for p in tmp_path.iterdir()) == ["run.csv"]
 
@@ -632,7 +672,7 @@ class TestFigureRegistry:
         monkeypatch.setattr(experiments, "sample_xi_min", sample)
         tracemalloc.start()
         try:
-            _, rows = experiments._run_cdf(config, axis, entry.sweeps[axis])
+            rows = experiments._run_cdf(config, axis, entry.sweeps[axis])
             sorting = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
