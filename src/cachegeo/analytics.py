@@ -371,17 +371,19 @@ def nakagami_lower_bound(
     return float(np.sum(library.popularity[cached] * per_content))
 
 
-def mean_load_m1(f: float, p: float, user_density: float, helper_density: float) -> float:
+def mean_load_m1(f, p, user_density: float, helper_density: float):
     """Mean load of the helper serving the typical user for single-slot caches.
 
     1 + 1.28 f user_density / (p helper_density): one for the typical user
     plus the size-biased share of other users requesting the same content.
+    f and p may be arrays, taken elementwise (an overflow gives inf).
     """
-    if not 0 < p < math.inf:  # NaN fails too
+    if not np.all((0 < p) & (p < math.inf)):  # NaN fails too
         raise ValueError(f"p must be > 0 and finite, got {p}: with no helpers caching the "
                          "content the load is unbounded")
     if not 0 <= user_density < math.inf:
         raise ValueError(f"user_density must be >= 0 and finite, got {user_density}")
     if not 0 < helper_density < math.inf:
         raise ValueError(f"helper_density must be > 0 and finite, got {helper_density}")
-    return 1.0 + 1.28 * f * user_density / (p * helper_density)
+    with np.errstate(over="ignore"):
+        return 1.0 + 1.28 * f * user_density / (p * helper_density)

@@ -145,6 +145,16 @@ class ExperimentConfig:
                 (self.scenario, self.channel) != ("simulate", "interference")):
             raise ConfigError(f"load_mode = {self.load_mode!r}: only simulate on the "
                               "interference channel reads it")
+        # the runs that resolve the load bound c from the config; figures fix their own
+        reads_c = self.scenario == "optimize-sir" or (self.scenario == "simulate" and (
+            self.channel == "interference" or self.policy_source == "optimize-sir"))
+        readers = ("only optimize-sir and simulate on the interference channel or with "
+                   "source = optimize-sir read it")
+        # type(self).c_value, the class attribute, is the field's default
+        if self.c_value != type(self).c_value and not (self.c_mode == "fixed" and reads_c):
+            raise ConfigError(f"c_value = {self.c_value}: {readers}, under c_mode = fixed")
+        if self.c_mode != "load" and not reads_c:
+            raise ConfigError(f"c_mode = {self.c_mode!r}: {readers}")
         if self.c_mode == "fixed" and not 1 <= self.c_value < math.inf:
             raise ConfigError(f"c_value must be >= 1 and finite, got {self.c_value}")
         # checked here, where a bad output fails before the whole run, not after it

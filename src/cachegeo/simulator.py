@@ -11,28 +11,28 @@ how many chunks follow it.
 The interference engine draws a chunk as flat arrays (every helper and
 user of its trials, with per-trial counts, and each helper's cache as M
 content slots) and reduces them per trial segment.  Its draws come in the
-same order for every load mode, and the fresh channel gains of the
-instantaneous load come last, so load modes on one seed evaluate
-identical networks.  Rates enter only when a trial's rate is compared
-with its target, so one pass over the chunks serves every load mode and
-every row of a matrix of rate targets, with the counts of separate calls.
-The instantaneous load is counted only in trials whose outcome it decides
-for some row, and its gains are drawn only up to the last such trial's
-users.  The noise engine makes four draws per chunk (requests, counts,
-unit-disc radii, gains) whatever F is, the last two into buffers that each
-call allocates once.  sample_xi_min draws the curves of several networks
-that share pathloss_exp in one pass: a chunk's counts and radii once, and
-the gains once per fading_desired from the generator state after the
-radii, so each curve holds the bits of its own call.  Requests of both
-engines are looked up in a bucket table over the popularity cdf, built
-once per engine call, with the bits of Generator.choice.
+same order for every load mode, and the instantaneous load's fresh channel
+gains are always the chunk's last draws, so load modes on one seed, in any
+order, evaluate identical networks.  Rates enter only when a trial's rate
+is compared with its target, so one pass over the chunks serves every load
+mode and every row of a matrix of rate targets, with the counts of
+separate calls.  The instantaneous load is counted only in trials whose
+outcome it decides for some row, and its gains are drawn only up to the
+last such trial's users.  The noise engine makes four draws per chunk
+(requests, counts, unit-disc radii, gains) whatever F is, the last two
+into buffers that each call allocates once.  sample_xi_min draws the
+curves of several networks that share pathloss_exp in one pass: a chunk's
+counts and radii once, and the gains once per fading_desired from the
+generator state after the radii, so each curve holds the bits of its own
+call.  Requests of both engines are looked up in a bucket table over the
+popularity cdf, built once per engine call, with the bits of
+Generator.choice.
 
 Finite window: helpers are sampled inside a disc sized so the nearest
-relevant helper is missed with probability at most ``window_miss_prob``
-in the interference engine (default 1e-3) and NOISE_WINDOW_MISS
-elsewhere; trials with no helper caching the requested content inside
-the window count as delivery failures, and interference from beyond the
-window is truncated.
+relevant helper is missed with probability at most INTERF_WINDOW_MISS in
+the interference engine and NOISE_WINDOW_MISS elsewhere, read at call
+time; trials with no helper caching the requested content inside the
+window fail, and interference from beyond the window is truncated.
 """
 from __future__ import annotations
 
@@ -56,7 +56,7 @@ __all__ = [
     "LOAD_MODES",
 ]
 
-DEFAULT_WINDOW_MISS = 1e-3
+INTERF_WINDOW_MISS = 1e-3
 # Window of the noise engine and the xi_1 sampler: their estimates are
 # checked against closed forms at a resolution where the 1e-3 truncation
 # bias would show.
@@ -305,7 +305,7 @@ def simulate_noise_limited(
     content-free unit-disc minimum and a chunk makes four draws (requests,
     counts, unit radii, gains) whatever F is.  Uncached contents always fail.
 
-    The window is tighter than the interference engine's default 1e-3
+    The window is tighter than the interference engine's INTERF_WINDOW_MISS
     because the success event compares the whole xi_1 distribution against
     fixed thresholds: at miss 1e-3 the truncation bias is a few per mille,
     visible against the closed form at 1e5 trials.
@@ -575,9 +575,10 @@ def _serving_loads(
 
 def _shared_rate(xi: np.ndarray, interference: np.ndarray) -> np.ndarray:
     """Rate at load 1, log2(1 + 1 / (xi J)), with the interference J in
-    units of the transmit power; infinite SIR when J = 0."""
-    with np.errstate(divide="ignore"):
-        return np.log2(1.0 + 1.0 / (xi * interference))
+    units of the transmit power; infinite SIR when J = 0, and 0, which fails
+    at any load, where no helper serves (xi = inf)."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(xi < np.inf, np.log2(1.0 + 1.0 / (xi * interference)), 0.0)
 
 
 def simulate_interference_limited(
@@ -587,7 +588,6 @@ def simulate_interference_limited(
     trials: int,
     seed: int,
     load_mode: str = "instantaneous",
-    window_miss_prob: float = DEFAULT_WINDOW_MISS,
 ) -> MCEstimate:
     """Estimate the SIR-based success probability under resource sharing.
 
@@ -598,14 +598,14 @@ def simulate_interference_limited(
     mean-load modes need single-slot caches (M = 1), where the closed form
     exists.
 
-    Interference beyond the window is dropped, which biases estimates
-    upward; the bias shrinks with window_miss_prob but decays slowly for
-    path loss exponents near 2 (the out-of-window interference scales as
-    R^(2 - alpha)).  Comparisons between load modes at one seed share the
-    truncation and the sampled networks.
+    Interference beyond the window (miss probability INTERF_WINDOW_MISS) is
+    dropped, which biases estimates upward; the bias shrinks with the miss
+    probability but decays slowly for path loss exponents near 2 (the
+    out-of-window interference scales as R^(2 - alpha)).  Comparisons
+    between load modes at one seed share the truncation and the networks.
     """
     estimates = _simulate_interference_pass(
-        library, params, policy, trials, seed, (load_mode,), library.rates[None], window_miss_prob
+        library, params, policy, trials, seed, (load_mode,), library.rates[None]
     )
     return estimates[load_mode][0]
 
@@ -618,23 +618,20 @@ def _simulate_interference_pass(
     seed: int,
     load_modes,
     rates: np.ndarray,
-    window_miss_prob: float = DEFAULT_WINDOW_MISS,
 ) -> dict[str, list[MCEstimate]]:
     """simulate_interference_limited for several load modes and a (k, F)
     matrix of rate targets on one set of sampled networks: the estimate of
     every (mode, row) pair, per mode in row order.
 
-    Each chunk is drawn once; the typical user's links are found once per
-    association rule (strongest channel for 'instantaneous' and
-    'mean-approx', nearest helper for 'long-term-assoc'), and the
-    instantaneous load, whose fresh gains are the chunk's last draws, comes
-    last.  Every count equals that of a separate call per (mode, row).
+    Each chunk is drawn once, on the window of INTERF_WINDOW_MISS, and the
+    typical user's links once per association rule that a mode reads
+    (strongest channel, or nearest helper for 'long-term-assoc').  Modes may
+    come in any order: the instantaneous load's fresh gains are always the
+    chunk's last draws.  Each count equals a separate call's per (mode, row).
     """
     for mode in load_modes:
         if mode not in LOAD_MODES:
             raise ValueError(f"unknown load_mode {mode!r}, expected one of {LOAD_MODES}")
-    if not 0 < window_miss_prob < 1:  # NaN fails too
-        raise ValueError(f"window_miss_prob must lie in (0, 1), got {window_miss_prob}")
     _probs_of(policy, library)
     layout = build_block_layout(policy)  # raises on an infeasible policy
     _check_draw_args(trials, seed)
@@ -643,27 +640,23 @@ def _simulate_interference_pass(
         raise ValueError("mean-load modes require M = 1 (no closed-form mean load beyond it)")
     if rates.ndim != 2 or rates.shape[1] != library.count:
         raise ValueError(f"rates must be a (k, {library.count}) matrix, got shape {rates.shape}")
-    # Probabilities at the feasibility-tolerance scale (clip residue from
-    # the optimizers) cannot place a helper inside any practical window;
-    # requests for such contents fail naturally, so the window is sized by
-    # the smallest probability that actually matters.
+    # probabilities at the feasibility-tolerance scale (the optimizers' clip
+    # residue) place no helper in a practical window, so they do not size it
     positive = policy.probs[policy.probs > BUDGET_TOL]
     successes = {mode: np.zeros(len(rates), np.int64) for mode in load_modes}
     if positive.size == 0:
         return {mode: [MCEstimate.from_counts(0, trials)] * len(rates) for mode in successes}
     p_min = float(positive.min())
-    r2 = float(_window_r2(p_min, params.helper_density, window_miss_prob))
+    r2 = float(_window_r2(p_min, params.helper_density, INTERF_WINDOW_MISS))
     _check_window(params, r2, p_min)
     radius = float(np.sqrt(r2))
     if mean_modes:
         # no helper caches a content of probability 0: its load is unbounded
-        mean_load = np.array([
-            mean_load_m1(float(f), float(p), params.user_density, params.helper_density)
-            if p > 0 else np.inf
-            for f, p in zip(library.popularity, policy.probs)
-        ])
-    # the instantaneous load draws, so it goes last
-    modes = sorted(successes, key=lambda mode: mode == "instantaneous")
+        cached = policy.probs > 0
+        mean_load = np.full(library.count, np.inf)
+        mean_load[cached] = mean_load_m1(library.popularity[cached], policy.probs[cached],
+                                         params.user_density, params.helper_density)
+    rules = {mode == "long-term-assoc" for mode in successes}  # nearest association?
     requests = _Requests(library.popularity)
 
     for chunk_index, n in _chunk_grid(trials, _INTERF_CHUNK):
@@ -671,22 +664,15 @@ def _simulate_interference_pass(
         chunk = _sample_chunk(rng, n, requests, params, layout, radius)
         need = rates[:, chunk.content]
         terms = _link_terms(chunk, params)
-        links = {}  # association rule (nearest) -> (serving helper, rate at load 1)
-        for mode in modes:
-            nearest = mode == "long-term-assoc"
-            if nearest not in links:
-                xi, serving, interference = _typical_links(chunk, terms, nearest)
-                served = serving >= 0
-                # a trial without a serving helper fails at any load
-                cap = np.zeros(n)
-                cap[served] = _shared_rate(xi[served], interference[served])
-                links[nearest] = serving, cap
-            serving, cap = links[nearest]
+        links = {nearest: _typical_links(chunk, terms, nearest) for nearest in rules}
+        for mode, counts in successes.items():
+            xi, serving, interference = links[mode == "long-term-assoc"]
+            cap = _shared_rate(xi, interference)
             if mode == "instantaneous":
                 load = _serving_loads(chunk, serving, library, params, rng, cap, need)
             else:
                 load = mean_load[chunk.content]
-            successes[mode] += np.count_nonzero(cap / load >= need, axis=1)
+            counts += np.count_nonzero(cap / load >= need, axis=1)
     return {
         mode: [MCEstimate.from_counts(int(s), trials) for s in counts]
         for mode, counts in successes.items()

@@ -48,6 +48,7 @@ _NAKAGAMI = _ANALYTICS + "TestNakagamiLowerBound::"
 _REFUSAL = "tests/test_cli.py::TestRunMatrix::test_refusal_row"
 _DOMAIN = "tests/test_model.py::TestDomainTypes::"
 _BAD_DRAW_ARGS = "tests/test_simulator.py::test_bad_trials_or_seed_refused_before_any_draw"
+_TRIALS_BELOW_ONE = "tests/test_simulator.py::test_trials_below_one_refused"
 _PER_STEP = "tests/test_optimizer.py::TestSolveOnceMatchesPerStep::"
 _LIVE_SET = "tests/test_optimizer.py::TestLiveSetMatchesFullVector::"
 _A_OVER_B = _ANALYTICS + "TestHypergeometricConstants::"
@@ -216,6 +217,13 @@ MUTANTS = (
     Mutant("c_value-unchecked", "experiments.py",
            'if self.c_mode == "fixed" and not 1 <= self.c_value < math.inf:', "if False:",
            (_REFUSAL + "[c_value=nan]", _REFUSAL + "[c_value=inf]", _REFUSAL + "[c_value=0.5]")),
+    Mutant("c_value-read-under-any-c_mode", "experiments.py",
+           'if self.c_value != type(self).c_value and not (self.c_mode == "fixed" and reads_c):',
+           "if False:",
+           (_REFUSAL + "[c_value-under-load]",)),
+    Mutant("c_mode-outside-c-readers", "experiments.py",
+           'if self.c_mode != "load" and not reads_c:', "if False:",
+           (_REFUSAL + "[c_mode-on-optimize-noise]",)),
     Mutant("probs-outside-explicit-accepted", "experiments.py",
            'if self.probs and (self.scenario, self.policy_source) != ("simulate", "explicit"):',
            "if False:",
@@ -237,6 +245,11 @@ MUTANTS = (
     Mutant("bound-takes-a-batch", "analytics.py",
            'raise ValueError("nakagami_lower_bound evaluates one policy at a time")', "pass",
            ("tests/test_simulator.py::TestPolicyLength::test_nakagami_bound_takes_one_policy",)),
+    Mutant("mean-load-one-good-p-passes", "analytics.py",
+           "if not np.all((0 < p) & (p < math.inf)):", "if not np.any((0 < p) & (p < math.inf)):",
+           (_ANALYTICS + "test_non_finite_arguments_are_refused[load-p-array-zero]",
+            _ANALYTICS + "test_non_finite_arguments_are_refused[load-p-array-nan]",
+            _ANALYTICS + "test_non_finite_arguments_are_refused[load-p-array-inf]")),
     Mutant("mean-load-zero-helper-density", "analytics.py",
            "if not 0 < helper_density < math.inf:", "if not 0 <= helper_density < math.inf:",
            (_ANALYTICS + "TestMeanLoad::test_zero_helper_density_rejected",)),
@@ -301,6 +314,21 @@ MUTANTS = (
            "whole = index(value) >= least",
            (_BAD_DRAW_ARGS + "[sample_xi_min-True-1-trials]",
             _BAD_DRAW_ARGS + "[sample_xi_min-10-True-seed]")),
+    Mutant("draw-args-trials-from-zero", "simulator.py",
+           '("trials", trials, 1), ("seed", seed, 0)', '("trials", trials, 0), ("seed", seed, 0)',
+           (_TRIALS_BELOW_ONE + "[sample_xi_min-0]", _TRIALS_BELOW_ONE + "[sample_xi_min--1]")),
+    Mutant("xi-min-draw-args-unchecked", "simulator.py",
+           "    _check_draw_args(trials, seed)\n    points = list(networks)",
+           "    points = list(networks)",
+           (_TRIALS_BELOW_ONE + "[sample_xi_min-0]",)),
+    Mutant("interference-pass-draw-args-unchecked", "simulator.py",
+           "    _check_draw_args(trials, seed)\n    mean_modes", "    mean_modes",
+           (_TRIALS_BELOW_ONE + "[_simulate_interference_pass-0]",
+            _TRIALS_BELOW_ONE + "[simulate_interference_limited-0]")),
+    Mutant("library-length-unchecked", "model.py",
+           "if pop.shape != (self.count,) or rates.shape != (self.count,):",
+           "if rates.shape != (self.count,):",
+           (_DOMAIN + "test_library_rejects_bad_count_or_popularity[wrong-length]",)),
     Mutant("noise-engine-draw-args-unchecked", "simulator.py",
            "    _check_draw_args(trials, seed)\n    # raises before any draw; theta^delta",
            "    # raises before any draw; theta^delta",

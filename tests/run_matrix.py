@@ -246,6 +246,12 @@ _DECLARED = (
              "interference channel", ("simulate",), ("experiment", "load_mode", "mean-approx")),
     _refused("load_mode-on-optimize-sir", 2, "load_mode = 'long-term-assoc': only simulate",
              ("optimize-sir",), ("experiment", "load_mode", "long-term-assoc")),
+    # optimize-sir wrote c = 1 in every row while its manifest recorded c_value = 10,
+    # and optimize-noise ran with a c_mode that no part of it reads
+    _refused("c_value-under-load", 2, "c_value = 10.0: only optimize-sir and simulate",
+             ("optimize-sir",), ("experiment", "c_value", "10")),
+    _refused("c_mode-on-optimize-noise", 2, "c_mode = 'numeric': only optimize-sir and simulate",
+             ("optimize-noise",), ("experiment", "c_mode", "numeric")),
     *(_refused(f"channel-on-{id}", 2, "channel = 'interference': only simulate", argv,
                ("experiment", "channel", "interference"))
       for id, argv in (("optimize-noise", ("optimize-noise",)),

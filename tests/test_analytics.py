@@ -778,11 +778,14 @@ class TestNakagamiLowerBound:
     (mean_load_m1, (0.5, 0.5, math.nan, 1e-5), "user_density"),
     (mean_load_m1, (0.5, 0.5, 2e-5, math.nan), "helper_density"),
     (mean_load_m1, (0.5, 0.5, 2e-5, math.inf), "helper_density"),
+    *((mean_load_m1, (np.full(2, 0.5), np.array([0.5, bad]), 2e-5, 1e-5), "p")
+      for bad in (0.0, math.nan, math.inf)),
 ], ids=["c_alpha-nan", "c_alpha-inf", "load-p-nan", "load-users-nan", "load-helpers-nan",
-        "load-helpers-inf"])
+        "load-helpers-inf", "load-p-array-zero", "load-p-array-nan", "load-p-array-inf"])
 def test_non_finite_arguments_are_refused(function, args, name):
     # c_alpha returned nan or raised ZeroDivisionError; mean_load_m1 returned
-    # nan, or 1.0 at an infinite helper density
+    # nan, or 1.0 at an infinite helper density; an array p holding one bad
+    # entry beside a good one is refused as a whole
     with pytest.raises(ValueError, match=rf"^{name} must be"):
         function(*args)
 
@@ -824,6 +827,16 @@ class TestMeanLoad:
     def test_zero_helper_density_rejected(self):
         with pytest.raises(ValueError, match="helper_density must be > 0"):
             mean_load_m1(0.5, 0.5, 2e-5, 0.0)
+
+    def test_arrays_equal_per_entry_calls(self):
+        # p across (0, 1], with 1 and a subnormal among them; the subnormal's
+        # load overflows to inf
+        f = zipf_popularity(40, 0.8)
+        p = np.random.default_rng(3).uniform(0.0, 1.0, 40)
+        p[:2] = 1.0, 1e-310
+        got = mean_load_m1(f, p, 2e-5, 1e-5)
+        expected = [mean_load_m1(float(a), float(b), 2e-5, 1e-5) for a, b in zip(f, p)]
+        assert np.array_equal(got, expected)
 
 
 class TestNumericFailureSurface:

@@ -599,7 +599,11 @@ class TestFigureRegistry:
         setting = FIGURES[fid].setting
         assert set(setting) <= set(ExperimentConfig.__dataclass_fields__)
         base = ExperimentConfig("figure", output=str(tmp_path / "x.csv"))
-        replace(base, **setting).validate()
+        # a figure fixes its own load bound c, so a figure config may not set
+        # c_mode or c_value; they are checked where a config may, on optimize-sir
+        c_fields = {key: value for key, value in setting.items() if key.startswith("c_")}
+        replace(base, **{key: setting[key] for key in setting.keys() - c_fields}).validate()
+        replace(base, scenario="optimize-sir", **c_fields).validate()
 
     @pytest.mark.parametrize(
         "fid, header, rows",
@@ -812,8 +816,10 @@ class TestExitCodes:
         assert not out.exists()
 
     def test_c_value_is_checked_only_when_fixed(self):
-        ExperimentConfig(scenario="optimize-sir", c_mode="load", c_value=math.nan).validate()
-        with pytest.raises(ConfigError, match="c_value"):
+        # under c_mode = load no part of the run reads c_value; under fixed it must be in range
+        with pytest.raises(ConfigError, match=r"^c_value = nan: only optimize-sir"):
+            ExperimentConfig(scenario="optimize-sir", c_mode="load", c_value=math.nan).validate()
+        with pytest.raises(ConfigError, match=r"^c_value must be >= 1 and finite"):
             ExperimentConfig(scenario="optimize-sir", c_mode="fixed", c_value=math.nan).validate()
 
     @pytest.mark.parametrize("helper_density", ["1e-300", "1e-9"])

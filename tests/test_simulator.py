@@ -1,6 +1,7 @@
 import math
 import tracemalloc
 import warnings
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -611,15 +612,14 @@ class TestSimulateInterferenceLimited:
             mean.stderr**2 + long.stderr**2
         )
 
-    def test_negligible_rate_succeeds_exactly_when_the_window_holds_a_cacher(self):
+    def test_negligible_rate_succeeds_exactly_when_the_window_holds_a_cacher(self, monkeypatch):
         # at a negligible target rate a trial succeeds iff some in-window helper
         # caches the request, whatever the load model: P = sum f_i (1 - e^(-p_i lambda pi R^2))
+        monkeypatch.setattr(simulator, "INTERF_WINDOW_MISS", 0.5)
         _, params, policy = fig4_setting(0.6)
         lib = make_library(2, gamma=1.0, rates=[1e-12, 1e-12])
         estimates = [
-            simulate_interference_limited(
-                lib, params, policy, 4000, seed=41, load_mode=mode, window_miss_prob=0.5
-            )
+            simulate_interference_limited(lib, params, policy, 4000, seed=41, load_mode=mode)
             for mode in LOAD_MODES
         ]
         assert len({e.successes for e in estimates}) == 1
@@ -627,19 +627,13 @@ class TestSimulateInterferenceLimited:
             3.0 * estimates[0].stderr
         )
 
-    def test_multi_slot_cache_lookup_matches_window_presence(self):
+    def test_multi_slot_cache_lookup_matches_window_presence(self, monkeypatch):
+        monkeypatch.setattr(simulator, "INTERF_WINDOW_MISS", 0.5)
         lib = make_library(3, gamma=1.0, rates=[1e-12] * 3)
         params = make_params(lam=1e-5, lam_u=2e-5)
         policy = CachingPolicy(np.array([0.9, 0.7, 0.4]), 2)
-        est = simulate_interference_limited(lib, params, policy, 4000, seed=42, window_miss_prob=0.5)
+        est = simulate_interference_limited(lib, params, policy, 4000, seed=42)
         assert abs(est.estimate - window_presence(lib, params, policy)) <= 3.0 * est.stderr
-
-    @pytest.mark.parametrize("miss_prob", [0.0, 1.0, math.nan])
-    def test_window_miss_prob_is_checked_before_any_draw(self, monkeypatch, miss_prob):
-        monkeypatch.setattr(simulator, "_substream", lambda *a: pytest.fail("drew before refusing"))
-        lib, params, policy = fig4_setting()
-        with pytest.raises(ValueError, match=r"window_miss_prob must lie in \(0, 1\)"):
-            simulate_interference_limited(lib, params, policy, 10, 0, window_miss_prob=miss_prob)
 
     def test_crowded_chunk_is_refused_before_any_draw(self, monkeypatch):
         # p = 1e-4 sizes a window whose 64-trial chunk holds 4.6e6 points on average
@@ -1039,6 +1033,27 @@ class TestSharedPass:
                 )
                 for row in rates
             ]
+
+    @pytest.mark.parametrize("modes", [LOAD_MODES, ("mean-approx", "instantaneous"),
+                                       ("long-term-assoc",), ("instantaneous",)],
+                             ids=["all", "strongest", "nearest", "instantaneous"])
+    def test_links_once_per_rule_and_mean_loads_once_per_call(self, monkeypatch, modes):
+        # three chunks: each finds the links of every association rule a mode
+        # reads once, and a call evaluates the mean loads as one array
+        calls = []
+        typical_links, mean_load = simulator._typical_links, simulator.mean_load_m1
+        monkeypatch.setattr(simulator, "_typical_links", lambda chunk, terms, nearest: (
+            calls.append(nearest) or typical_links(chunk, terms, nearest)))
+        monkeypatch.setattr(simulator, "mean_load_m1", lambda *args: (
+            calls.append("mean") or mean_load(*args)))
+        policy = CachingPolicy(np.array([0.4, 0.3, 0.2, 0.1]), 1)
+        library = ContentLibrary(4, self.popularity, np.ones(4))
+        simulator._simulate_interference_pass(
+            library, self.params, policy, 3 * simulator._INTERF_CHUNK, 1, modes, library.rates[None]
+        )
+        rules = {mode == "long-term-assoc" for mode in modes}
+        mean_modes = set(modes) - {"instantaneous"}
+        assert Counter(calls) == Counter({**dict.fromkeys(rules, 3), "mean": len(mean_modes) > 0})
 
     def test_rates_must_match_the_library(self):
         lib, params, policy = fig4_setting()
