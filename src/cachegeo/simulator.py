@@ -10,22 +10,25 @@ how many chunks follow it.
 
 The interference engine draws a chunk as flat arrays (every helper and
 user of its trials, with per-trial counts, and each helper's cache as M
-content slots) and reduces them per trial segment.  Its draws come in the
-same order for every load mode, and the instantaneous load's fresh channel
-gains are always the chunk's last draws, so load modes on one seed, in any
-order, evaluate identical networks.  Rates enter only when a trial's rate
-is compared with its target, so one pass over the chunks serves every load
-mode and every row of a matrix of rate targets, with the counts of
-separate calls.  The instantaneous load is counted only in trials whose
-outcome it decides for some row, and its gains are drawn only up to the
-last such trial's users.  The noise engine makes four draws per chunk
-(requests, counts, unit-disc radii, gains) whatever F is, the last two
-into buffers that each call allocates once.  sample_xi_min draws the
-curves of several networks that share pathloss_exp in one pass: a chunk's
-counts and radii once, and the gains once per fading_desired from the
-generator state after the radii, so each curve holds the bits of its own
-call.  Requests of both engines are looked up in a bucket table over the
-popularity cdf, built once per engine call, with the bits of
+content slots) and reduces them per trial segment.  Positions stay as
+their drawn uniforms: a helper's distance to the typical user is its drawn
+radius, and coordinates are built only for the user-helper pairs that the
+instantaneous load evaluates, so the mean-load modes build none.  Its
+draws come in the same order for every load mode, and the instantaneous
+load's fresh channel gains are always the chunk's last draws, so load
+modes on one seed, in any order, evaluate identical networks.  Rates enter
+only when a trial's rate is compared with its target, so one pass over the
+chunks serves every load mode and every row of a matrix of rate targets,
+with the counts of separate calls.  The instantaneous load is counted only
+in trials whose outcome it decides for some row, and its gains are drawn
+only up to the last such trial's users.  The noise engine makes four draws
+per chunk (requests, counts, unit-disc radii, gains) whatever F is, the
+last two into buffers that each call allocates once.  sample_xi_min draws
+the curves of several networks that share pathloss_exp in one pass: a
+chunk's counts and radii once, and the gains once per fading_desired from
+the generator state after the radii, so each curve holds the bits of its
+own call.  Requests of both engines are looked up in a bucket table over
+the popularity cdf, built once per engine call, with the bits of
 Generator.choice.
 
 Finite window: helpers are sampled inside a disc sized so the nearest
@@ -37,7 +40,7 @@ window fail, and interference from beyond the window is truncated.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import log, pi
+from math import inf, log, pi
 from operator import index
 from typing import NamedTuple
 
@@ -66,8 +69,9 @@ NOISE_WINDOW_MISS = 1e-6
 _NOISE_WINDOW_COUNT = log(1.0 / NOISE_WINDOW_MISS)
 _NOISE_CHUNK = 4096
 _INTERF_CHUNK = 64
-# Users and candidate helpers paired per step of the instantaneous load,
-# which bounds its working set whatever the window holds.
+# Gains per draw, and user-helper pairs per evaluation group (or one user's
+# run, when longer), of the instantaneous load, which bounds its working
+# set whatever the window holds.
 _PAIR_SLICE = 8192
 # Mean helpers plus users of one interference chunk above which a call is
 # refused before any draw (see _check_window).
@@ -108,13 +112,11 @@ def _window_r2(p, helper_density: float, miss_prob: float):
         return log(1.0 / miss_prob) / (pi * np.asarray(p, dtype=float) * helper_density)
 
 
-def _disc_points(radius: float, count: int, rng: np.random.Generator) -> np.ndarray:
-    """(2, count) radii and angles of points uniform on a disc centred at the origin."""
-    return np.array((radius * np.sqrt(rng.random(count)), rng.random(count) * 2.0 * pi))
-
-
-def _cartesian(r: np.ndarray, theta: np.ndarray) -> np.ndarray:
-    """(2, count) coordinates of the radii and angles that _disc_points draws."""
+def _cartesian(radius: float, uniforms: np.ndarray) -> np.ndarray:
+    """(2, count) coordinates of points uniform on the disc of `radius`
+    centred at the origin, from their (2, count) uniforms (u, v): the
+    distance radius sqrt(u) and the angle 2 pi v."""
+    r, theta = radius * np.sqrt(uniforms[0]), uniforms[1] * 2.0 * pi
     return np.array((r * np.cos(theta), r * np.sin(theta)))
 
 
@@ -338,20 +340,23 @@ class _Chunk(NamedTuple):
 
     Helper arrays are split into trials by helper_counts and user arrays
     by user_counts; the typical user sits at the origin of every trial.
+    Positions are kept as their drawn uniforms, which _cartesian turns
+    into coordinates where a pair is evaluated.
     """
 
     helper_counts: np.ndarray  # (n,)
     helper_trial: np.ndarray  # (H,) trial of each helper
-    helper_xy: np.ndarray  # (2, H) coordinates, meters
-    helper_dist: np.ndarray  # (H,) distance to the typical user
+    helper_uniforms: np.ndarray  # (2, H) position uniforms, for _cartesian
+    helper_dist: np.ndarray  # (H,) distance to the typical user, radius sqrt(u)
     caches: np.ndarray  # (H, M) content per cache slot, -1 for an empty slot
     content: np.ndarray  # (n,) typical user's request per trial
     caching: np.ndarray  # (H,) caches the typical user's request of its trial
     desired: np.ndarray  # (H,) typical user's selection-channel gains
     interf: np.ndarray  # (H,) typical user's interfering-channel gains
     user_counts: np.ndarray  # (n,)
-    user_polar: np.ndarray  # (2, U) radii and angles, for _cartesian
+    user_uniforms: np.ndarray  # (2, U) position uniforms, for _cartesian
     requested: np.ndarray  # (U,) content index per user
+    radius: float  # of the window disc, meters
 
 
 def _sample_chunk(
@@ -367,8 +372,8 @@ def _sample_chunk(
     helper_counts = rng.poisson(params.helper_density * pi * radius**2, n)
     user_counts = rng.poisson(params.user_density * pi * radius**2, n)
     n_helpers, n_users = int(helper_counts.sum()), int(user_counts.sum())
-    helper_xy = _cartesian(*_disc_points(radius, n_helpers, rng))
-    user_polar = _disc_points(radius, n_users, rng)
+    helper_uniforms = rng.random((2, n_helpers))
+    user_uniforms = rng.random((2, n_users))
     caches = cache_matrix(layout, rng.random(n_helpers))
     desired = nakagami_gain(params.fading_desired, rng, n_helpers)
     interf = nakagami_gain(params.fading_interf, rng, n_helpers)
@@ -377,8 +382,8 @@ def _sample_chunk(
     helper_trial = np.repeat(np.arange(n), helper_counts)
     caching = (caches == content.take(helper_trial)[:, None]).any(1)
     return _Chunk(
-        helper_counts, helper_trial, helper_xy, np.hypot(*helper_xy), caches,
-        content, caching, desired, interf, user_counts, user_polar, requested,
+        helper_counts, helper_trial, helper_uniforms, radius * np.sqrt(helper_uniforms[0]),
+        caches, content, caching, desired, interf, user_counts, user_uniforms, requested, radius,
     )
 
 
@@ -462,6 +467,41 @@ def _typical_links(
     return xi, serving, np.bincount(chunk.helper_trial, weights=power, minlength=counts.size)
 
 
+def _strongest_channels(
+    user_xy: np.ndarray, helper_xy: np.ndarray, first: np.ndarray, width: np.ndarray,
+    gain: np.ndarray, alpha: float,
+) -> np.ndarray:
+    """Position in helper_xy of each user's strongest channel: user j at
+    user_xy[:, j] reads the width[j] helpers from position first[j], and
+    `gain` holds the selection gains of these pairs in user order.  The
+    smallest (dx^2 + dy^2)^(alpha/2) / g wins, the lowest position on ties."""
+    seg_start = np.cumsum(width) - width
+    pair_user = np.repeat(np.arange(width.size), width)
+    position = (first - seg_start).take(pair_user)
+    position += np.arange(gain.size)
+    metric = user_xy[0].take(pair_user)
+    metric -= helper_xy[0].take(position)
+    dy = user_xy[1].take(pair_user)
+    dy -= helper_xy[1].take(position)
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        metric *= metric
+        dy *= dy
+        metric += dy
+        metric **= alpha / 2.0
+        metric /= gain
+    minima = np.minimum.reduceat(metric, seg_start)
+    if not np.isfinite(minima).all():
+        raise ValueError(
+            f"a user's smallest d^alpha / g over the helpers caching its request is not "
+            f"finite at pathloss_exp = {alpha:g}"
+        )
+    at = np.flatnonzero(metric == minima.take(pair_user))
+    if at.size > width.size:  # ties: the lowest position wins
+        tied = pair_user.take(at)
+        at = at[np.concatenate(([True], tied[1:] != tied[:-1]))]
+    return position.take(at)
+
+
 def _serving_loads(
     chunk: _Chunk,
     serving: np.ndarray,
@@ -482,11 +522,15 @@ def _serving_loads(
     (cap) and the (k, n) rate targets it must clear (need), a trial whose
     outcome cap / load >= need is the same at both bounds for every target
     gets the load 1 + e; only the users of the other trials are paired
-    (cap = need = 1 pairs every eligible user: exact loads).  The gains are
-    drawn _PAIR_SLICE pairs at a time in user order, up to the slice of the
-    last paired user, so a pair's gain does not depend on cap, and nothing
-    is drawn when no trial is paired.  Each slice's paired users are
-    evaluated as soon as its gains are drawn.
+    (cap = need = 1 pairs every eligible user: exact loads).  The gains of
+    every eligible user's pairs are drawn in user order, up to the last
+    paired user's, so a pair's gain does not depend on cap, and nothing is
+    drawn when no trial is paired.  Coordinates are built only for the
+    paired users and the helpers of the runs they read.  Gains are drawn at
+    most _PAIR_SLICE at a time into one buffer, and the paired users' gains
+    copied out of it; the paired users are evaluated in groups of at most
+    _PAIR_SLICE pairs, or of one user whose run alone is longer, each as
+    soon as its gains are drawn.
     """
     n, slots = serving.size, chunk.caches.shape[1]
     trial = np.repeat(np.arange(n), chunk.user_counts)
@@ -502,8 +546,7 @@ def _serving_loads(
     upper = 1.0 + np.bincount(user_trial, minlength=n)
     undecided = ((cap >= need) & (cap / upper < need)).any(0)
     loads = np.where(undecided, 1.0, upper)
-    is_open = undecided.take(user_trial)
-    paired = np.flatnonzero(is_open)  # indices into users
+    paired = np.flatnonzero(undecided.take(user_trial))  # indices into users
     if paired.size == 0:
         return loads
     # the helpers caching each (trial, content) in ascending index order,
@@ -521,55 +564,50 @@ def _serving_loads(
     width = run_width.take(run)
     ends = np.cumsum(width)
     starts = ends - width
-    # the paired users' coordinates, runs and serving helpers, and the
-    # helpers' coordinates in run order
-    r, theta = chunk.user_polar
-    open_users = users.take(paired)
-    ux, uy = _cartesian(r.take(open_users), theta.take(open_users))
-    first, open_width = run_first.take(run.take(paired)), width.take(paired)
+    # the runs the paired users read, laid end to end in run order: each
+    # paired user's first position in them, and their helpers' coordinates
+    open_run, open_width = run.take(paired), width.take(paired)
+    kept = np.zeros(run_width.size, np.intp)
+    kept[open_run] = open_width
+    offset = np.cumsum(kept) - kept
+    first = offset.take(open_run)
+    cells = np.repeat(run_first - offset, kept)
+    cells += np.arange(cells.size)
+    helper = helper.take(cells)
+    helper_xy = _cartesian(chunk.radius, chunk.helper_uniforms.take(helper, axis=1))
+    user_xy = _cartesian(chunk.radius, chunk.user_uniforms.take(users.take(paired), axis=1))
     target = serving.take(user_trial.take(paired))
-    hx, hy = chunk.helper_xy[0].take(helper), chunk.helper_xy[1].take(helper)
-    exponent = params.pathloss_exp / 2.0
+    # each stretch of consecutive paired users as [lo, hi) among the drawn gains
+    cut = np.flatnonzero(np.diff(paired) > 1)
+    stretches = zip(starts.take(paired.take(np.append(0, cut + 1))).tolist(),
+                    ends.take(paired.take(np.append(cut, paired.size - 1))).tolist())
+    lo, hi = next(stretches)
+    open_ends = np.cumsum(open_width)
     picked = np.zeros(paired.size, bool)
-    last = ends[paired[-1]]  # no gain past the last paired user's pairs is drawn
-    hi = b = 0
-    while hi <= paired[-1]:
-        # users lo..hi-1 hold at most _PAIR_SLICE pairs, or one user holds more
-        lo = hi
-        hi = max(lo + 1, int(ends.searchsorted(starts[lo] + _PAIR_SLICE, "right")))
-        gain = nakagami_gain(params.fading_desired, rng, min(ends[hi - 1], last) - starts[lo])
-        a, b = b, int(paired.searchsorted(hi))
-        if a == b:  # no paired user in the slice
-            continue
-        # whether each of the slice's paired users a..b-1 picks its serving
-        # helper, given the gains of their pairs in user order
-        gain = gain[np.repeat(is_open[lo:hi], width[lo:hi])[: gain.size]]
-        w = open_width[a:b]
-        seg_start = np.cumsum(w) - w
-        pair_user = np.repeat(np.arange(b - a), w)
-        position = (first[a:b] - seg_start).take(pair_user)  # in run order
-        position += np.arange(gain.size)
-        metric = ux[a:b].take(pair_user)
-        metric -= hx.take(position)
-        dy = uy[a:b].take(pair_user)
-        dy -= hy.take(position)
-        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-            metric *= metric
-            dy *= dy
-            metric += dy
-            metric **= exponent
-            metric /= gain
-        minima = np.minimum.reduceat(metric, seg_start)
-        if not np.isfinite(minima).all():
-            raise ValueError(
-                f"a user's smallest d^alpha / g over the helpers caching its request is not "
-                f"finite at pathloss_exp = {params.pathloss_exp:g}"
-            )
-        at = np.flatnonzero(metric == minima.take(pair_user))
-        if at.size > b - a:  # ties: the lowest index wins
-            tied = pair_user.take(at)
-            at = at[np.concatenate(([True], tied[1:] != tied[:-1]))]
-        picked[a:b] = helper.take(position.take(at)) == target[a:b]
+    buffer = np.empty(min(_PAIR_SLICE, int(ends[paired[-1]])))
+    drawn = b = 0
+    while b < paired.size:
+        # paired users a..b-1 hold at most _PAIR_SLICE pairs, or one user holds more
+        a = b
+        before = open_ends[a] - open_width[a]
+        b = max(a + 1, int(open_ends.searchsorted(before + _PAIR_SLICE, "right")))
+        # draw every gain up to the group's last pair, at most _PAIR_SLICE at
+        # a time, and copy the stretches' gains into the group's
+        group, filled, end = np.empty(open_ends[b - 1] - before), 0, int(ends[paired[b - 1]])
+        while drawn < end:
+            size = min(_PAIR_SLICE, end - drawn)
+            gain = nakagami_gain(params.fading_desired, rng, out=buffer[:size])
+            while lo < drawn + size:
+                to = min(hi, drawn + size)
+                group[filled : filled + to - lo] = gain[lo - drawn : to - drawn]
+                filled += to - lo
+                lo = to
+                if lo == hi:
+                    lo, hi = next(stretches, (inf, inf))
+            drawn += size
+        at = _strongest_channels(user_xy[:, a:b], helper_xy, first[a:b], open_width[a:b],
+                                 group, params.pathloss_exp)
+        picked[a:b] = helper.take(at) == target[a:b]
     return loads + np.bincount(user_trial.take(paired[picked]), minlength=n)
 
 

@@ -5,7 +5,8 @@ strongest_channel_loads recounts the instantaneous load of
 selection gains the engine drew, and shares none of its code;
 typical_links_loop finds the typical user's serving helper, xi and
 interference of `cachegeo.simulator._typical_links` one trial and one
-helper at a time, likewise.
+helper at a time, likewise.  Both read positions as the chunk's drawn
+uniforms and build coordinates with their own math calls.
 empirical_mean_load measures the load of the typical user's serving
 helper under distance association on the engine's sampled networks, so
 `cachegeo.analytics.mean_load_m1` (single-slot caches) has a Monte Carlo
@@ -22,7 +23,6 @@ from cachegeo.placement import build_block_layout
 from cachegeo.simulator import (
     _INTERF_CHUNK,
     NOISE_WINDOW_MISS,
-    _cartesian,
     _chunk_grid,
     _Requests,
     _link_terms,
@@ -32,6 +32,17 @@ from cachegeo.simulator import (
     _typical_links,
     _window_r2,
 )
+
+
+def coordinates(radius, uniforms):
+    """(x, y) of points from their (2, count) position uniforms (u, v): the
+    distance radius sqrt(u) and the angle 2 pi v, one point at a time."""
+    x, y = [], []
+    for u, v in uniforms.T.tolist():
+        r, theta = radius * math.sqrt(u), v * 2.0 * math.pi
+        x.append(r * math.cos(theta))
+        y.append(r * math.sin(theta))
+    return np.array(x), np.array(y)
 
 
 def exact_serving_loads(chunk, serving, library, params, rng):
@@ -52,8 +63,8 @@ def strongest_channel_loads(chunk, serving, params, gains):
     each, and picks the smallest (dx^2 + dy^2)^(alpha/2) / g, the lowest
     index on ties.  Every gain must be read.
     """
-    r, theta = chunk.user_polar
-    user_x, user_y = r * np.cos(theta), r * np.sin(theta)
+    user_x, user_y = coordinates(chunk.radius, chunk.user_uniforms)
+    helper_x, helper_y = coordinates(chunk.radius, chunk.helper_uniforms)
     h_end, u_end = np.cumsum(chunk.helper_counts), np.cumsum(chunk.user_counts)
     loads = np.ones(serving.size)
     read = 0
@@ -66,8 +77,8 @@ def strongest_channel_loads(chunk, serving, params, gains):
             cachers = helpers[(chunk.caches[helpers] == content).any(axis=1)]
             g = gains[read : read + cachers.size]
             read += cachers.size
-            dx = user_x[u] - chunk.helper_xy[0, cachers]
-            dy = user_y[u] - chunk.helper_xy[1, cachers]
+            dx = user_x[u] - helper_x[cachers]
+            dy = user_y[u] - helper_y[cachers]
             metric = (dx * dx + dy * dy) ** (params.pathloss_exp / 2.0) / g
             loads[t] += cachers[np.argmin(metric)] == server
     assert read == gains.size, f"read {read} of {gains.size} drawn gains"
@@ -76,7 +87,8 @@ def strongest_channel_loads(chunk, serving, params, gains):
 
 def typical_links_loop(chunk, alpha, nearest):
     """Per-trial (xi, serving helper, interference) of the typical user at
-    the origin, one helper at a time in ascending index.
+    the origin, one helper at a time in ascending index; a helper's distance
+    d is its drawn radius, radius sqrt(u).
 
     The serving helper is the helper caching the request with the
     smallest d^alpha / g (desired gain g), or the smallest distance d when
@@ -91,7 +103,7 @@ def typical_links_loop(chunk, alpha, nearest):
     end = 0
     for t in range(n):
         start, end = end, end + int(chunk.helper_counts[t])
-        dist = [math.hypot(chunk.helper_xy[0, h], chunk.helper_xy[1, h]) for h in range(start, end)]
+        dist = [chunk.radius * math.sqrt(chunk.helper_uniforms[0, h]) for h in range(start, end)]
         caching = [chunk.content[t] in chunk.caches[h] for h in range(start, end)]
         best = math.inf
         for h, d, cached in zip(range(start, end), dist, caching):
@@ -114,17 +126,15 @@ def brute_force_nearest_loads(chunk, serving, user_radius):
     counting only the users within user_radius of the typical user."""
     loads = []
     h_end, u_end = np.cumsum(chunk.helper_counts), np.cumsum(chunk.user_counts)
-    user_xy = _cartesian(*chunk.user_polar)
     for t in range(serving.size):
         h = np.arange(h_end[t] - chunk.helper_counts[t], h_end[t])
         u = np.arange(u_end[t] - chunk.user_counts[t], u_end[t])
-        u = u[chunk.user_polar[0, u] <= user_radius]
+        u = u[chunk.radius * np.sqrt(chunk.user_uniforms[0, u]) <= user_radius]
         load = 1
         if serving[t] >= 0 and u.size:
-            dist = np.hypot(
-                user_xy[0, u][:, None] - chunk.helper_xy[0, h][None, :],
-                user_xy[1, u][:, None] - chunk.helper_xy[1, h][None, :],
-            )
+            user_x, user_y = coordinates(chunk.radius, chunk.user_uniforms[:, u])
+            helper_x, helper_y = coordinates(chunk.radius, chunk.helper_uniforms[:, h])
+            dist = np.hypot(user_x[:, None] - helper_x[None, :], user_y[:, None] - helper_y[None, :])
             candidates = (chunk.caches[h][None] == chunk.requested[u][:, None, None]).any(2)
             best = h[np.argmin(np.where(candidates, dist, np.inf), axis=1)]
             load += int(np.sum(candidates.any(axis=1) & (best == serving[t])))

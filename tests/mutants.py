@@ -46,6 +46,7 @@ class Mutant(NamedTuple):
 _ANALYTICS = "tests/test_analytics.py::"
 _NAKAGAMI = _ANALYTICS + "TestNakagamiLowerBound::"
 _REFUSAL = "tests/test_cli.py::TestRunMatrix::test_refusal_row"
+_FIXED_C = "tests/test_cli.py::TestExitCodes::test_fixed_c_is_accepted_where_c_is_read"
 _DOMAIN = "tests/test_model.py::TestDomainTypes::"
 _BAD_DRAW_ARGS = "tests/test_simulator.py::test_bad_trials_or_seed_refused_before_any_draw"
 _TRIALS_BELOW_ONE = "tests/test_simulator.py::test_trials_below_one_refused"
@@ -59,6 +60,7 @@ _OTHER_KEYS = _WRITER + "test_row_with_other_keys_is_refused"
 _XI_MIN = "tests/test_simulator.py::TestXiMinDistribution::"
 _BATCHED = _XI_MIN + "test_batched_rows_equal_one_point_calls"
 _ORACLE = "tests/test_simulator.py::TestStrongestChannelOracle::"
+_BOUNDED = _ORACLE + "test_draws_and_evaluation_groups_are_bounded"
 
 MUTANTS = (
     # the general-fading bound in bounded variables
@@ -114,15 +116,34 @@ MUTANTS = (
            "p_a, p_b = p, p.copy()", "p_a, p_b = p, p",
            (_LIVE_SET + "test_interference", _LIVE_SET + "test_noise")),
     # the interference engine: its refusals, the typical user's links, and
-    # the pairs and ties of the strongest-channel load
+    # the pairs, groups, coordinates and ties of the strongest-channel load
     Mutant("pair-gains-one-short", "simulator.py",
-           "last = ends[paired[-1]]", "last = ends[paired[-1]] - 1",
+           "filled, end = np.empty(open_ends[b - 1] - before), 0, int(ends[paired[b - 1]])",
+           "filled, end = np.empty(open_ends[b - 1] - before), 0, int(ends[paired[b - 1]]) - 1",
            ("tests/test_simulator.py::TestDecidedTrials::test_bounded_loads_keep_outcomes_and_draws",)),
     Mutant("pair-slice-unbounded", "simulator.py",
-           'ends.searchsorted(starts[lo] + _PAIR_SLICE, "right")', "ends.size",
-           (_ORACLE + "test_each_draw_holds_one_slice_of_pairs",)),
+           "size = min(_PAIR_SLICE, end - drawn)", "size = end - drawn",
+           (_BOUNDED, _ORACLE + "test_small_draw_slices_match_per_user_oracle")),
+    Mutant("evaluation-group-unbounded", "simulator.py",
+           'b = max(a + 1, int(open_ends.searchsorted(before + _PAIR_SLICE, "right")))',
+           "b = paired.size",
+           (_BOUNDED,)),
+    Mutant("stretches-across-one-unpaired-user", "simulator.py",
+           "cut = np.flatnonzero(np.diff(paired) > 1)", "cut = np.flatnonzero(np.diff(paired) > 2)",
+           (_ORACLE + "test_loads_match_per_user_oracle",)),
+    Mutant("coordinates-for-every-eligible-run", "simulator.py",
+           "kept[open_run] = open_width", "kept[run] = width",
+           (_ORACLE + "test_coordinates_only_for_the_paired_runs",)),
+    Mutant("pair-first-in-every-run", "simulator.py",
+           "first = offset.take(open_run)", "first = run_first.take(open_run)",
+           (_ORACLE + "test_loads_match_per_user_oracle",
+            _ORACLE + "test_coordinates_only_for_the_paired_runs")),
+    Mutant("helper-distance-without-window-radius", "simulator.py",
+           "radius * np.sqrt(helper_uniforms[0])", "np.sqrt(helper_uniforms[0])",
+           ("tests/test_simulator.py::TestSamplePpp::test_helper_distance_is_the_drawn_radius",
+            "tests/test_simulator.py::TestTypicalLinksOracle::test_links_match_per_trial_loop")),
     Mutant("pair-position-without-run-start", "simulator.py",
-           "position = (first[a:b] - seg_start).take(pair_user)",
+           "position = (first - seg_start).take(pair_user)",
            "position = (0 - seg_start).take(pair_user)",
            (_ORACLE + "test_loads_match_per_user_oracle",
             _ORACLE + "test_small_draw_slices_match_per_user_oracle")),
@@ -288,6 +309,14 @@ MUTANTS = (
            "    except TypeError as exc:\n        raise ConfigError(str(exc)) from exc",
            "    except KeyError as exc:\n        raise ConfigError(str(exc)) from exc",
            ("tests/test_cli.py::TestConfig::test_unknown_keyword_rejected",)),
+    Mutant("select_c-seven-references", "experiments.py",
+           "while len(policies) < _N_REFERENCE_POLICIES:",
+           "while len(policies) <= _N_REFERENCE_POLICIES:",
+           ("tests/test_cli.py::TestSelectC::test_six_reference_policies",)),
+    Mutant("reads_c-needs-both-routes", "experiments.py",
+           'self.channel == "interference" or self.policy_source == "optimize-sir"',
+           'self.channel == "interference" and self.policy_source == "optimize-sir"',
+           (_FIXED_C + "[interference-uc]", _FIXED_C + "[noise-optimize-sir]")),
     Mutant("select_c-certifies-anything", "experiments.py",
            'raise NumericalError(f"no c in {_C_GRID} certifies',
            'return _C_GRID[-1]\n    raise NumericalError(f"no c in {_C_GRID} certifies',

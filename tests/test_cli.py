@@ -734,6 +734,23 @@ class TestSelectC:
         assert c in experiments._C_GRID
 
 
+    def test_six_reference_policies(self, monkeypatch):
+        # uniform and most-popular caching, then four seeded random policies
+        from cachegeo.model import ContentLibrary
+
+        policies, simulate = [], experiments.simulate_interference_limited
+
+        def spy(library, params, policy, *args, **kwargs):
+            policies.append(policy.probs)
+            return simulate(library, params, policy, *args, **kwargs)
+
+        monkeypatch.setattr(experiments, "simulate_interference_limited", spy)
+        lib = ContentLibrary(3, zipf_popularity(3, 1.0), np.full(3, 0.001))
+        params = NetworkParams(1e-5, 2e-5, 1.0, 0.0, 3.0, 1.0, 1.0)
+        select_c(lib, params, 1, trials=50, seed=5)
+        assert len(policies) == experiments._N_REFERENCE_POLICIES == 6
+        assert len({p.tobytes() for p in policies}) == 6
+
     def test_upper_limit_of_a_reference(self):
         # no success: the z = 3 Wilson upper limit 9 / (n + 9); otherwise est + 3 se
         assert experiments._upper_limit(MCEstimate.from_counts(0, 200)) == pytest.approx(9 / 209)
@@ -821,6 +838,29 @@ class TestExitCodes:
             ExperimentConfig(scenario="optimize-sir", c_mode="load", c_value=math.nan).validate()
         with pytest.raises(ConfigError, match=r"^c_value must be >= 1 and finite"):
             ExperimentConfig(scenario="optimize-sir", c_mode="fixed", c_value=math.nan).validate()
+
+    @pytest.mark.parametrize("channel, source", [("interference", "uc"), ("noise", "optimize-sir")])
+    def test_fixed_c_is_accepted_where_c_is_read(self, tmp_path, channel, source):
+        # an interference simulate reads c for its bound, and a noise simulate
+        # with source = optimize-sir for the policy it designs
+        from cachegeo.analytics import InterferenceConstants, rayleigh_lower_bound
+
+        out = tmp_path / "fixed.csv"
+        config = ExperimentConfig(
+            scenario="simulate", channel=channel, policy_source=source, c_mode="fixed",
+            c_value=2.5, count=2, memory=1, rate_mode="constant", rho=0.001,
+            helper_density=1e-5, user_density=2e-5, trials=40, seed=2, output=str(out),
+        ).validate()
+        assert run(config) == 0
+        row = next(csv.DictReader(out.open()))
+        library = config.make_library()
+        consts = InterferenceConstants.from_library(library, 3.0, 2.5)
+        if channel == "interference":
+            assert float(row["analytic"]) == pytest.approx(
+                rayleigh_lower_bound(library, consts, np.array([0.5, 0.5])), rel=1e-11)
+        else:
+            policy = optimizer.optimize_interference(library, consts, 1).policy
+            assert row["policy"] == experiments._policy_string(policy.probs)
 
     @pytest.mark.parametrize("helper_density", ["1e-300", "1e-9"])
     def test_overpopulated_chunk_exits_2_before_drawing(self, tmp_path, helper_density):

@@ -33,7 +33,6 @@ from cachegeo.simulator import (
     _Chunk,
     _Requests,
     _cartesian,
-    _disc_points,
     _link_terms,
     _shared_rate,
     _sample_chunk,
@@ -72,7 +71,7 @@ class TestSamplePpp:
     def test_null_process(self):
         chunk = sample_networks(50, 0.02, 0.0, 10.0, seed=0)
         assert chunk.user_counts.sum() == 0
-        assert chunk.user_polar.shape == (2, 0) and chunk.requested.shape == (0,)
+        assert chunk.user_uniforms.shape == (2, 0) and chunk.requested.shape == (0,)
 
     def test_mean_count(self):
         chunk = sample_networks(10_000, 0.05, 0.01, 20.0, seed=1)
@@ -93,11 +92,47 @@ class TestSamplePpp:
         _, pvalue = stats.chisquare(obs, exp * obs.sum() / exp.sum())
         assert pvalue > 0.01
 
-    def test_disc_points_are_uniform(self):
-        # uniform on a disc of radius R: r^2 / R^2 ~ U(0, 1), angle ~ U(-pi, pi)
-        x, y = _cartesian(*_disc_points(7.0, 20_000, np.random.default_rng(3)))
+    @pytest.mark.parametrize("field", ["helper_uniforms", "user_uniforms"])
+    def test_positions_are_uniform(self, field):
+        # uniform on a disc of radius R: r^2 / R^2 ~ U(0, 1), angle ~ U(-pi, pi);
+        # about 20 000 points of each process
+        chunk = sample_networks(1000, 0.13, 0.13, 7.0, seed=3)
+        x, y = _cartesian(chunk.radius, getattr(chunk, field))
+        assert x.size > 19_000
         assert stats.kstest((x * x + y * y) / 49.0, "uniform").pvalue > 0.01
         assert stats.kstest(np.arctan2(y, x), "uniform", args=(-math.pi, 2 * math.pi)).pvalue > 0.01
+
+    @pytest.mark.parametrize("m_d", [1.0, 2.5])
+    def test_draws_replay_by_hand(self, m_d):
+        # positions are drawn as one (2, count) array per process, which holds
+        # the bits of a radius draw and then an angle draw of count uniforms each
+        lib = make_library(3)
+        layout = build_block_layout(CachingPolicy(np.array([0.5, 0.3, 0.2]), 1))
+        params = make_params(lam=0.02, lam_u=0.03, m_d=m_d, m_i=1.5)
+        rng, hand = np.random.default_rng(21), np.random.default_rng(21)
+        chunk = _sample_chunk(rng, 64, _Requests(lib.popularity), params, layout, 12.0)
+        area = math.pi * 12.0**2
+        helpers = int(hand.poisson(params.helper_density * area, 64).sum())
+        users = int(hand.poisson(params.user_density * area, 64).sum())
+        helper_uniforms = hand.random(helpers), hand.random(helpers)
+        user_uniforms = hand.random(users), hand.random(users)
+        hand.random(helpers)  # cache placement
+        nakagami_gain(m_d, hand, helpers)
+        nakagami_gain(1.5, hand, helpers)
+        hand.random(users)  # requests: the users', then the typical user's
+        hand.random(64)
+        assert rng.bit_generator.state == hand.bit_generator.state
+        assert np.array_equal(chunk.helper_uniforms, helper_uniforms)
+        assert np.array_equal(chunk.user_uniforms, user_uniforms)
+
+    def test_helper_distance_is_the_drawn_radius(self):
+        chunk = sample_networks(64, 0.05, 0.0, 12.0, seed=4)
+        assert chunk.radius == 12.0
+        dist = 12.0 * np.sqrt(chunk.helper_uniforms[0])
+        assert chunk.helper_dist.tobytes() == dist.tobytes()
+        # the coordinates' hypot is the same distance up to rounding
+        assert np.allclose(np.hypot(*_cartesian(12.0, chunk.helper_uniforms)), dist,
+                           rtol=1e-14, atol=0)
 
 
 class TestNakagamiGain:
@@ -151,9 +186,10 @@ def hand_links(dist, caching, desired, interf, nearest=False, counts=None, alpha
     counts = np.array([dist.size] if counts is None else counts)
     chunk = _Chunk(
         helper_counts=counts, helper_trial=np.repeat(np.arange(counts.size), counts),
-        helper_xy=None, helper_dist=dist, caches=None, content=None,
+        helper_uniforms=None, helper_dist=dist, caches=None, content=None,
         caching=np.asarray(caching, bool), desired=np.asarray(desired, float),
-        interf=np.asarray(interf, float), user_counts=None, user_polar=None, requested=None,
+        interf=np.asarray(interf, float), user_counts=None, user_uniforms=None, requested=None,
+        radius=None,
     )
     return _typical_links(chunk, _link_terms(chunk, make_params(alpha=alpha)), nearest)
 
@@ -701,7 +737,7 @@ class TestRealizationAndLoad:
             twice = (c.caches[:, 0] == c.caches[:, 1]) & (c.caches[:, 0] >= 0)
             assert not np.any(twice)
             assert np.all(c.desired > 0) and np.all(c.interf > 0)
-            assert c.requested.shape == (n_users,) and c.user_polar.shape == (2, n_users)
+            assert c.requested.shape == (n_users,) and c.user_uniforms.shape == (2, n_users)
             assert np.all(c.helper_dist <= 15.0)
             trial = np.repeat(np.arange(64), c.helper_counts)
             assert np.array_equal(
@@ -804,8 +840,10 @@ class TestDecidedTrials:
         cap = np.zeros(serving.size)
         cap[served] = _shared_rate(xi[served], J[served])
         drawn, gain = [], simulator.nakagami_gain
+        # each draw fills the one reused buffer, so its gains are copied
         monkeypatch.setattr(
-            simulator, "nakagami_gain", lambda m, rng, size: drawn.append(gain(m, rng, size)) or drawn[-1]
+            simulator, "nakagami_gain", lambda m, rng, out: drawn.append(gain(m, rng, out=out).copy())
+            or drawn[-1]
         )
         exact = exact_serving_loads(c, serving, self.lib, self.params, np.random.default_rng(3))
         exact_gains = np.concatenate(drawn)
@@ -881,9 +919,9 @@ class TestStrongestChannelOracle:
         self.check(monkeypatch, memory, m_d, 3.5)
 
     @pytest.mark.parametrize("memory", [1, 3])
-    def test_each_draw_holds_one_slice_of_pairs(self, monkeypatch, memory):
-        # each slice's pairs are evaluated on its own draw, so the working
-        # set is one draw: at most _PAIR_SLICE gains, or one user's run
+    def test_draws_and_evaluation_groups_are_bounded(self, monkeypatch, memory):
+        # the working set is one draw of at most _PAIR_SLICE gains and one
+        # evaluation group of at most _PAIR_SLICE pairs, or of one user's run
         monkeypatch.setattr(simulator, "_PAIR_SLICE", 5)
         probs = self.policies[memory]
         params = make_params(lam=0.02, lam_u=0.03, m_d=2.5)
@@ -891,19 +929,55 @@ class TestStrongestChannelOracle:
         layout = build_block_layout(CachingPolicy(np.array(probs), memory))
         c = _sample_chunk(np.random.default_rng(0), 64, _Requests(lib.popularity), params, layout, 12.0)
         _, serving, _ = _typical_links(c, _link_terms(c, params), False)
-        sizes, gain = [], simulator.nakagami_gain
-        monkeypatch.setattr(
-            simulator, "nakagami_gain", lambda m, rng, size: sizes.append(size) or gain(m, rng, size)
-        )
+        draws, groups = [], []
+        gain, strongest = simulator.nakagami_gain, simulator._strongest_channels
+        monkeypatch.setattr(simulator, "nakagami_gain",
+                            lambda m, rng, out: draws.append(out.size) or gain(m, rng, out=out))
+
+        def group(user_xy, helper_xy, first, width, gains, alpha):
+            groups.append((width.size, gains.size))
+            return strongest(user_xy, helper_xy, first, width, gains, alpha)
+
+        monkeypatch.setattr(simulator, "_strongest_channels", group)
         exact_serving_loads(c, serving, lib, params, np.random.default_rng(0))
-        # every draw ends at a user's last pair, and the last draw at the last user's
-        run_ends, draw_ends = np.cumsum(eligible_pairs(c, serving)[1]), np.cumsum(sizes)
-        assert np.isin(draw_ends, run_ends).all() and draw_ends[-1] == run_ends[-1]
-        users = np.diff(run_ends.searchsorted(draw_ends, "right"), prepend=0)
-        sizes = np.array(sizes)
+        # every eligible user is paired: the draws and the groups cover all pairs
+        pairs = eligible_pairs(c, serving)[1]
+        users, sizes = np.array(groups).T
+        assert sum(draws) == sizes.sum() == pairs.sum() and users.sum() == pairs.size
+        assert max(draws) <= 5
         assert np.all((sizes <= 5) | (users == 1))
-        # the chunk holds runs longer than a slice and slices of several users
+        # the chunk holds runs longer than a slice and groups of several users
         assert np.any(sizes > 5) and np.any(users > 1)
+
+    def test_coordinates_only_for_the_paired_runs(self, monkeypatch):
+        # the helpers converted are those of the runs the paired users read,
+        # in (trial, content) order, and each gets the coordinates of a
+        # conversion of every helper, bit for bit
+        params = make_params(lam=0.02, lam_u=0.03)
+        lib = make_library(3, rates=[0.2, 0.7, 1.2])
+        layout = build_block_layout(CachingPolicy(np.array(self.policies[2]), 2))
+        c = _sample_chunk(np.random.default_rng(5), 64, _Requests(lib.popularity), params, layout, 12.0)
+        xi, serving, J = _typical_links(c, _link_terms(c, params), False)
+        cap = np.zeros(serving.size)
+        cap[serving >= 0] = _shared_rate(xi[serving >= 0], J[serving >= 0])
+        need = lib.rates[c.content]
+        trial, eligible = eligible_users(c, serving)
+        undecided = (cap >= need) & (cap / load_upper_bounds(c, serving) < need)
+        paired = np.flatnonzero(eligible & undecided[trial])
+        helper_trial = np.repeat(np.arange(64), c.helper_counts)
+        runs = sorted({(trial[u], c.requested[u]) for u in paired})
+        helpers = np.concatenate([np.flatnonzero((helper_trial == t) & (c.caches == k).any(1))
+                                  for t, k in runs])
+        built, cartesian = [], simulator._cartesian
+        monkeypatch.setattr(simulator, "_cartesian", lambda radius, uniforms: (
+            built.append(cartesian(radius, uniforms)) or built[-1]))
+        _serving_loads(c, serving, lib, params, np.random.default_rng(5), cap, need[None])
+        helper_xy, user_xy = built
+        assert helper_xy.tobytes() == _cartesian(12.0, c.helper_uniforms)[:, helpers].tobytes()
+        assert user_xy.tobytes() == _cartesian(12.0, c.user_uniforms)[:, paired].tobytes()
+        # some runs are left unconverted: the decided trials' and the unread ones
+        assert 0 < len(runs) and helpers.size < c.caches.size - np.count_nonzero(c.caches < 0)
+        assert np.any(eligible & ~undecided[trial])
 
     @pytest.mark.parametrize("alpha", [2.5, 4.0])
     @pytest.mark.parametrize("memory", [1, 3])
@@ -914,15 +988,16 @@ class TestStrongestChannelOracle:
         # helpers at (1, 0) and (-1, 0) with unit gains; two users at the
         # origin tie, one at (0.5, 0) picks helper 0 and one at (-0.5, 0) helper 1
         lib, params = make_library(1), make_params(alpha=3.0)
+        # on the unit disc, uniforms (u, v) sit at distance sqrt(u) and angle 2 pi v
         chunk = _Chunk(
             helper_counts=np.array([2]), helper_trial=np.array([0, 0]),
-            helper_xy=np.array([[1.0, -1.0], [0.0, 0.0]]), helper_dist=np.ones(2),
+            helper_uniforms=np.array([[1.0, 1.0], [0.0, 0.5]]), helper_dist=np.ones(2),
             caches=np.array([[0], [0]]), content=np.array([0]), caching=np.ones(2, bool),
             desired=np.ones(2), interf=np.ones(2), user_counts=np.array([4]),
-            user_polar=np.array([[0.0, 0.0, 0.5, 0.5], [0.0, 0.0, 0.0, math.pi]]),
-            requested=np.zeros(4, int),
+            user_uniforms=np.array([[0.0, 0.0, 0.25, 0.25], [0.0, 0.0, 0.0, 0.5]]),
+            requested=np.zeros(4, int), radius=1.0,
         )
-        monkeypatch.setattr(simulator, "nakagami_gain", lambda m, rng, size: np.ones(size))
+        monkeypatch.setattr(simulator, "nakagami_gain", lambda m, rng, out: np.ones(out.size))
         for server, load in ((0, 4.0), (1, 2.0)):
             serving = np.array([server])
             loads = exact_serving_loads(chunk, serving, lib, params, None)
@@ -942,8 +1017,8 @@ class TestStrongestChannelOracle:
             xi, serving, J = _typical_links(c, _link_terms(c, params), False)
             drawn = []
 
-            def record(m, rng, size=None, out=None):
-                drawn.append(gain(m, rng, size, out))
+            def record(m, rng, out):
+                drawn.append(gain(m, rng, out=out).copy())  # the buffer is reused
                 return drawn[-1]
 
             with monkeypatch.context() as patch:
@@ -1055,6 +1130,28 @@ class TestSharedPass:
         mean_modes = set(modes) - {"instantaneous"}
         assert Counter(calls) == Counter({**dict.fromkeys(rules, 3), "mean": len(mean_modes) > 0})
 
+    @pytest.mark.parametrize("modes", [("mean-approx", "long-term-assoc"), ("instantaneous",)])
+    def test_only_paired_users_build_coordinates(self, monkeypatch, modes):
+        # the mean-load modes never pair a user, so they convert no position;
+        # the instantaneous load does, which shows the patch is reached
+        def refuse(radius, uniforms):
+            raise AssertionError("built coordinates")
+
+        monkeypatch.setattr(simulator, "_cartesian", refuse)
+        policy = CachingPolicy(np.array([0.4, 0.3, 0.2, 0.1]), 1)
+        library = ContentLibrary(4, self.popularity, np.ones(4))
+
+        def run():
+            return simulator._simulate_interference_pass(
+                library, self.params, policy, 3 * simulator._INTERF_CHUNK, 1, modes, library.rates[None]
+            )
+
+        if "instantaneous" in modes:
+            with pytest.raises(AssertionError, match="built coordinates"):
+                run()
+        else:
+            assert set(run()) == set(modes)
+
     def test_rates_must_match_the_library(self):
         lib, params, policy = fig4_setting()
         with pytest.raises(ValueError, match=r"rates must be a \(k, 2\) matrix"):
@@ -1129,7 +1226,7 @@ class TestFloatRange:
         )
         _, serving, _ = _typical_links(c, _link_terms(c, params), False)
         # a zero selection gain puts d^alpha / g at inf for every pair
-        monkeypatch.setattr(simulator, "nakagami_gain", lambda m, rng, size: np.zeros(size))
+        monkeypatch.setattr(simulator, "nakagami_gain", lambda m, rng, out: np.zeros(out.size))
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             with pytest.raises(ValueError, match="not finite"):
